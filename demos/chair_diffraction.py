@@ -12,7 +12,6 @@ from pathlib import Path
 from limitper import chair, numerics
 from limitper.dyadic import DyadicPoint2, module_box
 from limitper.render import Peak, disc_svg, peaks_csv
-from limitper.subst import PatternWindow
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -33,8 +32,7 @@ print(f"closed form:                     {chair.amplitudes(k_int).values[0]:.10f
 
 # Route three: a windowed exponential sum over a 513^2 patch of one color.
 k = DyadicPoint2(1, 0, 2)
-window = PatternWindow((-256, -256), chair.label_grid(-256, 257, -256, 257))
-comb = numerics.WeightedComb(window, (1.0, 0.0, 0.0, 0.0))
+comb = numerics.chair_comb(256, (1.0, 0.0, 0.0, 0.0))
 windowed = numerics.empirical_amplitude(comb, k)
 print(f"windowed sum (513^2) at (1/4, 0): {windowed:.10f}")
 print(f"closed form:                      {chair.amplitudes(k).values[0]:.10f}")

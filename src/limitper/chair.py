@@ -29,6 +29,7 @@ leaves the fixed point invariant as a coloured pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,52 +110,55 @@ def label(point: tuple[int, int]) -> int:
         x, y = hx, hy
 
 
+# Rows per band in ``label_grid``: the working set is a few int64 arrays of
+# one band, whatever the grid height.
+_BAND_ROWS = 256
+
+
 def label_grid(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> np.ndarray:
     """Colours on [x_lo, x_hi) x [y_lo, y_hi) as a uint8 array [iy, ix].
 
-    Vectorised form of ``label``: all cells walk their halving chains in
-    lock step, each chain freezing once its colour is decided.
+    Vectorised form of ``label``, one band of rows at a time: all cells of a
+    band walk their halving chains in lock step, and each round carries on
+    only with the cells still open, whose share about halves per round.
     """
     if x_hi <= x_lo or y_hi <= y_lo:
         raise ValueError("empty grid")
+    out = np.empty((y_hi - y_lo, x_hi - x_lo), dtype=np.uint8)
     xs = np.arange(x_lo, x_hi, dtype=np.int64)
-    ys = np.arange(y_lo, y_hi, dtype=np.int64)
-    x = np.broadcast_to(xs[None, :], (ys.size, xs.size)).copy().ravel()
-    y = np.broadcast_to(ys[:, None], (ys.size, xs.size)).copy().ravel()
-    out = np.full(x.shape, 255, dtype=np.uint8)
-
     bound = max(abs(x_lo), abs(x_hi), abs(y_lo), abs(y_hi))
     max_rounds = 2 * int(bound).bit_length() + 8
+    for row in range(0, out.shape[0], _BAND_ROWS):
+        ys = np.arange(y_lo + row, min(y_lo + row + _BAND_ROWS, y_hi), dtype=np.int64)
+        band = out[row : row + ys.size].reshape(-1)
+        _walk_chains(np.tile(xs, ys.size), np.repeat(ys, xs.size), band, max_rounds)
+    return out
+
+
+def _walk_chains(x: np.ndarray, y: np.ndarray, out: np.ndarray, max_rounds: int) -> None:
+    """Write the colour of cell (x[i], y[i]) to out[i] for every i.
+
+    The rules of ``label`` in parity form: a cell is decided when it lies on
+    a diagonal ray or when x + y and hx + hy differ in parity; its colour is
+    the sublattice parity (x + y) mod 2 plus 2 for x < 0 on a ray, or for
+    odd x at an exit.
+    """
+    index = np.arange(x.size)
     for _ in range(max_rounds):
-        open_mask = out == 255
-        if not open_mask.any():
-            break
-        diag = open_mask & (x == y)
-        out[diag & (x >= 0)] = 0
-        out[diag & (x < 0)] = 2
-        anti = open_mask & (x + y == -1)
-        out[anti & (x >= 0)] = 1
-        out[anti & (x < 0)] = 3
-        open_mask &= out == 255
-
+        if not index.size:
+            return
+        s = x + y
         hx, hy = x >> 1, y >> 1
-        even_lattice = (x + y) % 2 == 0
-        half_odd = (hx + hy) % 2 == 1
-        x_even = x % 2 == 0
-
-        exit0 = open_mask & even_lattice & half_odd
-        out[exit0 & x_even] = 0
-        out[exit0 & ~x_even] = 2
-        exit1 = open_mask & ~even_lattice & ~half_odd
-        out[exit1 & x_even] = 1
-        out[exit1 & ~x_even] = 3
-
-        cont = open_mask & (out == 255)
-        x = np.where(cont, hx, x)
-        y = np.where(cont, hy, y)
-    if (out == 255).any():
+        on_ray = (x == y) | (s == -1)
+        done = on_ray | ((s + hx + hy) & 1).astype(bool)
+        # x >> 63 is -1 (odd) exactly when x < 0.
+        colour_bit = np.where(on_ray, x >> 63, x) & 1
+        colour = (s & 1) + 2 * colour_bit
+        out[index[done]] = colour[done]
+        keep = ~done
+        index, x, y = index[keep], hx[keep], hy[keep]
+    if index.size:
         raise AssertionError("halving chains failed to resolve")
-    return out.reshape(ys.size, xs.size)
 
 
 def coset_amplitude(level: int, step: tuple[int, int], k: DyadicPoint2) -> complex:
@@ -219,8 +223,13 @@ def _axis_sum_amplitude(c: int, s: int) -> complex:
     if c % 2 == 0:
         if (c // 2) % 2 == 0:
             return 0j
-        return -(4.0 / float(4**s)) / (1 - _eps_pow(c, s))
-    return (1.0 / float(4**s)) / (1 - _eps_pow(c, s))
+        scale = -math.ldexp(4.0, -2 * s)
+    else:
+        scale = math.ldexp(1.0, -2 * s)
+    if scale == 0.0:
+        # Underflowed: at such depths 1 - eps can round to 0 as well.
+        return 0j
+    return scale / (1 - _eps_pow(c, s))
 
 
 def amplitudes(k: DyadicPoint2) -> Amplitudes:

@@ -186,6 +186,7 @@ class RunConfig:
     format: str | None = None
     empirical: bool = False
     quick: bool = False
+    json: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -210,14 +211,15 @@ def _out_base(config: RunConfig, default: str) -> Path:
     return base
 
 
-def _write(path: Path, content: str) -> None:
+def _write(path: Path, content: str, announce=None) -> None:
+    """Write ``content`` to ``path`` and print the path to ``announce`` (stdout by default)."""
     try:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
-    print(path)
+    print(path, file=announce)
 
 
 def _pick_formats(config: RunConfig, allowed: tuple[str, ...], default: tuple[str, ...]):
@@ -269,28 +271,16 @@ def _closed_form_amplitude(resolved: ResolvedSystem, weights):
     return amplitude
 
 
-def _empirical_amplitude_fn(config: RunConfig, resolved: ResolvedSystem, weights):
+def _empirical_comb(config: RunConfig, resolved: ResolvedSystem, weights) -> numerics.WeightedComb:
+    """The weighted window [-N, N]^d grown by substitution from the resolved seed."""
     system = resolved.system
-    if resolved.builtin == "period_doubling":
-        half = config.window if config.window is not None else 1 << 20
-        comb = numerics.pd_comb(half, weights)
-    elif resolved.builtin == "chair":
-        half = config.window if config.window is not None else 1024
-        comb = numerics.chair_comb(half, weights)
-    else:
-        if system.factor & (system.factor - 1):
-            raise UsageError(
-                "empirical diffraction needs a power-of-two inflation factor "
-                "(the wave-number module enumerated here is dyadic)"
-            )
-        half = config.window if config.window is not None else (1 << 20 if system.dim == 1 else 1024)
-        iterations = 1
-        while system.factor**iterations < half + 1:
-            iterations += 1
-        grown = subst.fixed_point_window(system, resolved.seed, iterations)
-        sub = grown.subwindow((-half,) * system.dim, (2 * half + 1,) * system.dim)
-        comb = numerics.WeightedComb(sub, weights)
-    return lambda k: numerics.empirical_amplitude(comb, k)
+    if system.factor & (system.factor - 1):
+        raise UsageError(
+            "empirical diffraction needs a power-of-two inflation factor "
+            "(the wave-number module enumerated here is dyadic)"
+        )
+    half = config.window if config.window is not None else (1 << 20 if system.dim == 1 else 1024)
+    return numerics.WeightedComb(subst.centred_window(system, resolved.seed, half), weights)
 
 
 def cmd_diffract(config: RunConfig) -> int:
@@ -310,19 +300,20 @@ def cmd_diffract(config: RunConfig) -> int:
     region = config.region if config.region is not None else (
         ((Fraction(0), Fraction(1)),) if dim == 1 else ((Fraction(-1), Fraction(1)),) * 2
     )
-    if config.empirical:
-        amplitude = _empirical_amplitude_fn(config, resolved, weights)
-    else:
-        amplitude = _closed_form_amplitude(resolved, weights)
+    comb = _empirical_comb(config, resolved, weights) if config.empirical else None
     if dim == 1:
         points = module_interval(
             cutoff, region[0][0], region[0][1], include_hi=config.include_hi
         )
     else:
         points = module_box(cutoff, region[0], region[1], include_hi=config.include_hi)
+    if comb is not None:
+        amplitudes = numerics.empirical_amplitudes(comb, points)
+    else:
+        amplitudes = map(_closed_form_amplitude(resolved, weights), points)
     peaks = []
-    for k in points:
-        amp = complex(amplitude(k))
+    for k, amp in zip(points, amplitudes):
+        amp = complex(amp)
         strength = abs(amp) ** 2
         if strength >= config.floor:
             peaks.append(render.Peak(k=k, amplitude=amp, intensity=strength))
@@ -365,10 +356,16 @@ def cmd_module(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     results = verification.run_checks(quick=config.quick)
-    text = verification.report_text(results)
-    print(text, end="")
     base = _out_base(config, "verify_report")
-    _write(base.with_suffix(".txt"), text)
+    if config.json:
+        # stdout carries the JSON document alone; the file path goes to stderr.
+        text = verification.report_json(results)
+        print(text, end="")
+        _write(base.with_suffix(".json"), text, announce=sys.stderr)
+    else:
+        text = verification.report_text(results)
+        print(text, end="")
+        _write(base.with_suffix(".txt"), text)
     return 0 if all(result.passed for result in results) else 1
 
 
@@ -429,6 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the named self-check suite")
     ver.add_argument("--quick", action="store_true", help="small windows and cutoffs, a few seconds")
+    ver.add_argument(
+        "--json",
+        action="store_true",
+        help="print name, passed, elapsed_s and detail per check as JSON",
+    )
     ver.add_argument("--out", help="report base path (extensions are added)")
     return parser
 
@@ -457,6 +459,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         format=getattr(args, "format", None),
         empirical=getattr(args, "empirical", False),
         quick=getattr(args, "quick", False),
+        json=getattr(args, "json", False),
     )
     if getattr(args, "region", None):
         resolved = resolve_system(config.system, config.seed)

@@ -1,17 +1,23 @@
 """Windowed estimators and layer-sum approximants.
 
 Everything here approaches the diffraction amplitudes from the pattern
-itself rather than from the closed forms, so the two routes can be compared:
+itself rather than from the closed forms, so the two routes can be compared.
+A window comes from substitution (``pd_comb``, ``chair_comb``, or
+``subst.centred_window`` for any system and seed); the estimators then read
+exact integer counts of its labels, and weights enter only at the end:
 
 * ``empirical_autocorrelation`` averages w(x) conj(w(x - z)) over a finite
-  centred window, normalised by the full window cardinality.
+  centred window, normalised by the full window cardinality.  It counts the
+  label pairs (a, b) at distance z once and weighs the L^2 counts.
 
-* ``empirical_amplitude`` is the normalised exponential sum
-  (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x}.  At dyadic k the exponential only
-  depends on x mod 2^s, so the sum is grouped exactly into residue-class
-  counts times one root of unity each.  The grouping makes the estimator
-  deterministic to the last bit: the counts are integers and the remaining
-  sum has at most (levels of grey) * 4^s terms.
+* ``empirical_amplitudes`` evaluates the normalised exponential sum
+  (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x} at a list of dyadic k.  At
+  k = m / 2^s the exponential only depends on x mod 2^s, so the sum is the
+  length-2^s DFT of the residue-class label counts.  One count table at the
+  list's finest level 2^s_max (a single ``bincount``) and one FFT over its
+  residue axes serve every point: k = (m, n) / 2^s is the entry
+  (n 2^(s_max - s), m 2^(s_max - s)) mod 2^s_max.  ``empirical_amplitude``
+  is the same lookup for a single point.
 
 * ``approximant_amplitude_chair`` rebuilds a colour amplitude of the block
   fixed point by summing exact layer coefficients (``chair.coset_amplitude``)
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chair, period_doubling
+from . import chair, period_doubling, subst
 from .dyadic import Dyadic, DyadicPoint2, phase
 from .subst import PatternWindow
 
@@ -38,6 +44,7 @@ __all__ = [
     "chair_comb",
     "empirical_autocorrelation",
     "empirical_amplitude",
+    "empirical_amplitudes",
     "approximant_amplitude_chair",
     "ComparisonRecord",
     "ComparisonReport",
@@ -49,8 +56,9 @@ class WeightedComb:
     """A weighted Dirac comb restricted to the centred cube [-N, N]^d.
 
     ``weights[label]`` is the complex scattering weight carried by every
-    cell of that label.  Residue-class label counts are cached per modulus
-    because amplitude evaluation at many wave numbers reuses them.
+    cell of that label.  What depends on the labels alone (residue counts,
+    their transforms, per-label masks) is cached and shared with every comb
+    made by ``with_weights``, so many weight sets cost one count table.
     """
 
     def __init__(self, window: PatternWindow, weights) -> None:
@@ -69,11 +77,21 @@ class WeightedComb:
         self.weights = weights
         self.half = half
         self._weight_array: np.ndarray | None = None
-        self._residue_counts: dict[int, np.ndarray] = {}
+        self._label_data: dict = {}
 
     @property
     def dim(self) -> int:
         return self.window.dim
+
+    @property
+    def cells(self) -> int:
+        return (2 * self.half + 1) ** self.dim
+
+    def with_weights(self, weights) -> "WeightedComb":
+        """The comb on the same window with other weights, sharing its label caches."""
+        comb = WeightedComb(self.window, weights)
+        comb._label_data = self._label_data
+        return comb
 
     def weight_array(self) -> np.ndarray:
         """w(x) over the window as a complex array, cached."""
@@ -87,39 +105,68 @@ class WeightedComb:
 
         Shape (len(weights), modulus) in one dimension and
         (len(weights), modulus, modulus) in two, the residues ordered
-        (y mod modulus, x mod modulus).
+        (y mod modulus, x mod modulus).  One ``bincount`` over the window.
         """
-        counts = self._residue_counts.get(modulus)
+        key = ("counts", modulus)
+        counts = self._label_data.get(key)
         if counts is not None:
             return counts
         n_labels = len(self.weights)
-        labels = self.window.labels.astype(np.int64)
-        half = self.half
+        residues = np.arange(-self.half, self.half + 1, dtype=np.int64) % modulus
+        keys = self.window.labels.astype(np.int64)
+        keys *= modulus
         if self.dim == 1:
-            rx = np.arange(-half, half + 1, dtype=np.int64) % modulus
-            keys = labels * modulus + rx
-            counts = np.bincount(keys, minlength=n_labels * modulus)
-            counts = counts.reshape(n_labels, modulus)
+            keys += residues
         else:
-            rx = (np.arange(-half, half + 1, dtype=np.int64) % modulus)[None, :]
-            ry = (np.arange(-half, half + 1, dtype=np.int64) % modulus)[:, None]
-            keys = (labels * modulus + ry) * modulus + rx
-            counts = np.bincount(keys.ravel(), minlength=n_labels * modulus * modulus)
-            counts = counts.reshape(n_labels, modulus, modulus)
-        self._residue_counts[modulus] = counts
+            keys += residues[:, None]
+            keys *= modulus
+            keys += residues[None, :]
+        counts = np.bincount(keys.ravel(), minlength=n_labels * modulus**self.dim)
+        counts = counts.reshape((n_labels,) + (modulus,) * self.dim)
+        self._label_data[key] = counts
         return counts
+
+    def label_spectrum(self, level: int) -> np.ndarray:
+        """Per-label normalised sums (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i j.x / 2^level}.
+
+        The DFT of ``residue_counts(2^level)`` over its residue axes, divided
+        by the window cardinality, cached.  Entry [l, j] in one dimension and
+        [l, jy, jx] in two.
+        """
+        key = ("spectrum", level)
+        spectrum = self._label_data.get(key)
+        if spectrum is None:
+            counts = self.residue_counts(1 << level)
+            axes = tuple(range(1, self.dim + 1))
+            spectrum = np.fft.fftn(counts, axes=axes) / float(self.cells)
+            self._label_data[key] = spectrum
+        return spectrum
+
+    def _label_masks(self) -> tuple[np.ndarray, ...]:
+        """One boolean array per label, True where the window carries it, cached."""
+        masks = self._label_data.get("masks")
+        if masks is None:
+            labels = self.window.labels
+            masks = tuple(labels == label for label in range(len(self.weights)))
+            self._label_data["masks"] = masks
+        return masks
 
 
 def pd_comb(half: int, weights) -> WeightedComb:
     """Comb over the chain fixed point on [-N, N], weights = (alpha, beta)."""
-    labels = period_doubling.label_window(-half, half + 1)
-    return WeightedComb(PatternWindow((-half,), labels), weights)
+    window = subst.centred_window(period_doubling.doubled_system(), period_doubling.seed(), half)
+    return WeightedComb(window, weights)
 
 
 def chair_comb(half: int, weights) -> WeightedComb:
     """Comb over the block fixed point on [-N, N]^2, one weight per colour."""
-    labels = chair.label_grid(-half, half + 1, -half, half + 1)
-    return WeightedComb(PatternWindow((-half, -half), labels), weights)
+    return WeightedComb(subst.centred_window(chair.system(), chair.seed(), half), weights)
+
+
+def _overlap(size: int, shift: int) -> tuple[slice, slice]:
+    """Index ranges of x and of x - shift for the cells where both are in [0, size)."""
+    lo, hi = max(0, shift), size + min(0, shift)
+    return slice(lo, hi), slice(lo - shift, hi - shift)
 
 
 def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
@@ -129,10 +176,10 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     partner also lies in the window, still normalising by the full
     cardinality (2N+1)^d, so missing boundary terms count as zero.  The
     shift must satisfy |z| <= N/2 componentwise to keep the boundary
-    deficit small against the estimate itself.
+    deficit small against the estimate itself.  The sum is taken as exact
+    counts of label pairs (label(x), label(x - z)), weighed once.
     """
     half = comb.half
-    weights = comb.weight_array()
     if comb.dim == 1:
         if not isinstance(z, int):
             raise TypeError("one-dimensional shift must be an integer")
@@ -144,54 +191,52 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     if any(abs(c) > half // 2 for c in shifts):
         raise ValueError(f"shift {z} outside allowed range |z| <= {half // 2}")
     size = 2 * half + 1
-    if comb.dim == 1:
-        (zx,) = shifts
-        lo, hi = max(0, zx), size + min(0, zx)
-        prod = weights[lo:hi] * np.conj(weights[lo - zx : hi - zx])
-    else:
-        zx, zy = shifts
-        xlo, xhi = max(0, zx), size + min(0, zx)
-        ylo, yhi = max(0, zy), size + min(0, zy)
-        prod = weights[ylo:yhi, xlo:xhi] * np.conj(
-            weights[ylo - zy : yhi - zy, xlo - zx : xhi - zx]
+    # Array axes run (y, x), shifts are given (x, y).
+    here, there = zip(*(_overlap(size, c) for c in reversed(shifts)))
+    masks = comb._label_masks()
+    total = 0j
+    for a, w_a in enumerate(comb.weights):
+        for b, w_b in enumerate(comb.weights):
+            count = np.count_nonzero(masks[a][here] & masks[b][there])
+            total += w_a * w_b.conjugate() * int(count)
+    return total / float(comb.cells)
+
+
+def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
+    """Normalised exponential sums (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x}, one per k.
+
+    As the window grows these converge to the peak amplitudes at module
+    points and to zero elsewhere.  Every k is read from the label spectrum
+    at the finest level among the points, so one count table and one FFT
+    serve the whole list.
+    """
+    points = list(points)
+    kind = Dyadic if comb.dim == 1 else DyadicPoint2
+    if not all(isinstance(k, kind) for k in points):
+        raise TypeError(
+            f"{comb.dim}-dimensional wave numbers are {kind.__name__}"
         )
-    return complex(prod.sum()) / float(size**comb.dim)
-
-
-def _phase_table(numerator: int, den_exp: int) -> np.ndarray:
-    """e^{-2 pi i numerator t / 2^den_exp} for t = 0 .. 2^den_exp - 1."""
-    modulus = 1 << den_exp
-    return np.array(
-        [phase(Dyadic.of(-numerator * t, den_exp)) for t in range(modulus)],
-        dtype=complex,
-    )
+    if comb.dim == 1:
+        level = max((k.r for k in points), default=0)
+        modulus = 1 << level
+        index = (np.array([(k.m << (level - k.r)) % modulus for k in points], dtype=np.intp),)
+    else:
+        level = max((k.s for k in points), default=0)
+        modulus = 1 << level
+        index = (
+            np.array([(k.n << (level - k.s)) % modulus for k in points], dtype=np.intp),
+            np.array([(k.m << (level - k.s)) % modulus for k in points], dtype=np.intp),
+        )
+    spectrum = comb.label_spectrum(level)
+    total = np.zeros(len(points), dtype=complex)
+    for label, weight in enumerate(comb.weights):
+        total += weight * spectrum[(label, *index)]
+    return total
 
 
 def empirical_amplitude(comb: WeightedComb, k) -> complex:
-    """Normalised exponential sum (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x}.
-
-    As the window grows this converges to the peak amplitude at module
-    points and to zero elsewhere.  Dyadic k makes the kernel periodic with
-    period 2^s per axis, so the sum is evaluated exactly from the cached
-    residue-class counts.
-    """
-    if comb.dim == 1:
-        if not isinstance(k, Dyadic):
-            raise TypeError("one-dimensional wave numbers are Dyadic")
-        modulus = 1 << k.r
-        counts = comb.residue_counts(modulus)
-        kernel = _phase_table(k.m, k.r)
-        per_label = (counts * kernel[None, :]).sum(axis=1)
-    else:
-        if not isinstance(k, DyadicPoint2):
-            raise TypeError("two-dimensional wave numbers are DyadicPoint2")
-        modulus = 1 << k.s
-        counts = comb.residue_counts(modulus)
-        kernel = np.outer(_phase_table(k.n, k.s), _phase_table(k.m, k.s))
-        per_label = (counts * kernel[None, :, :]).sum(axis=(1, 2))
-    total = sum(w * t for w, t in zip(comb.weights, per_label))
-    size = 2 * comb.half + 1
-    return complex(total) / float(size**comb.dim)
+    """``empirical_amplitudes`` at a single wave number, from the table at its own level."""
+    return complex(empirical_amplitudes(comb, (k,))[0])
 
 
 def approximant_amplitude_chair(levels: int, color: int, k: DyadicPoint2) -> complex:

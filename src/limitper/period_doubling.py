@@ -18,6 +18,7 @@ matching the seed the window construction uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -165,7 +166,10 @@ def amplitudes(k: Dyadic) -> Amplitudes:
     complement against the full-lattice comb, which only contributes on
     integer wave numbers.
     """
-    amp_a = (2.0 / (3.0 * float((-2) ** k.r))) * phase(k)
+    # ldexp scales exactly, so this is 2 / (3 (-2)^r) to the last bit
+    # without forming 2^r as a float, which overflows past r = 1023.
+    scale = math.ldexp(2.0 / 3.0, -k.r)
+    amp_a = (-scale if k.r % 2 else scale) * phase(k)
     amp_b = (1.0 if k.r == 0 else 0.0) - amp_a
     return Amplitudes(k=k, a=amp_a, b=amp_b)
 

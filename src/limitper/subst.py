@@ -35,6 +35,7 @@ __all__ = [
     "substitute",
     "check_seed_legal",
     "fixed_point_window",
+    "centred_window",
     "natural_frequencies",
 ]
 
@@ -289,6 +290,17 @@ def fixed_point_window(
     for _ in range(iterations):
         window = substitute(system, window)
     return window
+
+
+def centred_window(system: SubstitutionSystem, seed: PatternWindow, half: int) -> PatternWindow:
+    """The cube [-N, N]^d of the fixed point, cut from the smallest grown window holding it."""
+    if half < 0:
+        raise ValueError(f"negative half-width: {half}")
+    iterations = 0
+    while system.factor**iterations < half + 1:
+        iterations += 1
+    grown = fixed_point_window(system, seed, iterations)
+    return grown.subwindow((-half,) * system.dim, (2 * half + 1,) * system.dim)
 
 
 def _nullspace_vector(rows: list[list[Fraction]]) -> list[Fraction]:

@@ -14,6 +14,7 @@ it must come back failed.  Checks that use no weight table ignore the hook.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,18 +22,18 @@ import numpy as np
 
 from . import chair, numerics, period_doubling
 from .dyadic import Dyadic, DyadicPoint2, module_box, module_interval, phase
-from .subst import PatternWindow
 
-__all__ = ["CheckResult", "run_checks", "report_text", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_checks", "report_text", "report_json", "CHECK_NAMES"]
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named check."""
+    """Outcome of one named check and the wall time it took."""
 
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = 0.0
 
 
 def _perturb(weights):
@@ -112,14 +113,15 @@ def _check_pd_empirical_amplitudes(quick, tamper):
     r_max = 4 if quick else 6
     tol = 0.02 if quick else 0.01
     points = module_interval(r_max, 0, 1, include_hi=False)
+    comb = numerics.pd_comb(half, (1, 0))
     worst = 0.0
     for alpha, beta in ((1, 0), (0, 1), (1, -1)):
-        comb_weights = _pick((alpha, beta), "pd-empirical-amplitudes", tamper)
-        comb = numerics.pd_comb(half, comb_weights)
+        comb = comb.with_weights(_pick((alpha, beta), "pd-empirical-amplitudes", tamper))
+        estimates = dict(zip(points, numerics.empirical_amplitudes(comb, points)))
         report = numerics.compare(
             lambda k: alpha * period_doubling.amplitudes(k).a
             + beta * period_doubling.amplitudes(k).b,
-            lambda k: numerics.empirical_amplitude(comb, k),
+            estimates.__getitem__,
             points,
             window_size=2 * half + 1,
         )
@@ -259,28 +261,24 @@ def _check_chair_empirical_amplitudes(quick, tamper):
     half = 256 if quick else 1024
     s_max = 3 if quick else 4
     tol = 0.05 if quick else 0.01
-    labels = chair.label_grid(-half, half + 1, -half, half + 1)
-    window = PatternWindow((-half, -half), labels)
     points = module_box(s_max, (-1, 1))
+    closed = [chair.amplitudes(k).values for k in points]
+    comb = numerics.chair_comb(half, (1, 0, 0, 0))
     worst = 0.0
     for colour in range(4):
         one_hot = tuple(1.0 if i == colour else 0.0 for i in range(4))
-        comb = numerics.WeightedComb(
-            window, _pick(one_hot, "chair-empirical-amplitudes", tamper)
-        )
-        for k in points:
-            expected = chair.amplitudes(k).values[colour]
-            got = numerics.empirical_amplitude(comb, k)
-            worst = max(worst, abs(expected - got))
+        comb = comb.with_weights(_pick(one_hot, "chair-empirical-amplitudes", tamper))
+        for values, got in zip(closed, numerics.empirical_amplitudes(comb, points)):
+            worst = max(worst, abs(values[colour] - got))
     if worst > tol:
         return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
     return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"
 
 
 def _check_chair_d4_window(quick, tamper):
-    half = 128 if quick else 512
-    labels = chair.label_grid(-half, half, -half, half)
-    window = PatternWindow((-half, -half), labels)
+    iterations = 7 if quick else 9
+    half = 1 << iterations
+    window = chair.pattern_window(iterations)
     for element in chair.d4_elements():
         if chair.apply_d4(element, window) != window:
             return False, f"window not invariant under {element.name}"
@@ -357,8 +355,10 @@ def run_checks(*, quick: bool = False, tamper=frozenset()) -> tuple[CheckResult,
         raise ValueError(f"unknown check names: {sorted(unknown)}")
     results = []
     for name, check in _CHECKS:
+        start = time.perf_counter()
         passed, detail = check(quick, tamper)
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
+        elapsed = time.perf_counter() - start
+        results.append(CheckResult(name=name, passed=passed, detail=detail, elapsed_s=elapsed))
     return tuple(results)
 
 
@@ -374,3 +374,21 @@ def report_text(results) -> str:
     else:
         lines.append(f"all {len(results)} checks passed")
     return "\n".join(lines) + "\n"
+
+
+def report_json(results) -> str:
+    """The results as a JSON list, one object per check."""
+    # Imported here rather than at the top: the CLI imports this module on
+    # every start-up, and only ``verify --json`` needs the encoder.
+    import json
+
+    records = [
+        {
+            "name": result.name,
+            "passed": result.passed,
+            "elapsed_s": round(result.elapsed_s, 6),
+            "detail": result.detail,
+        }
+        for result in results
+    ]
+    return json.dumps(records, indent=2) + "\n"

@@ -9,7 +9,7 @@ layers, against pinned values, and against every identity they must satisfy.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import chair
 from limitper.dyadic import Dyadic, DyadicPoint2, module_box, phase
@@ -31,6 +31,31 @@ _coords = st.integers(min_value=-(1 << 30), max_value=1 << 30)
 
 def _rows_top_down(grid: np.ndarray) -> tuple[str, ...]:
     return tuple(" ".join(str(v) for v in row) for row in grid[::-1])
+
+
+_BAND = chair._BAND_ROWS
+
+
+@st.composite
+def _rectangles(draw):
+    """[x_lo, x_hi) x [y_lo, y_hi) around a cell on a diagonal ray or anywhere.
+
+    Narrow and up to two bands plus a bit tall, so band boundaries and
+    partial last bands come up; coordinates run negative as often as not.
+    """
+    width = draw(st.integers(min_value=1, max_value=6))
+    height = draw(st.integers(min_value=1, max_value=2 * _BAND + 40))
+    t = draw(st.one_of(st.integers(-3 * _BAND, 3 * _BAND), _coords))
+    where = draw(st.sampled_from(("diagonal", "antidiagonal", "anywhere")))
+    if where == "diagonal":
+        x, y = t, t
+    elif where == "antidiagonal":
+        x, y = t, -1 - t
+    else:
+        x, y = t, draw(st.one_of(st.integers(-3 * _BAND, 3 * _BAND), _coords))
+    x_lo = x - draw(st.integers(0, width - 1))
+    y_lo = y - draw(st.integers(0, height - 1))
+    return x_lo, x_lo + width, y_lo, y_lo + height
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +97,18 @@ class TestLabels:
         for iy, y in enumerate(range(-5, 11)):
             for ix, x in enumerate(range(-9, 7)):
                 assert grid[iy, ix] == chair.label((x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rectangles())
+    @example((-3, 2, -_BAND, _BAND))
+    @example((0, 3, -1, 2 * _BAND - 1))
+    @example((-5, -1, -2 * _BAND - 7, 0))
+    def test_banded_grid_matches_pointwise_labels(self, rect):
+        x_lo, x_hi, y_lo, y_hi = rect
+        grid = chair.label_grid(*rect)
+        assert grid.shape == (y_hi - y_lo, x_hi - x_lo)
+        expected = [[chair.label((x, y)) for x in range(x_lo, x_hi)] for y in range(y_lo, y_hi)]
+        assert np.array_equal(grid, np.array(expected, dtype=np.uint8))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +228,15 @@ class TestCosetAmplitude:
 
 
 class TestAmplitudes:
+    def test_deep_levels_do_not_overflow(self):
+        # 4^s passes the float range at s = 512; the scale is an exact
+        # power of two, so it underflows towards zero instead.
+        for k in (DyadicPoint2(1, 0, 600), DyadicPoint2(3, 1, 600), DyadicPoint2(1, 2, 2000)):
+            values = chair.amplitudes(k).values
+            assert all(abs(v) < 1e-300 for v in values)
+        shallow = chair.amplitudes(DyadicPoint2(1, 0, 500)).values[0]
+        assert 0 < abs(shallow) < 1e-280
+
     def test_pinned_values(self):
         cases = {
             DyadicPoint2(1, 1, 0): (0.25, 0.25, 0.25, 0.25),

@@ -5,12 +5,14 @@ directory; one determinism test additionally shells out to a fresh
 interpreter to prove outputs do not depend on process state.
 """
 
+import json
 import subprocess
 import sys
 
 import pytest
 
-from limitper import cli
+from limitper import chair, cli, numerics, subst
+from limitper.dyadic import module_box
 
 PD_IT2 = "abaaabababaaabaa|abaaabababaaabaa\n"
 
@@ -395,6 +397,30 @@ class TestDiffract:
         by_coord = {tuple(row.split(",")[:3]): float(row.split(",")[5]) for row in rows}
         assert by_coord[("0", "0", "0")] == pytest.approx(1.0, abs=0.02)
 
+    def test_empirical_route_grows_the_window_from_the_given_seed(self, tmp_path):
+        def amplitudes(seed):
+            out = tmp_path / seed.replace(" ", "").replace("/", "_")
+            assert cli.main(
+                [
+                    "diffract", "--system", "chair", "--seed", seed,
+                    "--weights", "1,i,-1,-i", "--smax", "2", "--region=0,1",
+                    "--half-open", "--empirical", "--window", "64", "--floor", "0",
+                    "--format", "csv", "--out", str(out),
+                ]
+            ) == 0
+            rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+            return [complex(float(row.split(",")[3]), float(row.split(",")[4])) for row in rows]
+
+        seed = subst.block_seed(chair.system(), (("1", "0"), ("0", "1")))
+        comb = numerics.WeightedComb(
+            subst.centred_window(chair.system(), seed, 64), (1, 1j, -1, -1j)
+        )
+        points = module_box(2, (0, 1), include_hi=False)
+        expected = numerics.empirical_amplitudes(comb, points).tolist()
+        got = amplitudes("1 0 / 0 1")
+        assert got == expected
+        assert amplitudes("3 0 / 2 1") != got
+
     def test_default_weights_are_all_ones(self, tmp_path):
         out = tmp_path / "d"
         assert cli.main(
@@ -438,6 +464,19 @@ class TestVerify:
         report = (tmp_path / "report.txt").read_text()
         assert report.count("PASS") == 15
         assert "FAIL" not in report
+
+    def test_json_report(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert cli.main(["verify", "--quick", "--json", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        records = json.loads(captured.out)
+        assert [r["name"] for r in records] == list(cli.verification.CHECK_NAMES)
+        for record in records:
+            assert set(record) == {"name", "passed", "elapsed_s", "detail"}
+            assert record["passed"] is True
+            assert record["elapsed_s"] >= 0
+        assert json.loads((tmp_path / "report.json").read_text()) == records
+        assert captured.err.strip() == str(tmp_path / "report.json")
 
 
 # ---------------------------------------------------------------------------

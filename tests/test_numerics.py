@@ -1,9 +1,12 @@
 """Estimator tests: windowed sums against direct oracles and closed forms.
 
-``empirical_amplitude`` groups the exponential sum by residue classes; the
-oracle here is the ungrouped sum evaluated with floating exponentials, so
-agreement to 1e-10 exercises the grouping and the exact phase tables at
-once.  Convergence, symmetry, and the layer-sum approximant round out the
+``empirical_amplitudes`` reads every wave number from one FFT of residue
+counts.  Two oracles pin it: the ungrouped sum evaluated with floating
+exponentials (to 1e-10), and the per-point residue sum with exact roots of
+unity that the transform replaced (to 1e-12).  The pair-count
+autocorrelation is pinned the same way to the complex product over the
+window, and the substitution-built combs to the halving and congruence
+labels.  Convergence, symmetry, and the layer-sum approximant round out the
 estimator contracts.
 """
 
@@ -11,9 +14,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitper import chair, numerics, period_doubling as pd
-from limitper.dyadic import Dyadic, DyadicPoint2, module_box, module_interval
+from limitper.dyadic import Dyadic, DyadicPoint2, module_box, module_interval, phase
 from limitper.subst import PatternWindow
 
 
@@ -28,6 +32,58 @@ def _direct_amplitude(comb: numerics.WeightedComb, k) -> complex:
     kx, ky = (float(v) for v in k.value)
     kernel = np.exp(-2j * math.pi * (ky * positions[:, None] + kx * positions[None, :]))
     return complex(np.sum(weights * kernel)) / float((2 * half + 1) ** 2)
+
+
+def _exact_phases(numerator: int, den_exp: int) -> np.ndarray:
+    """e^{-2 pi i numerator t / 2^den_exp} for t = 0 .. 2^den_exp - 1."""
+    return np.array(
+        [phase(Dyadic.of(-numerator * t, den_exp)) for t in range(1 << den_exp)],
+        dtype=complex,
+    )
+
+
+def _residue_sum_amplitude(comb: numerics.WeightedComb, k) -> complex:
+    """The per-point residue sum: exact counts times exact roots of unity, one k at a time."""
+    if comb.dim == 1:
+        counts = comb.residue_counts(1 << k.r)
+        per_label = (counts * _exact_phases(k.m, k.r)[None, :]).sum(axis=1)
+    else:
+        counts = comb.residue_counts(1 << k.s)
+        kernel = np.outer(_exact_phases(k.n, k.s), _exact_phases(k.m, k.s))
+        per_label = (counts * kernel[None, :, :]).sum(axis=(1, 2))
+    total = sum(w * t for w, t in zip(comb.weights, per_label))
+    return complex(total) / float(comb.cells)
+
+
+def _product_autocorrelation(comb: numerics.WeightedComb, z) -> complex:
+    """w(x) conj(w(x - z)) summed as complex products over the overlap."""
+    weights = comb.weight_array()
+    size = 2 * comb.half + 1
+    shifts = (z,) if comb.dim == 1 else tuple(z)
+    here, there = [], []
+    for shift in reversed(shifts):
+        lo, hi = max(0, shift), size + min(0, shift)
+        here.append(slice(lo, hi))
+        there.append(slice(lo - shift, hi - shift))
+    prod = weights[tuple(here)] * np.conj(weights[tuple(there)])
+    return complex(prod.sum()) / float(size**comb.dim)
+
+
+_weights = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _random_combs(draw, dim):
+    """A comb on a random labelling of [-N, N]^dim with random complex weights."""
+    half = draw(st.integers(min_value=0, max_value=40 if dim == 1 else 9))
+    n_labels = draw(st.integers(min_value=1, max_value=4))
+    side = 2 * half + 1
+    cells = draw(
+        st.lists(st.integers(0, n_labels - 1), min_size=side**dim, max_size=side**dim)
+    )
+    labels = np.array(cells, dtype=np.uint8).reshape((side,) * dim)
+    weights = draw(st.lists(_weights, min_size=n_labels, max_size=n_labels))
+    return numerics.WeightedComb(PatternWindow((-half,) * dim, labels), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +120,27 @@ class TestWeightedComb:
         counts = grid.residue_counts(4)
         assert counts.shape == (4, 4, 4)
         assert counts.sum() == 17 * 17
+
+    def test_with_weights_shares_the_count_table(self):
+        comb = numerics.pd_comb(32, (1, 0))
+        other = comb.with_weights((0, 1))
+        assert other.weights == (0j, 1 + 0j)
+        assert other.window is comb.window
+        assert other.residue_counts(8) is comb.residue_counts(8)
+        assert other.label_spectrum(3) is comb.label_spectrum(3)
+
+    @pytest.mark.parametrize("half", [0, 1, 4, 63, 64, 1000])
+    def test_pd_comb_matches_the_congruence_labels(self, half):
+        comb = numerics.pd_comb(half, (1, 0))
+        assert comb.window.origin == (-half,)
+        assert np.array_equal(comb.window.labels, pd.label_window(-half, half + 1))
+
+    @pytest.mark.parametrize("half", [0, 1, 3, 8, 31, 100])
+    def test_chair_comb_matches_the_halving_labels(self, half):
+        comb = numerics.chair_comb(half, (1, 0, 0, 0))
+        assert comb.window.origin == (-half, -half)
+        expected = chair.label_grid(-half, half + 1, -half, half + 1)
+        assert np.array_equal(comb.window.labels, expected)
 
     def test_builders(self):
         comb = numerics.pd_comb(8, (1, 0))
@@ -127,6 +204,23 @@ class TestEmpiricalAutocorrelation:
             minus = numerics.empirical_autocorrelation(grid, (-z[0], -z[1]))
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_random_combs(1))
+    def test_pair_counts_match_the_complex_products_on_the_chain(self, comb):
+        for z in range(-(comb.half // 2), comb.half // 2 + 1):
+            got = numerics.empirical_autocorrelation(comb, z)
+            assert got == pytest.approx(_product_autocorrelation(comb, z), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_combs(2))
+    def test_pair_counts_match_the_complex_products_in_the_plane(self, comb):
+        reach = comb.half // 2
+        for zx in range(-reach, reach + 1):
+            for zy in range(-reach, reach + 1):
+                got = numerics.empirical_autocorrelation(comb, (zx, zy))
+                expected = _product_autocorrelation(comb, (zx, zy))
+                assert got == pytest.approx(expected, abs=1e-12)
+
     def test_zero_shift_dominates(self):
         comb = numerics.pd_comb(1 << 12, (1.5, -0.5 + 2j))
         peak = abs(numerics.empirical_autocorrelation(comb, 0))
@@ -154,6 +248,30 @@ class TestEmpiricalAmplitude:
             grouped = numerics.empirical_amplitude(comb, k)
             direct = _direct_amplitude(comb, k)
             assert grouped == pytest.approx(direct, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_combs(1), st.integers(min_value=0, max_value=6))
+    def test_transform_matches_the_residue_sum_on_the_chain(self, comb, level):
+        points = module_interval(level, -1, 1)
+        got = numerics.empirical_amplitudes(comb, points)
+        for k, value in zip(points, got):
+            assert value == pytest.approx(_residue_sum_amplitude(comb, k), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_random_combs(2), st.integers(min_value=0, max_value=3))
+    def test_transform_matches_the_residue_sum_on_the_grid(self, comb, level):
+        points = module_box(level, (-1, 1))
+        got = numerics.empirical_amplitudes(comb, points)
+        for k, value in zip(points, got):
+            assert value == pytest.approx(_residue_sum_amplitude(comb, k), abs=1e-12)
+
+    def test_single_point_lookup_agrees_with_the_batch(self):
+        comb = numerics.chair_comb(24, (1, 1j, -1, -1j))
+        points = module_box(3, (0, 1), include_hi=False)
+        batch = numerics.empirical_amplitudes(comb, points)
+        for k, value in zip(points, batch):
+            assert numerics.empirical_amplitude(comb, k) == pytest.approx(value, abs=1e-15)
+        assert numerics.empirical_amplitudes(comb, []).shape == (0,)
 
     def test_wave_number_type_checks(self):
         comb = numerics.pd_comb(8, (1, 0))

@@ -155,6 +155,15 @@ class TestAmplitudes:
             assert abs(pd.amplitudes(k).a) == abs(pd.amplitudes(shifted).a)
             assert abs(pd.amplitudes(k).b) == abs(pd.amplitudes(shifted).b)
 
+    def test_deep_levels_do_not_overflow(self):
+        # (-2)^r passes the float range at r = 1024; ldexp scales exactly
+        # and underflows to zero instead.
+        for r in (1100, 5000):
+            got = pd.amplitudes(Dyadic(1, r))
+            assert got.a == 0 and got.b == 0
+        near = pd.amplitudes(Dyadic(1, 1000)).a
+        assert abs(near) == pytest.approx(2 / 3 * 2.0**-1000, rel=1e-12)
+
     def test_magnitude_depends_only_on_the_level(self):
         for r in range(1, 7):
             for m in range(1, 1 << r, 2):

@@ -1,5 +1,7 @@
 """Self-check runner tests: roster stability, tampering, report format."""
 
+import json
+
 import pytest
 
 from limitper import verification
@@ -15,6 +17,11 @@ class TestRoster:
         assert tuple(r.name for r in results) == verification.CHECK_NAMES
         assert all(r.passed for r in results)
         assert all(r.detail for r in results)
+
+    def test_each_result_carries_its_elapsed_time(self):
+        results = verification.run_checks(quick=True)
+        assert all(0 <= r.elapsed_s < 60 for r in results)
+        assert verification.CheckResult("alpha", True, "fine").elapsed_s == 0.0
 
     def test_results_are_frozen_records(self):
         result = verification.run_checks(quick=True)[0]
@@ -62,6 +69,16 @@ class TestReport:
             assert line == f"PASS {result.name}: {result.detail}"
         assert lines[-1] == "all 15 checks passed"
         assert text.endswith("\n")
+
+    def test_json_report_lists_every_field(self):
+        results = (
+            verification.CheckResult("alpha", True, "fine", 0.25),
+            verification.CheckResult("beta", False, "broke", 1.5),
+        )
+        assert json.loads(verification.report_json(results)) == [
+            {"name": "alpha", "passed": True, "elapsed_s": 0.25, "detail": "fine"},
+            {"name": "beta", "passed": False, "elapsed_s": 1.5, "detail": "broke"},
+        ]
 
     def test_failure_report_names_first_failure(self):
         results = (
