@@ -10,7 +10,7 @@ from pathlib import Path
 
 from limitper import numerics, period_doubling as pd
 from limitper.dyadic import module_interval
-from limitper.render import Peak, peaks_csv, stem_svg
+from limitper.render import Peak, PeakTable, peaks_csv, stem_svg
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -41,6 +41,7 @@ peaks = []
 for k in module_interval(8, 0, 1):
     amplitude = pd.amplitudes(k).a
     peaks.append(Peak(k, amplitude, abs(amplitude) ** 2))
-(OUT / "chain_peaks.csv").write_text(peaks_csv(peaks, 1))
-(OUT / "chain_stem.svg").write_text(stem_svg(peaks, 0, 1))
+table = PeakTable.from_peaks(peaks, 1)
+(OUT / "chain_peaks.csv").write_text(peaks_csv(table))
+(OUT / "chain_stem.svg").write_text(stem_svg(table, 0, 1))
 print(f"wrote {OUT / 'chain_peaks.csv'} and {OUT / 'chain_stem.svg'}")

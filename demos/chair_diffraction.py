@@ -11,7 +11,7 @@ from pathlib import Path
 
 from limitper import chair, numerics
 from limitper.dyadic import DyadicPoint2, module_box
-from limitper.render import Peak, disc_svg, peaks_csv
+from limitper.render import Peak, PeakTable, disc_svg, peaks_csv
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -47,6 +47,7 @@ for point in module_box(3, (-1, 1)):
     peaks.append(Peak(point, amplitude, abs(amplitude) ** 2))
 kept = sum(1 for p in peaks if p.intensity > 1e-14)
 print(f"{kept} of {len(peaks)} module points survive the extinctions")
-(OUT / "chair_peaks.csv").write_text(peaks_csv(peaks, 2))
-(OUT / "chair_disc.svg").write_text(disc_svg(peaks, (-1, 1)))
+table = PeakTable.from_peaks(peaks, 2)
+(OUT / "chair_peaks.csv").write_text(peaks_csv(table))
+(OUT / "chair_disc.svg").write_text(disc_svg(table, (-1, 1)))
 print(f"wrote {OUT / 'chair_peaks.csv'} and {OUT / 'chair_disc.svg'}")

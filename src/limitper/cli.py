@@ -7,6 +7,11 @@ name or rule file) plus a legal seed, then either grow pattern windows
 ``--empirical``), enumerate the module itself (``module``), or run the named
 self-check suite (``verify``).
 
+``main`` resolves the system once and hands it to every step.  ``diffract``
+and ``module`` enumerate the module once as arrays (``dyadic.module_points``);
+``diffract`` then evaluates the closed forms (or the windowed sums) over the
+whole array and renders columns.
+
 Exit codes: 0 on success, 1 when verification fails, 2 for usage, parse and
 file errors.  All outputs are deterministic byte-for-byte.
 """
@@ -21,8 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import chair, numerics, period_doubling, render, subst, verification
-from .dyadic import module_box, module_interval
+from .dyadic import module_points
 
 __all__ = ["main", "RunConfig", "UsageError"]
 
@@ -237,8 +244,7 @@ def _pick_formats(config: RunConfig, allowed: tuple[str, ...], default: tuple[st
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(config: RunConfig) -> int:
-    resolved = resolve_system(config.system, config.seed)
+def cmd_generate(config: RunConfig, resolved: ResolvedSystem) -> int:
     window = subst.fixed_point_window(resolved.system, resolved.seed, config.iterations)
     letters = resolved.system.alphabet
     base = _out_base(config, "pattern")
@@ -254,21 +260,23 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _closed_form_amplitude(resolved: ResolvedSystem, weights):
-    if resolved.builtin == "period_doubling":
-        alpha, beta = weights
+def _weighted_sum(re: np.ndarray, im: np.ndarray, weights) -> np.ndarray:
+    """sum(w * a for w, a in zip(weights, letters)) at every point.
 
-        def amplitude(k):
-            pair = period_doubling.amplitudes(k)
-            return alpha * pair.a + beta * pair.b
-
-    else:
-
-        def amplitude(k):
-            values = chair.amplitudes(k).values
-            return sum(w * a for w, a in zip(weights, values))
-
-    return amplitude
+    Row l of ``re`` and ``im`` is letter l's amplitude.  The products and
+    sums are CPython's complex arithmetic written out component-wise, so
+    each point gets the bits the scalar expression gives it (numpy's complex
+    multiply may round differently).
+    """
+    total_re = np.zeros(re.shape[1])
+    total_im = np.zeros(re.shape[1])
+    for weight, a_re, a_im in zip(weights, re, im):
+        w = complex(weight)
+        total_re = total_re + (w.real * a_re - w.imag * a_im)
+        total_im = total_im + (w.real * a_im + w.imag * a_re)
+    total = np.empty(re.shape[1], dtype=complex)
+    total.real, total.imag = total_re, total_im
+    return total
 
 
 def _empirical_comb(config: RunConfig, resolved: ResolvedSystem, weights) -> numerics.WeightedComb:
@@ -283,8 +291,21 @@ def _empirical_comb(config: RunConfig, resolved: ResolvedSystem, weights) -> num
     return numerics.WeightedComb(subst.centred_window(system, resolved.seed, half), weights)
 
 
-def cmd_diffract(config: RunConfig) -> int:
-    resolved = resolve_system(config.system, config.seed)
+def _module(config: RunConfig, resolved: ResolvedSystem):
+    """The module points of ``diffract`` and ``module`` with their region, defaults applied."""
+    dim = resolved.system.dim
+    cutoff = config.cutoff if config.cutoff is not None else (8 if dim == 1 else 5)
+    region = config.region if config.region is not None else (
+        ((Fraction(0), Fraction(1)),) if dim == 1 else ((Fraction(-1), Fraction(1)),) * 2
+    )
+    try:
+        module = module_points(cutoff, region, include_hi=config.include_hi)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return module, region
+
+
+def cmd_diffract(config: RunConfig, resolved: ResolvedSystem) -> int:
     dim = resolved.system.dim
     letters = resolved.system.alphabet
     weights = config.weights if config.weights is not None else (1,) * len(letters)
@@ -296,31 +317,25 @@ def cmd_diffract(config: RunConfig) -> int:
         raise UsageError(
             "no closed forms for user rules; pass --empirical for windowed sums"
         )
-    cutoff = config.cutoff if config.cutoff is not None else (8 if dim == 1 else 5)
-    region = config.region if config.region is not None else (
-        ((Fraction(0), Fraction(1)),) if dim == 1 else ((Fraction(-1), Fraction(1)),) * 2
-    )
     comb = _empirical_comb(config, resolved, weights) if config.empirical else None
-    if dim == 1:
-        points = module_interval(
-            cutoff, region[0][0], region[0][1], include_hi=config.include_hi
-        )
-    else:
-        points = module_box(cutoff, region[0], region[1], include_hi=config.include_hi)
+    module, region = _module(config, resolved)
     if comb is not None:
-        amplitudes = numerics.empirical_amplitudes(comb, points)
+        amplitudes = numerics.empirical_amplitudes(comb, module)
     else:
-        amplitudes = map(_closed_form_amplitude(resolved, weights), points)
-    peaks = []
-    for k, amp in zip(points, amplitudes):
-        amp = complex(amp)
-        strength = abs(amp) ** 2
-        if strength >= config.floor:
-            peaks.append(render.Peak(k=k, amplitude=amp, intensity=strength))
+        closed_form = (
+            period_doubling.amplitude_arrays
+            if resolved.builtin == "period_doubling"
+            else chair.amplitude_arrays
+        )
+        amplitudes = _weighted_sum(*closed_form(module), weights)
+    # CPython's abs(complex) per point: numpy's need not round the same way.
+    strength = np.array([abs(amp) ** 2 for amp in amplitudes.tolist()], dtype=np.float64)
+    kept = strength >= config.floor
+    peaks = render.PeakTable(module.select(kept), amplitudes[kept], strength[kept])
     base = _out_base(config, "peaks")
     for fmt in _pick_formats(config, ("csv", "svg"), ("csv", "svg")):
         if fmt == "csv":
-            _write(base.with_suffix(".csv"), render.peaks_csv(peaks, dim))
+            _write(base.with_suffix(".csv"), render.peaks_csv(peaks))
         elif dim == 1:
             _write(
                 base.with_suffix(".svg"),
@@ -331,30 +346,19 @@ def cmd_diffract(config: RunConfig) -> int:
     return 0
 
 
-def cmd_module(config: RunConfig) -> int:
-    resolved = resolve_system(config.system, config.seed)
-    dim = resolved.system.dim
+def cmd_module(config: RunConfig, resolved: ResolvedSystem) -> int:
     if resolved.builtin is None and resolved.system.factor & (resolved.system.factor - 1):
         raise UsageError(
             "the wave-number module enumerated here is dyadic; it only matches "
             "rules with a power-of-two inflation factor"
         )
-    cutoff = config.cutoff if config.cutoff is not None else (8 if dim == 1 else 5)
-    region = config.region if config.region is not None else (
-        ((Fraction(0), Fraction(1)),) if dim == 1 else ((Fraction(-1), Fraction(1)),) * 2
-    )
-    if dim == 1:
-        points = module_interval(
-            cutoff, region[0][0], region[0][1], include_hi=config.include_hi
-        )
-    else:
-        points = module_box(cutoff, region[0], region[1], include_hi=config.include_hi)
+    module, _ = _module(config, resolved)
     base = _out_base(config, "module")
-    _write(base.with_suffix(".csv"), render.module_csv(points, dim))
+    _write(base.with_suffix(".csv"), render.module_csv(module))
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig, resolved: ResolvedSystem | None) -> int:
     results = verification.run_checks(quick=config.quick)
     base = _out_base(config, "verify_report")
     if config.json:
@@ -435,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, resolved: ResolvedSystem | None) -> RunConfig:
     cutoff = None
     region = None
     include_hi = True
@@ -445,14 +449,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cutoff = args.rmax if args.rmax is not None else args.smax
         include_hi = not args.half_open
     weights = parse_weights(args.weights) if getattr(args, "weights", None) else None
-    config = RunConfig(
+    if getattr(args, "region", None):
+        region = parse_region(args.region, resolved.system.dim)
+    return RunConfig(
         system=getattr(args, "system", "period_doubling"),
         seed=getattr(args, "seed", None),
         weights=weights,
         iterations=getattr(args, "iterations", 2),
         window=getattr(args, "window", None),
         cutoff=cutoff,
-        region=None,
+        region=region,
         include_hi=include_hi,
         floor=getattr(args, "floor", 1e-8),
         out=getattr(args, "out", None),
@@ -461,17 +467,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         quick=getattr(args, "quick", False),
         json=getattr(args, "json", False),
     )
-    if getattr(args, "region", None):
-        resolved = resolve_system(config.system, config.seed)
-        region = parse_region(args.region, resolved.system.dim)
-        config = RunConfig(**{**config.__dict__, "region": region})
-    return config
 
 
-def _check_cutoff_axis(args: argparse.Namespace, config: RunConfig) -> None:
+def _check_cutoff_axis(args: argparse.Namespace, resolved: ResolvedSystem | None) -> None:
     if not hasattr(args, "rmax") or (args.rmax is None and args.smax is None):
         return
-    resolved = resolve_system(config.system, config.seed)
     if resolved.system.dim == 1 and args.smax is not None:
         raise UsageError("--smax is for plane systems; use --rmax for chains")
     if resolved.system.dim == 2 and args.rmax is not None:
@@ -492,9 +492,11 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        config = _config_from_args(args)
-        _check_cutoff_axis(args, config)
-        return handlers[args.command](config)
+        # Every subcommand but verify names a system; it is resolved once here.
+        resolved = resolve_system(args.system, args.seed) if hasattr(args, "system") else None
+        config = _config_from_args(args, resolved)
+        _check_cutoff_axis(args, resolved)
+        return handlers[args.command](config, resolved)
     except UsageError as exc:
         print(f"limitper: {exc}", file=sys.stderr)
         return 2

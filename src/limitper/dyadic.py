@@ -5,26 +5,48 @@ m / 2^r on the line, (m, n) / 2^s in the plane.  This module keeps them as
 integer tuples in a unique normal form so that hierarchy membership,
 extinction tests and root-of-unity phases stay exact.  Floats appear only at
 the final phase evaluation, and quarter-turn phases skip even that.
+
+Module enumeration works on arrays: ``module_points`` returns a ``Module``
+of int64 numerators, shape (N, d), and exponents, shape (N,), in ascending
+order.  Every point with exponent at most L is j / 2^L for one integer
+vector j, so the points come from the integer grid of the box scaled by 2^L
+(already in order) reduced to normal form; no sort is needed.  The stated
+range: at the finest level L present, every scaled numerator j must fit in
+int64 and L must be at most 62, so that 2^L and every residue mod 2^L fit
+too; outside it ``module_points`` raises ``ValueError``.
+``module_interval`` and ``module_box`` are the scalar list API on top of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
+import numpy as np
+
 __all__ = [
     "ZERO_TOL",
+    "MAX_LEVEL",
     "Dyadic",
     "DyadicPoint2",
+    "Module",
     "phase",
+    "phase_arrays",
+    "module_points",
     "module_interval",
     "module_box",
 ]
 
 # Magnitudes below this count as exact zeros in extinction tests downstream.
 ZERO_TOL = 1e-10
+
+# The finest denominator exponent the array routes accept: 2^62 and every
+# residue modulo it fit in int64.
+MAX_LEVEL = 62
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _TWO_PI = 2.0 * math.pi
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -40,7 +62,7 @@ def _strip_twos(num: int, exp: int) -> tuple[int, int]:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dyadic:
     """m / 2^r in normal form: r == 0, or r >= 1 with m odd.
 
@@ -115,7 +137,7 @@ class Dyadic:
         return str(self.m) if self.r == 0 else f"{self.m}/{1 << self.r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicPoint2:
     """(m, n) / 2^s in normal form: s == 0, or s >= 1 with m, n not both even."""
 
@@ -202,6 +224,81 @@ def phase(t: Dyadic) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
+def phase_arrays(numerators: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``phase`` at every m / 2^r, as real and imaginary float64 arrays.
+
+    The values are ``phase``'s own bits: quarter turns come from the same
+    exact table, and deeper angles are formed with the same two roundings
+    (m mod 2^r over 2^r, then times 2 pi) before the same libm cos and sin,
+    called once per point.  Exponents must not exceed ``MAX_LEVEL``.
+    """
+    numerators = np.asarray(numerators, dtype=np.int64)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    quarter = exponents <= 2
+    # Shifts wrap modulo 2^64, which keeps the two low bits exact.
+    turns = (numerators[quarter] << (2 - exponents[quarter])) & 3
+    exact = np.array(_QUARTER_TURNS)
+    re = np.empty(numerators.shape)
+    im = np.empty(numerators.shape)
+    re[quarter] = exact.real[turns]
+    im[quarter] = exact.imag[turns]
+    deep = ~quarter
+    r = exponents[deep]
+    residues = numerators[deep] & ((np.int64(1) << r) - 1)
+    # Scaling by 2^-r is exact, so this is the correctly rounded quotient
+    # that int / int gives in ``phase``.
+    angles = (_TWO_PI * np.ldexp(residues.astype(np.float64), -r)).tolist()
+    re[deep] = list(map(math.cos, angles))
+    im[deep] = list(map(math.sin, angles))
+    return re, im
+
+
+@dataclass(frozen=True, eq=False)
+class Module:
+    """Module points as columns, in ascending order.
+
+    Row i is ``numerators[i] / 2^exponents[i]`` in normal form:
+    ``numerators`` is int64 of shape (N, d), ``exponents`` int64 of shape
+    (N,).  ``len()`` is the number of points.
+    """
+
+    numerators: np.ndarray
+    exponents: np.ndarray
+
+    def __len__(self) -> int:
+        return self.exponents.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.numerators.shape[1]
+
+    def select(self, mask: np.ndarray) -> "Module":
+        """The rows where ``mask`` is true, in the same order."""
+        return Module(self.numerators[mask], self.exponents[mask])
+
+    def points(self) -> list:
+        """The rows as ``Dyadic`` (d = 1) or ``DyadicPoint2`` (d = 2) objects."""
+        columns = [column.tolist() for column in self.numerators.T]
+        kind = Dyadic if self.dim == 1 else DyadicPoint2
+        return list(map(kind, *columns, self.exponents.tolist()))
+
+    @classmethod
+    def of(cls, points, dim: int) -> "Module":
+        """Columns of a list of ``Dyadic`` (dim 1) or ``DyadicPoint2`` (dim 2) points."""
+        points = list(points)
+        kind = Dyadic if dim == 1 else DyadicPoint2
+        if not all(isinstance(k, kind) for k in points):
+            raise TypeError(f"{dim}-dimensional wave numbers are {kind.__name__}")
+        if dim == 1:
+            rows = [(k.m,) for k in points]
+            exponents = [k.r for k in points]
+        else:
+            rows = [(k.m, k.n) for k in points]
+            exponents = [k.s for k in points]
+        numerators = np.array(rows, dtype=np.int64).reshape(len(points), dim)
+        return cls(numerators, np.array(exponents, dtype=np.int64))
+
+
 def _axis_indices(lo: Fraction, hi: Fraction, den: int, include_hi: bool) -> range:
     first = math.ceil(lo * den)
     last = math.floor(hi * den)
@@ -210,26 +307,82 @@ def _axis_indices(lo: Fraction, hi: Fraction, den: int, include_hi: bool) -> ran
     return range(first, last + 1)
 
 
+def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
+    """Normal-form points with denominator exponent <= cutoff in a box, ascending.
+
+    ``bounds`` holds one (lo, hi) pair per axis, as ints, floats or
+    Fractions, compared exactly; ``include_hi=False`` drops every upper
+    endpoint.  Points are ordered lexicographically by value (x, then y).
+    Raises ``ValueError`` when the points leave the stated int64 range (see
+    the module docstring).
+    """
+    if cutoff < 0:
+        raise ValueError(f"negative denominator cutoff: {cutoff}")
+    axes = []
+    for lo, hi in bounds:
+        flo, fhi = Fraction(lo), Fraction(hi)
+        if flo > fhi:
+            raise ValueError(f"empty range: [{flo}, {fhi}]")
+        axes.append(_axis_indices(flo, fhi, 1 << cutoff, include_hi))
+    dim = len(axes)
+    # Counts from the ends: len() of a range overflows past 2^63 - 1.
+    counts = [axis.stop - axis.start for axis in axes]
+    if min(counts) <= 0:
+        return Module(np.zeros((0, dim), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    # Two consecutive indices on any axis include an odd one, a point of
+    # level exactly `cutoff`; otherwise the box holds one point, whose level
+    # may be coarser.
+    level = cutoff
+    if max(counts) == 1:
+        common = 0
+        for axis in axes:
+            common |= axis.start
+        shift = min((common & -common).bit_length() - 1, cutoff) if common else cutoff
+        level -= shift
+        axes = [range(axis.start >> shift, (axis.start >> shift) + 1) for axis in axes]
+    if level > MAX_LEVEL:
+        raise ValueError(
+            f"module points reach denominator 2^{level}; the array routes stop at 2^{MAX_LEVEL}"
+        )
+    for end in (end for axis in axes for end in (axis.start, axis.stop - 1)):
+        if not _INT64_MIN <= end <= _INT64_MAX:
+            raise ValueError(
+                f"module numerator {end} at denominator 2^{level} is outside the int64 "
+                "range [-2^63, 2^63 - 1]"
+            )
+    # Axis i of the grid runs along array axis i, so the row-major order
+    # (x outer, y inner) is the value order.
+    ticks = [
+        (np.arange(count, dtype=np.int64) + axis.start).reshape(
+            [count if j == i else 1 for j in range(dim)]
+        )
+        for i, (count, axis) in enumerate(zip(counts, axes))
+    ]
+    # A grid point's level falls by the trailing zeros its indices share.
+    zeros = functools.reduce(np.minimum, [_trailing_zeros(tick, level) for tick in ticks])
+    numerators = np.empty((*counts, dim), dtype=np.int64)
+    for i, tick in enumerate(ticks):
+        np.right_shift(tick, zeros, out=numerators[..., i])
+    return Module(numerators.reshape(-1, dim), (level - zeros).reshape(-1))
+
+
+def _trailing_zeros(values: np.ndarray, cap: int) -> np.ndarray:
+    """Trailing zero bits of each int64, at most ``cap``; zero counts as ``cap``."""
+    # The lowest set bit is a power of two, exact as a float; frexp reads
+    # its exponent.
+    lowest = (values & -values).astype(np.float64)
+    zeros = np.minimum(np.frexp(lowest)[1] - 1, cap)
+    return np.where(values == 0, cap, zeros).astype(np.int64)
+
+
 def module_interval(r_max: int, lo, hi, *, include_hi: bool = True) -> list[Dyadic]:
     """Normal-form points m / 2^r with r <= r_max in [lo, hi], ascending.
 
     Pass ``include_hi=False`` for the half-open interval [lo, hi).  Bounds
-    may be ints, floats or Fractions; they are compared exactly.
+    may be ints, floats or Fractions; they are compared exactly.  The list
+    form of ``module_points``.
     """
-    if r_max < 0:
-        raise ValueError(f"negative denominator cutoff: {r_max}")
-    flo, fhi = Fraction(lo), Fraction(hi)
-    if flo > fhi:
-        raise ValueError(f"empty interval: [{flo}, {fhi}]")
-    points = []
-    for r in range(r_max + 1):
-        den = 1 << r
-        for m in _axis_indices(flo, fhi, den, include_hi):
-            if r > 0 and m % 2 == 0:
-                continue
-            points.append(Dyadic(m, r))
-    points.sort()
-    return points
+    return module_points(r_max, ((lo, hi),), include_hi=include_hi).points()
 
 
 def module_box(
@@ -242,24 +395,9 @@ def module_box(
     """Normal-form points (m, n) / 2^s with s <= s_max in a rectangle.
 
     Bounds are (lo, hi) per axis; ``y_bounds`` defaults to ``x_bounds``.
-    Points come back sorted lexicographically by (x value, y value).
+    Points come back sorted lexicographically by (x value, y value).  The
+    list form of ``module_points``.
     """
-    if s_max < 0:
-        raise ValueError(f"negative denominator cutoff: {s_max}")
     if y_bounds is None:
         y_bounds = x_bounds
-    fxlo, fxhi = Fraction(x_bounds[0]), Fraction(x_bounds[1])
-    fylo, fyhi = Fraction(y_bounds[0]), Fraction(y_bounds[1])
-    if fxlo > fxhi or fylo > fyhi:
-        raise ValueError("empty box")
-    points = []
-    for s in range(s_max + 1):
-        den = 1 << s
-        ys = list(_axis_indices(fylo, fyhi, den, include_hi))
-        for m in _axis_indices(fxlo, fxhi, den, include_hi):
-            for n in ys:
-                if s > 0 and m % 2 == 0 and n % 2 == 0:
-                    continue
-                points.append(DyadicPoint2(m, n, s))
-    points.sort(key=lambda p: p.value)
-    return points
+    return module_points(s_max, (x_bounds, y_bounds), include_hi=include_hi).points()

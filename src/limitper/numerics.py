@@ -11,7 +11,8 @@ exact integer counts of its labels, and weights enter only at the end:
   label pairs (a, b) at distance z once and weighs the L^2 counts.
 
 * ``empirical_amplitudes`` evaluates the normalised exponential sum
-  (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x} at a list of dyadic k.  At
+  (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x} at every point of a
+  ``dyadic.Module`` (or a list of dyadic k).  At
   k = m / 2^s the exponential only depends on x mod 2^s, so the sum is the
   length-2^s DFT of the residue-class label counts.  One count table at the
   list's finest level 2^s_max (a single ``bincount``) and one FFT over its
@@ -24,18 +25,14 @@ exact integer counts of its labels, and weights enter only at the end:
   up to a cut-off level, with the colour's translation phase applied last.
   The two diagonal rays in each colour class have density zero and drop out
   of amplitudes, so truncating the layer sum is the only approximation.
-
-``compare`` packages reference-vs-estimate sweeps into a report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import chair, period_doubling, subst
-from .dyadic import Dyadic, DyadicPoint2, phase
+from .dyadic import DyadicPoint2, Module, phase
 from .subst import PatternWindow
 
 __all__ = [
@@ -46,9 +43,6 @@ __all__ = [
     "empirical_amplitude",
     "empirical_amplitudes",
     "approximant_amplitude_chair",
-    "ComparisonRecord",
-    "ComparisonReport",
-    "compare",
 ]
 
 
@@ -205,30 +199,22 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
 def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
     """Normalised exponential sums (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x}, one per k.
 
-    As the window grows these converge to the peak amplitudes at module
-    points and to zero elsewhere.  Every k is read from the label spectrum
-    at the finest level among the points, so one count table and one FFT
-    serve the whole list.
+    ``points`` is a ``dyadic.Module`` or a list of ``Dyadic`` (chains) or
+    ``DyadicPoint2`` (planes).  As the window grows these converge to the
+    peak amplitudes at module points and to zero elsewhere.  Every k is read
+    from the label spectrum at the finest level among the points, so one
+    count table and one FFT serve the whole list.
     """
-    points = list(points)
-    kind = Dyadic if comb.dim == 1 else DyadicPoint2
-    if not all(isinstance(k, kind) for k in points):
-        raise TypeError(
-            f"{comb.dim}-dimensional wave numbers are {kind.__name__}"
-        )
-    if comb.dim == 1:
-        level = max((k.r for k in points), default=0)
-        modulus = 1 << level
-        index = (np.array([(k.m << (level - k.r)) % modulus for k in points], dtype=np.intp),)
-    else:
-        level = max((k.s for k in points), default=0)
-        modulus = 1 << level
-        index = (
-            np.array([(k.n << (level - k.s)) % modulus for k in points], dtype=np.intp),
-            np.array([(k.m << (level - k.s)) % modulus for k in points], dtype=np.intp),
-        )
+    module = points if isinstance(points, Module) else Module.of(points, comb.dim)
+    if module.dim != comb.dim:
+        raise TypeError(f"{module.dim}-dimensional wave numbers for a {comb.dim}-dimensional comb")
+    level = int(module.exponents.max(initial=0))
+    modulus = 1 << level
+    keys = (module.numerators << (level - module.exponents)[:, None]) % modulus
+    # Residue axes run (y, x).
+    index = tuple(keys[:, axis] for axis in reversed(range(comb.dim)))
     spectrum = comb.label_spectrum(level)
-    total = np.zeros(len(points), dtype=complex)
+    total = np.zeros(len(module), dtype=complex)
     for label, weight in enumerate(comb.weights):
         total += weight * spectrum[(label, *index)]
     return total
@@ -259,55 +245,3 @@ def approximant_amplitude_chair(levels: int, color: int, k: DyadicPoint2) -> com
     for level in range(levels + 1):
         total += chair.coset_amplitude(level, step, k)
     return phase(-(k.dot(shift))) * total
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One wave number with both evaluation routes and their distance."""
-
-    k: object
-    closed_form: complex
-    empirical: complex
-    abs_error: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """A reference-vs-estimate sweep with summary statistics."""
-
-    records: tuple[ComparisonRecord, ...]
-    max_error: float
-    mean_error: float
-    window_size: int
-
-
-def compare(reference_fn, estimate_fn, points, *, window_size: int = 0) -> ComparisonReport:
-    """Evaluate both routes at each point, in the given order.
-
-    ``window_size`` is carried through to the report untouched; pass the
-    window cardinality when the estimate came from a finite window.
-    """
-    records = []
-    for k in points:
-        reference = complex(reference_fn(k))
-        estimate = complex(estimate_fn(k))
-        records.append(
-            ComparisonRecord(
-                k=k,
-                closed_form=reference,
-                empirical=estimate,
-                abs_error=abs(reference - estimate),
-            )
-        )
-    if records:
-        max_error = max(record.abs_error for record in records)
-        mean_error = sum(record.abs_error for record in records) / len(records)
-    else:
-        max_error = 0.0
-        mean_error = 0.0
-    return ComparisonReport(
-        records=tuple(records),
-        max_error=max_error,
-        mean_error=mean_error,
-        window_size=window_size,
-    )

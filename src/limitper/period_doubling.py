@@ -9,7 +9,8 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
   arithmetic,
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
   one amplitude per letter, and weighted peak intensities follow from
-  those by sesquilinear combination.
+  those by sesquilinear combination; ``amplitude_arrays`` evaluates the
+  same closed form over a whole ``dyadic.Module`` with the scalar bits.
 
 The one aperiodic subtlety: position -1 never matches any residue class.
 It is the 2-adic limit point of the hierarchy and is fixed to letter a,
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import subst
-from .dyadic import Dyadic, module_interval, phase
+from .dyadic import Dyadic, Module, module_interval, phase, phase_arrays
 
 __all__ = [
     "LETTER_A",
@@ -43,6 +44,7 @@ __all__ = [
     "autocorr_balanced_closed_form",
     "autocorr",
     "amplitudes",
+    "amplitude_arrays",
     "intensity",
     "peak_mass",
 ]
@@ -172,6 +174,25 @@ def amplitudes(k: Dyadic) -> Amplitudes:
     amp_a = (-scale if k.r % 2 else scale) * phase(k)
     amp_b = (1.0 if k.r == 0 else 0.0) - amp_a
     return Amplitudes(k=k, a=amp_a, b=amp_b)
+
+
+def amplitude_arrays(module: Module) -> tuple[np.ndarray, np.ndarray]:
+    """``amplitudes`` at every point of a chain module, bit for bit.
+
+    Returns the real and the imaginary parts, each of shape (2, N): row 0
+    is the a amplitude, row 1 the b amplitude.  The phases come from
+    ``dyadic.phase_arrays``, and the scaling and the complement repeat
+    CPython's float-complex arithmetic component by component.
+    """
+    m, r = module.numerators[:, 0], module.exponents
+    p_re, p_im = phase_arrays(m, r)
+    scale = np.ldexp(2.0 / 3.0, -r)
+    scale = np.where(r % 2 == 1, -scale, scale)
+    # x * complex(c, s) is (x*c - 0.0*s, x*s + 0.0*c) in CPython.
+    a_re = scale * p_re - 0.0 * p_im
+    a_im = scale * p_im + 0.0 * p_re
+    lattice = np.where(r == 0, 1.0, 0.0)
+    return np.stack([a_re, lattice - a_re]), np.stack([a_im, 0.0 - a_im])
 
 
 def intensity(k: Dyadic, weights: Weights) -> float:

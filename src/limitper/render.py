@@ -5,20 +5,30 @@ floats formatted by ``repr`` (shortest round-trip form), so identical inputs
 give byte-identical files on any platform or thread count.  Wave numbers are
 written as exact integer numerators plus a log2 denominator; floats never
 carry coordinate information.
+
+Peak lists and modules are rendered from columns: a ``PeakTable`` (or, for
+``module_csv``, a ``dyadic.Module``), one row per point, whose ``len()`` is
+the row count.  A float column is written as ``repr`` of ``col + 0.0``,
+where adding 0.0 turns -0.0 into 0.0 and changes nothing else.  Where the
+figures need ``abs`` of an amplitude or a square root, they call CPython's
+own per point, so the bytes do not depend on numpy's versions of them.
+``PeakTable.from_peaks`` turns a list of ``Peak`` records into a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from .dyadic import Dyadic, DyadicPoint2
+from .dyadic import Dyadic, DyadicPoint2, Module
 from .subst import PatternWindow
 
 __all__ = [
     "Peak",
+    "PeakTable",
     "peaks_csv",
     "module_csv",
     "stem_svg",
@@ -37,6 +47,32 @@ class Peak:
     intensity: float
 
 
+@dataclass(frozen=True, eq=False)
+class PeakTable:
+    """Bragg peaks as columns: wave numbers, amplitudes and intensities.
+
+    ``amplitude`` (complex128) and ``intensity`` (float64) hold one entry
+    per row of ``module``.
+    """
+
+    module: Module
+    amplitude: np.ndarray
+    intensity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.module)
+
+    @classmethod
+    def from_peaks(cls, peaks, dim: int) -> "PeakTable":
+        """The table of a list of ``Peak`` records with ``dim``-dimensional wave numbers."""
+        peaks = list(peaks)
+        return cls(
+            Module.of([peak.k for peak in peaks], dim),
+            np.array([complex(peak.amplitude) for peak in peaks], dtype=complex),
+            np.array([float(peak.intensity) for peak in peaks], dtype=np.float64),
+        )
+
+
 def _fmt(x: float) -> str:
     # repr() of a float is its shortest exact decimal form; -0.0 would
     # break byte-stable goldens, so flush it to 0.0.
@@ -46,45 +82,67 @@ def _fmt(x: float) -> str:
     return repr(value)
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """``_fmt`` of every entry of a float64 column, formatting each distinct value once.
+
+    Adding 0.0 flushes -0.0 and keeps every other value, so equal entries
+    have equal bits.  Peak columns repeat a lot (the closed forms are
+    lattice-periodic, and figure coordinates take one value per grid line),
+    and ``repr`` is the costly step.
+    """
+    distinct, where = np.unique(column + 0.0, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    return texts[where].tolist()
+
+
+def _coordinates(module: Module, axis: int) -> np.ndarray:
+    """float(m / 2^s) along one axis, correctly rounded as ``float(Fraction)`` is.
+
+    Scaling by a power of two is exact, so rounding the numerator first
+    rounds the quotient.
+    """
+    return np.ldexp(module.numerators[:, axis].astype(np.float64), -module.exponents)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
 
-def peaks_csv(peaks, dim: int) -> str:
-    """Peak list as CSV with exact dyadic coordinates."""
+def _csv(header: str, columns) -> str:
+    rows = map(",".join, zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _numerator_columns(module: Module):
+    return [map(str, column.tolist()) for column in module.numerators.T] + [
+        map(str, module.exponents.tolist())
+    ]
+
+
+def peaks_csv(table: PeakTable) -> str:
+    """Peak table as CSV with exact dyadic coordinates."""
+    dim = table.module.dim
     if dim == 1:
-        lines = ["k_num,k_log2den,amp_re,amp_im,intensity"]
-        for peak in peaks:
-            k = peak.k
-            lines.append(
-                f"{k.m},{k.r},{_fmt(peak.amplitude.real)},"
-                f"{_fmt(peak.amplitude.imag)},{_fmt(peak.intensity)}"
-            )
+        header = "k_num,k_log2den,amp_re,amp_im,intensity"
     elif dim == 2:
-        lines = ["kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"]
-        for peak in peaks:
-            k = peak.k
-            lines.append(
-                f"{k.m},{k.n},{k.s},{_fmt(peak.amplitude.real)},"
-                f"{_fmt(peak.amplitude.imag)},{_fmt(peak.intensity)}"
-            )
+        header = "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"
     else:
         raise ValueError(f"unsupported dimension: {dim}")
-    return "\n".join(lines) + "\n"
+    amplitude = table.amplitude
+    floats = [_reprs(amplitude.real), _reprs(amplitude.imag), _reprs(table.intensity)]
+    return _csv(header, _numerator_columns(table.module) + floats)
 
 
-def module_csv(points, dim: int) -> str:
+def module_csv(module: Module) -> str:
     """Module point list as CSV (coordinates only)."""
-    if dim == 1:
-        lines = ["k_num,k_log2den"]
-        lines.extend(f"{k.m},{k.r}" for k in points)
-    elif dim == 2:
-        lines = ["kx_num,ky_num,k_log2den"]
-        lines.extend(f"{k.m},{k.n},{k.s}" for k in points)
+    if module.dim == 1:
+        header = "k_num,k_log2den"
+    elif module.dim == 2:
+        header = "kx_num,ky_num,k_log2den"
     else:
-        raise ValueError(f"unsupported dimension: {dim}")
-    return "\n".join(lines) + "\n"
+        raise ValueError(f"unsupported dimension: {module.dim}")
+    return _csv(header, _numerator_columns(module))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +155,7 @@ _SVG_OPEN = (
 )
 
 
-def stem_svg(peaks, lo, hi) -> str:
+def stem_svg(table: PeakTable, lo, hi) -> str:
     """Stem plot: one vertical line per peak, height proportional to |amplitude|.
 
     ``lo`` and ``hi`` bound the wave-number axis.  The tallest stem spans the
@@ -108,7 +166,9 @@ def stem_svg(peaks, lo, hi) -> str:
     if fhi <= flo:
         raise ValueError("empty axis range")
     span = float(fhi - flo)
-    top = max((abs(peak.amplitude) for peak in peaks), default=0.0)
+    # CPython's complex abs, which need not round like numpy's.
+    sizes = [abs(amplitude) for amplitude in table.amplitude.tolist()]
+    top = max(sizes, default=0.0)
     lines = [
         _SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
@@ -116,22 +176,19 @@ def stem_svg(peaks, lo, hi) -> str:
         f'x2="{_fmt(width - margin)}" y2="{_fmt(height - margin)}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for peak in peaks:
-        size = abs(peak.amplitude)
-        if top == 0.0 or size == 0.0:
-            continue
-        x = margin + (float(peak.k.value) - float(flo)) / span * (width - 2 * margin)
-        stem = size / top * (height - 2 * margin)
-        lines.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(height - margin)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(height - margin - stem)}" '
-            'stroke="black" stroke-width="1.5"/>'
-        )
+    if top != 0.0:
+        size = np.array(sizes, dtype=np.float64)
+        shown = size != 0.0
+        kx = _coordinates(table.module, 0)[shown]
+        x = margin + (kx - float(flo)) / span * (width - 2 * margin)
+        y = height - margin - size[shown] / top * (height - 2 * margin)
+        stem = '<line x1="{0}" y1="{1}" x2="{0}" y2="{2}" stroke="black" stroke-width="1.5"/>'
+        lines.extend(map(stem.format, _reprs(x), repeat(_fmt(height - margin)), _reprs(y)))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def disc_svg(peaks, x_bounds, y_bounds=None) -> str:
+def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
     """Disc plot: one filled circle per peak with area proportional to intensity.
 
     Radii scale as sqrt(intensity / max intensity), so areas are exactly
@@ -148,21 +205,24 @@ def disc_svg(peaks, x_bounds, y_bounds=None) -> str:
     if fxhi <= fxlo or fyhi <= fylo:
         raise ValueError("empty plot region")
     xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
-    top = max((peak.intensity for peak in peaks), default=0.0)
+    intensity = table.intensity
+    top = max(intensity.tolist(), default=0.0)
     lines = [
         _SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
     ]
-    for peak in peaks:
-        if top == 0.0 or peak.intensity <= 0.0:
-            continue
-        kx, ky = peak.k.value
-        x = margin + (float(kx) - float(fxlo)) / xspan * (width - 2 * margin)
-        y = height - margin - (float(ky) - float(fylo)) / yspan * (height - 2 * margin)
-        radius = top_radius * (peak.intensity / top) ** 0.5
-        lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
-            f'fill="black" data-intensity="{_fmt(peak.intensity)}"/>'
+    if top != 0.0:
+        shown = ~(intensity <= 0.0)
+        kx = _coordinates(table.module, 0)[shown]
+        ky = _coordinates(table.module, 1)[shown]
+        x = margin + (kx - float(fxlo)) / xspan * (width - 2 * margin)
+        y = height - margin - (ky - float(fylo)) / yspan * (height - 2 * margin)
+        # x ** 0.5 is CPython's pow, which need not round like numpy's sqrt.
+        ratios = (intensity[shown] / top).tolist()
+        radius = top_radius * np.array([ratio**0.5 for ratio in ratios], dtype=np.float64)
+        disc = '<circle cx="{}" cy="{}" r="{}" fill="black" data-intensity="{}"/>'
+        lines.extend(
+            map(disc.format, _reprs(x), _reprs(y), _reprs(radius), _reprs(intensity[shown]))
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from limitper import chair
-from limitper.dyadic import Dyadic, DyadicPoint2, module_box, phase
+from limitper.dyadic import (
+    MAX_LEVEL,
+    Dyadic,
+    DyadicPoint2,
+    Module,
+    module_box,
+    module_points,
+    phase,
+)
 from limitper.subst import PatternWindow
 
 GOLDEN_8X8 = (
@@ -348,6 +356,62 @@ class TestAmplitudes:
                     assert chair.intensity(k + shift, weights) == pytest.approx(
                         reference, abs=1e-10
                     )
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# Numerators over the whole int64 range, with both edges drawn often: m + n
+# and m - n wrap past int64 there, which the residues mod 2^s must survive.
+_int64 = st.one_of(
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([-(1 << 63), -(1 << 63) + 1, (1 << 63) - 2, (1 << 63) - 1]),
+)
+
+
+class TestAmplitudeArrays:
+    """``amplitude_arrays`` against the scalar ``amplitudes``, bit for bit."""
+
+    @staticmethod
+    def _assert_bits_match(points):
+        re, im = chair.amplitude_arrays(Module.of(points, 2))
+        assert re.shape == im.shape == (4, len(points))
+        for colour in range(4):
+            values = [chair.amplitudes(k).values[colour] for k in points]
+            assert _bits(re[colour]) == _bits([v.real for v in values])
+            assert _bits(im[colour]) == _bits([v.imag for v in values])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _int64, _int64, st.one_of(st.integers(0, 3), st.integers(0, MAX_LEVEL))
+            ),
+            max_size=40,
+        )
+    )
+    @example([(0, 0, 0), (-1, 3, 0), (1, 1, 1), (-1, -3, 1), (1, 0, 1), (0, -1, 1)])
+    @example([(-3, 1, 2), (5, -7, 2), (-1, -1, 3), (6, -3, 4), (-(1 << 63), -1, 62)])
+    def test_bits_match_the_scalar_closed_form(self, triples):
+        self._assert_bits_match([DyadicPoint2.of(m, n, s) for m, n, s in triples])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=2, max_value=7), st.data())
+    def test_dense_levels_use_the_full_table(self, level, data):
+        # More points than 2^level residues: the table holds every residue.
+        size = (1 << level) + data.draw(st.integers(0, 64))
+        coords = st.integers(min_value=-(1 << 20), max_value=1 << 20)
+        points = [
+            DyadicPoint2.of(2 * data.draw(coords) + 1, data.draw(coords), level)
+            for _ in range(size)
+        ]
+        self._assert_bits_match(points)
+
+    def test_whole_module(self):
+        module = module_points(4, ((-1, 1), (-1, 1)))
+        self._assert_bits_match(module.points())
 
 
 # ---------------------------------------------------------------------------

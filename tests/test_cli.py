@@ -11,8 +11,10 @@ import sys
 
 import pytest
 
-from limitper import chair, cli, numerics, subst
-from limitper.dyadic import module_box
+from fractions import Fraction
+
+from limitper import chair, cli, numerics, period_doubling, render, subst
+from limitper.dyadic import module_box, module_interval
 
 PD_IT2 = "abaaabababaaabaa|abaaabababaaabaa\n"
 
@@ -448,6 +450,94 @@ class TestDiffract:
             ["1", "1", "0"],
         ]
         assert all(float(row.split(",")[5]) == pytest.approx(1.0) for row in rows)
+
+
+class TestArrayRoute:
+    """The column route of ``diffract`` against the per-point scalar route it replaced."""
+
+    @staticmethod
+    def _scalar_route(points, amplitude, dim, floor=1e-8):
+        peaks = []
+        for k in points:
+            amp = complex(amplitude(k))
+            if abs(amp) ** 2 >= floor:
+                peaks.append(render.Peak(k, amp, abs(amp) ** 2))
+        return render.PeakTable.from_peaks(peaks, dim)
+
+    @pytest.mark.parametrize("half_open", [False, True])
+    def test_chair_matches_the_scalar_route(self, tmp_path, half_open):
+        weights = (0.3 - 0.2j, 1, -0.5j, 2 + 1j)
+        x_bounds, y_bounds = (Fraction(-1, 3), 1), (-2, Fraction(1, 5))
+        out = tmp_path / "c"
+        argv = [
+            "diffract", "--system", "chair", "--weights", "0.3-0.2i,1,-0.5i,2+1i",
+            "--smax", "4", "--region=-1/3,1,-2,1/5", "--out", str(out),
+        ]
+        assert cli.main(argv + (["--half-open"] if half_open else [])) == 0
+        points = module_box(4, x_bounds, y_bounds, include_hi=not half_open)
+        table = self._scalar_route(
+            points,
+            lambda k: sum(w * a for w, a in zip(weights, chair.amplitudes(k).values)),
+            2,
+        )
+        assert out.with_suffix(".csv").read_text() == render.peaks_csv(table)
+        assert out.with_suffix(".svg").read_text() == render.disc_svg(table, x_bounds, y_bounds)
+
+    def test_chain_matches_the_scalar_route(self, tmp_path):
+        out = tmp_path / "p"
+        argv = [
+            "diffract", "--weights", "0.4+1i,-1", "--rmax", "9", "--region=-3/7,5/3",
+            "--floor", "0", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        points = module_interval(9, Fraction(-3, 7), Fraction(5, 3))
+
+        def amplitude(k):
+            pair = period_doubling.amplitudes(k)
+            return (0.4 + 1j) * pair.a + -1 * pair.b
+
+        table = self._scalar_route(points, amplitude, 1, floor=0)
+        assert out.with_suffix(".csv").read_text() == render.peaks_csv(table)
+        svg = render.stem_svg(table, Fraction(-3, 7), Fraction(5, 3))
+        assert out.with_suffix(".svg").read_text() == svg
+
+    def test_system_is_resolved_once(self, tmp_path, monkeypatch):
+        calls = []
+        resolve = cli.resolve_system
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(cli, "resolve_system", counted)
+        argv = [
+            "diffract", "--system", "chair", "--smax", "2", "--region=0,1",
+            "--out", str(tmp_path / "once"),
+        ]
+        assert cli.main(argv) == 0
+        assert calls == [("chair", None)]
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["diffract", "--rmax", "62", "--region=0,2"], "int64"),
+            (["module", "--rmax", "62", "--region=-3,0"], "int64"),
+            (["module", "--system", "chair", "--smax", "63", "--region=0,1/1000000"], "2^62"),
+        ],
+    )
+    def test_module_outside_int64_exits_two(self, argv, limit, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitper: ") and limit in err
+        assert not list(tmp_path.iterdir())
+
+    def test_module_at_the_int64_edge_runs(self, tmp_path):
+        # 2^61 * [0, 4 - 2^-61] scales to [0, 2^63 - 1]: the last key that fits.
+        out = tmp_path / "edge"
+        region = f"--region={(1 << 63) - 3}/{1 << 61},{(1 << 63) - 1}/{1 << 61}"
+        assert cli.main(["module", "--rmax", "61", region, "--out", str(out)]) == 0
+        rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert rows == [f"{(1 << 63) - 3},61", f"{(1 << 62) - 1},60", f"{(1 << 63) - 1},61"]
 
 
 # ---------------------------------------------------------------------------

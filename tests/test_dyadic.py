@@ -2,21 +2,29 @@
 
 The whole package leans on these invariants: a dyadic number has exactly one
 normal form, phases are group homomorphisms into the unit circle, and the
-enumerated wave-number modules nest as the denominator cutoff grows.
+enumerated wave-number modules nest as the denominator cutoff grows.  The
+array enumeration is pinned to the per-level, Fraction-sorted enumeration it
+replaced (kept below as a test oracle), inside its int64 range and at both
+edges of it; ``phase_arrays`` is pinned bit for bit to ``phase``.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from limitper.dyadic import (
+    MAX_LEVEL,
     Dyadic,
     DyadicPoint2,
+    Module,
     module_box,
     module_interval,
+    module_points,
     phase,
+    phase_arrays,
 )
 
 # Numerators and denominator exponents kept small enough that shifted
@@ -281,3 +289,161 @@ class TestModuleBox:
             module_box(-1, (0, 1))
         with pytest.raises(ValueError):
             module_box(1, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Array enumeration against the Fraction-sorted lists
+# ---------------------------------------------------------------------------
+
+
+def _level_indices(lo: Fraction, hi: Fraction, den: int, include_hi: bool) -> range:
+    first = math.ceil(lo * den)
+    last = math.floor(hi * den)
+    if not include_hi and Fraction(last, den) == hi:
+        last -= 1
+    return range(first, last + 1)
+
+
+def _sorted_interval(r_max, lo, hi, include_hi):
+    """The enumeration ``module_points`` replaced: level by level, sorted by value."""
+    points = []
+    for r in range(r_max + 1):
+        for m in _level_indices(Fraction(lo), Fraction(hi), 1 << r, include_hi):
+            if r == 0 or m % 2 == 1:
+                points.append(Dyadic(m, r))
+    return sorted(points, key=lambda k: k.value)
+
+
+def _sorted_box(s_max, x_bounds, y_bounds, include_hi):
+    points = []
+    for s in range(s_max + 1):
+        ys = list(_level_indices(*map(Fraction, y_bounds), 1 << s, include_hi))
+        for m in _level_indices(*map(Fraction, x_bounds), 1 << s, include_hi):
+            for n in ys:
+                if s == 0 or m % 2 == 1 or n % 2 == 1:
+                    points.append(DyadicPoint2(m, n, s))
+    return sorted(points, key=lambda k: k.value)
+
+
+@st.composite
+def _ranges(draw, reach=60):
+    """A rational [lo, hi], endpoints with denominators up to 12."""
+    bounds = st.builds(
+        Fraction,
+        st.integers(min_value=-reach, max_value=reach),
+        st.integers(min_value=1, max_value=12),
+    )
+    lo = draw(bounds)
+    return lo, lo + abs(draw(bounds))
+
+
+class TestModulePoints:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=7), _ranges(), st.booleans())
+    def test_interval_matches_the_sorted_levels(self, r_max, bounds, include_hi):
+        expected = _sorted_interval(r_max, *bounds, include_hi)
+        assert module_interval(r_max, *bounds, include_hi=include_hi) == expected
+        module = module_points(r_max, (bounds,), include_hi=include_hi)
+        assert module.numerators.dtype == np.int64 and module.numerators.shape == (len(expected), 1)
+        assert module.exponents.tolist() == [k.r for k in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=5), _ranges(6), _ranges(6), st.booleans())
+    def test_box_matches_the_sorted_levels(self, s_max, x_bounds, y_bounds, include_hi):
+        expected = _sorted_box(s_max, x_bounds, y_bounds, include_hi)
+        assert module_box(s_max, x_bounds, y_bounds, include_hi=include_hi) == expected
+        module = module_points(s_max, (x_bounds, y_bounds), include_hi=include_hi)
+        assert module.numerators.tolist() == [[k.m, k.n] for k in expected]
+        assert module.exponents.tolist() == [k.s for k in expected]
+
+    def test_single_point_keeps_its_own_level(self):
+        # Only 1/4 lies in [1/4, 1/4]; a cutoff of 40 must not push it finer.
+        assert module_points(40, ((Fraction(1, 4), Fraction(1, 4)),)).points() == [Dyadic(1, 2)]
+        assert module_points(40, ((0, 0), (3, 3))).points() == [DyadicPoint2(0, 3, 0)]
+        assert module_points(5, ((Fraction(1, 3), Fraction(1, 3)),)).points() == []
+
+    def test_empty_and_half_open_degenerate(self):
+        assert len(module_points(3, ((1, 1),), include_hi=False)) == 0
+        empty = module_points(3, ((0, 1), (1, 1)), include_hi=False)
+        assert empty.numerators.shape == (0, 2) and empty.exponents.shape == (0,)
+
+    def test_module_of_round_trips(self):
+        points = module_box(2, (-1, 1))
+        module = Module.of(points, 2)
+        assert module.points() == points
+        assert len(module.select(module.exponents == 2)) == sum(k.s == 2 for k in points)
+        with pytest.raises(TypeError):
+            Module.of([Dyadic(1)], 2)
+
+
+# Scaled numerators at the finest level must lie in [-2^63, 2^63 - 1].
+_TOP, _BOTTOM = (1 << 63) - 1, -(1 << 63)
+
+
+class TestInt64Range:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=MAX_LEVEL),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_upper_edge(self, level, width, past):
+        den = 1 << level
+        lo = Fraction(_TOP - width - past, den)
+        inside = module_points(level, ((lo, Fraction(_TOP - past, den)),))
+        assert inside.points() == _sorted_interval(level, lo, Fraction(_TOP - past, den), True)
+        assert inside.points()[-1] == Dyadic.of(_TOP - past, level)
+        with pytest.raises(ValueError, match="int64"):
+            module_points(level, ((lo, Fraction(_TOP + 1 + past, den)),))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=MAX_LEVEL),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_lower_edge(self, level, width, past):
+        den = 1 << level
+        hi = Fraction(_BOTTOM + width + past, den)
+        inside = module_points(level, ((Fraction(_BOTTOM + past, den), hi), (0, 0)))
+        assert inside.points()[0] == DyadicPoint2.of(_BOTTOM + past, 0, level)
+        assert len(inside) == width + 1
+        with pytest.raises(ValueError, match="int64"):
+            module_points(level, ((Fraction(_BOTTOM - 1 - past, den), hi), (0, 0)))
+
+    def test_finest_level_edge(self):
+        assert module_points(MAX_LEVEL, ((0, Fraction(1, 1 << 61)),)).exponents.max() == MAX_LEVEL
+        with pytest.raises(ValueError, match=f"2\\^{MAX_LEVEL}"):
+            module_points(MAX_LEVEL + 1, ((0, Fraction(1, 1 << 61)),))
+        # One point at a coarse level stays in range whatever the cutoff.
+        assert module_points(MAX_LEVEL + 40, ((Fraction(1, 1 << 62),) * 2,)).points() == [
+            Dyadic(1, 62)
+        ]
+
+
+class TestPhaseArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=_BOTTOM, max_value=_TOP),
+                st.integers(min_value=0, max_value=MAX_LEVEL),
+            ),
+            max_size=40,
+        )
+    )
+    def test_bits_match_phase(self, pairs):
+        points = [Dyadic.of(m, r) for m, r in pairs]
+        module = Module.of(points, 1)
+        re, im = phase_arrays(module.numerators[:, 0], module.exponents)
+        expected = np.array([phase(k) for k in points], dtype=complex).reshape(-1)
+        assert re.view(np.int64).tolist() == expected.real.view(np.int64).tolist()
+        assert im.view(np.int64).tolist() == expected.imag.view(np.int64).tolist()
+
+    def test_quarter_turns_keep_their_signed_zeros(self):
+        points = [Dyadic(0), Dyadic(1, 1), Dyadic(1, 2), Dyadic(3, 2), Dyadic(-1, 2)]
+        module = Module.of(points, 1)
+        re, im = phase_arrays(module.numerators[:, 0], module.exponents)
+        expected = np.array([phase(k) for k in points])
+        assert re.view(np.int64).tolist() == expected.real.view(np.int64).tolist()
+        assert im.view(np.int64).tolist() == expected.imag.view(np.int64).tolist()

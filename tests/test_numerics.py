@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitper import chair, numerics, period_doubling as pd
-from limitper.dyadic import Dyadic, DyadicPoint2, module_box, module_interval, phase
+from limitper.dyadic import (
+    Dyadic,
+    DyadicPoint2,
+    Module,
+    module_box,
+    module_interval,
+    module_points,
+    phase,
+)
 from limitper.subst import PatternWindow
 
 
@@ -273,6 +281,15 @@ class TestEmpiricalAmplitude:
             assert numerics.empirical_amplitude(comb, k) == pytest.approx(value, abs=1e-15)
         assert numerics.empirical_amplitudes(comb, []).shape == (0,)
 
+    def test_module_columns_read_like_point_lists(self):
+        comb = numerics.chair_comb(24, (1, 1j, -1, -1j))
+        module = module_points(3, ((-1, 1), (0, 1)), include_hi=False)
+        by_columns = numerics.empirical_amplitudes(comb, module)
+        by_points = numerics.empirical_amplitudes(comb, module.points())
+        assert by_columns.tolist() == by_points.tolist()
+        with pytest.raises(TypeError):
+            numerics.empirical_amplitudes(comb, Module.of([Dyadic(1, 2)], 1))
+
     def test_wave_number_type_checks(self):
         comb = numerics.pd_comb(8, (1, 0))
         grid = numerics.chair_comb(4, (1, 1, 1, 1))
@@ -372,43 +389,3 @@ class TestApproximant:
                 got = numerics.approximant_amplitude_chair(20, colour, k)
                 worst = max(worst, abs(got - closed[colour]))
         assert worst <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Comparison reports
-# ---------------------------------------------------------------------------
-
-
-class TestCompare:
-    def test_empty_point_list(self):
-        report = numerics.compare(lambda k: 1, lambda k: 1, [])
-        assert report.records == ()
-        assert report.max_error == 0.0
-        assert report.mean_error == 0.0
-
-    def test_statistics(self):
-        points = [Dyadic(0), Dyadic(1, 1)]
-        report = numerics.compare(
-            lambda k: float(k.value),
-            lambda k: float(k.value) + 0.25,
-            points,
-            window_size=17,
-        )
-        assert report.window_size == 17
-        assert [r.k for r in report.records] == points
-        assert report.max_error == pytest.approx(0.25)
-        assert report.mean_error == pytest.approx(0.25)
-        for record in report.records:
-            assert record.abs_error == abs(record.closed_form - record.empirical)
-
-    def test_closed_vs_empirical_sweep(self):
-        comb = numerics.pd_comb(1 << 14, (1, -1))
-        points = module_interval(4, 0, 1, include_hi=False)
-        report = numerics.compare(
-            lambda k: pd.amplitudes(k).a - pd.amplitudes(k).b,
-            lambda k: numerics.empirical_amplitude(comb, k),
-            points,
-            window_size=(1 << 15) + 1,
-        )
-        assert report.max_error <= 0.05
-        assert len(report.records) == 16

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import period_doubling as pd
-from limitper.dyadic import Dyadic, module_interval
+from limitper.dyadic import MAX_LEVEL, Dyadic, Module, module_interval, module_points
 
 BALANCED = pd.Weights(1, -1)
 
@@ -180,6 +180,49 @@ class TestAmplitudes:
         assert pd.intensity(Dyadic(0), ones) == pytest.approx(1.0, abs=1e-15)
         assert pd.intensity(Dyadic(1, 1), ones) == 0.0
         assert pd.intensity(Dyadic(3, 3), ones) == 0.0
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# Numerators over the whole int64 range, with both edges drawn often.
+_int64 = st.one_of(
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([-(1 << 63), -(1 << 63) + 1, (1 << 63) - 2, (1 << 63) - 1]),
+)
+
+
+class TestAmplitudeArrays:
+    """``amplitude_arrays`` against the scalar ``amplitudes``, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_int64, st.one_of(st.integers(0, 3), st.integers(0, MAX_LEVEL))),
+            max_size=40,
+        )
+    )
+    @example([(0, 0), (-3, 0), (-1, 1), (1, 1), (-1, 2), (3, 2), (-5, 3), (7, 3)])
+    def test_bits_match_the_scalar_closed_form(self, pairs):
+        points = [Dyadic.of(m, r) for m, r in pairs]
+        re, im = pd.amplitude_arrays(Module.of(points, 1))
+        assert re.shape == im.shape == (2, len(points))
+        scalar = [pd.amplitudes(k) for k in points]
+        assert _bits(re[0]) == _bits([a.a.real for a in scalar])
+        assert _bits(im[0]) == _bits([a.a.imag for a in scalar])
+        assert _bits(re[1]) == _bits([a.b.real for a in scalar])
+        assert _bits(im[1]) == _bits([a.b.imag for a in scalar])
+
+    def test_whole_module(self):
+        module = module_points(10, ((-2, 2),))
+        re, im = pd.amplitude_arrays(module)
+        for i, k in enumerate(module.points()):
+            pair = pd.amplitudes(k)
+            assert _bits([re[0, i], im[0, i], re[1, i], im[1, i]]) == _bits(
+                [pair.a.real, pair.a.imag, pair.b.real, pair.b.imag]
+            )
 
 
 class TestPeakMass:

@@ -3,22 +3,165 @@
 Everything rendered must be byte-deterministic, so most assertions here are
 golden strings; the SVG checks additionally parse the geometry back out and
 verify the proportionality contracts (stem height to |amplitude|, disc area
-to intensity).
+to intensity).  The column renderers are pinned byte for byte to the
+per-``Peak`` renderers they replaced, kept below as a test oracle.
 """
 
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitper import render
-from limitper.dyadic import Dyadic, DyadicPoint2
+from limitper.dyadic import Dyadic, DyadicPoint2, Module
 from limitper.subst import PatternWindow
 
 
 def _peak(k, amplitude):
     return render.Peak(k=k, amplitude=amplitude, intensity=abs(amplitude) ** 2)
+
+
+def _table(peaks, dim):
+    return render.PeakTable.from_peaks(peaks, dim)
+
+
+# ---------------------------------------------------------------------------
+# The per-Peak renderers the column renderers replaced (test oracle only)
+# ---------------------------------------------------------------------------
+
+
+def _legacy_peaks_csv(peaks, dim):
+    fmt = render._fmt
+    if dim == 1:
+        lines = ["k_num,k_log2den,amp_re,amp_im,intensity"]
+        for peak in peaks:
+            k = peak.k
+            lines.append(
+                f"{k.m},{k.r},{fmt(peak.amplitude.real)},"
+                f"{fmt(peak.amplitude.imag)},{fmt(peak.intensity)}"
+            )
+    else:
+        lines = ["kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"]
+        for peak in peaks:
+            k = peak.k
+            lines.append(
+                f"{k.m},{k.n},{k.s},{fmt(peak.amplitude.real)},"
+                f"{fmt(peak.amplitude.imag)},{fmt(peak.intensity)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _legacy_module_csv(points, dim):
+    if dim == 1:
+        lines = ["k_num,k_log2den"] + [f"{k.m},{k.r}" for k in points]
+    else:
+        lines = ["kx_num,ky_num,k_log2den"] + [f"{k.m},{k.n},{k.s}" for k in points]
+    return "\n".join(lines) + "\n"
+
+
+def _legacy_stem_svg(peaks, lo, hi):
+    fmt = render._fmt
+    width, height, margin = 800.0, 400.0, 40.0
+    flo, fhi = Fraction(lo), Fraction(hi)
+    span = float(fhi - flo)
+    top = max((abs(peak.amplitude) for peak in peaks), default=0.0)
+    lines = [
+        render._SVG_OPEN.format(w=int(width), h=int(height)),
+        f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
+        f'<line x1="{fmt(margin)}" y1="{fmt(height - margin)}" '
+        f'x2="{fmt(width - margin)}" y2="{fmt(height - margin)}" '
+        'stroke="black" stroke-width="1"/>',
+    ]
+    for peak in peaks:
+        size = abs(peak.amplitude)
+        if top == 0.0 or size == 0.0:
+            continue
+        x = margin + (float(peak.k.value) - float(flo)) / span * (width - 2 * margin)
+        stem = size / top * (height - 2 * margin)
+        lines.append(
+            f'<line x1="{fmt(x)}" y1="{fmt(height - margin)}" '
+            f'x2="{fmt(x)}" y2="{fmt(height - margin - stem)}" '
+            'stroke="black" stroke-width="1.5"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _legacy_disc_svg(peaks, x_bounds, y_bounds):
+    fmt = render._fmt
+    width = height = 800.0
+    margin, top_radius = 40.0, 16.0
+    fxlo, fxhi = Fraction(x_bounds[0]), Fraction(x_bounds[1])
+    fylo, fyhi = Fraction(y_bounds[0]), Fraction(y_bounds[1])
+    xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
+    top = max((peak.intensity for peak in peaks), default=0.0)
+    lines = [
+        render._SVG_OPEN.format(w=int(width), h=int(height)),
+        f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
+    ]
+    for peak in peaks:
+        if top == 0.0 or peak.intensity <= 0.0:
+            continue
+        kx, ky = peak.k.value
+        x = margin + (float(kx) - float(fxlo)) / xspan * (width - 2 * margin)
+        y = height - margin - (float(ky) - float(fylo)) / yspan * (height - 2 * margin)
+        radius = top_radius * (peak.intensity / top) ** 0.5
+        lines.append(
+            f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(radius)}" '
+            f'fill="black" data-intensity="{fmt(peak.intensity)}"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+# Parts drawn with signed zeros, repeats and a wide spread of exponents.
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, -0.125]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_subnormal=False),
+)
+_exps = st.integers(min_value=0, max_value=12)
+_nums = st.integers(min_value=-(1 << 14), max_value=1 << 14)
+
+
+@st.composite
+def _peak_lists(draw, dim):
+    peaks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        if dim == 1:
+            k = Dyadic.of(draw(_nums), draw(_exps))
+        else:
+            k = DyadicPoint2.of(draw(_nums), draw(_nums), draw(_exps))
+        amplitude = complex(draw(_parts), draw(_parts))
+        peaks.append(render.Peak(k, amplitude, abs(amplitude) ** 2))
+    return peaks
+
+
+class TestColumnsMatchPeakLists:
+    @settings(max_examples=150, deadline=None)
+    @given(_peak_lists(1))
+    def test_chain_csv_and_stems(self, peaks):
+        table = _table(peaks, 1)
+        assert render.peaks_csv(table) == _legacy_peaks_csv(peaks, 1)
+        assert render.module_csv(table.module) == _legacy_module_csv([p.k for p in peaks], 1)
+        for lo, hi in ((0, 1), (Fraction(-3, 7), Fraction(5, 3))):
+            assert render.stem_svg(table, lo, hi) == _legacy_stem_svg(peaks, lo, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_peak_lists(2))
+    def test_plane_csv_and_discs(self, peaks):
+        table = _table(peaks, 2)
+        assert render.peaks_csv(table) == _legacy_peaks_csv(peaks, 2)
+        assert render.module_csv(table.module) == _legacy_module_csv([p.k for p in peaks], 2)
+        for bounds in (((-1, 1), (-1, 1)), ((Fraction(-1, 3), 1), (-2, Fraction(1, 5)))):
+            assert render.disc_svg(table, *bounds) == _legacy_disc_svg(peaks, *bounds)
+
+    def test_negative_zero_everywhere(self):
+        peaks = [render.Peak(Dyadic(1, 1), complex(-0.0, -0.0), -0.0)] * 3
+        assert render.peaks_csv(_table(peaks, 1)) == _legacy_peaks_csv(peaks, 1)
+        assert "-0.0" not in render.peaks_csv(_table(peaks, 1))
 
 
 class TestCsv:
@@ -27,7 +170,7 @@ class TestCsv:
             _peak(Dyadic(0), 1 / 3 + 0j),
             _peak(Dyadic(1, 1), 2 / 3 + 0j),
         ]
-        text = render.peaks_csv(peaks, 1)
+        text = render.peaks_csv(_table(peaks, 1))
         lines = text.splitlines()
         assert lines[0] == "k_num,k_log2den,amp_re,amp_im,intensity"
         assert lines[1].startswith("0,0,0.3333333333333333,0.0,")
@@ -36,33 +179,33 @@ class TestCsv:
 
     def test_plane_schema(self):
         peaks = [_peak(DyadicPoint2(1, -1, 2), 0.25j)]
-        text = render.peaks_csv(peaks, 2)
+        text = render.peaks_csv(_table(peaks, 2))
         assert text.splitlines()[0] == "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"
         assert text.splitlines()[1] == "1,-1,2,0.0,0.25,0.0625"
 
     def test_negative_zero_is_flushed(self):
         peaks = [_peak(Dyadic(1, 1), complex(-0.0, -0.0))]
-        text = render.peaks_csv(peaks, 1)
+        text = render.peaks_csv(_table(peaks, 1))
         assert "-0.0" not in text
 
     def test_floats_round_trip(self):
         # repr() floats reconstruct the amplitude exactly.
         amplitude = -0.123456789012345 + 0.987654321098765j
-        row = render.peaks_csv([_peak(Dyadic(3, 2), amplitude)], 1).splitlines()[1]
+        row = render.peaks_csv(_table([_peak(Dyadic(3, 2), amplitude)], 1)).splitlines()[1]
         _, _, re_part, im_part, _ = row.split(",")
         assert complex(float(re_part), float(im_part)) == amplitude
 
     def test_module_csv(self):
-        text = render.module_csv([Dyadic(0), Dyadic(1, 2)], 1)
+        text = render.module_csv(Module.of([Dyadic(0), Dyadic(1, 2)], 1))
         assert text == "k_num,k_log2den\n0,0\n1,2\n"
-        text = render.module_csv([DyadicPoint2(1, 1, 1)], 2)
+        text = render.module_csv(Module.of([DyadicPoint2(1, 1, 1)], 2))
         assert text == "kx_num,ky_num,k_log2den\n1,1,1\n"
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
-            render.peaks_csv([], 3)
+            render.peaks_csv(_table([], 3))
         with pytest.raises(ValueError):
-            render.module_csv([], 0)
+            render.module_csv(Module.of([], 0))
 
 
 class TestStemSvg:
@@ -71,7 +214,7 @@ class TestStemSvg:
             _peak(Dyadic(0), 0.5 + 0j),
             _peak(Dyadic(1, 1), 0.25 + 0j),
         ]
-        svg = render.stem_svg(peaks, 0, 1)
+        svg = render.stem_svg(_table(peaks, 1), 0, 1)
         root = ET.fromstring(svg)
         lines = [el for el in root if el.tag.endswith("line")]
         # Baseline plus one stem per peak.
@@ -85,17 +228,17 @@ class TestStemSvg:
         assert xs[1] == pytest.approx(40.0 + 0.5 * (800 - 80))
 
     def test_zero_peaks_render_no_stems(self):
-        svg = render.stem_svg([_peak(Dyadic(0), 0j)], 0, 1)
+        svg = render.stem_svg(_table([_peak(Dyadic(0), 0j)], 1), 0, 1)
         root = ET.fromstring(svg)
         assert len([el for el in root if el.tag.endswith("line")]) == 1
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            render.stem_svg([], 1, 1)
+            render.stem_svg(_table([], 1), 1, 1)
 
     def test_determinism(self):
         peaks = [_peak(Dyadic(m, 3), complex(m) / 10) for m in range(1, 8, 2)]
-        assert render.stem_svg(peaks, 0, 1) == render.stem_svg(peaks, 0, 1)
+        assert render.stem_svg(_table(peaks, 1), 0, 1) == render.stem_svg(_table(peaks, 1), 0, 1)
 
 
 class TestDiscSvg:
@@ -105,7 +248,7 @@ class TestDiscSvg:
             render.Peak(k=DyadicPoint2(1, 1, 1), amplitude=0.5 + 0j, intensity=0.25),
             render.Peak(k=DyadicPoint2(1, 0, 1), amplitude=0.1 + 0j, intensity=0.01),
         ]
-        svg = render.disc_svg(peaks, (-1, 1))
+        svg = render.disc_svg(_table(peaks, 2), (-1, 1))
         root = ET.fromstring(svg)
         circles = [el for el in root if el.tag.endswith("circle")]
         assert len(circles) == 3
@@ -118,7 +261,7 @@ class TestDiscSvg:
 
     def test_positions_follow_the_region(self):
         peaks = [render.Peak(k=DyadicPoint2(1, 1, 0), amplitude=1 + 0j, intensity=1.0)]
-        svg = render.disc_svg(peaks, (-1, 1), (0, 2))
+        svg = render.disc_svg(_table(peaks, 2), (-1, 1), (0, 2))
         circle = next(
             el for el in ET.fromstring(svg) if el.tag.endswith("circle")
         )
@@ -128,12 +271,12 @@ class TestDiscSvg:
 
     def test_zero_intensity_peaks_are_dropped(self):
         peaks = [render.Peak(k=DyadicPoint2(0, 0, 0), amplitude=0j, intensity=0.0)]
-        svg = render.disc_svg(peaks, (-1, 1))
+        svg = render.disc_svg(_table(peaks, 2), (-1, 1))
         assert "circle" not in svg
 
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
-            render.disc_svg([], (0, 0))
+            render.disc_svg(_table([], 2), (0, 0))
 
 
 class TestWindowRendering:
@@ -178,8 +321,8 @@ class TestFormatting:
         assert render._fmt(2.0) == "2.0"
 
     def test_svg_headers_match(self):
-        stem = render.stem_svg([], 0, 1)
-        disc = render.disc_svg([], (0, 1))
+        stem = render.stem_svg(_table([], 1), 0, 1)
+        disc = render.disc_svg(_table([], 2), (0, 1))
         assert stem.startswith('<svg xmlns="http://www.w3.org/2000/svg"')
         assert disc.startswith('<svg xmlns="http://www.w3.org/2000/svg"')
         assert re.search(r'width="800" height="400"', stem)

@@ -29,11 +29,21 @@ class TestRoster:
             result.passed = False
 
 
+# Every check that feeds a weight table through the tamper hook.
+_TAMPERABLE = [
+    "pd-amplitude-relations",
+    "pd-peak-mass",
+    "pd-empirical-amplitudes",
+    "pd-empirical-autocorrelation",
+    "chair-extinctions",
+    "chair-empirical-amplitudes",
+    "chair-d4-intensity-symmetry",
+    "chair-lattice-periodicity",
+]
+
+
 class TestTamper:
-    @pytest.mark.parametrize(
-        "name",
-        ["pd-empirical-amplitudes", "chair-extinctions"],
-    )
+    @pytest.mark.parametrize("name", _TAMPERABLE)
     def test_tampered_check_fails_alone(self, name):
         results = verification.run_checks(quick=True, tamper={name})
         by_name = {r.name: r.passed for r in results}
