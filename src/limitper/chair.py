@@ -15,8 +15,10 @@ of the same object live here:
 
 * ``coset_amplitude`` is the exact Fourier coefficient of one hierarchy
   layer: the union of 2^(r+1)-scaled odd-sublattice cosets stepped along a
-  diagonal direction.  Summing layers (see ``numerics.approximant_amplitude``)
-  reconstructs each colour amplitude from scratch.
+  diagonal direction.  Summing layers (see
+  ``numerics.approximant_amplitude_chair``, and ``approximant_amplitudes_chair``
+  for a whole ``dyadic.Module``) reconstructs each colour amplitude from
+  scratch.
 
 * ``amplitudes`` evaluates the summed series in closed form, split by the
   denominator exponent s of the wave number.  All roots of unity come from
@@ -125,9 +127,14 @@ def label_grid(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> np.ndarray:
     Vectorised form of ``label``, one band of rows at a time: all cells of a
     band walk their halving chains in lock step, and each round carries on
     only with the cells still open, whose share about halves per round.
+    Valid for every int64 cell: -2^63 <= x_lo, y_lo and x_hi, y_hi <= 2^63,
+    else ``ValueError``.  The sums x + y may wrap there, but the walk reads
+    only their parity and the test x + y == -1, which wrapping keeps exact.
     """
     if x_hi <= x_lo or y_hi <= y_lo:
         raise ValueError("empty grid")
+    if min(x_lo, y_lo) < -(1 << 63) or max(x_hi, y_hi) > 1 << 63:
+        raise ValueError("grid cells leave the int64 range")
     out = np.empty((y_hi - y_lo, x_hi - x_lo), dtype=np.uint8)
     xs = np.arange(x_lo, x_hi, dtype=np.int64)
     bound = max(abs(x_lo), abs(x_hi), abs(y_lo), abs(y_hi))
@@ -293,7 +300,8 @@ def amplitude_arrays(module: Module) -> tuple[np.ndarray, np.ndarray]:
     re[1, mixed] = np.where(odd_n[mixed], -0.125, 0.125)
     re[2, mixed] = -0.125
     re[3, mixed] = np.where(odd_m[mixed], -0.125, 0.125)
-    for level in np.unique(s[s >= 2]).tolist():
+    # The levels present, read off a bincount: np.unique would import numpy.ma.
+    for level in (np.flatnonzero(np.bincount(s)[2:]) + 2).tolist():
         at = np.flatnonzero(s == level)
         # Residues mod 2^level, exact although m + n may wrap past int64.
         mask = (1 << level) - 1

@@ -13,7 +13,10 @@ vector j, so the points come from the integer grid of the box scaled by 2^L
 (already in order) reduced to normal form; no sort is needed.  The stated
 range: at the finest level L present, every scaled numerator j must fit in
 int64 and L must be at most 62, so that 2^L and every residue mod 2^L fit
-too; outside it ``module_points`` raises ``ValueError``.
+too, and the box holds at most ``MAX_POINTS`` points; outside it
+``module_points`` raises ``ValueError`` before allocating anything.
+``normal_form`` is the reduction on its own, for the images of a module
+under integer maps (negation, the dihedral maps, lattice shifts).
 ``module_interval`` and ``module_box`` are the scalar list API on top of it.
 """
 
@@ -30,11 +33,13 @@ import numpy as np
 __all__ = [
     "ZERO_TOL",
     "MAX_LEVEL",
+    "MAX_POINTS",
     "Dyadic",
     "DyadicPoint2",
     "Module",
     "phase",
     "phase_arrays",
+    "normal_form",
     "module_points",
     "module_interval",
     "module_box",
@@ -46,6 +51,9 @@ ZERO_TOL = 1e-10
 # The finest denominator exponent the array routes accept: 2^62 and every
 # residue modulo it fit in int64.
 MAX_LEVEL = 62
+# The most points ``module_points`` enumerates: 2^24, over a hundred times the
+# largest box the CLI sweeps use, and under 0.5 GB of columns in the plane.
+MAX_POINTS = 1 << 24
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _TWO_PI = 2.0 * math.pi
@@ -313,8 +321,9 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
     ``bounds`` holds one (lo, hi) pair per axis, as ints, floats or
     Fractions, compared exactly; ``include_hi=False`` drops every upper
     endpoint.  Points are ordered lexicographically by value (x, then y).
-    Raises ``ValueError`` when the points leave the stated int64 range (see
-    the module docstring).
+    Raises ``ValueError``, before allocating, when the points leave the
+    stated int64 range or number more than ``MAX_POINTS`` (see the module
+    docstring).
     """
     if cutoff < 0:
         raise ValueError(f"negative denominator cutoff: {cutoff}")
@@ -350,6 +359,11 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
                 f"module numerator {end} at denominator 2^{level} is outside the int64 "
                 "range [-2^63, 2^63 - 1]"
             )
+    total = math.prod(counts)
+    if total > MAX_POINTS:
+        raise ValueError(
+            f"the box holds {total} module points; the array routes stop at {MAX_POINTS}"
+        )
     # Axis i of the grid runs along array axis i, so the row-major order
     # (x outer, y inner) is the value order.
     ticks = [
@@ -358,15 +372,28 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
         )
         for i, (count, axis) in enumerate(zip(counts, axes))
     ]
-    # A grid point's level falls by the trailing zeros its indices share.
-    zeros = functools.reduce(np.minimum, [_trailing_zeros(tick, level) for tick in ticks])
-    numerators = np.empty((*counts, dim), dtype=np.int64)
-    for i, tick in enumerate(ticks):
-        np.right_shift(tick, zeros, out=numerators[..., i])
-    return Module(numerators.reshape(-1, dim), (level - zeros).reshape(-1))
+    return normal_form(ticks, level)
 
 
-def _trailing_zeros(values: np.ndarray, cap: int) -> np.ndarray:
+def normal_form(columns, exponents) -> Module:
+    """The points columns[0..d-1] / 2^exponents reduced to normal form.
+
+    ``columns`` holds one int64 array per axis and ``exponents`` an int64
+    array or a single level, all broadcast together; a point's level falls
+    by the trailing zeros its numerators share.  Returns the points flattened
+    in row-major order.  The levels and the residues of the reduced
+    numerators mod 2^level depend only on the low bits, so they stay exact
+    for columns that wrapped past int64; the reduced numerators themselves
+    are exact when the true ones fit.
+    """
+    zeros = functools.reduce(np.minimum, [_trailing_zeros(c, exponents) for c in columns])
+    numerators = np.empty((*zeros.shape, len(columns)), dtype=np.int64)
+    for i, column in enumerate(columns):
+        np.right_shift(column, zeros, out=numerators[..., i])
+    return Module(numerators.reshape(-1, len(columns)), (exponents - zeros).reshape(-1))
+
+
+def _trailing_zeros(values: np.ndarray, cap) -> np.ndarray:
     """Trailing zero bits of each int64, at most ``cap``; zero counts as ``cap``."""
     # The lowest set bit is a power of two, exact as a float; frexp reads
     # its exponent.

@@ -25,6 +25,10 @@ exact integer counts of its labels, and weights enter only at the end:
   up to a cut-off level, with the colour's translation phase applied last.
   The two diagonal rays in each colour class have density zero and drop out
   of amplitudes, so truncating the layer sum is the only approximation.
+  ``approximant_amplitudes_chair`` is the same sum for all four colours over
+  a whole ``dyadic.Module``: the layer cases become masks, and the one
+  phase that is not a quarter turn is evaluated once per point and colour.
+  The scalar form stays as the library API and as its test oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chair, period_doubling, subst
-from .dyadic import DyadicPoint2, Module, phase
+from .dyadic import DyadicPoint2, Module, normal_form, phase, phase_arrays
 from .subst import PatternWindow
 
 __all__ = [
@@ -43,7 +47,11 @@ __all__ = [
     "empirical_amplitude",
     "empirical_amplitudes",
     "approximant_amplitude_chair",
+    "approximant_amplitudes_chair",
 ]
+
+# e^{2 pi i j / 4} for j = 0 .. 3, exact.
+_QUARTER_TURNS = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
 
 class WeightedComb:
@@ -145,6 +153,14 @@ class WeightedComb:
             self._label_data["masks"] = masks
         return masks
 
+    def _label_totals(self) -> tuple[int, ...]:
+        """How many window cells carry each label, cached."""
+        totals = self._label_data.get("totals")
+        if totals is None:
+            totals = tuple(int(np.count_nonzero(mask)) for mask in self._label_masks())
+            self._label_data["totals"] = totals
+        return totals
+
 
 def pd_comb(half: int, weights) -> WeightedComb:
     """Comb over the chain fixed point on [-N, N], weights = (alpha, beta)."""
@@ -163,6 +179,21 @@ def _overlap(size: int, shift: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo - shift, hi - shift)
 
 
+def _count_inside(mask: np.ndarray, total: int, region: tuple[slice, ...]) -> int:
+    """True cells of ``mask`` inside the box ``region``, given all ``total`` of them.
+
+    Subtracts the cells outside, slab by slab, so the work is the border
+    the box cuts off rather than the box itself.
+    """
+    inside = total
+    kept: tuple[slice, ...] = ()
+    for cut, size in zip(region, mask.shape):
+        for part in (slice(0, cut.start), slice(cut.stop, size)):
+            inside -= int(np.count_nonzero(mask[kept + (part,)]))
+        kept += (cut,)
+    return inside
+
+
 def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     """Windowed autocorrelation coefficient at the integer shift z.
 
@@ -171,7 +202,10 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     cardinality (2N+1)^d, so missing boundary terms count as zero.  The
     shift must satisfy |z| <= N/2 componentwise to keep the boundary
     deficit small against the estimate itself.  The sum is taken as exact
-    counts of label pairs (label(x), label(x - z)), weighed once.
+    counts of label pairs (label(x), label(x - z)), weighed once.  Only the
+    pairs of the first L - 1 of L labels are counted cell by cell; the last
+    row and column of the count table follow from how often each label
+    occurs in the two overlaps.
     """
     half = comb.half
     if comb.dim == 1:
@@ -188,11 +222,26 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     # Array axes run (y, x), shifts are given (x, y).
     here, there = zip(*(_overlap(size, c) for c in reversed(shifts)))
     masks = comb._label_masks()
+    totals = comb._label_totals()
+    last = len(comb.weights) - 1
+    overlap = masks[0][here].size
+    # counts[a, b] = #{x in the overlap : label(x) = a, label(x - z) = b}.
+    counts = np.zeros((last + 1, last + 1), dtype=np.int64)
+    for a in range(last):
+        for b in range(last):
+            counts[a, b] = np.count_nonzero(masks[a][here] & masks[b][there])
+    row_sums = [_count_inside(masks[a], totals[a], here) for a in range(last)]
+    col_sums = [_count_inside(masks[b], totals[b], there) for b in range(last)]
+    row_sums.append(overlap - sum(row_sums))
+    for a in range(last):
+        counts[a, last] = row_sums[a] - counts[a, :last].sum()
+    for b in range(last):
+        counts[last, b] = col_sums[b] - counts[:last, b].sum()
+    counts[last, last] = row_sums[last] - counts[last, :last].sum()
     total = 0j
     for a, w_a in enumerate(comb.weights):
         for b, w_b in enumerate(comb.weights):
-            count = np.count_nonzero(masks[a][here] & masks[b][there])
-            total += w_a * w_b.conjugate() * int(count)
+            total += w_a * w_b.conjugate() * int(counts[a, b])
     return total / float(comb.cells)
 
 
@@ -245,3 +294,51 @@ def approximant_amplitude_chair(levels: int, color: int, k: DyadicPoint2) -> com
     for level in range(levels + 1):
         total += chair.coset_amplitude(level, step, k)
     return phase(-(k.dot(shift))) * total
+
+
+def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
+    """``approximant_amplitude_chair`` for every colour at every point of a plane module.
+
+    Returns complex values of shape (4, N), row c for colour c.  The layer
+    sum is ``chair.coset_amplitude``'s, level by level, with its case split
+    taken as masks over the points: off the support, integer theta = k.step
+    (full weight 2^level), cancelled (2^level theta an integer), or deep.
+    The one phase that is not a quarter turn, e^{-2 pi i theta}, does not
+    depend on the level, so it comes once per point and colour from
+    ``dyadic.phase_arrays``; scaled by 2^level, the turn phase and the
+    shift phase are quarter turns on every supported level.  Any int64
+    numerators are valid: only residues of m, n and m +- n are read, and
+    those survive wrapping.
+    """
+    if levels < 0:
+        raise ValueError(f"negative layer cut-off: {levels}")
+    if module.dim != 2:
+        raise TypeError("the chair amplitudes live on a plane module")
+    m, n = module.numerators[:, 0], module.numerators[:, 1]
+    s = module.exponents
+    odd_sum = ((m + n) & 1) == 1
+    odd_m = (m & 1) == 1
+    out = np.empty((4, len(module)), dtype=complex)
+    for colour, (step, shift) in enumerate(zip(chair.COLOR_STEPS, chair.COLOR_SHIFTS)):
+        theta = normal_form((step[0] * m + step[1] * n,), s)
+        t, r = theta.numerators[:, 0], theta.exponents
+        e_re, e_im = phase_arrays(-t, r)
+        denominator = 1 - (e_re + 1j * e_im)
+        total = np.zeros(len(module), dtype=complex)
+        for level in range(levels + 1):
+            # 2^(level+2) k must land on the even sublattice.
+            supported = (s < level + 2) | ((s == level + 2) & ~odd_sum)
+            layer = np.zeros(len(module), dtype=complex)
+            layer[supported & (r == 0)] = float(1 << level)
+            deep = np.flatnonzero(supported & (r > level))
+            # 2^level theta has denominator 2^(r - level), r - level in {1, 2}.
+            turns = (-t[deep] << (level + 2 - r[deep])) & 3
+            layer[deep] = (1 - _QUARTER_TURNS[turns]) / denominator[deep]
+            # The shift phase e^{-2 pi i 2^(level+1) m / 2^s} is -1 exactly
+            # when s = level + 2 and m is odd, and 1 elsewhere on the support.
+            layer[(s == level + 2) & odd_m] *= -1
+            total += layer / float(1 << (2 * level + 3))
+        u = normal_form((shift[0] * m + shift[1] * n,), s)
+        p_re, p_im = phase_arrays(-u.numerators[:, 0], u.exponents)
+        out[colour] = (p_re + 1j * p_im) * total
+    return out

@@ -93,15 +93,23 @@ def label(n: int) -> int:
 
 
 def label_window(lo: int, hi: int) -> np.ndarray:
-    """Labels for the positions lo..hi-1 as a uint8 array (vectorised `label`)."""
+    """Labels for the positions lo..hi-1 as a uint8 array (vectorised `label`).
+
+    Valid for every int64 position: -2^63 <= lo <= hi <= 2^63, else
+    ``ValueError``.  The moduli 4^i reach 2^64 there, so residues are read
+    from the positions' two's-complement bits as uint64.
+    """
     if hi < lo:
         raise ValueError(f"empty range: [{lo}, {hi})")
-    positions = np.arange(lo, hi, dtype=np.int64)
+    if lo < -(1 << 63) or hi > 1 << 63:
+        raise ValueError(f"positions [{lo}, {hi}) leave the int64 range")
+    # Bits of x mod 2^64; every modulus is a power of two up to 2^64.
+    positions = np.arange(lo, hi, dtype=np.int64).view(np.uint64)
     out = np.zeros(positions.shape, dtype=np.uint8)
     bound = 2 * (max(abs(lo), abs(hi)) + 1)
     modulus = 4
     while modulus <= bound:
-        out[positions % modulus == modulus // 2 - 1] = LETTER_B
+        out[positions & np.uint64(modulus - 1) == np.uint64(modulus // 2 - 1)] = LETTER_B
         modulus *= 4
     return out
 
@@ -110,12 +118,17 @@ def autocorr_balanced(shift: int) -> Fraction:
     """Autocorrelation coefficient of the +-1 letter comb at an integer shift.
 
     Defined by the recursion eta(0) = 1, eta(odd) = -1/3 and
-    eta(2m) = (1 + eta(m)) / 2, evaluated exactly.
+    eta(2m) = (1 + eta(m)) / 2, evaluated exactly.  eta depends only on the
+    2-adic valuation of the shift, so the recursion runs once per valuation.
     """
     shift = abs(shift)
     if shift == 0:
         return Fraction(1)
-    halvings = (shift & -shift).bit_length() - 1
+    return _eta_recursion((shift & -shift).bit_length() - 1)
+
+
+@lru_cache(maxsize=None)
+def _eta_recursion(halvings: int) -> Fraction:
     value = Fraction(-1, 3)
     for _ in range(halvings):
         value = (1 + value) / 2
@@ -127,7 +140,11 @@ def autocorr_balanced_closed_form(shift: int) -> Fraction:
     shift = abs(shift)
     if shift == 0:
         return Fraction(1)
-    halvings = (shift & -shift).bit_length() - 1
+    return _eta_closed_form((shift & -shift).bit_length() - 1)
+
+
+@lru_cache(maxsize=None)
+def _eta_closed_form(halvings: int) -> Fraction:
     return 1 - Fraction(4, 3 * (1 << halvings))
 
 

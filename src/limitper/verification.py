@@ -7,6 +7,14 @@ forms must satisfy.  ``run_checks`` runs them all and reports one result per
 name; ``quick=True`` shrinks windows and cut-offs to keep the suite under a
 few seconds.
 
+The chair closed-form checks work on arrays: each reads
+``chair.amplitude_arrays`` over one ``dyadic.module_points`` box and over
+its images (negation, the dihedral maps, lattice and half-diagonal shifts),
+each an integer map of the numerator columns reduced by
+``dyadic.normal_form``, and the layer sums come from
+``numerics.approximant_amplitudes_chair``.  A failing check names the
+first failing point in module order.  The pinned values stay scalar.
+
 The ``tamper`` argument is a negative-control hook for tests: naming a check
 perturbs the weight table on one side of that check's comparison only (the
 estimate, the moved point, or the side compared with a constant), so it must
@@ -22,7 +30,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import chair, numerics, period_doubling
-from .dyadic import Dyadic, DyadicPoint2, module_box, module_interval, phase
+from .dyadic import (
+    Dyadic,
+    DyadicPoint2,
+    Module,
+    module_interval,
+    module_points,
+    normal_form,
+    phase_arrays,
+)
 
 __all__ = ["CheckResult", "run_checks", "report_text", "report_json", "CHECK_NAMES"]
 
@@ -59,10 +75,11 @@ def _pick(weights, name, tamper):
 
 def _check_pd_eta(quick, tamper):
     limit = 1 << (12 if quick else 16)
+    minus_third = Fraction(-1, 3)
     for m in range(1, limit + 1):
         if period_doubling.autocorr_balanced(m) != period_doubling.autocorr_balanced_closed_form(m):
             return False, f"recursion and closed form split at shift {m}"
-        if m % 2 == 1 and period_doubling.autocorr_balanced(m) != Fraction(-1, 3):
+        if m % 2 == 1 and period_doubling.autocorr_balanced(m) != minus_third:
             return False, f"odd shift {m} not -1/3"
     return True, f"exact agreement for all shifts up to {limit}"
 
@@ -198,51 +215,63 @@ def _check_chair_amplitude_relations(quick, tamper):
         got = chair.amplitudes(k).values
         if any(abs(g - e) > 1e-15 for g, e in zip(got, expected)):
             return False, f"amplitudes at {k} off the pinned values"
-    for k in module_box(s_max, (-1, 1)):
-        values = chair.amplitudes(k).values
-        minus = chair.amplitudes(-k).values
-        if any(abs(m - v.conjugate()) > 1e-12 for m, v in zip(minus, values)):
-            return False, f"Hermitian symmetry broken at {k}"
-        if k.s >= 2 and (values[2] != -values[0] or values[3] != -values[1]):
-            return False, f"anti-pairing broken at {k}"
+    module = module_points(s_max, ((-1, 1), (-1, 1)))
+    values = _chair_closed(module)
+    minus = _chair_closed(_image(module, matrix=((-1, 0), (0, -1))))
+    hermitian = (np.abs(minus - values.conj()) > 1e-12).any(axis=0)
+    anti = (module.exponents >= 2) & ((values[2] != -values[0]) | (values[3] != -values[1]))
+    failure = _first_failure(
+        module,
+        [(hermitian, "Hermitian symmetry broken at {k}"), (anti, "anti-pairing broken at {k}")],
+    )
+    if failure:
+        return False, failure
     return True, f"pinned values, Hermitian symmetry, anti-pairing for s <= {s_max}"
-
-
-def _half_even_lattice(k: DyadicPoint2) -> bool:
-    # (m, n) / 2^s lies in (1/2) * (even sublattice) iff s = 0, or s = 1
-    # with both numerators odd.
-    return k.s == 0 or (k.s == 1 and k.m % 2 == 1 and k.n % 2 == 1)
 
 
 def _check_chair_sum_rules(quick, tamper):
     s_max = 3 if quick else 5
-    for k in module_box(s_max, (-1, 1)):
-        values = chair.amplitudes(k).values
-        even_pair = values[0] + values[2]
-        odd_pair = values[1] + values[3]
-        if _half_even_lattice(k):
-            expected_odd = 0.5 * phase(Dyadic.of(-k.m, k.s))
-            if abs(even_pair - 0.5) > 1e-12 or abs(odd_pair - expected_odd) > 1e-12:
-                return False, f"sum rule broken on the half lattice at {k}"
-        else:
-            if abs(even_pair) > 1e-12 or abs(odd_pair) > 1e-12:
-                return False, f"pair sums nonzero off the half lattice at {k}"
+    module = module_points(s_max, ((-1, 1), (-1, 1)))
+    values = _chair_closed(module)
+    even_pair = values[0] + values[2]
+    odd_pair = values[1] + values[3]
+    half = _half_even_lattice(module)
+    # On the half lattice the odd pair sums to e^{-2 pi i x} / 2.
+    p_re, p_im = phase_arrays(-module.numerators[:, 0], module.exponents)
+    expected_odd = 0.5 * (p_re + 1j * p_im)
+    on_half = half & (
+        (np.abs(even_pair - 0.5) > 1e-12) | (np.abs(odd_pair - expected_odd) > 1e-12)
+    )
+    off_half = ~half & ((np.abs(even_pair) > 1e-12) | (np.abs(odd_pair) > 1e-12))
+    failure = _first_failure(
+        module,
+        [
+            (on_half, "sum rule broken on the half lattice at {k}"),
+            (off_half, "pair sums nonzero off the half lattice at {k}"),
+        ],
+    )
+    if failure:
+        return False, failure
     return True, f"pair sums match on and off the half lattice for s <= {s_max}"
 
 
 def _check_chair_extinctions(quick, tamper):
     s_max = 3 if quick else 5
-    ones = chair.Weights(_pick((1, 1, 1, 1), "chair-extinctions", tamper))
-    fourth = chair.Weights(_pick((1, 1j, -1, -1j), "chair-extinctions", tamper))
-    for k in module_box(s_max, (-1, 1)):
-        lattice = abs(chair.intensity(k, ones) - (1.0 if k.s == 0 else 0.0))
-        if lattice > 1e-12:
-            return False, f"all-ones intensity wrong at {k}"
-        if _half_even_lattice(k):
-            values = chair.amplitudes(k).values
-            total = sum(w * a for w, a in zip(fourth.values, values))
-            if abs(total) > 1e-12:
-                return False, f"fourth-root weights not extinct at {k}"
+    ones = _pick((1, 1, 1, 1), "chair-extinctions", tamper)
+    fourth = _pick((1, 1j, -1, -1j), "chair-extinctions", tamper)
+    module = module_points(s_max, ((-1, 1), (-1, 1)))
+    values = _chair_closed(module)
+    lattice = np.abs(_intensities(values, ones) - (module.exponents == 0)) > 1e-12
+    extinct = _half_even_lattice(module) & (np.abs(_weighted(values, fourth)) > 1e-12)
+    failure = _first_failure(
+        module,
+        [
+            (lattice, "all-ones intensity wrong at {k}"),
+            (extinct, "fourth-root weights not extinct at {k}"),
+        ],
+    )
+    if failure:
+        return False, failure
     return True, f"lattice comb and fourth-root extinctions hold for s <= {s_max}"
 
 
@@ -250,12 +279,9 @@ def _check_chair_approximant(quick, tamper):
     s_max = 3 if quick else 5
     levels = 12 if quick else 20
     tol = 1e-4 if quick else 1e-6
-    worst = 0.0
-    for k in module_box(s_max, (-1, 1)):
-        values = chair.amplitudes(k).values
-        for colour in range(4):
-            approx = numerics.approximant_amplitude_chair(levels, colour, k)
-            worst = max(worst, abs(approx - values[colour]))
+    module = module_points(s_max, ((-1, 1), (-1, 1)))
+    approx = numerics.approximant_amplitudes_chair(levels, module)
+    worst = float(np.abs(approx - _chair_closed(module)).max())
     if worst > tol:
         return False, f"layer sums drift {worst:.2e} > {tol:.0e} from closed forms"
     return True, f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
@@ -265,15 +291,15 @@ def _check_chair_empirical_amplitudes(quick, tamper):
     half = 256 if quick else 1024
     s_max = 3 if quick else 4
     tol = 0.05 if quick else 0.01
-    points = module_box(s_max, (-1, 1))
-    closed = [chair.amplitudes(k).values for k in points]
+    module = module_points(s_max, ((-1, 1), (-1, 1)))
+    closed = _chair_closed(module)
     comb = numerics.chair_comb(half, (1, 0, 0, 0))
     worst = 0.0
     for colour in range(4):
         one_hot = tuple(1.0 if i == colour else 0.0 for i in range(4))
         comb = comb.with_weights(_pick(one_hot, "chair-empirical-amplitudes", tamper))
-        for values, got in zip(closed, numerics.empirical_amplitudes(comb, points)):
-            worst = max(worst, abs(values[colour] - got))
+        estimates = numerics.empirical_amplitudes(comb, module)
+        worst = max(worst, float(np.abs(closed[colour] - estimates).max()))
     if worst > tol:
         return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
     return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"
@@ -292,41 +318,114 @@ def _check_chair_d4_window(quick, tamper):
 def _check_chair_d4_intensity(quick, tamper):
     s_max = 3 if quick else 5
     fourth = (1, 1j, -1, -1j)
-    weights = chair.Weights(fourth)
-    moved_weights = chair.Weights(_pick(fourth, "chair-d4-intensity-symmetry", tamper))
-    for k in module_box(s_max, (0, 1), include_hi=False):
-        reference = chair.intensity(k, weights)
-        for element in chair.d4_elements():
-            moved = chair.transform_wavevector(element, k)
-            if abs(chair.intensity(moved, moved_weights) - reference) > 1e-10:
-                return False, f"intensity not {element.name}-symmetric at {k}"
+    moved_weights = _pick(fourth, "chair-d4-intensity-symmetry", tamper)
+    module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
+    reference = _intensities(_chair_closed(module), fourth)
+    failures = []
+    for element in chair.d4_elements():
+        # The linear map sends k = m e1 + n e2 to m g(e1) + n g(e2).
+        e1 = chair.transform_wavevector(element, DyadicPoint2(1, 0))
+        e2 = chair.transform_wavevector(element, DyadicPoint2(0, 1))
+        moved = _image(module, matrix=((e1.m, e2.m), (e1.n, e2.n)))
+        intensity = _intensities(_chair_closed(moved), moved_weights)
+        failures.append(
+            (
+                np.abs(intensity - reference) > 1e-10,
+                f"intensity not {element.name}-symmetric at {{k}}",
+            )
+        )
+    failure = _first_failure(module, failures)
+    if failure:
+        return False, failure
     return True, f"fourth-root intensities are dihedral-symmetric for s <= {s_max}"
 
 
 def _check_chair_periodicity(quick, tamper):
     s_max = 3 if quick else 5
     generic = (0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j)
-    weights = chair.Weights(generic)
-    moved_weights = chair.Weights(_pick(generic, "chair-lattice-periodicity", tamper))
-    pair = chair.Weights((1, 0, 1, 0))
-    for k in module_box(s_max, (0, 1), include_hi=False):
-        reference = chair.intensity(k, weights)
-        for shift in ((1, 0), (0, 1)):
-            moved = k + shift
-            if abs(chair.intensity(moved, moved_weights) - reference) > 1e-10:
-                return False, f"intensity not lattice-periodic at {k} + {shift}"
-    for k in module_box(s_max, (0, 1), include_hi=False):
-        moved = _shift_half_diagonal(k)
-        if abs(chair.intensity(moved, pair) - chair.intensity(k, pair)) > 1e-10:
-            return False, f"pair-comb intensity not half-lattice-periodic at {k}"
+    moved_weights = _pick(generic, "chair-lattice-periodicity", tamper)
+    pair = (1, 0, 1, 0)
+    module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
+    values = _chair_closed(module)
+    reference = _intensities(values, generic)
+    failures = []
+    for shift in ((1, 0), (0, 1)):
+        intensity = _intensities(_chair_closed(_image(module, offset=shift)), moved_weights)
+        failures.append(
+            (
+                np.abs(intensity - reference) > 1e-10,
+                f"intensity not lattice-periodic at {{k}} + {shift}",
+            )
+        )
+    failure = _first_failure(module, failures)
+    if failure:
+        return False, failure
+    # k + (1/2, 1/2) = (2m + 2^s, 2n + 2^s) / 2^(s+1).
+    moved = _chair_closed(_image(module, offset=(1, 1), refine=1))
+    half_shift = np.abs(_intensities(moved, pair) - _intensities(values, pair)) > 1e-10
+    failure = _first_failure(
+        module, [(half_shift, "pair-comb intensity not half-lattice-periodic at {k}")]
+    )
+    if failure:
+        return False, failure
     return True, f"lattice and half-lattice periodicities hold for s <= {s_max}"
 
 
-def _shift_half_diagonal(k: DyadicPoint2) -> DyadicPoint2:
-    """k + (1/2, 1/2) in normal form."""
-    if k.s == 0:
-        return DyadicPoint2.of(2 * k.m + 1, 2 * k.n + 1, 1)
-    return DyadicPoint2.of(k.m + (1 << (k.s - 1)), k.n + (1 << (k.s - 1)), k.s)
+def _chair_closed(module: Module) -> np.ndarray:
+    """``chair.amplitudes`` at every point, complex, shape (4, N)."""
+    re, im = chair.amplitude_arrays(module)
+    return re + 1j * im
+
+
+def _weighted(values: np.ndarray, weights) -> np.ndarray:
+    """sum_c w_c A_c at every point."""
+    return sum(w * a for w, a in zip(weights, values))
+
+
+def _intensities(values: np.ndarray, weights) -> np.ndarray:
+    """|sum_c w_c A_c|^2 at every point, as ``chair.intensity``."""
+    return np.abs(_weighted(values, weights)) ** 2
+
+
+def _half_even_lattice(module: Module) -> np.ndarray:
+    # (m, n) / 2^s lies in (1/2) * (even sublattice) iff s = 0, or s = 1
+    # with both numerators odd.
+    m, n = module.numerators[:, 0], module.numerators[:, 1]
+    s = module.exponents
+    return (s == 0) | ((s == 1) & ((m & n & 1) == 1))
+
+
+def _image(module: Module, matrix=((1, 0), (0, 1)), offset=(0, 0), refine=0) -> Module:
+    """The points A k + offset / 2^refine, in the order of ``module``.
+
+    An integer map of the numerators at level s + refine,
+    (A (m, n) 2^refine + offset 2^s) / 2^(s + refine), then the reduction
+    to normal form.
+    """
+    m, n = module.numerators[:, 0], module.numerators[:, 1]
+    s = module.exponents
+    unit = np.left_shift(1, s)
+    (a, b), (c, d) = matrix
+    columns = (
+        ((a * m + b * n) << refine) + offset[0] * unit,
+        ((c * m + d * n) << refine) + offset[1] * unit,
+    )
+    return normal_form(columns, s + refine)
+
+
+def _first_failure(module: Module, failures) -> str | None:
+    """The message for the first failing point in module order, or None.
+
+    ``failures`` pairs a boolean mask over the points with a message naming
+    the point as ``{k}``, in the order the conditions are tested at one
+    point: at the first failing point the first failing condition reports.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in failures])
+    if not failing.any():
+        return None
+    index = int(np.argmax(failing))
+    k = module.select([index]).points()[0]
+    return next(message for mask, message in failures if mask[index]).format(k=k)
 
 
 # ---------------------------------------------------------------------------

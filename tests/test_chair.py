@@ -66,6 +66,35 @@ def _rectangles(draw):
     return x_lo, x_lo + width, y_lo, y_lo + height
 
 
+_TOP, _BOTTOM = (1 << 63) - 1, -(1 << 63)
+_EDGE_STARTS = st.one_of(
+    st.integers(min_value=(1 << 62) - 8, max_value=(1 << 62) + 8),
+    st.integers(min_value=-(1 << 62) - 8, max_value=-(1 << 62) + 8),
+    st.integers(min_value=_TOP - 8, max_value=_TOP),
+    st.integers(min_value=_BOTTOM, max_value=_BOTTOM + 8),
+)
+
+
+@st.composite
+def _edge_rectangles(draw):
+    """Small rectangles near +-2^62 and the int64 ends, where x + y wraps.
+
+    y starts near an edge too, or so that the rectangle meets the diagonal
+    x == y or the antidiagonal x + y == -1.
+    """
+    width = draw(st.integers(min_value=1, max_value=6))
+    height = draw(st.integers(min_value=1, max_value=6))
+    x_lo = draw(_EDGE_STARTS)
+    where = draw(st.sampled_from(("edge", "diagonal", "antidiagonal")))
+    if where == "edge":
+        y_lo = draw(_EDGE_STARTS)
+    else:
+        y_lo = x_lo if where == "diagonal" else -1 - x_lo
+        y_lo -= draw(st.integers(0, height - 1))
+    x_lo, y_lo = (max(_BOTTOM, min(v, _TOP)) for v in (x_lo, y_lo))
+    return x_lo, min(x_lo + width, _TOP + 1), y_lo, min(y_lo + height, _TOP + 1)
+
+
 # ---------------------------------------------------------------------------
 # Labels
 # ---------------------------------------------------------------------------
@@ -121,6 +150,23 @@ class TestLabels:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             chair.label_grid(0, 0, 0, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_edge_rectangles())
+    @example((_TOP - 5, _TOP + 1, _TOP - 5, _TOP + 1))
+    @example((_BOTTOM, _BOTTOM + 6, _BOTTOM, _BOTTOM + 6))
+    @example((_TOP - 5, _TOP + 1, _BOTTOM, _BOTTOM + 6))
+    @example((_BOTTOM, _BOTTOM + 6, _TOP - 5, _TOP + 1))
+    def test_grid_matches_pointwise_labels_at_the_int64_edges(self, rect):
+        x_lo, x_hi, y_lo, y_hi = rect
+        expected = [[chair.label((x, y)) for x in range(x_lo, x_hi)] for y in range(y_lo, y_hi)]
+        assert chair.label_grid(*rect).tolist() == expected
+
+    def test_grid_rejects_cells_past_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            chair.label_grid(0, 2, _TOP - 1, _TOP + 2)
+        with pytest.raises(ValueError, match="int64"):
+            chair.label_grid(_BOTTOM - 1, _BOTTOM + 1, 0, 2)
 
     @given(_coords)
     def test_diagonal_rays(self, t):

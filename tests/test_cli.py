@@ -8,6 +8,7 @@ interpreter to prove outputs do not depend on process state.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -529,6 +530,21 @@ class TestArrayRoute:
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("limitper: ") and limit in err
+        assert not list(tmp_path.iterdir())
+
+    def test_module_past_the_point_bound_exits_two_without_allocating(self, tmp_path, capsys):
+        # 2^40 + 1 points: inside int64, but terabytes of columns.
+        argv = ["module", "--rmax", "40", "--region", "0,1", "--out", str(tmp_path / "m")]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitper: ") and str((1 << 40) + 1) in err
+        assert peak < 1 << 20
         assert not list(tmp_path.iterdir())
 
     def test_module_at_the_int64_edge_runs(self, tmp_path):

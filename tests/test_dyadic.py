@@ -5,7 +5,9 @@ normal form, phases are group homomorphisms into the unit circle, and the
 enumerated wave-number modules nest as the denominator cutoff grows.  The
 array enumeration is pinned to the per-level, Fraction-sorted enumeration it
 replaced (kept below as a test oracle), inside its int64 range and at both
-edges of it; ``phase_arrays`` is pinned bit for bit to ``phase``.
+edges of it, and it refuses oversized boxes before allocating;
+``normal_form`` is pinned to the scalar normalisation, wrapped columns
+included; ``phase_arrays`` is pinned bit for bit to ``phase``.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitper import dyadic
 from limitper.dyadic import (
     MAX_LEVEL,
     Dyadic,
@@ -23,6 +26,7 @@ from limitper.dyadic import (
     module_box,
     module_interval,
     module_points,
+    normal_form,
     phase,
     phase_arrays,
 )
@@ -419,6 +423,58 @@ class TestInt64Range:
         assert module_points(MAX_LEVEL + 40, ((Fraction(1, 1 << 62),) * 2,)).points() == [
             Dyadic(1, 62)
         ]
+
+
+class TestPointBound:
+    def test_refuses_past_the_bound_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "MAX_POINTS", 17)
+        assert len(module_points(4, ((0, 1),))) == 17
+        assert len(module_points(2, ((0, Fraction(3, 4)), (-Fraction(3, 4), 0)))) == 16
+        with pytest.raises(ValueError, match="18 module points"):
+            module_points(4, ((0, Fraction(17, 16)),))
+        with pytest.raises(ValueError, match="25 module points"):
+            module_points(2, ((0, 1), (0, 1)))
+
+    def test_count_is_exact_far_past_int64(self):
+        with pytest.raises(ValueError, match=f"{(1 << 40) + 1} module points"):
+            module_points(40, ((0, 1),))
+        with pytest.raises(ValueError, match=f"{((1 << 61) + 1) ** 2} module points"):
+            module_points(60, ((-1, 1), (-1, 1)))
+
+    def test_bound_is_far_above_the_sweeps(self):
+        assert dyadic.MAX_POINTS >= 100 * len(module_points(7, ((-1, 1), (-1, 1))))
+
+
+_int64 = st.integers(min_value=_BOTTOM, max_value=_TOP)
+
+
+class TestNormalFormArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_int64, _int64, st.integers(0, MAX_LEVEL)), min_size=1, max_size=30))
+    def test_matches_the_scalar_normalisation(self, triples):
+        m, n, s = (np.array(column, dtype=np.int64) for column in zip(*triples))
+        assert normal_form((m, n), s).points() == [DyadicPoint2.of(*t) for t in triples]
+        assert normal_form((m,), s).points() == [Dyadic.of(t[0], t[2]) for t in triples]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(_int64, _int64, st.integers(0, MAX_LEVEL)), min_size=1, max_size=30),
+        st.sampled_from([(1, 1), (1, -1), (-1, -1), (2, -3), (-1, 0)]),
+    )
+    def test_wrapped_columns_keep_levels_and_residues(self, triples, coefficients):
+        # a m + b n may leave int64; levels and residues mod 2^level survive.
+        a, b = coefficients
+        m, n, s = (np.array(column, dtype=np.int64) for column in zip(*triples))
+        got = normal_form((a * m + b * n,), s)
+        expected = [Dyadic.of(a * x + b * y, level) for x, y, level in triples]
+        assert got.exponents.tolist() == [k.r for k in expected]
+        residues = [int(j) % (1 << k.r) for j, k in zip(got.numerators[:, 0], expected)]
+        assert residues == [k.m % (1 << k.r) for k in expected]
+
+    def test_broadcast_columns_and_a_single_level(self):
+        ticks = (np.arange(3, dtype=np.int64)[:, None], np.arange(2, dtype=np.int64)[None, :])
+        got = normal_form(ticks, 1)
+        assert got.points() == [DyadicPoint2.of(x, y, 1) for x in range(3) for y in range(2)]
 
 
 class TestPhaseArrays:

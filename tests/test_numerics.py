@@ -7,17 +7,19 @@ unity that the transform replaced (to 1e-12).  The pair-count
 autocorrelation is pinned the same way to the complex product over the
 window, and the substitution-built combs to the halving and congruence
 labels.  Convergence, symmetry, and the layer-sum approximant round out the
-estimator contracts.
+estimator contracts; its array form is pinned to the scalar layer sum to
+1e-15 across levels, signs, depths and the int64 edges.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import chair, numerics, period_doubling as pd
 from limitper.dyadic import (
+    MAX_LEVEL,
     Dyadic,
     DyadicPoint2,
     Module,
@@ -389,3 +391,55 @@ class TestApproximant:
                 got = numerics.approximant_amplitude_chair(20, colour, k)
                 worst = max(worst, abs(got - closed[colour]))
         assert worst <= 1e-6
+
+
+_TOP, _BOTTOM = (1 << 63) - 1, -(1 << 63)
+
+# Numerators small, anywhere in int64, or at its edges, where m + n and
+# m - n wrap.
+_numerators = st.one_of(
+    st.integers(-70, 70),
+    st.integers(_BOTTOM, _TOP),
+    st.sampled_from([_BOTTOM, _BOTTOM + 1, _BOTTOM + 2, _TOP - 1, _TOP]),
+)
+
+
+class TestApproximantArrays:
+    """``approximant_amplitudes_chair`` against the scalar layer sum, within 1e-15."""
+
+    @staticmethod
+    def _assert_close(levels, points):
+        got = numerics.approximant_amplitudes_chair(levels, Module.of(points, 2))
+        assert got.shape == (4, len(points)) and got.dtype == complex
+        for colour in range(4):
+            for k, value in zip(points, got[colour].tolist()):
+                expected = numerics.approximant_amplitude_chair(levels, colour, k)
+                assert abs(value - expected) <= 1e-15, (levels, colour, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=28),
+        st.lists(
+            st.tuples(
+                _numerators,
+                _numerators,
+                st.one_of(st.integers(0, 30), st.integers(0, MAX_LEVEL)),
+            ),
+            max_size=10,
+        ),
+    )
+    @example(20, [(0, 0, 0), (1, 1, 1), (1, 0, 2), (-3, 5, 3), (7, -9, 6), (-1, -1, 22)])
+    @example(28, [(_TOP, _TOP, 30), (_BOTTOM + 1, _TOP, 29), (_TOP, _BOTTOM + 1, 30)])
+    @example(28, [(_BOTTOM + 1, _BOTTOM + 3, 30), (_TOP, 1, 5), (_BOTTOM + 1, -1, 2)])
+    def test_matches_the_scalar_layer_sum(self, levels, triples):
+        self._assert_close(levels, [DyadicPoint2.of(m, n, s) for m, n, s in triples])
+
+    def test_whole_module(self):
+        self._assert_close(12, module_points(3, ((-1, 1), (-1, 1))).points())
+
+    def test_empty_module_and_validation(self):
+        assert numerics.approximant_amplitudes_chair(5, Module.of([], 2)).shape == (4, 0)
+        with pytest.raises(ValueError):
+            numerics.approximant_amplitudes_chair(-1, Module.of([DyadicPoint2(0, 0)], 2))
+        with pytest.raises(TypeError):
+            numerics.approximant_amplitudes_chair(4, Module.of([Dyadic(1, 1)], 1))

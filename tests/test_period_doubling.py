@@ -19,6 +19,15 @@ BALANCED = pd.Weights(1, -1)
 
 _shifts = st.integers(min_value=1, max_value=1 << 40)
 
+# Window starts near +-2^62 and near both ends of int64.
+_TOP, _BOTTOM = (1 << 63) - 1, -(1 << 63)
+_EDGE_STARTS = st.one_of(
+    st.integers(min_value=(1 << 62) - 12, max_value=(1 << 62) + 12),
+    st.integers(min_value=-(1 << 62) - 12, max_value=-(1 << 62) + 12),
+    st.integers(min_value=_TOP - 12, max_value=_TOP),
+    st.integers(min_value=_BOTTOM, max_value=_BOTTOM + 12),
+)
+
 
 # ---------------------------------------------------------------------------
 # Labels
@@ -51,6 +60,21 @@ class TestLabels:
     def test_label_window_rejects_empty_range(self):
         with pytest.raises(ValueError):
             pd.label_window(3, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_EDGE_STARTS, st.integers(min_value=0, max_value=9))
+    @example(_TOP - 4, 9)
+    @example(_BOTTOM, 9)
+    @example(-_TOP, 6)
+    def test_label_window_matches_label_at_the_int64_edges(self, lo, width):
+        hi = min(lo + width, _TOP + 1)
+        assert pd.label_window(lo, hi).tolist() == [pd.label(n) for n in range(lo, hi)]
+
+    def test_label_window_rejects_positions_past_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            pd.label_window(_TOP - 2, _TOP + 2)
+        with pytest.raises(ValueError, match="int64"):
+            pd.label_window(_BOTTOM - 1, _BOTTOM + 2)
 
     def test_letter_frequencies(self):
         labels = pd.label_window(-(1 << 16), 1 << 16)
@@ -91,6 +115,14 @@ class TestBalancedAutocorrelation:
     def test_range(self, m):
         value = pd.autocorr_balanced(m)
         assert Fraction(-1, 3) <= value < 1
+
+    def test_deep_valuations(self):
+        # One recursion per valuation, however the shifts come.
+        for halvings in (0, 1, 63, 64, 200, 3000):
+            expected = 1 - Fraction(4, 3 * (1 << halvings))
+            for odd in (1, -3, 12345):
+                assert pd.autocorr_balanced(odd << halvings) == expected
+                assert pd.autocorr_balanced_closed_form(odd << halvings) == expected
 
 
 _reals = st.floats(min_value=-4, max_value=4, allow_nan=False)

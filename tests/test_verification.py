@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from limitper import verification
+from limitper import chair, verification
+from limitper.dyadic import DyadicPoint2
 
 
 class TestRoster:
@@ -22,6 +23,11 @@ class TestRoster:
         results = verification.run_checks(quick=True)
         assert all(0 <= r.elapsed_s < 60 for r in results)
         assert verification.CheckResult("alpha", True, "fine").elapsed_s == 0.0
+
+    def test_full_suite_passes(self):
+        results = verification.run_checks(quick=False)
+        assert tuple(r.name for r in results) == verification.CHECK_NAMES
+        assert [r.name for r in results if not r.passed] == []
 
     def test_results_are_frozen_records(self):
         result = verification.run_checks(quick=True)[0]
@@ -100,3 +106,36 @@ class TestReport:
         assert "PASS alpha: fine" in text
         assert "FAIL beta: broke" in text
         assert text.splitlines()[-1] == "2 of 3 checks failed, first: beta"
+
+
+def _corrupt_amplitudes(monkeypatch, points):
+    """Make ``chair.amplitude_arrays`` add 0.01 to colour 0 at the given points."""
+    original = chair.amplitude_arrays
+
+    def corrupted(module):
+        re, im = original(module)
+        for i, k in enumerate(module.points()):
+            if k in points:
+                re[0, i] += 0.01
+        return re, im
+
+    monkeypatch.setattr(chair, "amplitude_arrays", corrupted)
+
+
+class TestFirstFailure:
+    """A failing array check names the first failing point in module order."""
+
+    @staticmethod
+    def _sum_rules_detail():
+        return next(
+            r.detail for r in verification.run_checks(quick=True) if r.name == "chair-sum-rules"
+        )
+
+    def test_earliest_point_in_module_order_reports(self, monkeypatch):
+        late, early = DyadicPoint2(1, 1, 1), DyadicPoint2(2, 3, 3)
+        _corrupt_amplitudes(monkeypatch, {late, early})
+        assert self._sum_rules_detail() == "pair sums nonzero off the half lattice at (1/4, 3/8)"
+
+    def test_each_condition_keeps_its_wording(self, monkeypatch):
+        _corrupt_amplitudes(monkeypatch, {DyadicPoint2(1, 1, 1)})
+        assert self._sum_rules_detail() == "sum rule broken on the half lattice at (1/2, 1/2)"
