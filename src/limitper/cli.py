@@ -7,10 +7,15 @@ name or rule file) plus a legal seed, then either grow pattern windows
 ``--empirical``), enumerate the module itself (``module``), or run the named
 self-check suite (``verify``).
 
-``main`` resolves the system once and hands it to every step.  ``diffract``
-and ``module`` enumerate the module once as arrays (``dyadic.module_points``);
-``diffract`` then evaluates the closed forms (or the windowed sums) over the
-whole array and renders columns.
+``main`` parses the flags, resolves the system once and hands the parsed
+arguments and the system to the subcommand's handler.  Each handler reads
+and checks the flags it uses before it does any work; argparse holds the
+plain defaults, and the defaults that depend on the system (cutoff, region,
+window, weights) live in the one helper that uses them.  ``diffract`` and
+``module`` share ``_module``, which checks the cutoff flags and the region
+and enumerates the module once as arrays (``dyadic.module_points``);
+``diffract`` then evaluates the closed forms (or grows the window and takes
+the windowed sums) over the whole array and renders columns.
 
 Exit codes: 0 on success, 1 when verification fails, 2 for usage, parse and
 file errors.  All outputs are deterministic byte-for-byte.
@@ -31,7 +36,7 @@ import numpy as np
 from . import chair, numerics, period_doubling, render, subst, verification
 from .dyadic import module_points
 
-__all__ = ["main", "RunConfig", "UsageError"]
+__all__ = ["main", "UsageError"]
 
 _KNOWN_SUFFIXES = {".csv", ".svg", ".txt", ".pgm"}
 _PD_ALIASES = {"pd", "period_doubling", "period-doubling"}
@@ -105,26 +110,21 @@ def _parse_seed(system: subst.SubstitutionSystem, text: str) -> subst.PatternWin
         raise UsageError(f"seed letter {exc.args[0]!r} is not in the alphabet") from exc
 
 
-def _legal_seeds(system: subst.SubstitutionSystem):
-    """All legal seeds of a system, in alphabet order."""
+def _all_seeds(system: subst.SubstitutionSystem):
+    """Every seed over the alphabet, legal or not, in alphabet order."""
     letters = system.alphabet
     if system.dim == 1:
         for left, right in itertools.product(letters, repeat=2):
-            seed = subst.word_seed(system, left, right)
-            if subst.check_seed_legal(system, seed):
-                yield seed
+            yield subst.word_seed(system, left, right)
     else:
         for tl, tr, bl, br in itertools.product(letters, repeat=4):
-            seed = subst.block_seed(system, ((tl, tr), (bl, br)))
-            if subst.check_seed_legal(system, seed):
-                yield seed
+            yield subst.block_seed(system, ((tl, tr), (bl, br)))
 
 
 @dataclass(frozen=True)
 class ResolvedSystem:
     """A substitution system with a legal seed and its analytic status."""
 
-    source: str
     system: subst.SubstitutionSystem
     seed: subst.PatternWindow
     builtin: str | None
@@ -140,70 +140,31 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
     """
     lowered = name_or_path.strip().lower()
     if lowered in _PD_ALIASES:
-        base = period_doubling.doubled_system()
-        seed = _parse_seed(base, seed_spec) if seed_spec else period_doubling.seed()
-        resolved = ResolvedSystem("period_doubling", base, seed, "period_doubling")
+        builtin, base = "period_doubling", period_doubling.doubled_system()
+        seeds = [period_doubling.seed()]
     elif lowered == "chair":
-        base = chair.system()
-        seed = _parse_seed(base, seed_spec) if seed_spec else chair.seed()
-        resolved = ResolvedSystem("chair", base, seed, "chair")
+        builtin, base, seeds = "chair", chair.system(), [chair.seed()]
     else:
-        path = Path(name_or_path)
         try:
-            text = path.read_text()
+            text = Path(name_or_path).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read rule file {name_or_path!r}: {exc}") from exc
         try:
             base = subst.parse_rules(text)
         except subst.RuleError as exc:
             raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
-        if seed_spec:
-            seed = _parse_seed(base, seed_spec)
-            for exponent in (1, 2, 3):
-                candidate = base.power(exponent)
-                if subst.check_seed_legal(candidate, seed):
-                    return ResolvedSystem(name_or_path, candidate, seed, None)
-            raise UsageError(
-                f"seed {seed_spec!r} is not legal for this rule or its powers up to 3"
-            )
-        for exponent in (1, 2, 3):
-            candidate = base.power(exponent)
-            for seed in _legal_seeds(candidate):
-                return ResolvedSystem(name_or_path, candidate, seed, None)
-        raise UsageError("no legal seed found for this rule or its powers up to 3")
-    if not subst.check_seed_legal(resolved.system, resolved.seed):
+        builtin, seeds = None, None
+    if seed_spec:
+        seeds = [_parse_seed(base, seed_spec)]
+    for system in (base,) if builtin else (base.power(e) for e in (1, 2, 3)):
+        for seed in seeds or _all_seeds(system):
+            if subst.check_seed_legal(system, seed):
+                return ResolvedSystem(system, seed, builtin)
+    if builtin:
         raise UsageError(f"seed {seed_spec!r} is not legal for this system")
-    return resolved
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    system: str = "period_doubling"
-    seed: str | None = None
-    weights: tuple[complex, ...] | None = None
-    iterations: int = 2
-    window: int | None = None
-    cutoff: int | None = None
-    region: tuple[tuple[Fraction, Fraction], ...] | None = None
-    include_hi: bool = True
-    floor: float = 1e-8
-    out: str | None = None
-    format: str | None = None
-    empirical: bool = False
-    quick: bool = False
-    json: bool = False
-
-    def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise UsageError(f"negative iteration count: {self.iterations}")
-        if self.window is not None and self.window < 1:
-            raise UsageError(f"window half-width must be positive: {self.window}")
-        if self.cutoff is not None and self.cutoff < 0:
-            raise UsageError(f"negative module cutoff: {self.cutoff}")
-        if not self.floor >= 0:
-            raise UsageError(f"intensity floor must be nonnegative: {self.floor}")
+    if seed_spec:
+        raise UsageError(f"seed {seed_spec!r} is not legal for this rule or its powers up to 3")
+    raise UsageError("no legal seed found for this rule or its powers up to 3")
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +172,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _out_base(config: RunConfig, default: str) -> Path:
-    base = Path(config.out if config.out is not None else default)
+def _out_base(out: str) -> Path:
+    base = Path(out)
     if base.suffix.lower() in _KNOWN_SUFFIXES:
         base = base.with_suffix("")
     return base
@@ -229,29 +190,21 @@ def _write(path: Path, content: str, announce=None) -> None:
     print(path, file=announce)
 
 
-def _pick_formats(config: RunConfig, allowed: tuple[str, ...], default: tuple[str, ...]):
-    if config.format is None:
-        return default
-    if config.format not in allowed:
-        raise UsageError(
-            f"format {config.format!r} not supported here (choose from {', '.join(allowed)})"
-        )
-    return (config.format,)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(config: RunConfig, resolved: ResolvedSystem) -> int:
-    window = subst.fixed_point_window(resolved.system, resolved.seed, config.iterations)
-    letters = resolved.system.alphabet
-    base = _out_base(config, "pattern")
-    if resolved.system.dim == 1:
-        formats = _pick_formats(config, ("txt",), ("txt",))
-    else:
-        formats = _pick_formats(config, ("txt", "pgm"), ("pgm", "txt"))
+def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+    if args.iterations < 0:
+        raise UsageError(f"negative iteration count: {args.iterations}")
+    system = resolved.system
+    if system.dim == 1 and args.format == "pgm":
+        raise UsageError("format 'pgm' not supported here (choose from txt)")
+    formats = (args.format,) if args.format else ("txt",) if system.dim == 1 else ("pgm", "txt")
+    window = subst.fixed_point_window(system, resolved.seed, args.iterations)
+    letters = system.alphabet
+    base = _out_base(args.out)
     for fmt in formats:
         if fmt == "txt":
             _write(base.with_suffix(".txt"), render.window_text(window, letters))
@@ -279,48 +232,61 @@ def _weighted_sum(re: np.ndarray, im: np.ndarray, weights) -> np.ndarray:
     return total
 
 
-def _empirical_comb(config: RunConfig, resolved: ResolvedSystem, weights) -> numerics.WeightedComb:
-    """The weighted window [-N, N]^d grown by substitution from the resolved seed."""
+def _module(args: argparse.Namespace, resolved: ResolvedSystem):
+    """The module points of ``diffract`` and ``module`` with their region.
+
+    Checks the inflation factor, the cutoff flags and the region, applies
+    their defaults, and enumerates the module before any window is grown.
+    """
     system = resolved.system
     if system.factor & (system.factor - 1):
         raise UsageError(
-            "empirical diffraction needs a power-of-two inflation factor "
-            "(the wave-number module enumerated here is dyadic)"
+            "the wave-number module enumerated here is dyadic; it only matches "
+            "rules with a power-of-two inflation factor"
         )
-    half = config.window if config.window is not None else (1 << 20 if system.dim == 1 else 1024)
-    return numerics.WeightedComb(subst.centred_window(system, resolved.seed, half), weights)
-
-
-def _module(config: RunConfig, resolved: ResolvedSystem):
-    """The module points of ``diffract`` and ``module`` with their region, defaults applied."""
-    dim = resolved.system.dim
-    cutoff = config.cutoff if config.cutoff is not None else (8 if dim == 1 else 5)
-    region = config.region if config.region is not None else (
-        ((Fraction(0), Fraction(1)),) if dim == 1 else ((Fraction(-1), Fraction(1)),) * 2
-    )
+    if args.rmax is not None and args.smax is not None:
+        raise UsageError("pass either --rmax or --smax, not both")
+    if system.dim == 1 and args.smax is not None:
+        raise UsageError("--smax is for plane systems; use --rmax for chains")
+    if system.dim == 2 and args.rmax is not None:
+        raise UsageError("--rmax is for chains; use --smax for plane systems")
+    if system.dim == 1:
+        cutoff = 8 if args.rmax is None else args.rmax
+        region = ((Fraction(0), Fraction(1)),)
+    else:
+        cutoff = 5 if args.smax is None else args.smax
+        region = ((Fraction(-1), Fraction(1)),) * 2
+    if args.region:
+        region = parse_region(args.region, system.dim)
     try:
-        module = module_points(cutoff, region, include_hi=config.include_hi)
+        module = module_points(cutoff, region, include_hi=not args.half_open)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return module, region
 
 
-def cmd_diffract(config: RunConfig, resolved: ResolvedSystem) -> int:
-    dim = resolved.system.dim
-    letters = resolved.system.alphabet
-    weights = config.weights if config.weights is not None else (1,) * len(letters)
+def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+    system = resolved.system
+    letters = system.alphabet
+    weights = parse_weights(args.weights) if args.weights else (1,) * len(letters)
     if len(weights) != len(letters):
         raise UsageError(
             f"{len(weights)} weights for {len(letters)} letters; they must match"
         )
-    if resolved.builtin is None and not config.empirical:
+    if not args.floor >= 0:
+        raise UsageError(f"intensity floor must be nonnegative: {args.floor}")
+    if args.window is not None and args.window < 1:
+        raise UsageError(f"window half-width must be positive: {args.window}")
+    if resolved.builtin is None and not args.empirical:
         raise UsageError(
             "no closed forms for user rules; pass --empirical for windowed sums"
         )
-    comb = _empirical_comb(config, resolved, weights) if config.empirical else None
-    module, region = _module(config, resolved)
-    if comb is not None:
-        amplitudes = numerics.empirical_amplitudes(comb, module)
+    module, region = _module(args, resolved)
+    if args.empirical:
+        # The weighted window [-N, N]^d grown by substitution from the resolved seed.
+        half = args.window or (1 << 20 if system.dim == 1 else 1024)
+        window = subst.centred_window(system, resolved.seed, half)
+        amplitudes = numerics.empirical_amplitudes(numerics.WeightedComb(window, weights), module)
     else:
         closed_form = (
             period_doubling.amplitude_arrays
@@ -330,13 +296,13 @@ def cmd_diffract(config: RunConfig, resolved: ResolvedSystem) -> int:
         amplitudes = _weighted_sum(*closed_form(module), weights)
     # CPython's abs(complex) per point: numpy's need not round the same way.
     strength = np.array([abs(amp) ** 2 for amp in amplitudes.tolist()], dtype=np.float64)
-    kept = strength >= config.floor
+    kept = strength >= args.floor
     peaks = render.PeakTable(module.select(kept), amplitudes[kept], strength[kept])
-    base = _out_base(config, "peaks")
-    for fmt in _pick_formats(config, ("csv", "svg"), ("csv", "svg")):
+    base = _out_base(args.out)
+    for fmt in (args.format,) if args.format else ("csv", "svg"):
         if fmt == "csv":
             _write(base.with_suffix(".csv"), render.peaks_csv(peaks))
-        elif dim == 1:
+        elif system.dim == 1:
             _write(
                 base.with_suffix(".svg"),
                 render.stem_svg(peaks, region[0][0], region[0][1]),
@@ -346,22 +312,16 @@ def cmd_diffract(config: RunConfig, resolved: ResolvedSystem) -> int:
     return 0
 
 
-def cmd_module(config: RunConfig, resolved: ResolvedSystem) -> int:
-    if resolved.builtin is None and resolved.system.factor & (resolved.system.factor - 1):
-        raise UsageError(
-            "the wave-number module enumerated here is dyadic; it only matches "
-            "rules with a power-of-two inflation factor"
-        )
-    module, _ = _module(config, resolved)
-    base = _out_base(config, "module")
-    _write(base.with_suffix(".csv"), render.module_csv(module))
+def cmd_module(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+    module, _ = _module(args, resolved)
+    _write(_out_base(args.out).with_suffix(".csv"), render.module_csv(module))
     return 0
 
 
-def cmd_verify(config: RunConfig, resolved: ResolvedSystem | None) -> int:
-    results = verification.run_checks(quick=config.quick)
-    base = _out_base(config, "verify_report")
-    if config.json:
+def cmd_verify(args: argparse.Namespace, resolved: ResolvedSystem | None) -> int:
+    results = verification.run_checks(quick=args.quick)
+    base = _out_base(args.out)
+    if args.json:
         # stdout carries the JSON document alone; the file path goes to stderr.
         text = verification.report_json(results)
         print(text, end="")
@@ -404,12 +364,14 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     gen = commands.add_parser("generate", help="grow a fixed-point window")
+    gen.set_defaults(handler=cmd_generate)
     add_system(gen)
     gen.add_argument("--iterations", type=int, default=2, help="substitution passes from the seed")
-    gen.add_argument("--out", help="output base path (extensions are added)")
+    gen.add_argument("--out", default="pattern", help="output base path (extensions are added)")
     gen.add_argument("--format", choices=("txt", "pgm"), help="restrict to one output format")
 
     dif = commands.add_parser("diffract", help="write peak lists and figures")
+    dif.set_defaults(handler=cmd_diffract)
     add_system(dif)
     dif.add_argument("--weights", help="per-letter complex weights, e.g. 1,-1 or 1,i,-1,-i")
     add_module_flags(dif)
@@ -420,62 +382,25 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="estimate amplitudes from a finite window instead of closed forms",
     )
-    dif.add_argument("--out", help="output base path (extensions are added)")
+    dif.add_argument("--out", default="peaks", help="output base path (extensions are added)")
     dif.add_argument("--format", choices=("csv", "svg"), help="restrict to one output format")
 
     mod = commands.add_parser("module", help="enumerate wave-number module points")
+    mod.set_defaults(handler=cmd_module)
     add_system(mod)
     add_module_flags(mod)
-    mod.add_argument("--out", help="output base path (extensions are added)")
+    mod.add_argument("--out", default="module", help="output base path (extensions are added)")
 
     ver = commands.add_parser("verify", help="run the named self-check suite")
+    ver.set_defaults(handler=cmd_verify)
     ver.add_argument("--quick", action="store_true", help="small windows and cutoffs, a few seconds")
     ver.add_argument(
         "--json",
         action="store_true",
         help="print name, passed, elapsed_s and detail per check as JSON",
     )
-    ver.add_argument("--out", help="report base path (extensions are added)")
+    ver.add_argument("--out", default="verify_report", help="report base path (extensions are added)")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace, resolved: ResolvedSystem | None) -> RunConfig:
-    cutoff = None
-    region = None
-    include_hi = True
-    if hasattr(args, "rmax"):
-        if args.rmax is not None and args.smax is not None:
-            raise UsageError("pass either --rmax or --smax, not both")
-        cutoff = args.rmax if args.rmax is not None else args.smax
-        include_hi = not args.half_open
-    weights = parse_weights(args.weights) if getattr(args, "weights", None) else None
-    if getattr(args, "region", None):
-        region = parse_region(args.region, resolved.system.dim)
-    return RunConfig(
-        system=getattr(args, "system", "period_doubling"),
-        seed=getattr(args, "seed", None),
-        weights=weights,
-        iterations=getattr(args, "iterations", 2),
-        window=getattr(args, "window", None),
-        cutoff=cutoff,
-        region=region,
-        include_hi=include_hi,
-        floor=getattr(args, "floor", 1e-8),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", None),
-        empirical=getattr(args, "empirical", False),
-        quick=getattr(args, "quick", False),
-        json=getattr(args, "json", False),
-    )
-
-
-def _check_cutoff_axis(args: argparse.Namespace, resolved: ResolvedSystem | None) -> None:
-    if not hasattr(args, "rmax") or (args.rmax is None and args.smax is None):
-        return
-    if resolved.system.dim == 1 and args.smax is not None:
-        raise UsageError("--smax is for plane systems; use --rmax for chains")
-    if resolved.system.dim == 2 and args.rmax is not None:
-        raise UsageError("--rmax is for chains; use --smax for plane systems")
 
 
 def main(argv=None) -> int:
@@ -485,18 +410,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    handlers = {
-        "generate": cmd_generate,
-        "diffract": cmd_diffract,
-        "module": cmd_module,
-        "verify": cmd_verify,
-    }
     try:
         # Every subcommand but verify names a system; it is resolved once here.
         resolved = resolve_system(args.system, args.seed) if hasattr(args, "system") else None
-        config = _config_from_args(args, resolved)
-        _check_cutoff_axis(args, resolved)
-        return handlers[args.command](config, resolved)
+        return args.handler(args, resolved)
     except UsageError as exc:
         print(f"limitper: {exc}", file=sys.stderr)
         return 2

@@ -185,11 +185,12 @@ class PatternWindow:
         return (nx, ny)
 
     def label_at(self, pos) -> int:
-        if self.dim == 1:
-            x = pos if isinstance(pos, int) else pos[0]
-            return int(self.labels[x - self.origin[0]])
-        x, y = pos
-        return int(self.labels[y - self.origin[1], x - self.origin[0]])
+        """The label of one cell; ``ValueError`` if the cell is outside the patch."""
+        cell = (pos if isinstance(pos, int) else pos[0],) if self.dim == 1 else tuple(pos)
+        index = tuple(c - o for c, o in zip(cell, self.origin))[::-1]
+        if len(cell) != self.dim or any(not 0 <= i < n for i, n in zip(index, self.labels.shape)):
+            raise ValueError(f"cell {pos} is outside the patch")
+        return int(self.labels[index])
 
     def subwindow(self, origin: tuple[int, ...], extent: tuple[int, ...]) -> "PatternWindow":
         """The sub-patch with the given origin and per-axis extent."""
@@ -293,14 +294,31 @@ def fixed_point_window(
 
 
 def centred_window(system: SubstitutionSystem, seed: PatternWindow, half: int) -> PatternWindow:
-    """The cube [-N, N]^d of the fixed point, cut from the smallest grown window holding it."""
+    """The cube [-N, N]^d of the fixed point, grown only where it reaches the cube.
+
+    It takes the n passes with b^n >= N + 1 that ``fixed_point_window``
+    takes, but before each pass it trims the window to the parent cells whose
+    images meet [-N, N]^d: at k passes still to go, the cells
+    floor(-N / b^k) .. floor(N / b^k) per axis.  The last pass expands fewer
+    than 2N/b + 2 cells per axis, so the returned view keeps a base of at
+    most (2N + 2b)^d cells alive instead of (2 b^n)^d.
+    """
     if half < 0:
         raise ValueError(f"negative half-width: {half}")
-    iterations = 0
-    while system.factor**iterations < half + 1:
-        iterations += 1
-    grown = fixed_point_window(system, seed, iterations)
-    return grown.subwindow((-half,) * system.dim, (2 * half + 1,) * system.dim)
+    if not check_seed_legal(system, seed):
+        raise ValueError("seed is not legal for this system (no fixed point through it)")
+    b = system.factor
+    scale = 1
+    while scale < half + 1:
+        scale *= b
+    # Every axis covers the same cells, starting at `origin`.
+    labels, origin = seed.labels, -1
+    while True:
+        lo, hi = -half // scale, half // scale
+        labels = labels[(slice(lo - origin, hi - origin + 1),) * system.dim]
+        if scale == 1:
+            return PatternWindow((-half,) * system.dim, labels)
+        labels, origin, scale = _expand_labels(system, labels), lo * b, scale // b
 
 
 def _nullspace_vector(rows: list[list[Fraction]]) -> list[Fraction]:

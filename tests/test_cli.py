@@ -647,6 +647,146 @@ a -> a a a
 """
 
 
+_NO_SEED_RULE = """\
+kind = word
+factor = 2
+alphabet = a b c d
+a -> b b
+b -> c c
+c -> d d
+d -> a a
+"""
+
+_BROKEN_RULE = "kind = word\nfactor = 2\nalphabet = a\na -> a\n"
+
+# One flag wrong per argv, with the exact line each prints to stderr; RULES is
+# the directory of the rule files written by the test.
+_ERROR_TABLE = [
+    (["diffract", "--weights", "1,x"], "bad complex weight 'x'"),
+    (["diffract", "--weights", "1,"], "empty weight in '1,'"),
+    (["diffract", "--weights", "1,2,3"], "3 weights for 2 letters; they must match"),
+    (["diffract", "--system", "chair", "--weights", "1,1"], "2 weights for 4 letters; they must match"),
+    (["diffract", "--region", "0,1,2"], "a chain region is lo,hi"),
+    (["diffract", "--region", "1,0"], "region bound 1 exceeds 0"),
+    (["diffract", "--region", "a,b"], "bad region 'a,b'"),
+    (
+        ["generate", "--system", "/no/such/rules.sub"],
+        "cannot read rule file '/no/such/rules.sub': "
+        "[Errno 2] No such file or directory: '/no/such/rules.sub'",
+    ),
+    (["generate", "--seed", "b|b"], "seed 'b|b' is not legal for this system"),
+    (["generate", "--seed", "b"], "a chain seed is written left|right, got 'b'"),
+    (
+        ["generate", "--system", "chair", "--seed", "0 0 / 0 0"],
+        "seed '0 0 / 0 0' is not legal for this system",
+    ),
+    (["generate", "--iterations", "-1"], "negative iteration count: -1"),
+    (["diffract", "--window", "0", "--empirical"], "window half-width must be positive: 0"),
+    (["diffract", "--floor=-1"], "intensity floor must be nonnegative: -1.0"),
+    (["module", "--smax", "1"], "--smax is for plane systems; use --rmax for chains"),
+    (["module", "--system", "chair", "--rmax", "1"], "--rmax is for chains; use --smax for plane systems"),
+    (["diffract", "--system", "chair", "--rmax", "1"], "--rmax is for chains; use --smax for plane systems"),
+    (["module", "--rmax", "1", "--smax", "1"], "pass either --rmax or --smax, not both"),
+    # Rejected by two checks at one time; the dyadic module's check is the one left.
+    (["module", "--rmax", "-1"], "negative denominator cutoff: -1"),
+    (
+        ["diffract", "--rmax", "62", "--region=0,2"],
+        "module numerator 9223372036854775808 at denominator 2^62 is outside "
+        "the int64 range [-2^63, 2^63 - 1]",
+    ),
+    (
+        ["module", "--rmax", "62", "--region=-3,0"],
+        "module numerator -13835058055282163712 at denominator 2^62 is outside "
+        "the int64 range [-2^63, 2^63 - 1]",
+    ),
+    (
+        ["module", "--system", "chair", "--smax", "63", "--region=0,1/1000000"],
+        "module points reach denominator 2^63; the array routes stop at 2^62",
+    ),
+    (
+        ["module", "--rmax", "40", "--region", "0,1"],
+        "the box holds 1099511627777 module points; the array routes stop at 16777216",
+    ),
+    (
+        ["module", "--system", "RULES/tripling.sub"],
+        "the wave-number module enumerated here is dyadic; it only matches rules "
+        "with a power-of-two inflation factor",
+    ),
+    # Rejected by two checks at one time; the module's factor check is the one left.
+    (
+        ["diffract", "--system", "RULES/tripling.sub", "--empirical", "--window", "64"],
+        "the wave-number module enumerated here is dyadic; it only matches rules "
+        "with a power-of-two inflation factor",
+    ),
+    (
+        ["generate", "--system", "RULES/broken.sub"],
+        "bad rule file 'RULES/broken.sub': line 4: rule 'a': non-constant length "
+        "(expected 2 letters, got 1)",
+    ),
+    (
+        ["diffract", "--system", "RULES/doubling.sub"],
+        "no closed forms for user rules; pass --empirical for windowed sums",
+    ),
+    (
+        ["generate", "--system", "RULES/doubling.sub", "--seed", "b|b"],
+        "seed 'b|b' is not legal for this rule or its powers up to 3",
+    ),
+    (
+        ["generate", "--system", "RULES/no_seed.sub"],
+        "no legal seed found for this rule or its powers up to 3",
+    ),
+    (["generate", "--format", "pgm"], "format 'pgm' not supported here (choose from txt)"),
+]
+
+
+class TestErrorTable:
+    """Each single-error argv exits 2 with its own stderr line and writes nothing."""
+
+    @pytest.fixture
+    def rules(self, tmp_path):
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        for name, text in (
+            ("doubling", _CUSTOM_RULE),
+            ("tripling", _TRIPLING_RULE),
+            ("broken", _BROKEN_RULE),
+            ("no_seed", _NO_SEED_RULE),
+        ):
+            (rules / f"{name}.sub").write_text(text)
+        return str(rules)
+
+    @pytest.mark.parametrize("argv, message", _ERROR_TABLE)
+    def test_exit_code_and_message(self, argv, message, rules, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [arg.replace("RULES", rules) for arg in argv]
+        assert cli.main(argv + ["--out", str(out / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"limitper: {message.replace('RULES', rules)}\n"
+        assert captured.out == ""
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rmax", "62", "--region=0,2"],
+            ["--system", "chair", "--smax", "63", "--region=0,1/1000000"],
+            ["--system", "chair", "--smax", "7", "--region=-1000,1000"],
+            ["--system", "chair", "--rmax", "2"],
+            ["--region", "1,0"],
+            ["--system", "RULES/tripling.sub"],
+        ],
+    )
+    def test_invalid_module_grows_no_window(self, argv, rules, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a window was grown before the module was checked")
+
+        monkeypatch.setattr(subst, "centred_window", refuse)
+        argv = ["diffract", "--empirical"] + [arg.replace("RULES", rules) for arg in argv]
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("limitper: ")
+
+
 class TestRuleFiles:
     def test_generate_from_file_finds_a_seed(self, tmp_path):
         rules = tmp_path / "doubling.sub"

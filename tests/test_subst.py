@@ -213,6 +213,18 @@ class TestPatterns:
         assert window.label_at((-1, 0)) == 2
         assert window.label_at((0, 0)) == 3
 
+    def test_label_at_outside_the_patch(self):
+        chain = subst.PatternWindow((-4,), np.arange(8, dtype=np.uint8))
+        assert chain.label_at(-4) == 0 and chain.label_at((3,)) == 7
+        for cell in (-5, 4, (-6,), (100,)):
+            with pytest.raises(ValueError, match="outside the patch"):
+                chain.label_at(cell)
+        block = subst.PatternWindow((-2, -2), np.arange(16, dtype=np.uint8).reshape(4, 4))
+        assert block.label_at((1, -2)) == 3 and block.label_at((-2, 1)) == 12
+        for cell in ((-3, -3), (2, 0), (0, 2), (-3, 0), (0, -3)):
+            with pytest.raises(ValueError, match="outside the patch"):
+                block.label_at(cell)
+
     def test_subwindow_bounds(self):
         window = subst.PatternWindow((0,), np.arange(8, dtype=np.uint8))
         sub = window.subwindow((2,), (3,))
@@ -317,3 +329,89 @@ class TestPatterns:
         counts = np.bincount(window.labels.ravel(), minlength=4)
         freqs = counts / window.labels.size
         assert np.all(np.abs(freqs - 0.25) <= 0.01)
+
+
+# ---------------------------------------------------------------------------
+# Centred windows grown only where they reach the cube
+# ---------------------------------------------------------------------------
+
+_TRIPLING_WORD = """\
+kind = word
+factor = 3
+alphabet = a b
+a -> a b a
+b -> b b a
+"""
+
+_TRIPLING_BLOCK = """\
+kind = block
+factor = 3
+alphabet = p q
+p ->
+  p q p
+  q p q
+  p q p
+q ->
+  q p q
+  p p p
+  q p q
+"""
+
+
+def _centred_cases():
+    chair = subst.bundled_system("chair")
+    squared = _doubling().power(2)
+    word = subst.parse_rules(_TRIPLING_WORD)
+    block = subst.parse_rules(_TRIPLING_BLOCK)
+    cases = [
+        (squared, subst.word_seed(squared, "a", "a")),
+        (squared, subst.word_seed(squared, "b", "a")),
+        (word, subst.word_seed(word, "a", "a")),
+        (block, subst.block_seed(block, (("p", "q"), ("q", "p")))),
+    ]
+    for tl, tr, bl, br in itertools.product("13", "02", "02", "13"):
+        cases.append((chair, subst.block_seed(chair, ((tl, tr), (bl, br)))))
+    return cases
+
+
+@st.composite
+def _half_widths(draw, factor, dim):
+    # b^n - 1, b^n and b^n + 1 are where the number of passes changes.
+    top = {1: {2: 10, 3: 6, 4: 5}, 2: {2: 7, 3: 4}}[dim][factor]
+    edge = st.builds(
+        lambda n, step: max(0, factor**n + step),
+        st.integers(min_value=0, max_value=top),
+        st.sampled_from((-1, 0, 1)),
+    )
+    return draw(st.one_of(edge, st.integers(min_value=0, max_value=factor**top)))
+
+
+class TestCentredWindow:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_cut_of_the_whole_grown_window(self, data):
+        system, seed = data.draw(st.sampled_from(_centred_cases()))
+        half = data.draw(_half_widths(system.factor, system.dim))
+        iterations = 0
+        while system.factor**iterations < half + 1:
+            iterations += 1
+        cube = ((-half,) * system.dim, (2 * half + 1,) * system.dim)
+        expected = subst.fixed_point_window(system, seed, iterations).subwindow(*cube)
+        window = subst.centred_window(system, seed, half)
+        assert window == expected
+        base = window.labels if window.labels.base is None else window.labels.base
+        assert base.size <= (2 * half + 1 + 2 * system.factor) ** system.dim
+
+    def test_zero_half_width_is_the_origin_cell(self):
+        chair = subst.bundled_system("chair")
+        seed = subst.block_seed(chair, (("3", "0"), ("2", "1")))
+        window = subst.centred_window(chair, seed, 0)
+        assert window.origin == (0, 0)
+        assert window.labels.tolist() == [[seed.label_at((0, 0))]]
+
+    def test_errors(self):
+        squared = _doubling().power(2)
+        with pytest.raises(ValueError, match="negative half-width"):
+            subst.centred_window(squared, subst.word_seed(squared, "a", "a"), -1)
+        with pytest.raises(ValueError, match="not legal"):
+            subst.centred_window(squared, subst.word_seed(squared, "b", "b"), 4)
