@@ -11,7 +11,9 @@ of the same object live here:
   subtracting the parity offset and halving either exits on a sublattice
   test or walks down the hierarchy.  The two diagonal rays per sublattice
   are 2-adic limit points where the walk would stall; they are matched
-  first and carry the seed colours outward.
+  first and carry the seed colours outward.  ``label_grid`` reads the round
+  where that walk exits off the bits of x ^ y, one window test per cell on
+  its 2-adic image.
 
 * ``coset_amplitude`` is the exact Fourier coefficient of one hierarchy
   layer: the union of 2^(r+1)-scaled odd-sublattice cosets stepped along a
@@ -116,60 +118,63 @@ def label(point: tuple[int, int]) -> int:
         x, y = hx, hy
 
 
-# Rows per band in ``label_grid``: the working set is a few int64 arrays of
-# one band, whatever the grid height.
+# Rows per band in ``label_grid``: the working set is a few arrays of one
+# band, whatever the grid height.
 _BAND_ROWS = 256
+
+
+def _coordinate_dtype(lo: int, hi: int) -> type:
+    """The smallest signed integer dtype holding every integer in [lo, hi]."""
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return np.int64
 
 
 def label_grid(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> np.ndarray:
     """Colours on [x_lo, x_hi) x [y_lo, y_hi) as a uint8 array [iy, ix].
 
-    Vectorised form of ``label``, one band of rows at a time: all cells of a
-    band walk their halving chains in lock step, and each round carries on
-    only with the cells still open, whose share about halves per round.
-    Valid for every int64 cell: -2^63 <= x_lo, y_lo and x_hi, y_hi <= 2^63,
-    else ``ValueError``.  The sums x + y may wrap there, but the walk reads
-    only their parity and the test x + y == -1, which wrapping keeps exact.
+    The halving walk of ``label`` as one window test per cell on the bits of
+    the cell's 2-adic image, one band of rows at a time.  Let d = x ^ y and
+    e = d ^ (d >> 1), with an arithmetic shift.  After j halvings the cell
+    is (x >> j, y >> j): its sublattice parity is bit j of d, and that of
+    its halved cell is bit j + 1 of d, so bit j of e is set exactly when the
+    walk exits at round j.  It lies on a diagonal ray exactly when
+    d >> j is 0 (x == y) or -1 (x + y == -1), that is, when e has no bit at
+    j or above.  So the walk exits at the lowest set bit lb = e & -e, before
+    any ray, with the colour [d & lb != 0] + 2 [x & lb != 0]: the
+    sublattice parity, plus 2 for an odd x at the exit.  A cell with e = 0
+    is on a ray from the start and has the colour (d & 1) + 2 [x < 0].  The
+    sign bit of e is always clear (the shift copies it), so setting it there
+    makes lb the sign bit on the rays, where the same rule then reads
+    [d < 0] + 2 [x < 0], that colour, since d is 0 or -1.
+
+    The cells work in the smallest signed dtype holding the grid's
+    coordinates (int16, int32 or int64).  Valid for every int64 cell:
+    -2^63 <= x_lo, y_lo and x_hi, y_hi <= 2^63, else ``ValueError``.
     """
     if x_hi <= x_lo or y_hi <= y_lo:
         raise ValueError("empty grid")
     if min(x_lo, y_lo) < -(1 << 63) or max(x_hi, y_hi) > 1 << 63:
         raise ValueError("grid cells leave the int64 range")
+    dtype = _coordinate_dtype(min(x_lo, y_lo), max(x_hi, y_hi) - 1)
+    sign_bit = np.iinfo(dtype).min
     out = np.empty((y_hi - y_lo, x_hi - x_lo), dtype=np.uint8)
-    xs = np.arange(x_lo, x_hi, dtype=np.int64)
-    bound = max(abs(x_lo), abs(x_hi), abs(y_lo), abs(y_hi))
-    max_rounds = 2 * int(bound).bit_length() + 8
+    xs = np.arange(x_lo, x_hi, dtype=np.int64).astype(dtype)
     for row in range(0, out.shape[0], _BAND_ROWS):
         ys = np.arange(y_lo + row, min(y_lo + row + _BAND_ROWS, y_hi), dtype=np.int64)
-        band = out[row : row + ys.size].reshape(-1)
-        _walk_chains(np.tile(xs, ys.size), np.repeat(ys, xs.size), band, max_rounds)
+        d = xs ^ ys.astype(dtype)[:, None]
+        e = d >> 1
+        e ^= d
+        e |= sign_bit
+        lb = -e
+        lb &= e
+        band = out[row : row + ys.size]
+        np.left_shift((xs & lb) != 0, 1, out=band, dtype=np.uint8)
+        d &= lb
+        band |= d != 0
     return out
-
-
-def _walk_chains(x: np.ndarray, y: np.ndarray, out: np.ndarray, max_rounds: int) -> None:
-    """Write the colour of cell (x[i], y[i]) to out[i] for every i.
-
-    The rules of ``label`` in parity form: a cell is decided when it lies on
-    a diagonal ray or when x + y and hx + hy differ in parity; its colour is
-    the sublattice parity (x + y) mod 2 plus 2 for x < 0 on a ray, or for
-    odd x at an exit.
-    """
-    index = np.arange(x.size)
-    for _ in range(max_rounds):
-        if not index.size:
-            return
-        s = x + y
-        hx, hy = x >> 1, y >> 1
-        on_ray = (x == y) | (s == -1)
-        done = on_ray | ((s + hx + hy) & 1).astype(bool)
-        # x >> 63 is -1 (odd) exactly when x < 0.
-        colour_bit = np.where(on_ray, x >> 63, x) & 1
-        colour = (s & 1) + 2 * colour_bit
-        out[index[done]] = colour[done]
-        keep = ~done
-        index, x, y = index[keep], hx[keep], hy[keep]
-    if index.size:
-        raise AssertionError("halving chains failed to resolve")
 
 
 def coset_amplitude(level: int, step: tuple[int, int], k: DyadicPoint2) -> complex:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chair, numerics, period_doubling, render, subst, verification
-from .dyadic import module_points
+from .dyadic import MAX_CELLS, MAX_COUNTS, module_points
 
 __all__ = ["main", "UsageError"]
 
@@ -201,6 +201,16 @@ def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     system = resolved.system
     if system.dim == 1 and args.format == "pgm":
         raise UsageError("format 'pgm' not supported here (choose from txt)")
+    # Seeds are 2 cells wide; past 64 passes the window is over the bound anyway.
+    side = 2 * system.factor ** min(args.iterations, 64)
+    if side**system.dim > MAX_CELLS:
+        size = f"2*{system.factor}^{args.iterations}"
+        if system.dim > 1:
+            size = f"({size})^{system.dim}"
+        raise UsageError(
+            f"the window after {args.iterations} iterations has {size} cells; "
+            f"the CLI grows at most {MAX_CELLS}"
+        )
     formats = (args.format,) if args.format else ("txt",) if system.dim == 1 else ("pgm", "txt")
     window = subst.fixed_point_window(system, resolved.seed, args.iterations)
     letters = system.alphabet
@@ -265,6 +275,25 @@ def _module(args: argparse.Namespace, resolved: ResolvedSystem):
     return module, region
 
 
+def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
+    """Refuse a window or a residue-count table over the CLI's bounds, before either exists.
+
+    The window [-N, N]^d has (2N + 1)^d cells; the count table has
+    letters x 2^(s d) entries at the finest level s of the module.
+    """
+    cells = (2 * half + 1) ** dim
+    if cells > MAX_CELLS:
+        box = f"[-{half}, {half}]" + (f"^{dim}" if dim > 1 else "")
+        raise UsageError(f"the window {box} has {cells} cells; the CLI grows at most {MAX_CELLS}")
+    level = int(module.exponents.max(initial=0))
+    entries = letters << (level * dim)
+    if entries > MAX_COUNTS:
+        raise UsageError(
+            f"the count table at denominator 2^{level} has {letters} x 2^{level * dim} = "
+            f"{entries} entries; the CLI counts at most {MAX_COUNTS}"
+        )
+
+
 def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     system = resolved.system
     letters = system.alphabet
@@ -285,6 +314,7 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     if args.empirical:
         # The weighted window [-N, N]^d grown by substitution from the resolved seed.
         half = args.window or (1 << 20 if system.dim == 1 else 1024)
+        _check_empirical_size(half, module, len(letters), system.dim)
         window = subst.centred_window(system, resolved.seed, half)
         amplitudes = numerics.empirical_amplitudes(numerics.WeightedComb(window, weights), module)
     else:

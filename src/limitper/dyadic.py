@@ -34,6 +34,8 @@ __all__ = [
     "ZERO_TOL",
     "MAX_LEVEL",
     "MAX_POINTS",
+    "MAX_CELLS",
+    "MAX_COUNTS",
     "Dyadic",
     "DyadicPoint2",
     "Module",
@@ -54,6 +56,15 @@ MAX_LEVEL = 62
 # The most points ``module_points`` enumerates: 2^24, over a hundred times the
 # largest box the CLI sweeps use, and under 0.5 GB of columns in the plane.
 MAX_POINTS = 1 << 24
+# The most cells of a pattern window the CLI grows (``generate`` and
+# ``diffract --empirical``): 2^24, four times the 2049^2 window of a default
+# chair run, 16 MB of uint8 labels.
+MAX_CELLS = 1 << 24
+# The most entries of the residue-count table of ``diffract --empirical``,
+# letters x 2^(s d) at the finest level s present: 2^22, the default windows'
+# deepest levels (chain r <= 21, chair s <= 10), about 100 MB with the
+# table's complex transform.
+MAX_COUNTS = 1 << 22
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _TWO_PI = 2.0 * math.pi

@@ -50,6 +50,9 @@ __all__ = [
     "approximant_amplitudes_chair",
 ]
 
+# Cells per band of ``WeightedComb.residue_counts``: 2 MB of int64 keys.
+_BAND_CELLS = 1 << 18
+
 # e^{2 pi i j / 4} for j = 0 .. 3, exact.
 _QUARTER_TURNS = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
@@ -107,24 +110,42 @@ class WeightedComb:
 
         Shape (len(weights), modulus) in one dimension and
         (len(weights), modulus, modulus) in two, the residues ordered
-        (y mod modulus, x mod modulus).  One ``bincount`` over the window.
+        (y mod modulus, x mod modulus).  The int64 keys
+        (label, residues) are built one band of the window at a time, at
+        least ``_BAND_CELLS`` cells and at least the table's size, and each
+        band's ``bincount`` is added into the table, so the scratch stays a
+        few bands' worth whatever the window.
         """
         key = ("counts", modulus)
         counts = self._label_data.get(key)
         if counts is not None:
             return counts
-        n_labels = len(self.weights)
-        residues = np.arange(-self.half, self.half + 1, dtype=np.int64) % modulus
-        keys = self.window.labels.astype(np.int64)
-        keys *= modulus
-        if self.dim == 1:
-            keys += residues
-        else:
-            keys += residues[:, None]
+        entries = len(self.weights) * modulus**self.dim
+        labels = self.window.labels
+        size = 2 * self.half + 1
+        # Bands are slices of the leading axis: cells in 1D, rows (y) in 2D.
+        step = max(1, max(_BAND_CELLS, entries) // size ** (self.dim - 1))
+        if self.dim == 2:
+            columns = np.arange(-self.half, self.half + 1, dtype=np.int64) % modulus
+        counts = None
+        for start in range(0, size, step):
+            stop = min(start + step, size)
+            rows = np.arange(start - self.half, stop - self.half, dtype=np.int64)
+            rows %= modulus
+            keys = labels[start:stop].astype(np.int64)
             keys *= modulus
-            keys += residues[None, :]
-        counts = np.bincount(keys.ravel(), minlength=n_labels * modulus**self.dim)
-        counts = counts.reshape((n_labels,) + (modulus,) * self.dim)
+            if self.dim == 1:
+                keys += rows
+            else:
+                keys += rows[:, None]
+                keys *= modulus
+                keys += columns
+            band_counts = np.bincount(keys.ravel(), minlength=entries)
+            if counts is None:
+                counts = band_counts
+            else:
+                counts += band_counts
+        counts = counts.reshape((len(self.weights),) + (modulus,) * self.dim)
         self._label_data[key] = counts
         return counts
 

@@ -4,7 +4,8 @@ The chain is the bi-infinite fixed point, under the squared rule, of
 a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
 
 * letter membership comes from the residue-class solution of the fixed
-  point equations (b sits exactly on the classes 2*4^(i-1) - 1 mod 4^i),
+  point equations (b sits exactly on the classes 2*4^(i-1) - 1 mod 4^i,
+  the n with v_2(n + 1) odd, which ``label_window`` tests bit-wise),
 * the two-valued autocorrelation follows its halving recursion in rational
   arithmetic,
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
@@ -54,6 +55,9 @@ LETTER_B = 1
 
 ALPHABET = ("a", "b")
 
+# The bits at odd positions 1, 3, ..., 63 of a 64-bit word.
+_ODD_BITS = 0xAAAAAAAAAAAAAAAA
+
 
 @lru_cache(maxsize=None)
 def system() -> subst.SubstitutionSystem:
@@ -95,23 +99,26 @@ def label(n: int) -> int:
 def label_window(lo: int, hi: int) -> np.ndarray:
     """Labels for the positions lo..hi-1 as a uint8 array (vectorised `label`).
 
-    Valid for every int64 position: -2^63 <= lo <= hi <= 2^63, else
-    ``ValueError``.  The moduli 4^i reach 2^64 there, so residues are read
-    from the positions' two's-complement bits as uint64.
+    The congruence scan of ``label`` as one window test per cell on its
+    2-adic image x = n + 1.  The classes 2*4^(i-1) - 1 mod 4^i are the n
+    with v_2(n + 1) = 2i - 1, so a cell carries b exactly when the lowest
+    set bit x & -x sits at an odd position, that is, meets the mask
+    0xAAAAAAAAAAAAAAAA.  The cell n = -1 gives x = 0, with no set bit, and
+    carries a.  Valid for every int64 position: -2^63 <= lo <= hi <= 2^63,
+    else ``ValueError``.  x is taken mod 2^64 on the uint64 view of the
+    positions, whose low bits are the same.
     """
     if hi < lo:
         raise ValueError(f"empty range: [{lo}, {hi})")
     if lo < -(1 << 63) or hi > 1 << 63:
         raise ValueError(f"positions [{lo}, {hi}) leave the int64 range")
-    # Bits of x mod 2^64; every modulus is a power of two up to 2^64.
-    positions = np.arange(lo, hi, dtype=np.int64).view(np.uint64)
-    out = np.zeros(positions.shape, dtype=np.uint8)
-    bound = 2 * (max(abs(lo), abs(hi)) + 1)
-    modulus = 4
-    while modulus <= bound:
-        out[positions & np.uint64(modulus - 1) == np.uint64(modulus // 2 - 1)] = LETTER_B
-        modulus *= 4
-    return out
+    x = np.arange(lo, hi, dtype=np.int64).view(np.uint64)
+    x += np.uint64(1)
+    low_bit = -x
+    low_bit &= x
+    low_bit &= np.uint64(_ODD_BITS)
+    # False and True read as LETTER_A and LETTER_B.
+    return (low_bit != 0).view(np.uint8)
 
 
 def autocorr_balanced(shift: int) -> Fraction:

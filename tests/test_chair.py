@@ -7,6 +7,8 @@ period box.  The closed amplitude formulas are then checked against summed
 layers, against pinned values, and against every identity they must satisfy.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -95,6 +97,66 @@ def _edge_rectangles(draw):
     return x_lo, min(x_lo + width, _TOP + 1), y_lo, min(y_lo + height, _TOP + 1)
 
 
+# Where ``label_grid`` moves from int16 to int32 and from int32 to int64.
+_SWITCHES = (1 << 15, 1 << 31)
+
+
+@st.composite
+def _switch_rectangles(draw):
+    """Rectangles with a corner within a few cells of +-2^15 or +-2^31.
+
+    Some reach the last coordinate of a dtype and some the first past it;
+    y sits at a switch too, near 0, or so that the rectangle meets a ray.
+    Heights cross a band edge as often as not.
+    """
+    bound = draw(st.sampled_from(_SWITCHES))
+
+    def near_switch():
+        return draw(st.sampled_from((bound, -bound))) + draw(st.integers(-6, 6))
+
+    width = draw(st.integers(min_value=1, max_value=6))
+    height = draw(
+        st.one_of(
+            st.integers(1, 6),
+            st.integers(_BAND - 3, _BAND + 3),
+            st.integers(2 * _BAND - 2, 2 * _BAND + 2),
+        )
+    )
+    x_lo = near_switch()
+    where = draw(st.sampled_from(("switch", "origin", "diagonal", "antidiagonal")))
+    if where == "switch":
+        y_lo = near_switch()
+    elif where == "origin":
+        y_lo = draw(st.integers(-8, 8))
+    else:
+        y_lo = x_lo if where == "diagonal" else -1 - x_lo
+        y_lo -= draw(st.integers(0, height - 1))
+    if draw(st.booleans()):
+        return y_lo, y_lo + height, x_lo, x_lo + width
+    return x_lo, x_lo + width, y_lo, y_lo + height
+
+
+@st.composite
+def _two_ray_rectangles(draw):
+    """Rectangles holding cells of both rays, x == y and x + y == -1, with x at t.
+
+    The rays meet x = t at y = t and y = -1 - t, so the height is at least
+    |2t + 1| + 1 and crosses band edges for |t| past _BAND / 2.
+    """
+    t = draw(st.integers(min_value=-_BAND - 8, max_value=_BAND + 8))
+    width = draw(st.integers(min_value=1, max_value=4))
+    below = draw(st.integers(0, 3))
+    above = draw(st.integers(0, 3))
+    x_lo = t - draw(st.integers(0, width - 1))
+    y_lo = min(t, -1 - t) - below
+    return x_lo, x_lo + width, y_lo, max(t, -1 - t) + above + 1
+
+
+def _pointwise(rect) -> list[list[int]]:
+    x_lo, x_hi, y_lo, y_hi = rect
+    return [[chair.label((x, y)) for x in range(x_lo, x_hi)] for y in range(y_lo, y_hi)]
+
+
 # ---------------------------------------------------------------------------
 # Labels
 # ---------------------------------------------------------------------------
@@ -161,6 +223,43 @@ class TestLabels:
         x_lo, x_hi, y_lo, y_hi = rect
         expected = [[chair.label((x, y)) for x in range(x_lo, x_hi)] for y in range(y_lo, y_hi)]
         assert chair.label_grid(*rect).tolist() == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(_switch_rectangles())
+    @example(((1 << 15) - 3, 1 << 15, (1 << 15) - 2, 1 << 15))
+    @example(((1 << 15) - 3, (1 << 15) + 1, -2, 2))
+    @example((-(1 << 15), -(1 << 15) + 3, -(1 << 15), -(1 << 15) + 2))
+    @example((-(1 << 15) - 1, -(1 << 15) + 2, 1 << 15, (1 << 15) + 1))
+    @example(((1 << 31) - 3, (1 << 31) + 1, -(1 << 31) - 1, -(1 << 31) + 2))
+    @example((-(1 << 31), -(1 << 31) + 2, (1 << 31) - 2, 1 << 31))
+    def test_grid_matches_pointwise_labels_at_the_dtype_switches(self, rect):
+        assert chair.label_grid(*rect).tolist() == _pointwise(rect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_two_ray_rectangles())
+    @example((-1, 1, -1, 1))
+    @example((_BAND // 2, _BAND // 2 + 1, -_BAND // 2 - 1, _BAND // 2 + 1))
+    @example((-_BAND, -_BAND + 3, -_BAND, _BAND))
+    def test_grid_matches_pointwise_labels_through_both_rays(self, rect):
+        assert chair.label_grid(*rect).tolist() == _pointwise(rect)
+
+    def test_coordinate_dtype_is_the_smallest_that_holds_the_grid(self):
+        assert chair._coordinate_dtype(-(1 << 15), (1 << 15) - 1) is np.int16
+        assert chair._coordinate_dtype(-(1 << 15) - 1, 0) is np.int32
+        assert chair._coordinate_dtype(0, 1 << 15) is np.int32
+        assert chair._coordinate_dtype(-(1 << 31), (1 << 31) - 1) is np.int32
+        assert chair._coordinate_dtype(-(1 << 31) - 1, 0) is np.int64
+        assert chair._coordinate_dtype(0, 1 << 31) is np.int64
+
+    def test_grid_memory_stays_within_a_few_bands(self):
+        tracemalloc.start()
+        try:
+            grid = chair.label_grid(-1024, 1025, -1024, 1025)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (2049, 2049)
+        assert peak < 16 << 20
 
     def test_grid_rejects_cells_past_int64(self):
         with pytest.raises(ValueError, match="int64"):

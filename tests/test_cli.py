@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fractions import Fraction
@@ -661,6 +662,37 @@ _BROKEN_RULE = "kind = word\nfactor = 2\nalphabet = a\na -> a\n"
 
 # One flag wrong per argv, with the exact line each prints to stderr; RULES is
 # the directory of the rule files written by the test.
+# Inputs whose window or count table would outgrow the CLI's bounds, with
+# the sizes they state.
+_REFUSALS = [
+    (
+        ["generate", "--system", "pd", "--iterations", "40"],
+        "the window after 40 iterations has 2*4^40 cells; the CLI grows at most 16777216",
+    ),
+    (
+        ["generate", "--system", "chair", "--iterations", "12"],
+        "the window after 12 iterations has (2*2^12)^2 cells; the CLI grows at most 16777216",
+    ),
+    (
+        ["diffract", "--system", "chair", "--empirical", "--window", "100000"],
+        "the window [-100000, 100000]^2 has 40000400001 cells; the CLI grows at most 16777216",
+    ),
+    (
+        ["diffract", "--empirical", "--window", "8388608"],
+        "the window [-8388608, 8388608] has 16777217 cells; the CLI grows at most 16777216",
+    ),
+    (
+        ["diffract", "--system", "chair", "--empirical", "--smax", "13", "--region", "0,0.001"],
+        "the count table at denominator 2^13 has 4 x 2^26 = 268435456 entries; "
+        "the CLI counts at most 4194304",
+    ),
+    (
+        ["diffract", "--empirical", "--rmax", "22", "--region", "0,1/1024"],
+        "the count table at denominator 2^22 has 2 x 2^22 = 8388608 entries; "
+        "the CLI counts at most 4194304",
+    ),
+]
+
 _ERROR_TABLE = [
     (["diffract", "--weights", "1,x"], "bad complex weight 'x'"),
     (["diffract", "--weights", "1,"], "empty weight in '1,'"),
@@ -736,7 +768,7 @@ _ERROR_TABLE = [
         "no legal seed found for this rule or its powers up to 3",
     ),
     (["generate", "--format", "pgm"], "format 'pgm' not supported here (choose from txt)"),
-]
+] + _REFUSALS
 
 
 class TestErrorTable:
@@ -785,6 +817,44 @@ class TestErrorTable:
         argv = ["diffract", "--empirical"] + [arg.replace("RULES", rules) for arg in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("limitper: ")
+
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _REFUSALS])
+    def test_refusals_allocate_under_a_megabyte(self, argv, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--out", str(tmp_path / "x")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("limitper: the ")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--system", "pd", "--iterations", "11"],
+            ["generate", "--system", "chair", "--iterations", "11", "--format", "pgm"],
+            ["diffract", "--empirical", "--window", "8388607", "--rmax", "1"],
+            ["diffract", "--system", "chair", "--empirical", "--window", "2047", "--smax", "1"],
+            ["diffract", "--empirical", "--rmax", "21", "--region", "0,1/1024"],
+            ["diffract", "--system", "chair", "--empirical", "--smax", "10", "--region", "0,1/1024"],
+        ],
+    )
+    def test_inputs_at_the_bounds_run(self, argv, tmp_path, monkeypatch):
+        # Up to a bound but not past it: 2^23 and 2^24 cells, 2^24 - 1 and
+        # 4095^2 window cells, 2 x 2^21 and 4 x 2^20 count entries.  Growth,
+        # the sums and rendering are skipped here.
+        monkeypatch.setattr(subst, "fixed_point_window", lambda *args: None)
+        monkeypatch.setattr(render, "window_text", lambda *args: "")
+        monkeypatch.setattr(render, "window_pgm", lambda *args: "")
+        monkeypatch.setattr(subst, "centred_window", lambda *args: None)
+        monkeypatch.setattr(numerics, "WeightedComb", lambda *args: None)
+        monkeypatch.setattr(
+            numerics, "empirical_amplitudes", lambda comb, module: np.zeros(len(module), complex)
+        )
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
 
 
 class TestRuleFiles:

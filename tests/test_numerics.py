@@ -12,6 +12,8 @@ estimator contracts; its array form is pinned to the scalar layer sum to
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,6 +81,22 @@ def _product_autocorrelation(comb: numerics.WeightedComb, z) -> complex:
     return complex(prod.sum()) / float(size**comb.dim)
 
 
+def _single_bincount_counts(comb: numerics.WeightedComb, modulus: int) -> np.ndarray:
+    """The residue-count table from one ``bincount`` over int64 keys of the whole window."""
+    n_labels = len(comb.weights)
+    residues = np.arange(-comb.half, comb.half + 1, dtype=np.int64) % modulus
+    keys = comb.window.labels.astype(np.int64)
+    keys *= modulus
+    if comb.dim == 1:
+        keys += residues
+    else:
+        keys += residues[:, None]
+        keys *= modulus
+        keys += residues[None, :]
+    counts = np.bincount(keys.ravel(), minlength=n_labels * modulus**comb.dim)
+    return counts.reshape((n_labels,) + (modulus,) * comb.dim)
+
+
 _weights = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
 
 
@@ -99,6 +117,12 @@ def _random_combs(draw, dim):
 # ---------------------------------------------------------------------------
 # Comb construction
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def big_combs():
+    """The combs of the full checks: the chain on [-2^20, 2^20], the chair on [-1024, 1024]^2."""
+    return numerics.pd_comb(1 << 20, (1, -1)), numerics.chair_comb(1024, (1, 1, 1, 1))
 
 
 class TestWeightedComb:
@@ -130,6 +154,40 @@ class TestWeightedComb:
         counts = grid.residue_counts(4)
         assert counts.shape == (4, 4, 4)
         assert counts.sum() == 17 * 17
+
+    def test_banded_counts_match_one_bincount_on_the_check_windows(self, big_combs):
+        for comb in big_combs:
+            for modulus in (1, 2, 8, 64):
+                counts = comb.residue_counts(modulus)
+                expected = _single_bincount_counts(comb, modulus)
+                assert counts.dtype == expected.dtype == np.int64
+                assert np.array_equal(counts, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((1, 2)),
+        st.integers(min_value=0, max_value=40),
+        st.one_of(st.integers(min_value=1, max_value=60), st.just(numerics._BAND_CELLS)),
+        st.sampled_from((1, 2, 3, 4, 8, 16)),
+    )
+    def test_banded_counts_match_one_bincount_across_band_edges(self, dim, half, band, modulus):
+        # Windows narrower than one band, and bands cut short by the edge.
+        build = numerics.pd_comb if dim == 1 else numerics.chair_comb
+        comb = build(half, (1,) * (2 if dim == 1 else 4))
+        with mock.patch.object(numerics, "_BAND_CELLS", band):
+            counts = comb.residue_counts(modulus)
+        assert np.array_equal(counts, _single_bincount_counts(comb, modulus))
+
+    def test_count_table_scratch_stays_small(self, big_combs):
+        comb = big_combs[0].with_weights((1, 0))
+        comb._label_data = {}
+        tracemalloc.start()
+        try:
+            counts = comb.residue_counts(64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - counts.nbytes < 8 << 20
 
     def test_with_weights_shares_the_count_table(self):
         comb = numerics.pd_comb(32, (1, 0))

@@ -70,6 +70,28 @@ class TestLabels:
         hi = min(lo + width, _TOP + 1)
         assert pd.label_window(lo, hi).tolist() == [pd.label(n) for n in range(lo, hi)]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from((1, -1)),
+        st.integers(min_value=-6, max_value=0),
+        st.integers(min_value=1, max_value=12),
+    )
+    @example(0, 1, -6, 12)
+    @example(62, 1, -3, 6)
+    @example(62, -1, -3, 6)
+    @example(63, -1, 0, 6)
+    def test_label_window_matches_label_at_every_valuation(self, k, sign, offset, width):
+        # Windows around n + 1 = +-2^k, so the lowest set bit of n + 1 runs
+        # through all 64 positions; k = 0 with offset -6 covers n = -1.
+        lo = max(sign * (1 << k) - 1 + offset, _BOTTOM)
+        hi = min(lo + width, _TOP + 1)
+        assert pd.label_window(lo, hi).tolist() == [pd.label(n) for n in range(lo, hi)]
+
+    def test_minus_one_carries_a(self):
+        assert pd.label_window(-1, 0).tolist() == [pd.LETTER_A]
+        assert pd.label_window(-3, 2).tolist() == [pd.label(n) for n in range(-3, 2)]
+
     def test_label_window_rejects_positions_past_int64(self):
         with pytest.raises(ValueError, match="int64"):
             pd.label_window(_TOP - 2, _TOP + 2)
