@@ -9,8 +9,8 @@ against a plain windowed sum, and draw the classic stem figure.
 from pathlib import Path
 
 from limitper import numerics, period_doubling as pd
-from limitper.dyadic import module_interval
-from limitper.render import Peak, PeakTable, peaks_csv, stem_svg
+from limitper.dyadic import module_points
+from limitper.render import PeakTable, peaks_csv, stem_svg
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -18,15 +18,16 @@ OUT.mkdir(exist_ok=True)
 # Peaks live on the dyadic rationals.  With balanced weights (+1 on a, -1 on
 # b) the amplitude at k is A(k) - B(k); the deepest peaks fade like 4^-r.
 weights = pd.Weights(1, -1)
+quarters = module_points(2, ((0, 1),), include_hi=False).points()
 print("k, |amplitude|^2 for the balanced chain:")
-for k in module_interval(2, 0, 1, include_hi=False):
+for k in quarters:
     print(f"  {k}: {pd.intensity(k, weights):.6f}")
 
 # The same numbers fall out of a direct exponential sum over a finite patch;
 # no Fourier analysis beyond the definition is involved.
 comb = numerics.pd_comb(1 << 18, (1, -1))
 print("closed form vs windowed sum (window 2^19):")
-for k in module_interval(2, 0, 1, include_hi=False):
+for k in quarters:
     closed = weights.alpha * pd.amplitudes(k).a + weights.beta * pd.amplitudes(k).b
     windowed = numerics.empirical_amplitude(comb, k)
     print(f"  {k}: {closed:.6f} vs {windowed:.6f}")
@@ -36,12 +37,10 @@ for k in module_interval(2, 0, 1, include_hi=False):
 print(f"mass over [0,1), r <= 12: {pd.peak_mass(12, weights):.6f}")
 
 # One period of |amplitude|^2 with the single-letter weights (1, 0) is the
-# usual self-similar stem picture.
-peaks = []
-for k in module_interval(8, 0, 1):
-    amplitude = pd.amplitudes(k).a
-    peaks.append(Peak(k, amplitude, abs(amplitude) ** 2))
-table = PeakTable.from_peaks(peaks, 1)
+# usual self-similar stem picture: row 0 of the amplitude arrays is letter a.
+module = module_points(8, ((0, 1),))
+re, im = pd.amplitude_arrays(module)
+table = PeakTable.of(module, re[0] + 1j * im[0])
 (OUT / "chain_peaks.csv").write_text(peaks_csv(table))
 (OUT / "chain_stem.svg").write_text(stem_svg(table, 0, 1))
 print(f"wrote {OUT / 'chain_peaks.csv'} and {OUT / 'chain_stem.svg'}")

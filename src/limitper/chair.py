@@ -389,15 +389,6 @@ def d4_compose(g: D4Element, h: D4Element) -> D4Element:
     return D4Element(name, quarter_turns, mirrored, perm)
 
 
-def _cell_map(g: D4Element, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where g sends the unit cell with lower-left corner (x, y)."""
-    if g.mirrored:
-        x, y = x, -y - 1
-    for _ in range(g.quarter_turns):
-        x, y = -y - 1, x
-    return x, y
-
-
 def apply_d4(g: D4Element, window: subst.PatternWindow) -> subst.PatternWindow:
     """Move a centred square window by g and recolour it by g's permutation."""
     if window.dim != 2:

@@ -311,6 +311,9 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
             "no closed forms for user rules; pass --empirical for windowed sums"
         )
     module, region = _module(args, resolved)
+    formats = (args.format,) if args.format else ("csv", "svg")
+    if "svg" in formats and any(lo == hi for lo, hi in region):
+        raise UsageError("an SVG needs a region of nonzero width on every axis; use --format csv")
     if args.empirical:
         # The weighted window [-N, N]^d grown by substitution from the resolved seed.
         half = args.window or (1 << 20 if system.dim == 1 else 1024)
@@ -324,12 +327,11 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
             else chair.amplitude_arrays
         )
         amplitudes = _weighted_sum(*closed_form(module), weights)
-    # CPython's abs(complex) per point: numpy's need not round the same way.
-    strength = np.array([abs(amp) ** 2 for amp in amplitudes.tolist()], dtype=np.float64)
-    kept = strength >= args.floor
-    peaks = render.PeakTable(module.select(kept), amplitudes[kept], strength[kept])
+    table = render.PeakTable.of(module, amplitudes)
+    kept = table.intensity >= args.floor
+    peaks = render.PeakTable(module.select(kept), amplitudes[kept], table.intensity[kept])
     base = _out_base(args.out)
-    for fmt in (args.format,) if args.format else ("csv", "svg"):
+    for fmt in formats:
         if fmt == "csv":
             _write(base.with_suffix(".csv"), render.peaks_csv(peaks))
         elif system.dim == 1:

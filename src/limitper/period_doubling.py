@@ -11,7 +11,8 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
   one amplitude per letter, and weighted peak intensities follow from
   those by sesquilinear combination; ``amplitude_arrays`` evaluates the
-  same closed form over a whole ``dyadic.Module`` with the scalar bits.
+  same closed form over a whole ``dyadic.Module`` with the scalar bits,
+  and ``peak_mass`` sums the intensities over such a module.
 
 The one aperiodic subtlety: position -1 never matches any residue class.
 It is the 2-adic limit point of the hierarchy and is fixed to letter a,
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import subst
-from .dyadic import Dyadic, Module, module_interval, phase, phase_arrays
+from .dyadic import Dyadic, Module, module_points, phase, phase_arrays
 
 __all__ = [
     "LETTER_A",
@@ -229,6 +230,10 @@ def peak_mass(r_max: int, weights: Weights) -> float:
     """Total intensity of all peaks with denominator exponent <= r_max in [0, 1).
 
     For the balanced weights this converges to the autocorrelation at shift
-    zero, i.e. to 1, as r_max grows; the tail decays geometrically.
+    zero, i.e. to 1, as r_max grows; the tail decays geometrically.  The
+    intensities are ``intensity``'s, over the ``amplitude_arrays`` of the
+    ``module_points`` of [0, 1).
     """
-    return sum(intensity(k, weights) for k in module_interval(r_max, 0, 1, include_hi=False))
+    re, im = amplitude_arrays(module_points(r_max, ((0, 1),), include_hi=False))
+    total = weights.alpha * (re[0] + 1j * im[0]) + weights.beta * (re[1] + 1j * im[1])
+    return float((np.abs(total) ** 2).sum())

@@ -8,11 +8,12 @@ carry coordinate information.
 
 Peak lists and modules are rendered from columns: a ``PeakTable`` (or, for
 ``module_csv``, a ``dyadic.Module``), one row per point, whose ``len()`` is
-the row count.  A float column is written as ``repr`` of ``col + 0.0``,
+the row count.  ``PeakTable.of(module, amplitude)`` is the one route from
+amplitudes to a table; the intensity of a peak is CPython's ``abs(a) ** 2``
+of its amplitude a.  A float column is written as ``repr`` of ``col + 0.0``,
 where adding 0.0 turns -0.0 into 0.0 and changes nothing else.  Where the
-figures need ``abs`` of an amplitude or a square root, they call CPython's
-own per point, so the bytes do not depend on numpy's versions of them.
-``PeakTable.from_peaks`` turns a list of ``Peak`` records into a table.
+figures need ``abs`` of an amplitude or a square root, they too call
+CPython's own per point, so the bytes do not depend on numpy's versions.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .dyadic import Dyadic, DyadicPoint2, Module
+from .dyadic import Module
 from .subst import PatternWindow
 
 __all__ = [
-    "Peak",
     "PeakTable",
     "peaks_csv",
     "module_csv",
@@ -36,15 +36,6 @@ __all__ = [
     "window_text",
     "window_pgm",
 ]
-
-
-@dataclass(frozen=True)
-class Peak:
-    """One Bragg peak: wave number, complex amplitude, intensity."""
-
-    k: Dyadic | DyadicPoint2
-    amplitude: complex
-    intensity: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +54,12 @@ class PeakTable:
         return len(self.module)
 
     @classmethod
-    def from_peaks(cls, peaks, dim: int) -> "PeakTable":
-        """The table of a list of ``Peak`` records with ``dim``-dimensional wave numbers."""
-        peaks = list(peaks)
-        return cls(
-            Module.of([peak.k for peak in peaks], dim),
-            np.array([complex(peak.amplitude) for peak in peaks], dtype=complex),
-            np.array([float(peak.intensity) for peak in peaks], dtype=np.float64),
-        )
+    def of(cls, module: Module, amplitude) -> "PeakTable":
+        """The peaks of ``module`` with the given amplitudes, one per row, and their intensities."""
+        amplitude = np.asarray(amplitude, dtype=complex)
+        # CPython's abs(complex) per point: numpy's need not round the same way.
+        intensity = [abs(a) ** 2 for a in amplitude.tolist()]
+        return cls(module, amplitude, np.array(intensity, dtype=np.float64))
 
 
 def _fmt(x: float) -> str:

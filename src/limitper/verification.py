@@ -7,18 +7,22 @@ forms must satisfy.  ``run_checks`` runs them all and reports one result per
 name; ``quick=True`` shrinks windows and cut-offs to keep the suite under a
 few seconds.
 
-The chair closed-form checks work on arrays: each reads
+The closed-form checks of both systems work on arrays, with no loop over
+points: each reads ``period_doubling.amplitude_arrays`` or
 ``chair.amplitude_arrays`` over one ``dyadic.module_points`` box and over
 its images (negation, the dihedral maps, lattice and half-diagonal shifts),
 each an integer map of the numerator columns reduced by
-``dyadic.normal_form``, and the layer sums come from
-``numerics.approximant_amplitudes_chair``.  A failing check names the
-first failing point in module order.  The pinned values stay scalar.
+``dyadic.normal_form``; the windowed sums read the same box, and the layer
+sums come from ``numerics.approximant_amplitudes_chair``.  A failing check
+names the first failing point in module order.  The pinned values stay
+scalar.
 
 The ``tamper`` argument is a negative-control hook for tests: naming a check
 perturbs the weight table on one side of that check's comparison only (the
 estimate, the moved point, or the side compared with a constant), so it must
-come back failed.  Checks that use no weight table ignore the hook.
+come back failed.  ``run_checks`` hands each check a ``pick`` for its weight
+tables, ``_perturb`` when the check is named and ``tuple`` otherwise; checks
+that use no weight table ignore it.
 """
 
 from __future__ import annotations
@@ -30,15 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chair, numerics, period_doubling
-from .dyadic import (
-    Dyadic,
-    DyadicPoint2,
-    Module,
-    module_interval,
-    module_points,
-    normal_form,
-    phase_arrays,
-)
+from .dyadic import Dyadic, DyadicPoint2, Module, module_points, normal_form, phase_arrays
 
 __all__ = ["CheckResult", "run_checks", "report_text", "report_json", "CHECK_NAMES"]
 
@@ -64,16 +60,12 @@ def _perturb(weights):
     return tuple(values)
 
 
-def _pick(weights, name, tamper):
-    return _perturb(weights) if name in tamper else tuple(weights)
-
-
 # ---------------------------------------------------------------------------
 # Doubling chain checks
 # ---------------------------------------------------------------------------
 
 
-def _check_pd_eta(quick, tamper):
+def _check_pd_eta(quick, pick):
     limit = 1 << (12 if quick else 16)
     minus_third = Fraction(-1, 3)
     for m in range(1, limit + 1):
@@ -84,7 +76,7 @@ def _check_pd_eta(quick, tamper):
     return True, f"exact agreement for all shifts up to {limit}"
 
 
-def _check_pd_labels(quick, tamper):
+def _check_pd_labels(quick, pick):
     iterations = 6 if quick else 9
     window = period_doubling.pattern_window(iterations)
     half = 4**iterations
@@ -95,8 +87,8 @@ def _check_pd_labels(quick, tamper):
     return True, f"congruences match the fixed point on [-{half}, {half})"
 
 
-def _check_pd_amplitude_relations(quick, tamper):
-    weights = period_doubling.Weights(*_pick((1, -1), "pd-amplitude-relations", tamper))
+def _check_pd_amplitude_relations(quick, pick):
+    weights = period_doubling.Weights(*pick((1, -1)))
     frozen = [
         (Dyadic(0), 2 / 3 + 0j, 1 / 3 + 0j),
         (Dyadic(1, 1), 1 / 3 + 0j, -1 / 3 + 0j),
@@ -106,10 +98,12 @@ def _check_pd_amplitude_relations(quick, tamper):
         got = period_doubling.amplitudes(k)
         if abs(got.a - amp_a) > 1e-15 or abs(got.b - amp_b) > 1e-15:
             return False, f"amplitude pair at {k} off the pinned value"
-    for k in module_interval(5 if quick else 8, 0, 1, include_hi=False):
-        shifted = Dyadic(k.m + (1 << k.r), k.r)
-        if abs(period_doubling.amplitudes(k).a) != abs(period_doubling.amplitudes(shifted).a):
-            return False, f"|A| not lattice-periodic at {k}"
+    module = module_points(5 if quick else 8, ((0, 1),), include_hi=False)
+    moved = np.abs(_closed(_image(module, offset=(1,)))[0])
+    broken = np.abs(_closed(module)[0]) != moved
+    failure = _first_failure(module, [(broken, "|A| not lattice-periodic at {k}")])
+    if failure:
+        return False, failure
     balanced = [
         (Dyadic(0), 1 / 9),
         (Dyadic(1, 1), 4 / 9),
@@ -121,42 +115,37 @@ def _check_pd_amplitude_relations(quick, tamper):
     return True, "pinned amplitudes, lattice periodicity, balanced intensities"
 
 
-def _check_pd_peak_mass(quick, tamper):
+def _check_pd_peak_mass(quick, pick):
     r_max = 8 if quick else 12
-    weights = period_doubling.Weights(*_pick((1, -1), "pd-peak-mass", tamper))
+    weights = period_doubling.Weights(*pick((1, -1)))
     mass = period_doubling.peak_mass(r_max, weights)
     if not 0.99 <= mass <= 1 + 1e-9:
         return False, f"peak mass {mass:.6f} outside [0.99, 1] at r <= {r_max}"
     return True, f"peak mass {mass:.6f} at r <= {r_max}"
 
 
-def _check_pd_empirical_amplitudes(quick, tamper):
+def _check_pd_empirical_amplitudes(quick, pick):
     half = 1 << (16 if quick else 20)
     r_max = 4 if quick else 6
     tol = 0.02 if quick else 0.01
-    points = module_interval(r_max, 0, 1, include_hi=False)
+    module = module_points(r_max, ((0, 1),), include_hi=False)
+    closed_a, closed_b = _closed(module)
     comb = numerics.pd_comb(half, (1, 0))
     worst = 0.0
     for alpha, beta in ((1, 0), (0, 1), (1, -1)):
-        comb = comb.with_weights(_pick((alpha, beta), "pd-empirical-amplitudes", tamper))
-        closed = np.array(
-            [
-                alpha * period_doubling.amplitudes(k).a + beta * period_doubling.amplitudes(k).b
-                for k in points
-            ]
-        )
-        estimates = numerics.empirical_amplitudes(comb, points)
-        worst = max(worst, float(np.abs(closed - estimates).max()))
+        comb = comb.with_weights(pick((alpha, beta)))
+        estimates = numerics.empirical_amplitudes(comb, module)
+        worst = max(worst, float(np.abs(alpha * closed_a + beta * closed_b - estimates).max()))
     if worst > tol:
         return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
     return True, f"max error {worst:.4f} over r <= {r_max}, window half {half}"
 
 
-def _check_pd_empirical_autocorr(quick, tamper):
+def _check_pd_empirical_autocorr(quick, pick):
     half = 1 << (16 if quick else 20)
     z_max = 16 if quick else 64
     tol = 0.02 if quick else 0.01
-    comb_weights = _pick((1, -1), "pd-empirical-autocorrelation", tamper)
+    comb_weights = pick((1, -1))
     comb = numerics.pd_comb(half, comb_weights)
     weights = period_doubling.Weights(1, -1)
     worst = 0.0
@@ -185,7 +174,7 @@ _GOLDEN_8X8 = (
 )
 
 
-def _check_chair_labels(quick, tamper):
+def _check_chair_labels(quick, pick):
     iterations = 8 if quick else 10
     half = 1 << iterations
     window = chair.pattern_window(iterations)
@@ -202,7 +191,7 @@ def _check_chair_labels(quick, tamper):
     return True, f"chains match the fixed point on [-{half}, {half})^2"
 
 
-def _check_chair_amplitude_relations(quick, tamper):
+def _check_chair_amplitude_relations(quick, pick):
     s_max = 3 if quick else 5
     frozen = [
         (DyadicPoint2(0, 0), (0.25, 0.25, 0.25, 0.25)),
@@ -216,8 +205,8 @@ def _check_chair_amplitude_relations(quick, tamper):
         if any(abs(g - e) > 1e-15 for g, e in zip(got, expected)):
             return False, f"amplitudes at {k} off the pinned values"
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    values = _chair_closed(module)
-    minus = _chair_closed(_image(module, matrix=((-1, 0), (0, -1))))
+    values = _closed(module)
+    minus = _closed(_image(module, matrix=((-1, 0), (0, -1))))
     hermitian = (np.abs(minus - values.conj()) > 1e-12).any(axis=0)
     anti = (module.exponents >= 2) & ((values[2] != -values[0]) | (values[3] != -values[1]))
     failure = _first_failure(
@@ -229,10 +218,10 @@ def _check_chair_amplitude_relations(quick, tamper):
     return True, f"pinned values, Hermitian symmetry, anti-pairing for s <= {s_max}"
 
 
-def _check_chair_sum_rules(quick, tamper):
+def _check_chair_sum_rules(quick, pick):
     s_max = 3 if quick else 5
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    values = _chair_closed(module)
+    values = _closed(module)
     even_pair = values[0] + values[2]
     odd_pair = values[1] + values[3]
     half = _half_even_lattice(module)
@@ -255,12 +244,12 @@ def _check_chair_sum_rules(quick, tamper):
     return True, f"pair sums match on and off the half lattice for s <= {s_max}"
 
 
-def _check_chair_extinctions(quick, tamper):
+def _check_chair_extinctions(quick, pick):
     s_max = 3 if quick else 5
-    ones = _pick((1, 1, 1, 1), "chair-extinctions", tamper)
-    fourth = _pick((1, 1j, -1, -1j), "chair-extinctions", tamper)
+    ones = pick((1, 1, 1, 1))
+    fourth = pick((1, 1j, -1, -1j))
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    values = _chair_closed(module)
+    values = _closed(module)
     lattice = np.abs(_intensities(values, ones) - (module.exponents == 0)) > 1e-12
     extinct = _half_even_lattice(module) & (np.abs(_weighted(values, fourth)) > 1e-12)
     failure = _first_failure(
@@ -275,29 +264,29 @@ def _check_chair_extinctions(quick, tamper):
     return True, f"lattice comb and fourth-root extinctions hold for s <= {s_max}"
 
 
-def _check_chair_approximant(quick, tamper):
+def _check_chair_approximant(quick, pick):
     s_max = 3 if quick else 5
     levels = 12 if quick else 20
     tol = 1e-4 if quick else 1e-6
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     approx = numerics.approximant_amplitudes_chair(levels, module)
-    worst = float(np.abs(approx - _chair_closed(module)).max())
+    worst = float(np.abs(approx - _closed(module)).max())
     if worst > tol:
         return False, f"layer sums drift {worst:.2e} > {tol:.0e} from closed forms"
     return True, f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
 
 
-def _check_chair_empirical_amplitudes(quick, tamper):
+def _check_chair_empirical_amplitudes(quick, pick):
     half = 256 if quick else 1024
     s_max = 3 if quick else 4
     tol = 0.05 if quick else 0.01
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    closed = _chair_closed(module)
+    closed = _closed(module)
     comb = numerics.chair_comb(half, (1, 0, 0, 0))
     worst = 0.0
     for colour in range(4):
         one_hot = tuple(1.0 if i == colour else 0.0 for i in range(4))
-        comb = comb.with_weights(_pick(one_hot, "chair-empirical-amplitudes", tamper))
+        comb = comb.with_weights(pick(one_hot))
         estimates = numerics.empirical_amplitudes(comb, module)
         worst = max(worst, float(np.abs(closed[colour] - estimates).max()))
     if worst > tol:
@@ -305,7 +294,7 @@ def _check_chair_empirical_amplitudes(quick, tamper):
     return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"
 
 
-def _check_chair_d4_window(quick, tamper):
+def _check_chair_d4_window(quick, pick):
     iterations = 7 if quick else 9
     half = 1 << iterations
     window = chair.pattern_window(iterations)
@@ -315,19 +304,19 @@ def _check_chair_d4_window(quick, tamper):
     return True, f"all 8 symmetries fix the recoloured window, half {half}"
 
 
-def _check_chair_d4_intensity(quick, tamper):
+def _check_chair_d4_intensity(quick, pick):
     s_max = 3 if quick else 5
     fourth = (1, 1j, -1, -1j)
-    moved_weights = _pick(fourth, "chair-d4-intensity-symmetry", tamper)
+    moved_weights = pick(fourth)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
-    reference = _intensities(_chair_closed(module), fourth)
+    reference = _intensities(_closed(module), fourth)
     failures = []
     for element in chair.d4_elements():
         # The linear map sends k = m e1 + n e2 to m g(e1) + n g(e2).
         e1 = chair.transform_wavevector(element, DyadicPoint2(1, 0))
         e2 = chair.transform_wavevector(element, DyadicPoint2(0, 1))
         moved = _image(module, matrix=((e1.m, e2.m), (e1.n, e2.n)))
-        intensity = _intensities(_chair_closed(moved), moved_weights)
+        intensity = _intensities(_closed(moved), moved_weights)
         failures.append(
             (
                 np.abs(intensity - reference) > 1e-10,
@@ -340,17 +329,17 @@ def _check_chair_d4_intensity(quick, tamper):
     return True, f"fourth-root intensities are dihedral-symmetric for s <= {s_max}"
 
 
-def _check_chair_periodicity(quick, tamper):
+def _check_chair_periodicity(quick, pick):
     s_max = 3 if quick else 5
     generic = (0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j)
-    moved_weights = _pick(generic, "chair-lattice-periodicity", tamper)
+    moved_weights = pick(generic)
     pair = (1, 0, 1, 0)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
-    values = _chair_closed(module)
+    values = _closed(module)
     reference = _intensities(values, generic)
     failures = []
     for shift in ((1, 0), (0, 1)):
-        intensity = _intensities(_chair_closed(_image(module, offset=shift)), moved_weights)
+        intensity = _intensities(_closed(_image(module, offset=shift)), moved_weights)
         failures.append(
             (
                 np.abs(intensity - reference) > 1e-10,
@@ -361,7 +350,7 @@ def _check_chair_periodicity(quick, tamper):
     if failure:
         return False, failure
     # k + (1/2, 1/2) = (2m + 2^s, 2n + 2^s) / 2^(s+1).
-    moved = _chair_closed(_image(module, offset=(1, 1), refine=1))
+    moved = _closed(_image(module, offset=(1, 1), refine=1))
     half_shift = np.abs(_intensities(moved, pair) - _intensities(values, pair)) > 1e-10
     failure = _first_failure(
         module, [(half_shift, "pair-comb intensity not half-lattice-periodic at {k}")]
@@ -371,9 +360,14 @@ def _check_chair_periodicity(quick, tamper):
     return True, f"lattice and half-lattice periodicities hold for s <= {s_max}"
 
 
-def _chair_closed(module: Module) -> np.ndarray:
-    """``chair.amplitudes`` at every point, complex, shape (4, N)."""
-    re, im = chair.amplitude_arrays(module)
+def _closed(module: Module) -> np.ndarray:
+    """The closed-form amplitudes at every point, complex, one row per letter.
+
+    ``period_doubling.amplitude_arrays`` on a chain module, shape (2, N), and
+    ``chair.amplitude_arrays`` on a plane module, shape (4, N).
+    """
+    arrays = period_doubling.amplitude_arrays if module.dim == 1 else chair.amplitude_arrays
+    re, im = arrays(module)
     return re + 1j * im
 
 
@@ -395,22 +389,20 @@ def _half_even_lattice(module: Module) -> np.ndarray:
     return (s == 0) | ((s == 1) & ((m & n & 1) == 1))
 
 
-def _image(module: Module, matrix=((1, 0), (0, 1)), offset=(0, 0), refine=0) -> Module:
-    """The points A k + offset / 2^refine, in the order of ``module``.
+def _image(module: Module, matrix=None, offset=None, refine=0) -> Module:
+    """The points A k + offset / 2^refine, in the order of ``module``, in any dimension.
 
     An integer map of the numerators at level s + refine,
-    (A (m, n) 2^refine + offset 2^s) / 2^(s + refine), then the reduction
-    to normal form.
+    (A j 2^refine + offset 2^s) / 2^(s + refine) for k = j / 2^s, then the
+    reduction to normal form.  A defaults to the identity, the offset to 0.
     """
-    m, n = module.numerators[:, 0], module.numerators[:, 1]
+    columns = module.numerators.T
+    if matrix is not None:
+        columns = np.array(matrix, dtype=np.int64) @ columns
     s = module.exponents
     unit = np.left_shift(1, s)
-    (a, b), (c, d) = matrix
-    columns = (
-        ((a * m + b * n) << refine) + offset[0] * unit,
-        ((c * m + d * n) << refine) + offset[1] * unit,
-    )
-    return normal_form(columns, s + refine)
+    offset = offset or (0,) * module.dim
+    return normal_form([(c << refine) + o * unit for c, o in zip(columns, offset)], s + refine)
 
 
 def _first_failure(module: Module, failures) -> str | None:
@@ -462,7 +454,7 @@ def run_checks(*, quick: bool = False, tamper=frozenset()) -> tuple[CheckResult,
     results = []
     for name, check in _CHECKS:
         start = time.perf_counter()
-        passed, detail = check(quick, tamper)
+        passed, detail = check(quick, _perturb if name in tamper else tuple)
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name=name, passed=passed, detail=detail, elapsed_s=elapsed))
     return tuple(results)

@@ -16,7 +16,7 @@ import pytest
 from fractions import Fraction
 
 from limitper import chair, cli, numerics, period_doubling, render, subst
-from limitper.dyadic import module_box, module_interval
+from limitper.dyadic import Module, module_box, module_interval
 
 PD_IT2 = "abaaabababaaabaa|abaaabababaaabaa\n"
 
@@ -203,6 +203,11 @@ class TestModule:
             ]
         ) == 0
         assert len((tmp_path / "mod.csv").read_text().splitlines()) == 10
+
+    def test_zero_width_region(self, tmp_path):
+        out = tmp_path / "mod"
+        assert cli.main(["module", "--region", "0,0", "--out", str(out)]) == 0
+        assert (tmp_path / "mod.csv").read_text() == "k_num,k_log2den\n0,0\n"
 
     def test_axis_flag_mismatch(self, tmp_path):
         assert cli.main(["module", "--smax", "1", "--out", str(tmp_path / "m")]) == 2
@@ -453,18 +458,36 @@ class TestDiffract:
         ]
         assert all(float(row.split(",")[5]) == pytest.approx(1.0) for row in rows)
 
+    @pytest.mark.parametrize(
+        "argv, csv",
+        [
+            (
+                ["--region", "0,0"],
+                "k_num,k_log2den,amp_re,amp_im,intensity\n0,0,1.0,0.0,1.0\n",
+            ),
+            (
+                ["--system", "chair", "--smax", "1", "--region", "0,0,0,1"],
+                "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity\n"
+                "0,0,0,1.0,0.0,1.0\n0,1,0,1.0,0.0,1.0\n",
+            ),
+        ],
+    )
+    def test_zero_width_region_writes_csv(self, argv, csv, tmp_path):
+        # Only the figure needs a nonzero width; the peak list is written.
+        out = tmp_path / "z"
+        assert cli.main(["diffract", *argv, "--format", "csv", "--out", str(out)]) == 0
+        assert out.with_suffix(".csv").read_text() == csv
+        assert not out.with_suffix(".svg").exists()
+
 
 class TestArrayRoute:
     """The column route of ``diffract`` against the per-point scalar route it replaced."""
 
     @staticmethod
     def _scalar_route(points, amplitude, dim, floor=1e-8):
-        peaks = []
-        for k in points:
-            amp = complex(amplitude(k))
-            if abs(amp) ** 2 >= floor:
-                peaks.append(render.Peak(k, amp, abs(amp) ** 2))
-        return render.PeakTable.from_peaks(peaks, dim)
+        pairs = [(k, complex(amplitude(k))) for k in points]
+        kept = [(k, amp) for k, amp in pairs if abs(amp) ** 2 >= floor]
+        return render.PeakTable.of(Module.of([k for k, _ in kept], dim), [a for _, a in kept])
 
     @pytest.mark.parametrize("half_open", [False, True])
     def test_chair_matches_the_scalar_route(self, tmp_path, half_open):
@@ -768,7 +791,17 @@ _ERROR_TABLE = [
         "no legal seed found for this rule or its powers up to 3",
     ),
     (["generate", "--format", "pgm"], "format 'pgm' not supported here (choose from txt)"),
-] + _REFUSALS
+] + _REFUSALS + [
+    # Zero-width regions, refused only when a figure is asked for.
+    (
+        ["diffract", "--region", "0,0"],
+        "an SVG needs a region of nonzero width on every axis; use --format csv",
+    ),
+    (
+        ["diffract", "--system", "chair", "--region", "0,0,0,1"],
+        "an SVG needs a region of nonzero width on every axis; use --format csv",
+    ),
+]
 
 
 class TestErrorTable:

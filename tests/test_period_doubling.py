@@ -294,3 +294,11 @@ class TestPeakMass:
         masses = [pd.peak_mass(r, pd.Weights(1, 0)) for r in range(13)]
         assert all(m <= 2 / 3 + 1e-9 for m in masses)
         assert masses[-1] >= 2 / 3 - 0.01
+
+    @pytest.mark.parametrize("weights", [BALANCED, pd.Weights(1, 0)], ids=["balanced", "letter-a"])
+    def test_array_mass_matches_the_scalar_sum(self, weights):
+        # The scalar route the array sum replaced: one intensity per point.
+        for r in range(13):
+            points = module_interval(r, 0, 1, include_hi=False)
+            scalar = sum(pd.intensity(k, weights) for k in points)
+            assert abs(pd.peak_mass(r, weights) - scalar) <= 1e-12

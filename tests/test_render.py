@@ -4,7 +4,8 @@ Everything rendered must be byte-deterministic, so most assertions here are
 golden strings; the SVG checks additionally parse the geometry back out and
 verify the proportionality contracts (stem height to |amplitude|, disc area
 to intensity).  The column renderers are pinned byte for byte to the
-per-``Peak`` renderers they replaced, kept below as a test oracle.
+per-peak renderers they replaced, kept below as a test oracle over
+(k, amplitude, intensity) rows.
 """
 
 import re
@@ -20,16 +21,27 @@ from limitper.dyadic import Dyadic, DyadicPoint2, Module
 from limitper.subst import PatternWindow
 
 
-def _peak(k, amplitude):
-    return render.Peak(k=k, amplitude=amplitude, intensity=abs(amplitude) ** 2)
+def _table(pairs, dim):
+    """``PeakTable.of`` over (k, amplitude) pairs."""
+    return render.PeakTable.of(Module.of([k for k, _ in pairs], dim), [a for _, a in pairs])
 
 
-def _table(peaks, dim):
-    return render.PeakTable.from_peaks(peaks, dim)
+def _columns(rows, dim):
+    """The plain column table of (k, amplitude, intensity) rows, intensities as given."""
+    return render.PeakTable(
+        Module.of([k for k, _, _ in rows], dim),
+        np.array([a for _, a, _ in rows], dtype=complex),
+        np.array([i for _, _, i in rows], dtype=np.float64),
+    )
+
+
+def _rows(pairs):
+    """(k, amplitude, intensity) rows, the intensity written out per peak."""
+    return [(k, a, abs(a) ** 2) for k, a in pairs]
 
 
 # ---------------------------------------------------------------------------
-# The per-Peak renderers the column renderers replaced (test oracle only)
+# The per-peak renderers the column renderers replaced (test oracle only)
 # ---------------------------------------------------------------------------
 
 
@@ -37,19 +49,17 @@ def _legacy_peaks_csv(peaks, dim):
     fmt = render._fmt
     if dim == 1:
         lines = ["k_num,k_log2den,amp_re,amp_im,intensity"]
-        for peak in peaks:
-            k = peak.k
+        for k, amplitude, intensity in peaks:
             lines.append(
-                f"{k.m},{k.r},{fmt(peak.amplitude.real)},"
-                f"{fmt(peak.amplitude.imag)},{fmt(peak.intensity)}"
+                f"{k.m},{k.r},{fmt(amplitude.real)},"
+                f"{fmt(amplitude.imag)},{fmt(intensity)}"
             )
     else:
         lines = ["kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"]
-        for peak in peaks:
-            k = peak.k
+        for k, amplitude, intensity in peaks:
             lines.append(
-                f"{k.m},{k.n},{k.s},{fmt(peak.amplitude.real)},"
-                f"{fmt(peak.amplitude.imag)},{fmt(peak.intensity)}"
+                f"{k.m},{k.n},{k.s},{fmt(amplitude.real)},"
+                f"{fmt(amplitude.imag)},{fmt(intensity)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -67,7 +77,7 @@ def _legacy_stem_svg(peaks, lo, hi):
     width, height, margin = 800.0, 400.0, 40.0
     flo, fhi = Fraction(lo), Fraction(hi)
     span = float(fhi - flo)
-    top = max((abs(peak.amplitude) for peak in peaks), default=0.0)
+    top = max((abs(amplitude) for _, amplitude, _ in peaks), default=0.0)
     lines = [
         render._SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
@@ -75,11 +85,11 @@ def _legacy_stem_svg(peaks, lo, hi):
         f'x2="{fmt(width - margin)}" y2="{fmt(height - margin)}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for peak in peaks:
-        size = abs(peak.amplitude)
+    for k, amplitude, _ in peaks:
+        size = abs(amplitude)
         if top == 0.0 or size == 0.0:
             continue
-        x = margin + (float(peak.k.value) - float(flo)) / span * (width - 2 * margin)
+        x = margin + (float(k.value) - float(flo)) / span * (width - 2 * margin)
         stem = size / top * (height - 2 * margin)
         lines.append(
             f'<line x1="{fmt(x)}" y1="{fmt(height - margin)}" '
@@ -97,21 +107,21 @@ def _legacy_disc_svg(peaks, x_bounds, y_bounds):
     fxlo, fxhi = Fraction(x_bounds[0]), Fraction(x_bounds[1])
     fylo, fyhi = Fraction(y_bounds[0]), Fraction(y_bounds[1])
     xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
-    top = max((peak.intensity for peak in peaks), default=0.0)
+    top = max((intensity for _, _, intensity in peaks), default=0.0)
     lines = [
         render._SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
     ]
-    for peak in peaks:
-        if top == 0.0 or peak.intensity <= 0.0:
+    for k, _, intensity in peaks:
+        if top == 0.0 or intensity <= 0.0:
             continue
-        kx, ky = peak.k.value
+        kx, ky = k.value
         x = margin + (float(kx) - float(fxlo)) / xspan * (width - 2 * margin)
         y = height - margin - (float(ky) - float(fylo)) / yspan * (height - 2 * margin)
-        radius = top_radius * (peak.intensity / top) ** 0.5
+        radius = top_radius * (intensity / top) ** 0.5
         lines.append(
             f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(radius)}" '
-            f'fill="black" data-intensity="{fmt(peak.intensity)}"/>'
+            f'fill="black" data-intensity="{fmt(intensity)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -128,47 +138,66 @@ _nums = st.integers(min_value=-(1 << 14), max_value=1 << 14)
 
 @st.composite
 def _peak_lists(draw, dim):
-    peaks = []
+    """(k, amplitude) pairs."""
+    pairs = []
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
         if dim == 1:
             k = Dyadic.of(draw(_nums), draw(_exps))
         else:
             k = DyadicPoint2.of(draw(_nums), draw(_nums), draw(_exps))
-        amplitude = complex(draw(_parts), draw(_parts))
-        peaks.append(render.Peak(k, amplitude, abs(amplitude) ** 2))
-    return peaks
+        pairs.append((k, complex(draw(_parts), draw(_parts))))
+    return pairs
+
+
+class TestPeakTableOf:
+    @settings(max_examples=150, deadline=None)
+    @given(_peak_lists(1))
+    def test_intensity_is_cpython_abs_squared(self, pairs):
+        table = _table(pairs, 1)
+        assert len(table) == len(pairs)
+        assert table.amplitude.dtype == np.complex128
+        assert table.intensity.dtype == np.float64
+        assert table.amplitude.tolist() == [a for _, a in pairs]
+        # Bit for bit, signed zeros included.
+        expected = [abs(a) ** 2 for _, a in pairs]
+        assert table.intensity.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_empty_table(self):
+        table = _table([], 2)
+        assert len(table) == 0
+        assert table.amplitude.shape == table.intensity.shape == (0,)
 
 
 class TestColumnsMatchPeakLists:
     @settings(max_examples=150, deadline=None)
     @given(_peak_lists(1))
-    def test_chain_csv_and_stems(self, peaks):
-        table = _table(peaks, 1)
+    def test_chain_csv_and_stems(self, pairs):
+        table, peaks = _table(pairs, 1), _rows(pairs)
         assert render.peaks_csv(table) == _legacy_peaks_csv(peaks, 1)
-        assert render.module_csv(table.module) == _legacy_module_csv([p.k for p in peaks], 1)
+        assert render.module_csv(table.module) == _legacy_module_csv([k for k, _ in pairs], 1)
         for lo, hi in ((0, 1), (Fraction(-3, 7), Fraction(5, 3))):
             assert render.stem_svg(table, lo, hi) == _legacy_stem_svg(peaks, lo, hi)
 
     @settings(max_examples=150, deadline=None)
     @given(_peak_lists(2))
-    def test_plane_csv_and_discs(self, peaks):
-        table = _table(peaks, 2)
+    def test_plane_csv_and_discs(self, pairs):
+        table, peaks = _table(pairs, 2), _rows(pairs)
         assert render.peaks_csv(table) == _legacy_peaks_csv(peaks, 2)
-        assert render.module_csv(table.module) == _legacy_module_csv([p.k for p in peaks], 2)
+        assert render.module_csv(table.module) == _legacy_module_csv([k for k, _ in pairs], 2)
         for bounds in (((-1, 1), (-1, 1)), ((Fraction(-1, 3), 1), (-2, Fraction(1, 5)))):
             assert render.disc_svg(table, *bounds) == _legacy_disc_svg(peaks, *bounds)
 
     def test_negative_zero_everywhere(self):
-        peaks = [render.Peak(Dyadic(1, 1), complex(-0.0, -0.0), -0.0)] * 3
-        assert render.peaks_csv(_table(peaks, 1)) == _legacy_peaks_csv(peaks, 1)
-        assert "-0.0" not in render.peaks_csv(_table(peaks, 1))
+        peaks = [(Dyadic(1, 1), complex(-0.0, -0.0), -0.0)] * 3
+        assert render.peaks_csv(_columns(peaks, 1)) == _legacy_peaks_csv(peaks, 1)
+        assert "-0.0" not in render.peaks_csv(_columns(peaks, 1))
 
 
 class TestCsv:
     def test_chain_schema_and_rows(self):
         peaks = [
-            _peak(Dyadic(0), 1 / 3 + 0j),
-            _peak(Dyadic(1, 1), 2 / 3 + 0j),
+            (Dyadic(0), 1 / 3 + 0j),
+            (Dyadic(1, 1), 2 / 3 + 0j),
         ]
         text = render.peaks_csv(_table(peaks, 1))
         lines = text.splitlines()
@@ -178,20 +207,20 @@ class TestCsv:
         assert text.endswith("\n")
 
     def test_plane_schema(self):
-        peaks = [_peak(DyadicPoint2(1, -1, 2), 0.25j)]
+        peaks = [(DyadicPoint2(1, -1, 2), 0.25j)]
         text = render.peaks_csv(_table(peaks, 2))
         assert text.splitlines()[0] == "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"
         assert text.splitlines()[1] == "1,-1,2,0.0,0.25,0.0625"
 
     def test_negative_zero_is_flushed(self):
-        peaks = [_peak(Dyadic(1, 1), complex(-0.0, -0.0))]
+        peaks = [(Dyadic(1, 1), complex(-0.0, -0.0))]
         text = render.peaks_csv(_table(peaks, 1))
         assert "-0.0" not in text
 
     def test_floats_round_trip(self):
         # repr() floats reconstruct the amplitude exactly.
         amplitude = -0.123456789012345 + 0.987654321098765j
-        row = render.peaks_csv(_table([_peak(Dyadic(3, 2), amplitude)], 1)).splitlines()[1]
+        row = render.peaks_csv(_table([(Dyadic(3, 2), amplitude)], 1)).splitlines()[1]
         _, _, re_part, im_part, _ = row.split(",")
         assert complex(float(re_part), float(im_part)) == amplitude
 
@@ -211,8 +240,8 @@ class TestCsv:
 class TestStemSvg:
     def test_structure_and_heights(self):
         peaks = [
-            _peak(Dyadic(0), 0.5 + 0j),
-            _peak(Dyadic(1, 1), 0.25 + 0j),
+            (Dyadic(0), 0.5 + 0j),
+            (Dyadic(1, 1), 0.25 + 0j),
         ]
         svg = render.stem_svg(_table(peaks, 1), 0, 1)
         root = ET.fromstring(svg)
@@ -228,7 +257,7 @@ class TestStemSvg:
         assert xs[1] == pytest.approx(40.0 + 0.5 * (800 - 80))
 
     def test_zero_peaks_render_no_stems(self):
-        svg = render.stem_svg(_table([_peak(Dyadic(0), 0j)], 1), 0, 1)
+        svg = render.stem_svg(_table([(Dyadic(0), 0j)], 1), 0, 1)
         root = ET.fromstring(svg)
         assert len([el for el in root if el.tag.endswith("line")]) == 1
 
@@ -237,18 +266,18 @@ class TestStemSvg:
             render.stem_svg(_table([], 1), 1, 1)
 
     def test_determinism(self):
-        peaks = [_peak(Dyadic(m, 3), complex(m) / 10) for m in range(1, 8, 2)]
+        peaks = [(Dyadic(m, 3), complex(m) / 10) for m in range(1, 8, 2)]
         assert render.stem_svg(_table(peaks, 1), 0, 1) == render.stem_svg(_table(peaks, 1), 0, 1)
 
 
 class TestDiscSvg:
     def test_areas_proportional_to_intensity(self):
         peaks = [
-            render.Peak(k=DyadicPoint2(0, 0, 0), amplitude=1 + 0j, intensity=1.0),
-            render.Peak(k=DyadicPoint2(1, 1, 1), amplitude=0.5 + 0j, intensity=0.25),
-            render.Peak(k=DyadicPoint2(1, 0, 1), amplitude=0.1 + 0j, intensity=0.01),
+            (DyadicPoint2(0, 0, 0), 1 + 0j, 1.0),
+            (DyadicPoint2(1, 1, 1), 0.5 + 0j, 0.25),
+            (DyadicPoint2(1, 0, 1), 0.1 + 0j, 0.01),
         ]
-        svg = render.disc_svg(_table(peaks, 2), (-1, 1))
+        svg = render.disc_svg(_columns(peaks, 2), (-1, 1))
         root = ET.fromstring(svg)
         circles = [el for el in root if el.tag.endswith("circle")]
         assert len(circles) == 3
@@ -260,7 +289,7 @@ class TestDiscSvg:
             assert radius**2 / radii[0] ** 2 == pytest.approx(intensity, rel=1e-12)
 
     def test_positions_follow_the_region(self):
-        peaks = [render.Peak(k=DyadicPoint2(1, 1, 0), amplitude=1 + 0j, intensity=1.0)]
+        peaks = [(DyadicPoint2(1, 1, 0), 1 + 0j)]
         svg = render.disc_svg(_table(peaks, 2), (-1, 1), (0, 2))
         circle = next(
             el for el in ET.fromstring(svg) if el.tag.endswith("circle")
@@ -270,7 +299,7 @@ class TestDiscSvg:
         assert float(circle.get("cy")) == pytest.approx(800 - 40 - 0.5 * 720)
 
     def test_zero_intensity_peaks_are_dropped(self):
-        peaks = [render.Peak(k=DyadicPoint2(0, 0, 0), amplitude=0j, intensity=0.0)]
+        peaks = [(DyadicPoint2(0, 0, 0), 0j)]
         svg = render.disc_svg(_table(peaks, 2), (-1, 1))
         assert "circle" not in svg
 

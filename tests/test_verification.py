@@ -4,8 +4,53 @@ import json
 
 import pytest
 
-from limitper import chair, verification
-from limitper.dyadic import DyadicPoint2
+from limitper import chair, period_doubling, verification
+from limitper.dyadic import Dyadic, DyadicPoint2
+
+# The text reports of ``verify --quick`` and ``verify``, byte for byte.
+_QUICK_REPORT = (
+    "PASS pd-eta-recursion-closed-form: exact agreement for all shifts up to 4096\n"
+    "PASS pd-label-window-agreement: congruences match the fixed point on [-4096, 4096)\n"
+    "PASS pd-amplitude-relations: pinned amplitudes, lattice periodicity, balanced intensities\n"
+    "PASS pd-peak-mass: peak mass 0.996528 at r <= 8\n"
+    "PASS pd-empirical-amplitudes: max error 0.0000 over r <= 4, window half 65536\n"
+    "PASS pd-empirical-autocorrelation: max error 0.0001 for |z| <= 16, window half 65536\n"
+    "PASS chair-label-window-agreement: chains match the fixed point on [-256, 256)^2\n"
+    "PASS chair-amplitude-relations: pinned values, Hermitian symmetry, anti-pairing for s <= 3\n"
+    "PASS chair-sum-rules: pair sums match on and off the half lattice for s <= 3\n"
+    "PASS chair-extinctions: lattice comb and fourth-root extinctions hold for s <= 3\n"
+    "PASS chair-approximant-agreement: max layer-sum error 3.05e-05 at 12 levels, s <= 3\n"
+    "PASS chair-empirical-amplitudes: max error 0.0015 per colour, s <= 3, window half 256\n"
+    "PASS chair-d4-window-invariance: all 8 symmetries fix the recoloured window, half 128\n"
+    "PASS chair-d4-intensity-symmetry: fourth-root intensities are dihedral-symmetric for s <= 3\n"
+    "PASS chair-lattice-periodicity: lattice and half-lattice periodicities hold for s <= 3\n"
+    "all 15 checks passed\n"
+)
+
+_FULL_REPORT = (
+    "PASS pd-eta-recursion-closed-form: exact agreement for all shifts up to 65536\n"
+    "PASS pd-label-window-agreement: congruences match the fixed point on [-262144, 262144)\n"
+    "PASS pd-amplitude-relations: pinned amplitudes, lattice periodicity, balanced intensities\n"
+    "PASS pd-peak-mass: peak mass 0.999783 at r <= 12\n"
+    "PASS pd-empirical-amplitudes: max error 0.0000 over r <= 6, window half 1048576\n"
+    "PASS pd-empirical-autocorrelation: max error 0.0000 for |z| <= 64, window half 1048576\n"
+    "PASS chair-label-window-agreement: chains match the fixed point on [-1024, 1024)^2\n"
+    "PASS chair-amplitude-relations: pinned values, Hermitian symmetry, anti-pairing for s <= 5\n"
+    "PASS chair-sum-rules: pair sums match on and off the half lattice for s <= 5\n"
+    "PASS chair-extinctions: lattice comb and fourth-root extinctions hold for s <= 5\n"
+    "PASS chair-approximant-agreement: max layer-sum error 1.19e-07 at 20 levels, s <= 5\n"
+    "PASS chair-empirical-amplitudes: max error 0.0004 per colour, s <= 4, window half 1024\n"
+    "PASS chair-d4-window-invariance: all 8 symmetries fix the recoloured window, half 512\n"
+    "PASS chair-d4-intensity-symmetry: fourth-root intensities are dihedral-symmetric for s <= 5\n"
+    "PASS chair-lattice-periodicity: lattice and half-lattice periodicities hold for s <= 5\n"
+    "all 15 checks passed\n"
+)
+
+
+@pytest.fixture(scope="module")
+def full_results():
+    """One full run shared by the tests that need it (about a second of checks)."""
+    return verification.run_checks(quick=False)
 
 
 class TestRoster:
@@ -24,10 +69,9 @@ class TestRoster:
         assert all(0 <= r.elapsed_s < 60 for r in results)
         assert verification.CheckResult("alpha", True, "fine").elapsed_s == 0.0
 
-    def test_full_suite_passes(self):
-        results = verification.run_checks(quick=False)
-        assert tuple(r.name for r in results) == verification.CHECK_NAMES
-        assert [r.name for r in results if not r.passed] == []
+    def test_full_suite_passes(self, full_results):
+        assert tuple(r.name for r in full_results) == verification.CHECK_NAMES
+        assert [r.name for r in full_results if not r.passed] == []
 
     def test_results_are_frozen_records(self):
         result = verification.run_checks(quick=True)[0]
@@ -85,6 +129,10 @@ class TestReport:
             assert line == f"PASS {result.name}: {result.detail}"
         assert lines[-1] == "all 15 checks passed"
         assert text.endswith("\n")
+        assert text == _QUICK_REPORT
+
+    def test_full_report_bytes(self, full_results):
+        assert verification.report_text(full_results) == _FULL_REPORT
 
     def test_json_report_lists_every_field(self):
         results = (
@@ -108,9 +156,9 @@ class TestReport:
         assert text.splitlines()[-1] == "2 of 3 checks failed, first: beta"
 
 
-def _corrupt_amplitudes(monkeypatch, points):
-    """Make ``chair.amplitude_arrays`` add 0.01 to colour 0 at the given points."""
-    original = chair.amplitude_arrays
+def _corrupt_amplitudes(monkeypatch, points, system=chair):
+    """Make ``system.amplitude_arrays`` add 0.01 to letter 0 at the given points."""
+    original = system.amplitude_arrays
 
     def corrupted(module):
         re, im = original(module)
@@ -119,7 +167,7 @@ def _corrupt_amplitudes(monkeypatch, points):
                 re[0, i] += 0.01
         return re, im
 
-    monkeypatch.setattr(chair, "amplitude_arrays", corrupted)
+    monkeypatch.setattr(system, "amplitude_arrays", corrupted)
 
 
 class TestFirstFailure:
@@ -139,3 +187,11 @@ class TestFirstFailure:
     def test_each_condition_keeps_its_wording(self, monkeypatch):
         _corrupt_amplitudes(monkeypatch, {DyadicPoint2(1, 1, 1)})
         assert self._sum_rules_detail() == "sum rule broken on the half lattice at (1/2, 1/2)"
+
+    def test_chain_reports_its_earliest_point(self, monkeypatch):
+        # Corrupting A at k breaks |A(k)| = |A(k + 1)|; 3/8 precedes 1/2.
+        late, early = Dyadic(1, 1), Dyadic(3, 3)
+        _corrupt_amplitudes(monkeypatch, {late, early}, system=period_doubling)
+        results = verification.run_checks(quick=True)
+        detail = next(r.detail for r in results if r.name == "pd-amplitude-relations")
+        assert detail == "|A| not lattice-periodic at 3/8"
