@@ -11,14 +11,7 @@ enumeration and the check suite.
 """
 
 from . import chair, dyadic, numerics, period_doubling, render, subst, verification
-from .dyadic import (
-    ZERO_TOL,
-    Dyadic,
-    DyadicPoint2,
-    module_box,
-    module_interval,
-    phase,
-)
+from .dyadic import Dyadic, DyadicPoint2, module_box, module_interval, phase
 from .subst import (
     PatternWindow,
     RuleError,
@@ -49,7 +42,6 @@ __all__ = [
     "render",
     "subst",
     "verification",
-    "ZERO_TOL",
     "Dyadic",
     "DyadicPoint2",
     "module_box",

@@ -31,7 +31,6 @@ from functools import total_ordering
 import numpy as np
 
 __all__ = [
-    "ZERO_TOL",
     "MAX_LEVEL",
     "MAX_POINTS",
     "MAX_CELLS",
@@ -46,9 +45,6 @@ __all__ = [
     "module_interval",
     "module_box",
 ]
-
-# Magnitudes below this count as exact zeros in extinction tests downstream.
-ZERO_TOL = 1e-10
 
 # The finest denominator exponent the array routes accept: 2^62 and every
 # residue modulo it fit in int64.
@@ -68,6 +64,7 @@ MAX_COUNTS = 1 << 22
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _TWO_PI = 2.0 * math.pi
+# e^{2 pi i j / 4} for j = 0 .. 3, exact.
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 

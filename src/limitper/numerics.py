@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chair, period_doubling, subst
-from .dyadic import DyadicPoint2, Module, normal_form, phase, phase_arrays
+from .dyadic import _QUARTER_TURNS, DyadicPoint2, Module, normal_form, phase, phase_arrays
 from .subst import PatternWindow
 
 __all__ = [
@@ -52,9 +52,6 @@ __all__ = [
 
 # Cells per band of ``WeightedComb.residue_counts``: 2 MB of int64 keys.
 _BAND_CELLS = 1 << 18
-
-# e^{2 pi i j / 4} for j = 0 .. 3, exact.
-_QUARTER_TURNS = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
 
 class WeightedComb:
@@ -81,7 +78,6 @@ class WeightedComb:
         self.window = window
         self.weights = weights
         self.half = half
-        self._weight_array: np.ndarray | None = None
         self._label_data: dict = {}
 
     @property
@@ -98,13 +94,6 @@ class WeightedComb:
         comb._label_data = self._label_data
         return comb
 
-    def weight_array(self) -> np.ndarray:
-        """w(x) over the window as a complex array, cached."""
-        if self._weight_array is None:
-            table = np.array(self.weights, dtype=complex)
-            self._weight_array = table[self.window.labels]
-        return self._weight_array
-
     def residue_counts(self, modulus: int) -> np.ndarray:
         """Occurrences of each (label, position mod modulus) pair, cached.
 
@@ -114,7 +103,9 @@ class WeightedComb:
         (label, residues) are built one band of the window at a time, at
         least ``_BAND_CELLS`` cells and at least the table's size, and each
         band's ``bincount`` is added into the table, so the scratch stays a
-        few bands' worth whatever the window.
+        few bands' worth whatever the window.  A band is a slice of the
+        leading array axis (cells in 1D, rows in 2D); the residues along
+        that axis are taken per band, those along the others whole.
         """
         key = ("counts", modulus)
         counts = self._label_data.get(key)
@@ -123,23 +114,17 @@ class WeightedComb:
         entries = len(self.weights) * modulus**self.dim
         labels = self.window.labels
         size = 2 * self.half + 1
-        # Bands are slices of the leading axis: cells in 1D, rows (y) in 2D.
         step = max(1, max(_BAND_CELLS, entries) // size ** (self.dim - 1))
-        if self.dim == 2:
-            columns = np.arange(-self.half, self.half + 1, dtype=np.int64) % modulus
         counts = None
         for start in range(0, size, step):
             stop = min(start + step, size)
-            rows = np.arange(start - self.half, stop - self.half, dtype=np.int64)
-            rows %= modulus
             keys = labels[start:stop].astype(np.int64)
-            keys *= modulus
-            if self.dim == 1:
-                keys += rows
-            else:
-                keys += rows[:, None]
+            for axis in range(self.dim):
+                lo, hi = (start, stop) if axis == 0 else (0, size)
+                residues = np.arange(lo - self.half, hi - self.half, dtype=np.int64)
+                residues %= modulus
                 keys *= modulus
-                keys += columns
+                keys += residues.reshape((-1,) + (1,) * (self.dim - 1 - axis))
             band_counts = np.bincount(keys.ravel(), minlength=entries)
             if counts is None:
                 counts = band_counts
@@ -339,6 +324,7 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
     s = module.exponents
     odd_sum = ((m + n) & 1) == 1
     odd_m = (m & 1) == 1
+    quarter_turns = np.array(_QUARTER_TURNS)
     out = np.empty((4, len(module)), dtype=complex)
     for colour, (step, shift) in enumerate(zip(chair.COLOR_STEPS, chair.COLOR_SHIFTS)):
         theta = normal_form((step[0] * m + step[1] * n,), s)
@@ -354,7 +340,7 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
             deep = np.flatnonzero(supported & (r > level))
             # 2^level theta has denominator 2^(r - level), r - level in {1, 2}.
             turns = (-t[deep] << (level + 2 - r[deep])) & 3
-            layer[deep] = (1 - _QUARTER_TURNS[turns]) / denominator[deep]
+            layer[deep] = (1 - quarter_turns[turns]) / denominator[deep]
             # The shift phase e^{-2 pi i 2^(level+1) m / 2^s} is -1 exactly
             # when s = level + 2 and m is odd, and 1 elsewhere on the support.
             layer[(s == level + 2) & odd_m] *= -1

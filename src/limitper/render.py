@@ -103,35 +103,30 @@ def _csv(header: str, columns) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _numerator_columns(module: Module):
-    return [map(str, column.tolist()) for column in module.numerators.T] + [
-        map(str, module.exponents.tolist())
-    ]
+# The coordinate columns of a module's CSV, by dimension.
+_COORDINATE_HEADERS = {1: "k_num,k_log2den", 2: "kx_num,ky_num,k_log2den"}
+
+
+def _coordinate_columns(module: Module) -> tuple[str, list]:
+    """The header and the exact numerator and exponent columns of a module."""
+    if module.dim not in _COORDINATE_HEADERS:
+        raise ValueError(f"unsupported dimension: {module.dim}")
+    columns = [map(str, column.tolist()) for column in module.numerators.T]
+    columns.append(map(str, module.exponents.tolist()))
+    return _COORDINATE_HEADERS[module.dim], columns
 
 
 def peaks_csv(table: PeakTable) -> str:
     """Peak table as CSV with exact dyadic coordinates."""
-    dim = table.module.dim
-    if dim == 1:
-        header = "k_num,k_log2den,amp_re,amp_im,intensity"
-    elif dim == 2:
-        header = "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity"
-    else:
-        raise ValueError(f"unsupported dimension: {dim}")
+    header, columns = _coordinate_columns(table.module)
     amplitude = table.amplitude
     floats = [_reprs(amplitude.real), _reprs(amplitude.imag), _reprs(table.intensity)]
-    return _csv(header, _numerator_columns(table.module) + floats)
+    return _csv(header + ",amp_re,amp_im,intensity", columns + floats)
 
 
 def module_csv(module: Module) -> str:
     """Module point list as CSV (coordinates only)."""
-    if module.dim == 1:
-        header = "k_num,k_log2den"
-    elif module.dim == 2:
-        header = "kx_num,ky_num,k_log2den"
-    else:
-        raise ValueError(f"unsupported dimension: {module.dim}")
-    return _csv(header, _numerator_columns(module))
+    return _csv(*_coordinate_columns(module))
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +216,40 @@ def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
 # Pattern windows
 # ---------------------------------------------------------------------------
 
+# Cells per band of a chain's text: 64k one-letter strings at a time.
+_TEXT_BAND = 1 << 16
+
+
+def _grid_lines(labels: np.ndarray, table: np.ndarray) -> list[str]:
+    """One line per row of a plane window, top row first, its label strings space-separated.
+
+    ``table`` is an object array holding one string per label.
+    """
+    return [" ".join(table[row].tolist()) for row in labels[::-1]]
+
 
 def window_text(window: PatternWindow, letters) -> str:
     """Letters of a pattern window.
 
     One dimension: a single line with ``|`` marking the origin (drawn before
     position 0 when the window straddles it).  Two dimensions: one line per
-    row, top row first, letters space-separated.
+    row, top row first, letters space-separated.  A chain is joined in bands
+    of ``_TEXT_BAND`` cells, so the scratch stays near the size of the text.
     """
-    letters = tuple(letters)
-    if window.dim == 1:
-        (lo,) = window.origin
-        chars = [letters[label] for label in window.labels.tolist()]
-        if lo < 0 < lo + len(chars):
-            chars.insert(-lo, "|")
-        return "".join(chars) + "\n"
-    rows = []
-    for row in window.labels[::-1]:
-        rows.append(" ".join(letters[label] for label in row.tolist()))
-    return "\n".join(rows) + "\n"
+    table = np.array(tuple(letters), dtype=object)
+    if window.dim != 1:
+        return "\n".join(_grid_lines(window.labels, table)) + "\n"
+    (lo,) = window.origin
+    labels = window.labels
+    halves = (labels[:-lo], labels[-lo:]) if lo < 0 < lo + len(labels) else (labels,)
+    pieces = []
+    for half in halves:
+        if pieces:
+            pieces.append("|")
+        for start in range(0, len(half), _TEXT_BAND):
+            pieces.append("".join(table[half[start : start + _TEXT_BAND]].tolist()))
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def window_pgm(window: PatternWindow, n_letters: int) -> str:
@@ -249,9 +259,6 @@ def window_pgm(window: PatternWindow, n_letters: int) -> str:
     if n_letters < 1:
         raise ValueError("need at least one letter")
     spread = max(n_letters - 1, 1)
-    greys = np.array([255 * index // spread for index in range(n_letters)])
+    greys = np.array([str(255 * index // spread) for index in range(n_letters)], dtype=object)
     ny, nx = window.labels.shape
-    lines = ["P2", f"{nx} {ny}", "255"]
-    for row in window.labels[::-1]:
-        lines.append(" ".join(str(g) for g in greys[row].tolist()))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["P2", f"{nx} {ny}", "255", *_grid_lines(window.labels, greys)]) + "\n"

@@ -2,8 +2,14 @@
 
 A system replaces every cell of a labelled pattern by a fixed image: a word
 of length b in one dimension, a b x b block in two.  Iterating a system on a
-legal two-cell (or 2 x 2) seed straddling the origin grows nested centred
-windows of its bi-infinite fixed point.  The engine is generic over the
+legal seed of two cells per axis straddling the origin grows nested centred
+windows of its bi-infinite fixed point.  Every window comes from one loop,
+``_grow``, and the window code is written once for Z^d, with no branch on
+the dimension.  To reach a cube [lo, hi]^d the loop takes the n passes with
+[lo, hi] inside [-b^n, b^n), and before each pass it keeps only the cells
+whose images meet the cube.  ``fixed_point_window`` asks for
+[-b^n, b^n - 1]^d, which n passes fill, so nothing is trimmed there;
+``centred_window`` asks for [-N, N]^d.  The engine is generic over the
 alphabet; the built-in rule files ship as package data under ``rules/``.
 
 Coordinate convention for blocks: the pattern assigns a label to each cell
@@ -81,7 +87,7 @@ class SubstitutionSystem:
             raise RuleSemanticError("alphabet letters must be distinct and non-empty")
         if len(self.images) != len(self.alphabet):
             raise RuleSemanticError("one image per letter required")
-        shape = (self.factor,) if self.kind == "word" else (self.factor, self.factor)
+        shape = (self.factor,) * self.dim
         for letter, img in zip(self.alphabet, self.images):
             if img.shape != shape:
                 raise RuleSemanticError(
@@ -160,7 +166,8 @@ class PatternWindow:
     """A finite labelled patch of Z or Z^2.
 
     ``labels`` is 1D (n,) or 2D (ny, nx); entry [iy, ix] belongs to the cell
-    (origin[0] + ix, origin[1] + iy).
+    (origin[0] + ix, origin[1] + iy).  Array axes run in the reverse order
+    of the coordinates, so ``extent`` is the array shape reversed.
     """
 
     origin: tuple[int, ...]
@@ -179,14 +186,11 @@ class PatternWindow:
 
     @property
     def extent(self) -> tuple[int, ...]:
-        if self.dim == 1:
-            return (self.labels.shape[0],)
-        ny, nx = self.labels.shape
-        return (nx, ny)
+        return self.labels.shape[::-1]
 
     def label_at(self, pos) -> int:
         """The label of one cell; ``ValueError`` if the cell is outside the patch."""
-        cell = (pos if isinstance(pos, int) else pos[0],) if self.dim == 1 else tuple(pos)
+        cell = (pos,) if isinstance(pos, int) else tuple(pos)
         index = tuple(c - o for c, o in zip(cell, self.origin))[::-1]
         if len(cell) != self.dim or any(not 0 <= i < n for i, n in zip(index, self.labels.shape)):
             raise ValueError(f"cell {pos} is outside the patch")
@@ -194,17 +198,11 @@ class PatternWindow:
 
     def subwindow(self, origin: tuple[int, ...], extent: tuple[int, ...]) -> "PatternWindow":
         """The sub-patch with the given origin and per-axis extent."""
-        if self.dim == 1:
-            i0 = origin[0] - self.origin[0]
-            if i0 < 0 or i0 + extent[0] > self.labels.shape[0]:
-                raise ValueError("subwindow reaches outside the patch")
-            return PatternWindow(origin, self.labels[i0 : i0 + extent[0]])
-        ix = origin[0] - self.origin[0]
-        iy = origin[1] - self.origin[1]
-        nx, ny = extent
-        if ix < 0 or iy < 0 or iy + ny > self.labels.shape[0] or ix + nx > self.labels.shape[1]:
+        starts = [o - s for o, s in zip(origin, self.origin)][::-1]
+        stops = [i + n for i, n in zip(starts, extent[::-1])]
+        if any(i < 0 or j > n for i, j, n in zip(starts, stops, self.labels.shape)):
             raise ValueError("subwindow reaches outside the patch")
-        return PatternWindow(origin, self.labels[iy : iy + ny, ix : ix + nx])
+        return PatternWindow(origin, self.labels[tuple(map(slice, starts, stops))])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternWindow):
@@ -216,16 +214,10 @@ def _expand_labels(system: SubstitutionSystem, arr: np.ndarray) -> np.ndarray:
     """Replace every cell of `arr` by its rule image (no origin bookkeeping)."""
     b = system.factor
     lut = system.image_lut()
-    if arr.ndim == 1:
-        out = np.empty(arr.shape[0] * b, dtype=arr.dtype)
-        for dx in range(b):
-            out[dx::b] = lut[arr, dx]
-        return out
-    ny, nx = arr.shape
-    out = np.empty((ny * b, nx * b), dtype=arr.dtype)
-    for dy in range(b):
-        for dx in range(b):
-            out[dy::b, dx::b] = lut[arr, dy, dx]
+    out = np.empty(tuple(n * b for n in arr.shape), dtype=arr.dtype)
+    # Offset (dy, dx) of every image fills the cells out[dy::b, dx::b].
+    for offset in np.ndindex(*(b,) * arr.ndim):
+        out[tuple(slice(o, None, b) for o in offset)] = lut[(arr, *offset)]
     return out
 
 
@@ -279,46 +271,58 @@ def check_seed_legal(system: SubstitutionSystem, seed: PatternWindow) -> bool:
     return central == seed
 
 
+def _grow(system: SubstitutionSystem, seed: PatternWindow, lo: int, hi: int) -> PatternWindow:
+    """The cube [lo, hi]^d of the fixed point through ``seed``, by trimmed passes.
+
+    Needs lo <= hi.  The seed's legality is checked here, once for every
+    window.  The loop takes the n passes with b^n the least power of the
+    factor b for which [lo, hi] lies inside [-b^n, b^n), the window that n
+    passes grow from the seed.  Before each pass, with k passes still to go,
+    it keeps only the cells floor(lo / b^k) .. floor(hi / b^k) per axis,
+    whose images meet the cube; for the whole [-b^n, b^n - 1] that is every
+    cell.  The result is a view of the seed's labels or of the last pass's.
+    """
+    if not check_seed_legal(system, seed):
+        raise ValueError("seed is not legal for this system (no fixed point through it)")
+    b = system.factor
+    scale = 1
+    while not -scale <= lo <= hi < scale:
+        scale *= b
+    # Every axis covers the same cells, starting at `origin`.
+    labels, origin = seed.labels, -1
+    while True:
+        first, last = lo // scale, hi // scale
+        labels = labels[(slice(first - origin, last - origin + 1),) * system.dim]
+        if scale == 1:
+            return PatternWindow((lo,) * system.dim, labels)
+        labels, origin, scale = _expand_labels(system, labels), first * b, scale // b
+
+
 def fixed_point_window(
     system: SubstitutionSystem, seed: PatternWindow, iterations: int
 ) -> PatternWindow:
-    """The window [-b^n, b^n)^d of the fixed point grown from a legal seed."""
+    """The window [-b^n, b^n)^d of the fixed point, n substitution passes from a legal seed.
+
+    It asks ``_grow`` for the cube [-b^n, b^n - 1]^d, which the n passes
+    fill exactly, so no cell is trimmed.
+    """
     if iterations < 0:
         raise ValueError(f"negative iteration count: {iterations}")
-    if not check_seed_legal(system, seed):
-        raise ValueError("seed is not legal for this system (no fixed point through it)")
-    window = seed
-    for _ in range(iterations):
-        window = substitute(system, window)
-    return window
+    reach = system.factor**iterations
+    return _grow(system, seed, -reach, reach - 1)
 
 
 def centred_window(system: SubstitutionSystem, seed: PatternWindow, half: int) -> PatternWindow:
     """The cube [-N, N]^d of the fixed point, grown only where it reaches the cube.
 
-    It takes the n passes with b^n >= N + 1 that ``fixed_point_window``
-    takes, but before each pass it trims the window to the parent cells whose
-    images meet [-N, N]^d: at k passes still to go, the cells
-    floor(-N / b^k) .. floor(N / b^k) per axis.  The last pass expands fewer
-    than 2N/b + 2 cells per axis, so the returned view keeps a base of at
-    most (2N + 2b)^d cells alive instead of (2 b^n)^d.
+    It asks ``_grow`` for the cube [-N, N]^d: the n passes with b^n >= N + 1
+    that ``fixed_point_window`` takes, trimmed before each.  The last pass
+    expands fewer than 2N/b + 2 cells per axis, so the returned view keeps a
+    base of at most (2N + 2b)^d cells alive instead of (2 b^n)^d.
     """
     if half < 0:
         raise ValueError(f"negative half-width: {half}")
-    if not check_seed_legal(system, seed):
-        raise ValueError("seed is not legal for this system (no fixed point through it)")
-    b = system.factor
-    scale = 1
-    while scale < half + 1:
-        scale *= b
-    # Every axis covers the same cells, starting at `origin`.
-    labels, origin = seed.labels, -1
-    while True:
-        lo, hi = -half // scale, half // scale
-        labels = labels[(slice(lo - origin, hi - origin + 1),) * system.dim]
-        if scale == 1:
-            return PatternWindow((-half,) * system.dim, labels)
-        labels, origin, scale = _expand_labels(system, labels), lo * b, scale // b
+    return _grow(system, seed, -half, half)
 
 
 def _nullspace_vector(rows: list[list[Fraction]]) -> list[Fraction]:

@@ -8,15 +8,18 @@ per-peak renderers they replaced, kept below as a test oracle over
 (k, amplitude, intensity) rows.
 """
 
+import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitper import render
+from limitper import period_doubling, render
 from limitper.dyadic import Dyadic, DyadicPoint2, Module
 from limitper.subst import PatternWindow
 
@@ -308,7 +311,74 @@ class TestDiscSvg:
             render.disc_svg(_table([], 2), (0, 0))
 
 
+def _window_text_per_cell(window, letters):
+    """The text rendering one cell at a time, the bar inserted into the list of letters."""
+    letters = tuple(letters)
+    if window.dim == 1:
+        (lo,) = window.origin
+        chars = [letters[label] for label in window.labels.tolist()]
+        if lo < 0 < lo + len(chars):
+            chars.insert(-lo, "|")
+        return "".join(chars) + "\n"
+    rows = [" ".join(letters[label] for label in row.tolist()) for row in window.labels[::-1]]
+    return "\n".join(rows) + "\n"
+
+
+def _window_pgm_per_cell(window, n_letters):
+    """The PGM rendering with one ``str`` per cell."""
+    spread = max(n_letters - 1, 1)
+    greys = [255 * index // spread for index in range(n_letters)]
+    ny, nx = window.labels.shape
+    lines = ["P2", f"{nx} {ny}", "255"]
+    for row in window.labels[::-1]:
+        lines.append(" ".join(str(greys[label]) for label in row.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+_letter_sets = st.lists(
+    st.text(alphabet="ab01|", min_size=1, max_size=3), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _random_windows(draw, dim):
+    """A window of random labels, origin and shape, with one string per label."""
+    letters = draw(_letter_sets)
+    shape = tuple(draw(st.integers(2 - dim, 40 if dim == 1 else 12)) for _ in range(dim))
+    size = math.prod(shape)
+    cells = draw(st.lists(st.integers(0, len(letters) - 1), min_size=size, max_size=size))
+    origin = tuple(draw(st.integers(-45, 5)) for _ in range(dim))
+    labels = np.array(cells, dtype=np.uint8).reshape(shape)
+    return PatternWindow(origin, labels), letters
+
+
 class TestWindowRendering:
+    @settings(max_examples=150, deadline=None)
+    @given(_random_windows(1), st.integers(1, 8))
+    def test_chain_text_matches_the_per_cell_text(self, case, band):
+        window, letters = case
+        with mock.patch.object(render, "_TEXT_BAND", band):
+            assert render.window_text(window, letters) == _window_text_per_cell(window, letters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_windows(2))
+    def test_plane_text_and_pgm_match_the_per_cell_forms(self, case):
+        window, letters = case
+        assert render.window_text(window, letters) == _window_text_per_cell(window, letters)
+        assert render.window_pgm(window, len(letters)) == _window_pgm_per_cell(window, len(letters))
+
+    def test_chain_text_scratch_stays_near_the_text(self):
+        # 2^21 + 2 characters of text; the per-cell list it replaced peaked at 33.9 MB.
+        window = period_doubling.pattern_window(10)
+        tracemalloc.start()
+        try:
+            text = render.window_text(window, ("a", "b"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) == window.labels.size + 2
+        assert peak < 8 << 20
+
     def test_chain_text_with_origin_bar(self):
         window = PatternWindow((-4,), np.array([0, 1, 0, 0, 0, 1, 0, 0], dtype=np.uint8))
         assert render.window_text(window, ("a", "b")) == "abaa|abaa\n"

@@ -40,6 +40,14 @@ def _doubling():
     return subst.parse_rules(_DOUBLING_TEXT)
 
 
+def _substituted(system, seed, iterations):
+    """The seed after ``iterations`` passes of ``subst.substitute``: growth taken literally."""
+    window = seed
+    for _ in range(iterations):
+        window = subst.substitute(system, window)
+    return window
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -232,6 +240,52 @@ class TestPatterns:
         with pytest.raises(ValueError):
             window.subwindow((6,), (3,))
 
+    def test_extent_runs_along_the_coordinates(self):
+        chain = subst.PatternWindow((-3,), np.zeros(7, dtype=np.uint8))
+        assert chain.extent == (7,)
+        # Three rows (y) of five cells (x): the extent is (nx, ny).
+        plane = subst.PatternWindow((-2, -1), np.zeros((3, 5), dtype=np.uint8))
+        assert plane.extent == (5, 3)
+
+    @pytest.mark.parametrize(
+        "origin, extent",
+        [((-4,), (1,)), ((3,), (2,)), ((-3,), (8,))],
+        ids=["low", "high", "high-long"],
+    )
+    def test_subwindow_refuses_to_leave_a_chain(self, origin, extent):
+        chain = subst.PatternWindow((-3,), np.arange(7, dtype=np.uint8))
+        assert chain.subwindow((-3,), (7,)) == chain
+        assert chain.subwindow((3,), (1,)).labels.tolist() == [6]
+        with pytest.raises(ValueError, match="outside the patch"):
+            chain.subwindow(origin, extent)
+
+    # The plane below covers x in [-2, 2] and y in [-1, 1]; each patch leaves
+    # it along one axis only.  The y-high patch would fit if the axes were
+    # swapped.
+    @pytest.mark.parametrize(
+        "origin, extent",
+        [
+            ((-3, -1), (1, 3)),
+            ((2, -1), (2, 3)),
+            ((-2, -2), (5, 1)),
+            ((-2, -1), (1, 4)),
+        ],
+        ids=["x-low", "x-high", "y-low", "y-high"],
+    )
+    def test_subwindow_refuses_to_leave_a_plane_on_each_axis(self, origin, extent):
+        plane = subst.PatternWindow((-2, -1), np.arange(15, dtype=np.uint8).reshape(3, 5))
+        with pytest.raises(ValueError, match="outside the patch"):
+            plane.subwindow(origin, extent)
+
+    def test_subwindow_of_a_plane_reads_x_then_y(self):
+        plane = subst.PatternWindow((-2, -1), np.arange(15, dtype=np.uint8).reshape(3, 5))
+        assert plane.subwindow((-2, -1), (5, 3)) == plane
+        assert plane.subwindow((-2, 1), (5, 1)).labels.tolist() == [[10, 11, 12, 13, 14]]
+        assert plane.subwindow((2, -1), (1, 3)).labels.tolist() == [[4], [9], [14]]
+        sub = plane.subwindow((1, 0), (2, 2))
+        assert sub.origin == (1, 0)
+        assert sub.labels.tolist() == [[8, 9], [13, 14]]
+
     def test_substitute_positions_images(self):
         system = _doubling()
         patch = subst.word_seed(system, "a", "b")
@@ -386,6 +440,34 @@ def _half_widths(draw, factor, dim):
     return draw(st.one_of(edge, st.integers(min_value=0, max_value=factor**top)))
 
 
+def _fixed_point_cases():
+    """(system, seed, most passes): both built-ins as shipped, and two factor-3 rules."""
+    doubled = subst.bundled_system("period_doubling").power(2)
+    chair = subst.bundled_system("chair")
+    word = subst.parse_rules(_TRIPLING_WORD)
+    block = subst.parse_rules(_TRIPLING_BLOCK)
+    return [
+        (doubled, subst.word_seed(doubled, "a", "a"), 6),
+        (doubled, subst.word_seed(doubled, "b", "a"), 6),
+        (chair, subst.block_seed(chair, (("3", "0"), ("2", "1"))), 6),
+        (chair, subst.block_seed(chair, (("1", "2"), ("0", "3"))), 6),
+        (word, subst.word_seed(word, "a", "a"), 6),
+        (block, subst.block_seed(block, (("p", "q"), ("q", "p"))), 4),
+    ]
+
+
+class TestFixedPointWindow:
+    @pytest.mark.parametrize("case", range(len(_fixed_point_cases())))
+    def test_is_iterated_substitution(self, case):
+        system, seed, most = _fixed_point_cases()[case]
+        for iterations in range(most + 1):
+            window = subst.fixed_point_window(system, seed, iterations)
+            reach = system.factor**iterations
+            assert window.origin == (-reach,) * system.dim
+            assert window.extent == (2 * reach,) * system.dim
+            assert window == _substituted(system, seed, iterations)
+
+
 class TestCentredWindow:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -396,7 +478,7 @@ class TestCentredWindow:
         while system.factor**iterations < half + 1:
             iterations += 1
         cube = ((-half,) * system.dim, (2 * half + 1,) * system.dim)
-        expected = subst.fixed_point_window(system, seed, iterations).subwindow(*cube)
+        expected = _substituted(system, seed, iterations).subwindow(*cube)
         window = subst.centred_window(system, seed, half)
         assert window == expected
         base = window.labels if window.labels.base is None else window.labels.base
