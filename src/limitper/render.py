@@ -57,9 +57,11 @@ class PeakTable:
     def of(cls, module: Module, amplitude) -> "PeakTable":
         """The peaks of ``module`` with the given amplitudes, one per row, and their intensities."""
         amplitude = np.asarray(amplitude, dtype=complex)
-        # CPython's abs(complex) per point: numpy's need not round the same way.
-        intensity = [abs(a) ** 2 for a in amplitude.tolist()]
-        return cls(module, amplitude, np.array(intensity, dtype=np.float64))
+        # CPython's abs(a) ** 2 is libm hypot then libm pow; these two ufuncs
+        # call the same functions, so every bit matches (np.abs and
+        # np.power need not round the same way).
+        intensity = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2.0)
+        return cls(module, amplitude, intensity)
 
 
 def _fmt(x: float) -> str:

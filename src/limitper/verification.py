@@ -7,6 +7,13 @@ forms must satisfy.  ``run_checks`` runs them all and reports one result per
 name; ``quick=True`` shrinks windows and cut-offs to keep the suite under a
 few seconds.
 
+The checks are independent.  On Linux with two or more usable CPUs they run
+on forked worker processes, one per CPU, handed out in roster order; on one
+CPU or another platform they run one after another in the calling process.
+The results come back in roster order either way, so the reports are
+byte-identical; ``elapsed_s`` is each check's own wall time, not a share of
+the run.
+
 The closed-form checks of both systems work on arrays, with no loop over
 points: each reads ``period_doubling.amplitude_arrays`` or
 ``chair.amplitude_arrays`` over one ``dyadic.module_points`` box and over
@@ -27,9 +34,11 @@ that use no weight table ignore it.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,11 +76,14 @@ def _perturb(weights):
 
 def _check_pd_eta(quick, pick):
     limit = 1 << (12 if quick else 16)
-    minus_third = Fraction(-1, 3)
+    # A Fraction is kept in lowest terms with a positive denominator, so two
+    # are equal exactly when their integer ratios are; comparing the pairs
+    # skips the number-type dispatch of ``Fraction.__eq__``.
     for m in range(1, limit + 1):
-        if period_doubling.autocorr_balanced(m) != period_doubling.autocorr_balanced_closed_form(m):
+        recursion = period_doubling.autocorr_balanced(m).as_integer_ratio()
+        if recursion != period_doubling.autocorr_balanced_closed_form(m).as_integer_ratio():
             return False, f"recursion and closed form split at shift {m}"
-        if m % 2 == 1 and period_doubling.autocorr_balanced(m) != minus_third:
+        if m % 2 == 1 and recursion != (-1, 3):
             return False, f"odd shift {m} not -1/3"
     return True, f"exact agreement for all shifts up to {limit}"
 
@@ -445,19 +457,49 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _run_check(index: int, quick: bool, tamper: frozenset) -> CheckResult:
+    """Run check number ``index`` of the roster and time it on its own."""
+    name, check = _CHECKS[index]
+    start = time.perf_counter()
+    passed, detail = check(quick, _perturb if name in tamper else tuple)
+    elapsed = time.perf_counter() - start
+    return CheckResult(name=name, passed=passed, detail=detail, elapsed_s=elapsed)
+
+
 def run_checks(*, quick: bool = False, tamper=frozenset()) -> tuple[CheckResult, ...]:
-    """Run every named check and collect the results in a stable order."""
+    """Run every named check and collect the results in roster order.
+
+    The checks run on forked workers or one after another, as the module
+    docstring says; the results differ only in ``elapsed_s``.  A check that
+    raises re-raises here.
+    """
     tamper = frozenset(tamper)
     unknown = tamper - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
-    results = []
-    for name, check in _CHECKS:
-        start = time.perf_counter()
-        passed, detail = check(quick, _perturb if name in tamper else tuple)
-        elapsed = time.perf_counter() - start
-        results.append(CheckResult(name=name, passed=passed, detail=detail, elapsed_s=elapsed))
-    return tuple(results)
+    job = functools.partial(_run_check, quick=quick, tamper=tamper)
+    indices = range(len(_CHECKS))
+    workers = min(_usable_cpus(), len(_CHECKS)) if sys.platform.startswith("linux") else 1
+    if workers < 2:
+        return tuple(map(job, indices))
+    # Imported here rather than at the top, as ``json`` is below: the CLI
+    # imports this module on every start-up.  A forked worker inherits the
+    # roster, so no check is pickled: only the index (with the run's
+    # ``quick`` and ``tamper``) goes out and the result comes back.  Workers
+    # leave by ``os._exit``, running no atexit handler or ``finally`` of the
+    # parent.
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        results = tuple(pool.imap(job, indices))
+        pool.close()
+        pool.join()
+    return results
 
 
 def report_text(results) -> str:

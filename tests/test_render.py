@@ -139,6 +139,17 @@ _exps = st.integers(min_value=0, max_value=12)
 _nums = st.integers(min_value=-(1 << 14), max_value=1 << 14)
 
 
+# Amplitude components whose |a|^2 stays finite: with both at most 2^510,
+# |a|^2 <= 2^1021.
+_components = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.floats(min_value=-1e-150, max_value=1e-150, allow_nan=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.builds(lambda x, sign: sign * x, st.floats(1e150, 2.0**510), st.sampled_from((1, -1))),
+    st.floats(min_value=-(2.0**510), max_value=2.0**510, allow_nan=False),
+)
+
+
 @st.composite
 def _peak_lists(draw, dim):
     """(k, amplitude) pairs."""
@@ -163,6 +174,16 @@ class TestPeakTableOf:
         assert table.amplitude.tolist() == [a for _, a in pairs]
         # Bit for bit, signed zeros included.
         expected = [abs(a) ** 2 for _, a in pairs]
+        assert table.intensity.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_components, _components), max_size=40))
+    def test_intensity_bits_over_the_float_range(self, parts):
+        # Random, tiny, huge and subnormal components, up to where the scalar
+        # rule's square would overflow (past it CPython raised OverflowError).
+        amplitude = np.array([complex(re, im) for re, im in parts], dtype=complex)
+        table = render.PeakTable.of(Module.of([Dyadic(0)] * len(parts), 1), amplitude)
+        expected = [abs(a) ** 2 for a in amplitude.tolist()]
         assert table.intensity.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_empty_table(self):

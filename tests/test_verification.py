@@ -1,6 +1,10 @@
 """Self-check runner tests: roster stability, tampering, report format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,89 @@ class TestRoster:
         result = verification.run_checks(quick=True)[0]
         with pytest.raises(AttributeError):
             result.passed = False
+
+
+_LINUX = sys.platform.startswith("linux")
+_SRC = Path(verification.__file__).resolve().parents[1]
+
+
+def _fresh_python(code, tmp_path):
+    """Run ``code`` in a fresh interpreter that imports limitper from this tree."""
+    path = os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+
+
+def _with_cpus(monkeypatch, count):
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: count)
+
+
+def _boom(quick, pick):
+    raise ZeroDivisionError("check blew up")
+
+
+def _pid(quick, pick):
+    return True, str(os.getpid())
+
+
+class TestRunner:
+    """The forked pool and the serial loop give the same results."""
+
+    @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_serial_matches_pool(self, monkeypatch, quick):
+        _with_cpus(monkeypatch, 2)
+        pooled = verification.run_checks(quick=quick)
+        _with_cpus(monkeypatch, 1)
+        serial = verification.run_checks(quick=quick)
+
+        def fields(results):
+            return [(r.name, r.passed, r.detail) for r in results]
+
+        assert fields(pooled) == fields(serial)
+        assert [r.name for r in serial] == list(verification.CHECK_NAMES)
+
+    @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
+    def test_pool_runs_checks_in_other_processes(self, monkeypatch):
+        monkeypatch.setattr(verification, "_CHECKS", (("one", _pid), ("two", _pid)))
+        _with_cpus(monkeypatch, 2)
+        pids = {r.detail for r in verification.run_checks()}
+        assert str(os.getpid()) not in pids
+        _with_cpus(monkeypatch, 1)
+        assert {r.detail for r in verification.run_checks()} == {str(os.getpid())}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_raising_check_reraises(self, monkeypatch, cpus):
+        checks = (verification._CHECKS[1], ("boom", _boom), verification._CHECKS[2])
+        monkeypatch.setattr(verification, "_CHECKS", checks)
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(ZeroDivisionError, match="check blew up"):
+            verification.run_checks(quick=True)
+
+    def test_atexit_runs_once(self, tmp_path):
+        # Forked workers must leave without running the parent's exit hooks.
+        code = (
+            "import atexit, sys\n"
+            "from limitper import cli\n"
+            "atexit.register(lambda: open('exits', 'a').write('exit\\n'))\n"
+            "sys.exit(cli.main(['verify', '--quick', '--out', 'report']))\n"
+        )
+        done = _fresh_python(code, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "report.txt").read_text() == _QUICK_REPORT
+        assert (tmp_path / "exits").read_text() == "exit\n"
+
+    def test_cli_import_leaves_out_multiprocessing(self, tmp_path):
+        code = (
+            "import sys, limitper.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))\n"
+        )
+        done = _fresh_python(code, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 # Every check that feeds a weight table through the tamper hook.
