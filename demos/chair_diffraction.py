@@ -11,7 +11,7 @@ from pathlib import Path
 
 from limitper import chair, numerics
 from limitper.dyadic import DyadicPoint2, module_points
-from limitper.render import PeakTable, disc_svg, peaks_csv
+from limitper.render import PeakTable, disc_svg, peaks_csv, weigh
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -39,11 +39,11 @@ print(f"closed form:                      {chair.amplitudes(k).values[0]:.10f}")
 
 # Weights i^j extinguish every peak on the half even sublattice, which
 # carries all the heavy intensity, so only the finer structure survives.
-# The four colour amplitudes come as arrays over the whole module at once.
+# The four colour amplitudes come as rows over the whole module at once,
+# and ``weigh`` applies the weights as ``limitper diffract`` does.
 weights = chair.Weights((1, 1j, -1, -1j))
 module = module_points(3, ((-1, 1), (-1, 1)))
-re, im = chair.amplitude_arrays(module)
-table = PeakTable.of(module, sum(w * (a + 1j * b) for w, a, b in zip(weights.values, re, im)))
+table = PeakTable.of(module, weigh(chair.amplitude_arrays(module), weights.values))
 kept = int((table.intensity > 1e-14).sum())
 print(f"{kept} of {len(table)} module points survive the extinctions")
 (OUT / "chair_peaks.csv").write_text(peaks_csv(table))

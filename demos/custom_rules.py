@@ -47,12 +47,7 @@ print("small patch:", window_text(subst.fixed_point_window(squared, seed, 2), sy
 half_k = Dyadic.of(1, 1)
 for exponent in (12, 14, 16):
     half = 1 << exponent
-    iterations = 1
-    while 4**iterations < half + 1:
-        iterations += 1
-    grown = subst.fixed_point_window(squared, seed, iterations)
-    centred = grown.subwindow((-half,), (2 * half + 1,))
-    comb = numerics.WeightedComb(centred, (1, -1))
+    comb = numerics.WeightedComb(subst.centred_window(squared, seed, half), (1, -1))
     estimate = numerics.empirical_amplitude(comb, half_k)
     print(f"window 2^{exponent + 1}: |amplitude at 1/2| = {abs(estimate):.5f}")
 print("compare the doubling chain, where the same probe returns ~0.667:")

@@ -25,9 +25,9 @@ of the same object live here:
 * ``amplitudes`` evaluates the summed series in closed form, split by the
   denominator exponent s of the wave number.  All roots of unity come from
   exact index arithmetic mod 2^s.  ``amplitude_arrays`` gives the same bits
-  over a whole ``dyadic.Module``: the s = 0 and s = 1 cases as masks, and
-  each deeper level from tables of the scalar case formulas indexed by
-  residues mod 2^s.
+  over a whole ``dyadic.Module``, one complex row per colour: the s = 0
+  and s = 1 cases as masks, and each deeper level from tables of the
+  scalar case formulas indexed by residues mod 2^s.
 
 The colour symmetry of the square acts by the dihedral elements in
 ``d4_elements``: each geometric map pairs with a colour permutation that
@@ -268,8 +268,8 @@ def amplitudes(k: DyadicPoint2) -> Amplitudes:
     return Amplitudes(k=k, values=vals)
 
 
-def _level_table(fn, residues: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """fn(j) at every residue j mod 2^level, as (re, im), one scalar call per table entry.
+def _level_table(fn, residues: np.ndarray, level: int) -> np.ndarray:
+    """fn(j) at every residue j mod 2^level, complex, one scalar call per table entry.
 
     The table holds all 2^level residues, or only the distinct ones when
     there are fewer points than that.
@@ -280,22 +280,23 @@ def _level_table(fn, residues: np.ndarray, level: int) -> tuple[np.ndarray, np.n
         distinct, where = np.unique(residues, return_inverse=True)
         distinct = distinct.tolist()
     table = np.array([fn(j) for j in distinct], dtype=complex)
-    return table.real[where], table.imag[where]
+    return table[where]
 
 
-def amplitude_arrays(module: Module) -> tuple[np.ndarray, np.ndarray]:
+def amplitude_arrays(module: Module) -> np.ndarray:
     """``amplitudes`` at every point of a plane module, bit for bit.
 
-    Returns the real and the imaginary parts, each of shape (4, N), one row
-    per colour.  Every s >= 2 value comes from ``_axis_sum_amplitude`` and
-    ``_eps_pow`` themselves, tabulated per level over the residues of
-    m + n, m - n and n mod 2^s that occur (at most 2^s each); the one
-    product per point is taken component-wise as CPython does.
+    Returns one complex array of shape (4, N), one row per colour.  Every
+    s >= 2 value comes from ``_axis_sum_amplitude`` and ``_eps_pow``
+    themselves, tabulated per level over the residues of m + n, m - n and
+    n mod 2^s that occur (at most 2^s each); the one product per point is
+    taken component-wise, through the ``.real`` and ``.imag`` views, as
+    CPython does, so every bit, signed zeros included, is the scalar one.
     """
     m, n = module.numerators[:, 0], module.numerators[:, 1]
     s = module.exponents
-    re = np.zeros((4, len(module)))
-    im = np.zeros((4, len(module)))
+    rows = np.zeros((4, len(module)), dtype=complex)
+    re, im = rows.real, rows.imag
     re[:, s == 0] = 0.25
     odd_m, odd_n = (m & 1) == 1, (n & 1) == 1
     both_odd = (s == 1) & odd_m & odd_n
@@ -312,16 +313,14 @@ def amplitude_arrays(module: Module) -> tuple[np.ndarray, np.ndarray]:
         mask = (1 << level) - 1
         m_at, n_at = m[at], n[at]
         axis_sum = partial(_axis_sum_amplitude, s=level)
-        a0_re, a0_im = _level_table(axis_sum, (m_at + n_at) & mask, level)
-        t_re, t_im = _level_table(axis_sum, (m_at - n_at) & mask, level)
-        e_re, e_im = _level_table(lambda j: _eps_pow(-j, level), n_at & mask, level)
-        a1_re = e_re * t_re - e_im * t_im
-        a1_im = e_re * t_im + e_im * t_re
-        re[0, at], im[0, at] = a0_re, a0_im
-        re[1, at], im[1, at] = a1_re, a1_im
-        re[2, at], im[2, at] = -a0_re, -a0_im
-        re[3, at], im[3, at] = -a1_re, -a1_im
-    return re, im
+        a0 = _level_table(axis_sum, (m_at + n_at) & mask, level)
+        t = _level_table(axis_sum, (m_at - n_at) & mask, level)
+        e = _level_table(lambda j: _eps_pow(-j, level), n_at & mask, level)
+        rows[0, at], rows[2, at] = a0, -a0
+        re[1, at] = e.real * t.real - e.imag * t.imag
+        im[1, at] = e.real * t.imag + e.imag * t.real
+        rows[3, at] = -rows[1, at]
+    return rows
 
 
 def intensity(k: DyadicPoint2, weights: Weights) -> float:

@@ -15,7 +15,8 @@ window, weights) live in the one helper that uses them.  ``diffract`` and
 ``module`` share ``_module``, which checks the cutoff flags and the region
 and enumerates the module once as arrays (``dyadic.module_points``);
 ``diffract`` then evaluates the closed forms (or grows the window and takes
-the windowed sums) over the whole array and renders columns.
+the windowed sums) over the whole array, weighs the per-letter rows by
+``render.weigh`` and renders columns.
 
 Exit codes: 0 on success, 1 when verification fails, 2 for usage, parse and
 file errors.  All outputs are deterministic byte-for-byte.
@@ -30,8 +31,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import chair, numerics, period_doubling, render, subst, verification
 from .dyadic import MAX_CELLS, MAX_COUNTS, module_points
@@ -55,7 +54,10 @@ def parse_weights(text: str) -> tuple[complex, ...]:
     """Comma-separated complex literals written with an i suffix.
 
     Accepts forms like ``1``, ``-0.5``, ``i``, ``-i``, ``2i``, ``1+2i`` and
-    ``1.5-0.25i``; plain ``j`` notation works too.
+    ``1.5-0.25i``; plain ``j`` notation works too.  A weight's modulus may
+    be at most 1e150: rule files have at most 256 letters and every
+    per-letter amplitude has modulus at most 1, so every intensity stays
+    below (256 * 1e150)^2, which is finite.
     """
     values = []
     for token in text.split(","):
@@ -68,6 +70,8 @@ def parse_weights(text: str) -> tuple[complex, ...]:
             raise UsageError(f"bad complex weight {token!r}") from exc
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise UsageError(f"non-finite weight {token!r}")
+        if math.hypot(value.real, value.imag) > 1e150:
+            raise UsageError(f"weight {token!r} has modulus over 1e150")
         values.append(value)
     return tuple(values)
 
@@ -223,25 +227,6 @@ def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     return 0
 
 
-def _weighted_sum(re: np.ndarray, im: np.ndarray, weights) -> np.ndarray:
-    """sum(w * a for w, a in zip(weights, letters)) at every point.
-
-    Row l of ``re`` and ``im`` is letter l's amplitude.  The products and
-    sums are CPython's complex arithmetic written out component-wise, so
-    each point gets the bits the scalar expression gives it (numpy's complex
-    multiply may round differently).
-    """
-    total_re = np.zeros(re.shape[1])
-    total_im = np.zeros(re.shape[1])
-    for weight, a_re, a_im in zip(weights, re, im):
-        w = complex(weight)
-        total_re = total_re + (w.real * a_re - w.imag * a_im)
-        total_im = total_im + (w.real * a_im + w.imag * a_re)
-    total = np.empty(re.shape[1], dtype=complex)
-    total.real, total.imag = total_re, total_im
-    return total
-
-
 def _module(args: argparse.Namespace, resolved: ResolvedSystem):
     """The module points of ``diffract`` and ``module`` with their region.
 
@@ -321,12 +306,8 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
         window = subst.centred_window(system, resolved.seed, half)
         amplitudes = numerics.empirical_amplitudes(numerics.WeightedComb(window, weights), module)
     else:
-        closed_form = (
-            period_doubling.amplitude_arrays
-            if resolved.builtin == "period_doubling"
-            else chair.amplitude_arrays
-        )
-        amplitudes = _weighted_sum(*closed_form(module), weights)
+        closed_forms = period_doubling if resolved.builtin == "period_doubling" else chair
+        amplitudes = render.weigh(closed_forms.amplitude_arrays(module), weights)
     table = render.PeakTable.of(module, amplitudes)
     kept = table.intensity >= args.floor
     peaks = render.PeakTable(module.select(kept), amplitudes[kept], table.intensity[kept])

@@ -240,13 +240,14 @@ def phase(t: Dyadic) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def phase_arrays(numerators: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``phase`` at every m / 2^r, as real and imaginary float64 arrays.
+def phase_arrays(numerators: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``phase`` at every m / 2^r, as one complex array.
 
-    The values are ``phase``'s own bits: quarter turns come from the same
-    exact table, and deeper angles are formed with the same two roundings
-    (m mod 2^r over 2^r, then times 2 pi) before the same libm cos and sin,
-    called once per point.  Exponents must not exceed ``MAX_LEVEL``.
+    The values are ``phase``'s own bits, set through ``.real`` and ``.imag``:
+    quarter turns come from the same exact table, and deeper angles are
+    formed with the same two roundings (m mod 2^r over 2^r, then times 2 pi)
+    before the same libm cos and sin, called once per point.  Exponents
+    must not exceed ``MAX_LEVEL``.
     """
     numerators = np.asarray(numerators, dtype=np.int64)
     exponents = np.asarray(exponents, dtype=np.int64)
@@ -254,8 +255,8 @@ def phase_arrays(numerators: np.ndarray, exponents: np.ndarray) -> tuple[np.ndar
     # Shifts wrap modulo 2^64, which keeps the two low bits exact.
     turns = (numerators[quarter] << (2 - exponents[quarter])) & 3
     exact = np.array(_QUARTER_TURNS)
-    re = np.empty(numerators.shape)
-    im = np.empty(numerators.shape)
+    out = np.empty(numerators.shape, dtype=complex)
+    re, im = out.real, out.imag
     re[quarter] = exact.real[turns]
     im[quarter] = exact.imag[turns]
     deep = ~quarter
@@ -266,7 +267,7 @@ def phase_arrays(numerators: np.ndarray, exponents: np.ndarray) -> tuple[np.ndar
     angles = (_TWO_PI * np.ldexp(residues.astype(np.float64), -r)).tolist()
     re[deep] = list(map(math.cos, angles))
     im[deep] = list(map(math.sin, angles))
-    return re, im
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,9 @@ exact integer counts of its labels, and weights enter only at the end:
   length-2^s DFT of the residue-class label counts.  One count table at the
   list's finest level 2^s_max (a single ``bincount``) and one FFT over its
   residue axes serve every point: k = (m, n) / 2^s is the entry
-  (n 2^(s_max - s), m 2^(s_max - s)) mod 2^s_max.  ``empirical_amplitude``
-  is the same lookup for a single point.
+  (n 2^(s_max - s), m 2^(s_max - s)) mod 2^s_max, one row per label, and
+  ``render.weigh`` applies the weights.  ``empirical_amplitude`` is the
+  same lookup for a single point.
 
 * ``approximant_amplitude_chair`` rebuilds a colour amplitude of the block
   fixed point by summing exact layer coefficients (``chair.coset_amplitude``)
@@ -26,8 +27,9 @@ exact integer counts of its labels, and weights enter only at the end:
   The two diagonal rays in each colour class have density zero and drop out
   of amplitudes, so truncating the layer sum is the only approximation.
   ``approximant_amplitudes_chair`` is the same sum for all four colours over
-  a whole ``dyadic.Module``: the layer cases become masks, and the one
-  phase that is not a quarter turn is evaluated once per point and colour.
+  a whole ``dyadic.Module``, one complex row per colour as the closed
+  forms give them: the layer cases become masks, and the one phase that
+  is not a quarter turn is evaluated once per point and colour.
   The scalar form stays as the library API and as its test oracle.
 """
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import chair, period_doubling, subst
+from . import chair, period_doubling, render, subst
 from .dyadic import _QUARTER_TURNS, DyadicPoint2, Module, normal_form, phase, phase_arrays
 from .subst import PatternWindow
 
@@ -258,7 +260,8 @@ def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
     ``DyadicPoint2`` (planes).  As the window grows these converge to the
     peak amplitudes at module points and to zero elsewhere.  Every k is read
     from the label spectrum at the finest level among the points, so one
-    count table and one FFT serve the whole list.
+    count table and one FFT serve the whole list, and the (L, N) rows read
+    there are weighed by ``render.weigh``.
     """
     module = points if isinstance(points, Module) else Module.of(points, comb.dim)
     if module.dim != comb.dim:
@@ -268,11 +271,8 @@ def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
     keys = (module.numerators << (level - module.exponents)[:, None]) % modulus
     # Residue axes run (y, x).
     index = tuple(keys[:, axis] for axis in reversed(range(comb.dim)))
-    spectrum = comb.label_spectrum(level)
-    total = np.zeros(len(module), dtype=complex)
-    for label, weight in enumerate(comb.weights):
-        total += weight * spectrum[(label, *index)]
-    return total
+    rows = comb.label_spectrum(level)[(slice(None), *index)]
+    return render.weigh(rows, comb.weights)
 
 
 def empirical_amplitude(comb: WeightedComb, k) -> complex:
@@ -329,8 +329,7 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
     for colour, (step, shift) in enumerate(zip(chair.COLOR_STEPS, chair.COLOR_SHIFTS)):
         theta = normal_form((step[0] * m + step[1] * n,), s)
         t, r = theta.numerators[:, 0], theta.exponents
-        e_re, e_im = phase_arrays(-t, r)
-        denominator = 1 - (e_re + 1j * e_im)
+        denominator = 1 - phase_arrays(-t, r)
         total = np.zeros(len(module), dtype=complex)
         for level in range(levels + 1):
             # 2^(level+2) k must land on the even sublattice.
@@ -346,6 +345,5 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
             layer[(s == level + 2) & odd_m] *= -1
             total += layer / float(1 << (2 * level + 3))
         u = normal_form((shift[0] * m + shift[1] * n,), s)
-        p_re, p_im = phase_arrays(-u.numerators[:, 0], u.exponents)
-        out[colour] = (p_re + 1j * p_im) * total
+        out[colour] = phase_arrays(-u.numerators[:, 0], u.exponents) * total
     return out

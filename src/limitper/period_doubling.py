@@ -11,8 +11,9 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
   one amplitude per letter, and weighted peak intensities follow from
   those by sesquilinear combination; ``amplitude_arrays`` evaluates the
-  same closed form over a whole ``dyadic.Module`` with the scalar bits,
-  and ``peak_mass`` sums the intensities over such a module.
+  same closed form over a whole ``dyadic.Module`` with the scalar bits, as
+  one complex row per letter, and ``peak_mass`` sums the intensities over
+  such a module.
 
 The one aperiodic subtlety: position -1 never matches any residue class.
 It is the 2-adic limit point of the hierarchy and is fixed to letter a,
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import subst
+from . import render, subst
 from .dyadic import Dyadic, Module, module_points, phase, phase_arrays
 
 __all__ = [
@@ -201,23 +202,26 @@ def amplitudes(k: Dyadic) -> Amplitudes:
     return Amplitudes(k=k, a=amp_a, b=amp_b)
 
 
-def amplitude_arrays(module: Module) -> tuple[np.ndarray, np.ndarray]:
+def amplitude_arrays(module: Module) -> np.ndarray:
     """``amplitudes`` at every point of a chain module, bit for bit.
 
-    Returns the real and the imaginary parts, each of shape (2, N): row 0
+    Returns one complex array of shape (2, N), one row per letter: row 0
     is the a amplitude, row 1 the b amplitude.  The phases come from
     ``dyadic.phase_arrays``, and the scaling and the complement repeat
-    CPython's float-complex arithmetic component by component.
+    CPython's float-complex arithmetic on the ``.real`` and ``.imag`` views.
     """
     m, r = module.numerators[:, 0], module.exponents
-    p_re, p_im = phase_arrays(m, r)
+    phases = phase_arrays(m, r)
     scale = np.ldexp(2.0 / 3.0, -r)
     scale = np.where(r % 2 == 1, -scale, scale)
+    rows = np.empty((2, len(module)), dtype=complex)
+    re, im = rows.real, rows.imag
     # x * complex(c, s) is (x*c - 0.0*s, x*s + 0.0*c) in CPython.
-    a_re = scale * p_re - 0.0 * p_im
-    a_im = scale * p_im + 0.0 * p_re
-    lattice = np.where(r == 0, 1.0, 0.0)
-    return np.stack([a_re, lattice - a_re]), np.stack([a_im, 0.0 - a_im])
+    re[0] = scale * phases.real - 0.0 * phases.imag
+    im[0] = scale * phases.imag + 0.0 * phases.real
+    re[1] = np.where(r == 0, 1.0, 0.0) - re[0]
+    im[1] = 0.0 - im[0]
+    return rows
 
 
 def intensity(k: Dyadic, weights: Weights) -> float:
@@ -232,8 +236,8 @@ def peak_mass(r_max: int, weights: Weights) -> float:
     For the balanced weights this converges to the autocorrelation at shift
     zero, i.e. to 1, as r_max grows; the tail decays geometrically.  The
     intensities are ``intensity``'s, over the ``amplitude_arrays`` of the
-    ``module_points`` of [0, 1).
+    ``module_points`` of [0, 1), weighed and squared by ``render``'s rules.
     """
-    re, im = amplitude_arrays(module_points(r_max, ((0, 1),), include_hi=False))
-    total = weights.alpha * (re[0] + 1j * im[0]) + weights.beta * (re[1] + 1j * im[1])
-    return float((np.abs(total) ** 2).sum())
+    module = module_points(r_max, ((0, 1),), include_hi=False)
+    amplitude = render.weigh(amplitude_arrays(module), (weights.alpha, weights.beta))
+    return float(render.PeakTable.of(module, amplitude).intensity.sum())

@@ -6,14 +6,19 @@ give byte-identical files on any platform or thread count.  Wave numbers are
 written as exact integer numerators plus a log2 denominator; floats never
 carry coordinate information.
 
-Peak lists and modules are rendered from columns: a ``PeakTable`` (or, for
-``module_csv``, a ``dyadic.Module``), one row per point, whose ``len()`` is
-the row count.  ``PeakTable.of(module, amplitude)`` is the one route from
-amplitudes to a table; the intensity of a peak is CPython's ``abs(a) ** 2``
-of its amplitude a.  A float column is written as ``repr`` of ``col + 0.0``,
-where adding 0.0 turns -0.0 into 0.0 and changes nothing else.  Where the
-figures need ``abs`` of an amplitude or a square root, they too call
-CPython's own per point, so the bytes do not depend on numpy's versions.
+Every amplitude route (closed forms, layer sums, windowed sums) yields one
+complex row per letter, shape (L, N), and two rules here turn rows into
+peaks: ``weigh(rows, weights)`` is the weighted amplitude at every point,
+and ``PeakTable.of(module, amplitude)`` is the one route from amplitudes to
+a table, the intensity of a peak being CPython's ``abs(a) ** 2`` of its
+amplitude a.  Peak lists and modules are rendered from columns: a
+``PeakTable`` (or, for ``module_csv``, a ``dyadic.Module``), one row per
+point, whose ``len()`` is the row count.  A float column is written as
+``repr`` of ``col + 0.0``, where adding 0.0 turns -0.0 into 0.0 and
+changes nothing else.  Where the figures need ``abs`` of an amplitude or a
+square root, they take ``np.hypot`` and ``np.float_power(x, 0.5)``, the
+libm ``hypot`` and ``pow`` behind CPython's ``abs`` and ``x ** 0.5``, so
+the bytes match the scalar forms.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .dyadic import Module
 from .subst import PatternWindow
 
 __all__ = [
+    "weigh",
     "PeakTable",
     "peaks_csv",
     "module_csv",
@@ -36,6 +42,24 @@ __all__ = [
     "window_text",
     "window_pgm",
 ]
+
+
+def weigh(rows, weights) -> np.ndarray:
+    """sum(w * a for w, a in zip(weights, column)) at every column of ``rows``.
+
+    Row l of ``rows`` (complex, shape (L, N)) is letter l's amplitude at N
+    points, and ``weights`` holds one weight per row.  The products and
+    sums are CPython's complex arithmetic written out on the ``.real`` and
+    ``.imag`` views, so each point gets the bits the scalar expression
+    gives it (numpy's complex multiply may round differently).
+    """
+    rows = np.asarray(rows, dtype=complex)
+    total = np.zeros(rows.shape[1:], dtype=complex)
+    for weight, a_re, a_im in zip(weights, rows.real, rows.imag, strict=True):
+        w = complex(weight)
+        total.real += w.real * a_re - w.imag * a_im
+        total.imag += w.real * a_im + w.imag * a_re
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +176,9 @@ def stem_svg(table: PeakTable, lo, hi) -> str:
     if fhi <= flo:
         raise ValueError("empty axis range")
     span = float(fhi - flo)
-    # CPython's complex abs, which need not round like numpy's.
-    sizes = [abs(amplitude) for amplitude in table.amplitude.tolist()]
-    top = max(sizes, default=0.0)
+    # CPython's complex abs is libm hypot; np.abs need not round the same way.
+    size = np.hypot(table.amplitude.real, table.amplitude.imag)
+    top = size.max(initial=0.0)
     lines = [
         _SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
@@ -163,7 +187,6 @@ def stem_svg(table: PeakTable, lo, hi) -> str:
         'stroke="black" stroke-width="1"/>',
     ]
     if top != 0.0:
-        size = np.array(sizes, dtype=np.float64)
         shown = size != 0.0
         kx = _coordinates(table.module, 0)[shown]
         x = margin + (kx - float(flo)) / span * (width - 2 * margin)
@@ -192,7 +215,7 @@ def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
         raise ValueError("empty plot region")
     xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
     intensity = table.intensity
-    top = max(intensity.tolist(), default=0.0)
+    top = intensity.max(initial=0.0)
     lines = [
         _SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
@@ -203,9 +226,8 @@ def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
         ky = _coordinates(table.module, 1)[shown]
         x = margin + (kx - float(fxlo)) / xspan * (width - 2 * margin)
         y = height - margin - (ky - float(fylo)) / yspan * (height - 2 * margin)
-        # x ** 0.5 is CPython's pow, which need not round like numpy's sqrt.
-        ratios = (intensity[shown] / top).tolist()
-        radius = top_radius * np.array([ratio**0.5 for ratio in ratios], dtype=np.float64)
+        # x ** 0.5 is libm pow, which need not round like np.sqrt.
+        radius = top_radius * np.float_power(intensity[shown] / top, 0.5)
         disc = '<circle cx="{}" cy="{}" r="{}" fill="black" data-intensity="{}"/>'
         lines.extend(
             map(disc.format, _reprs(x), _reprs(y), _reprs(radius), _reprs(intensity[shown]))

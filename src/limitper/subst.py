@@ -390,7 +390,8 @@ def parse_rules(text: str) -> SubstitutionSystem:
     ``alphabet = l1 l2 ...`` in any order, then one rule per letter.  A word
     rule is ``l -> l1 l2 ... lb`` on one line; a block rule is ``l ->``
     followed by b indented lines of b labels, top row first.  Lines starting
-    with ``#`` and blank lines are ignored.
+    with ``#`` and blank lines are ignored.  Labels are uint8, so an
+    alphabet holds at most 256 letters.
     """
     kind: str | None = None
     factor: int | None = None
@@ -431,6 +432,11 @@ def parse_rules(text: str) -> SubstitutionSystem:
                     raise RuleSyntaxError("empty alphabet", lineno)
                 if len(set(letters)) != len(letters):
                     raise RuleSemanticError("alphabet letters must be distinct", lineno)
+                if len(letters) > 256:
+                    raise RuleSemanticError(
+                        f"alphabet has {len(letters)} letters; labels are uint8, so at most 256",
+                        lineno,
+                    )
                 alphabet = letters
             continue
         if "->" in line:

@@ -15,14 +15,16 @@ byte-identical; ``elapsed_s`` is each check's own wall time, not a share of
 the run.
 
 The closed-form checks of both systems work on arrays, with no loop over
-points: each reads ``period_doubling.amplitude_arrays`` or
+points: each calls its own system's ``period_doubling.amplitude_arrays`` or
 ``chair.amplitude_arrays`` over one ``dyadic.module_points`` box and over
 its images (negation, the dihedral maps, lattice and half-diagonal shifts),
 each an integer map of the numerator columns reduced by
 ``dyadic.normal_form``; the windowed sums read the same box, and the layer
-sums come from ``numerics.approximant_amplitudes_chair``.  A failing check
-names the first failing point in module order.  The pinned values stay
-scalar.
+sums come from ``numerics.approximant_amplitudes_chair``.  Every route
+gives one complex row per letter; weighted amplitudes and intensities come
+from ``render.weigh`` and ``render.PeakTable.of``, the rules ``diffract``
+writes with.  A failing check names the first failing point in module
+order.  The pinned values stay scalar.
 
 The ``tamper`` argument is a negative-control hook for tests: naming a check
 perturbs the weight table on one side of that check's comparison only (the
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chair, numerics, period_doubling
+from . import chair, numerics, period_doubling, render
 from .dyadic import Dyadic, DyadicPoint2, Module, module_points, normal_form, phase_arrays
 
 __all__ = ["CheckResult", "run_checks", "report_text", "report_json", "CHECK_NAMES"]
@@ -111,8 +113,8 @@ def _check_pd_amplitude_relations(quick, pick):
         if abs(got.a - amp_a) > 1e-15 or abs(got.b - amp_b) > 1e-15:
             return False, f"amplitude pair at {k} off the pinned value"
     module = module_points(5 if quick else 8, ((0, 1),), include_hi=False)
-    moved = np.abs(_closed(_image(module, offset=(1,)))[0])
-    broken = np.abs(_closed(module)[0]) != moved
+    moved = np.abs(period_doubling.amplitude_arrays(_image(module, offset=(1,)))[0])
+    broken = np.abs(period_doubling.amplitude_arrays(module)[0]) != moved
     failure = _first_failure(module, [(broken, "|A| not lattice-periodic at {k}")])
     if failure:
         return False, failure
@@ -141,13 +143,13 @@ def _check_pd_empirical_amplitudes(quick, pick):
     r_max = 4 if quick else 6
     tol = 0.02 if quick else 0.01
     module = module_points(r_max, ((0, 1),), include_hi=False)
-    closed_a, closed_b = _closed(module)
+    closed = period_doubling.amplitude_arrays(module)
     comb = numerics.pd_comb(half, (1, 0))
     worst = 0.0
-    for alpha, beta in ((1, 0), (0, 1), (1, -1)):
-        comb = comb.with_weights(pick((alpha, beta)))
+    for weights in ((1, 0), (0, 1), (1, -1)):
+        comb = comb.with_weights(pick(weights))
         estimates = numerics.empirical_amplitudes(comb, module)
-        worst = max(worst, float(np.abs(alpha * closed_a + beta * closed_b - estimates).max()))
+        worst = max(worst, float(np.abs(render.weigh(closed, weights) - estimates).max()))
     if worst > tol:
         return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
     return True, f"max error {worst:.4f} over r <= {r_max}, window half {half}"
@@ -217,8 +219,8 @@ def _check_chair_amplitude_relations(quick, pick):
         if any(abs(g - e) > 1e-15 for g, e in zip(got, expected)):
             return False, f"amplitudes at {k} off the pinned values"
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    values = _closed(module)
-    minus = _closed(_image(module, matrix=((-1, 0), (0, -1))))
+    values = chair.amplitude_arrays(module)
+    minus = chair.amplitude_arrays(_image(module, matrix=((-1, 0), (0, -1))))
     hermitian = (np.abs(minus - values.conj()) > 1e-12).any(axis=0)
     anti = (module.exponents >= 2) & ((values[2] != -values[0]) | (values[3] != -values[1]))
     failure = _first_failure(
@@ -233,13 +235,12 @@ def _check_chair_amplitude_relations(quick, pick):
 def _check_chair_sum_rules(quick, pick):
     s_max = 3 if quick else 5
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    values = _closed(module)
+    values = chair.amplitude_arrays(module)
     even_pair = values[0] + values[2]
     odd_pair = values[1] + values[3]
     half = _half_even_lattice(module)
     # On the half lattice the odd pair sums to e^{-2 pi i x} / 2.
-    p_re, p_im = phase_arrays(-module.numerators[:, 0], module.exponents)
-    expected_odd = 0.5 * (p_re + 1j * p_im)
+    expected_odd = 0.5 * phase_arrays(-module.numerators[:, 0], module.exponents)
     on_half = half & (
         (np.abs(even_pair - 0.5) > 1e-12) | (np.abs(odd_pair - expected_odd) > 1e-12)
     )
@@ -261,9 +262,9 @@ def _check_chair_extinctions(quick, pick):
     ones = pick((1, 1, 1, 1))
     fourth = pick((1, 1j, -1, -1j))
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    values = _closed(module)
-    lattice = np.abs(_intensities(values, ones) - (module.exponents == 0)) > 1e-12
-    extinct = _half_even_lattice(module) & (np.abs(_weighted(values, fourth)) > 1e-12)
+    lattice = np.abs(_chair_intensities(module, ones) - (module.exponents == 0)) > 1e-12
+    fourth_amplitude = render.weigh(chair.amplitude_arrays(module), fourth)
+    extinct = _half_even_lattice(module) & (np.abs(fourth_amplitude) > 1e-12)
     failure = _first_failure(
         module,
         [
@@ -282,7 +283,7 @@ def _check_chair_approximant(quick, pick):
     tol = 1e-4 if quick else 1e-6
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     approx = numerics.approximant_amplitudes_chair(levels, module)
-    worst = float(np.abs(approx - _closed(module)).max())
+    worst = float(np.abs(approx - chair.amplitude_arrays(module)).max())
     if worst > tol:
         return False, f"layer sums drift {worst:.2e} > {tol:.0e} from closed forms"
     return True, f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
@@ -293,7 +294,7 @@ def _check_chair_empirical_amplitudes(quick, pick):
     s_max = 3 if quick else 4
     tol = 0.05 if quick else 0.01
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    closed = _closed(module)
+    closed = chair.amplitude_arrays(module)
     comb = numerics.chair_comb(half, (1, 0, 0, 0))
     worst = 0.0
     for colour in range(4):
@@ -321,14 +322,14 @@ def _check_chair_d4_intensity(quick, pick):
     fourth = (1, 1j, -1, -1j)
     moved_weights = pick(fourth)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
-    reference = _intensities(_closed(module), fourth)
+    reference = _chair_intensities(module, fourth)
     failures = []
     for element in chair.d4_elements():
         # The linear map sends k = m e1 + n e2 to m g(e1) + n g(e2).
         e1 = chair.transform_wavevector(element, DyadicPoint2(1, 0))
         e2 = chair.transform_wavevector(element, DyadicPoint2(0, 1))
         moved = _image(module, matrix=((e1.m, e2.m), (e1.n, e2.n)))
-        intensity = _intensities(_closed(moved), moved_weights)
+        intensity = _chair_intensities(moved, moved_weights)
         failures.append(
             (
                 np.abs(intensity - reference) > 1e-10,
@@ -347,11 +348,10 @@ def _check_chair_periodicity(quick, pick):
     moved_weights = pick(generic)
     pair = (1, 0, 1, 0)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
-    values = _closed(module)
-    reference = _intensities(values, generic)
+    reference = _chair_intensities(module, generic)
     failures = []
     for shift in ((1, 0), (0, 1)):
-        intensity = _intensities(_closed(_image(module, offset=shift)), moved_weights)
+        intensity = _chair_intensities(_image(module, offset=shift), moved_weights)
         failures.append(
             (
                 np.abs(intensity - reference) > 1e-10,
@@ -362,8 +362,8 @@ def _check_chair_periodicity(quick, pick):
     if failure:
         return False, failure
     # k + (1/2, 1/2) = (2m + 2^s, 2n + 2^s) / 2^(s+1).
-    moved = _closed(_image(module, offset=(1, 1), refine=1))
-    half_shift = np.abs(_intensities(moved, pair) - _intensities(values, pair)) > 1e-10
+    moved = _chair_intensities(_image(module, offset=(1, 1), refine=1), pair)
+    half_shift = np.abs(moved - _chair_intensities(module, pair)) > 1e-10
     failure = _first_failure(
         module, [(half_shift, "pair-comb intensity not half-lattice-periodic at {k}")]
     )
@@ -372,25 +372,10 @@ def _check_chair_periodicity(quick, pick):
     return True, f"lattice and half-lattice periodicities hold for s <= {s_max}"
 
 
-def _closed(module: Module) -> np.ndarray:
-    """The closed-form amplitudes at every point, complex, one row per letter.
-
-    ``period_doubling.amplitude_arrays`` on a chain module, shape (2, N), and
-    ``chair.amplitude_arrays`` on a plane module, shape (4, N).
-    """
-    arrays = period_doubling.amplitude_arrays if module.dim == 1 else chair.amplitude_arrays
-    re, im = arrays(module)
-    return re + 1j * im
-
-
-def _weighted(values: np.ndarray, weights) -> np.ndarray:
-    """sum_c w_c A_c at every point."""
-    return sum(w * a for w, a in zip(weights, values))
-
-
-def _intensities(values: np.ndarray, weights) -> np.ndarray:
-    """|sum_c w_c A_c|^2 at every point, as ``chair.intensity``."""
-    return np.abs(_weighted(values, weights)) ** 2
+def _chair_intensities(module: Module, weights) -> np.ndarray:
+    """The intensities ``diffract`` writes for the chair at every point of ``module``."""
+    amplitude = render.weigh(chair.amplitude_arrays(module), weights)
+    return render.PeakTable.of(module, amplitude).intensity
 
 
 def _half_even_lattice(module: Module) -> np.ndarray:

@@ -521,8 +521,9 @@ class TestAmplitudeArrays:
 
     @staticmethod
     def _assert_bits_match(points):
-        re, im = chair.amplitude_arrays(Module.of(points, 2))
-        assert re.shape == im.shape == (4, len(points))
+        rows = chair.amplitude_arrays(Module.of(points, 2))
+        assert rows.shape == (4, len(points)) and rows.dtype == complex
+        re, im = rows.real, rows.imag
         for colour in range(4):
             values = [chair.amplitudes(k).values[colour] for k in points]
             assert _bits(re[colour]) == _bits([v.real for v in values])

@@ -650,6 +650,23 @@ class TestUsageErrors:
         with pytest.raises(cli.UsageError):
             cli.parse_weights("nan")
 
+    def test_weights_parser_bounds_the_modulus(self):
+        assert cli.parse_weights("1e150,-1e150i") == (1e150, -1e150j)
+        with pytest.raises(cli.UsageError, match="modulus over 1e150"):
+            cli.parse_weights("1e150+1e150i")
+        with pytest.raises(cli.UsageError, match="modulus over 1e150"):
+            cli.parse_weights("1e308+1e308i")
+
+    def test_weights_at_the_bound_give_finite_intensities(self, tmp_path):
+        # Four weights of modulus 1e150 on amplitudes of modulus at most 1.
+        argv = ["diffract", "--system", "chair", "--weights", "1e150,1e150i,-1e150,-1e150i"]
+        argv += ["--smax", "3", "--format", "csv", "--out", str(tmp_path / "huge")]
+        with np.errstate(over="raise", invalid="raise"):
+            assert cli.main(argv) == 0
+        rows = (tmp_path / "huge.csv").read_text().splitlines()[1:]
+        intensities = [float(row.split(",")[-1]) for row in rows]
+        assert rows and all(np.isfinite(intensities))
+
 
 # ---------------------------------------------------------------------------
 # Rule files
@@ -682,6 +699,11 @@ d -> a a
 """
 
 _BROKEN_RULE = "kind = word\nfactor = 2\nalphabet = a\na -> a\n"
+
+# 257 letters, one more than uint8 labels can tell apart.
+_BIG_RULE = "kind = word\nfactor = 2\nalphabet = {}\n{}".format(
+    " ".join(f"x{i}" for i in range(257)), "".join(f"x{i} -> x0 x256\n" for i in range(257))
+)
 
 # One flag wrong per argv, with the exact line each prints to stderr; RULES is
 # the directory of the rule files written by the test.
@@ -801,6 +823,16 @@ _ERROR_TABLE = [
         ["diffract", "--system", "chair", "--region", "0,0,0,1"],
         "an SVG needs a region of nonzero width on every axis; use --format csv",
     ),
+    # Weights whose intensities could overflow, and alphabets past uint8 labels.
+    (
+        ["diffract", "--system", "pd", "--weights", "1e200,-1e200", "--rmax", "2", "--region", "0,1"],
+        "weight '1e200' has modulus over 1e150",
+    ),
+    (
+        ["generate", "--system", "RULES/big.sub"],
+        "bad rule file 'RULES/big.sub': line 3: alphabet has 257 letters; "
+        "labels are uint8, so at most 256",
+    ),
 ]
 
 
@@ -816,6 +848,7 @@ class TestErrorTable:
             ("tripling", _TRIPLING_RULE),
             ("broken", _BROKEN_RULE),
             ("no_seed", _NO_SEED_RULE),
+            ("big", _BIG_RULE),
         ):
             (rules / f"{name}.sub").write_text(text)
         return str(rules)

@@ -491,7 +491,9 @@ class TestPhaseArrays:
     def test_bits_match_phase(self, pairs):
         points = [Dyadic.of(m, r) for m, r in pairs]
         module = Module.of(points, 1)
-        re, im = phase_arrays(module.numerators[:, 0], module.exponents)
+        phases = phase_arrays(module.numerators[:, 0], module.exponents)
+        assert phases.dtype == complex
+        re, im = phases.real, phases.imag
         expected = np.array([phase(k) for k in points], dtype=complex).reshape(-1)
         assert re.view(np.int64).tolist() == expected.real.view(np.int64).tolist()
         assert im.view(np.int64).tolist() == expected.imag.view(np.int64).tolist()
@@ -499,7 +501,8 @@ class TestPhaseArrays:
     def test_quarter_turns_keep_their_signed_zeros(self):
         points = [Dyadic(0), Dyadic(1, 1), Dyadic(1, 2), Dyadic(3, 2), Dyadic(-1, 2)]
         module = Module.of(points, 1)
-        re, im = phase_arrays(module.numerators[:, 0], module.exponents)
+        phases = phase_arrays(module.numerators[:, 0], module.exponents)
+        re, im = phases.real, phases.imag
         expected = np.array([phase(k) for k in points])
         assert re.view(np.int64).tolist() == expected.real.view(np.int64).tolist()
         assert im.view(np.int64).tolist() == expected.imag.view(np.int64).tolist()

@@ -261,8 +261,9 @@ class TestAmplitudeArrays:
     @example([(0, 0), (-3, 0), (-1, 1), (1, 1), (-1, 2), (3, 2), (-5, 3), (7, 3)])
     def test_bits_match_the_scalar_closed_form(self, pairs):
         points = [Dyadic.of(m, r) for m, r in pairs]
-        re, im = pd.amplitude_arrays(Module.of(points, 1))
-        assert re.shape == im.shape == (2, len(points))
+        rows = pd.amplitude_arrays(Module.of(points, 1))
+        assert rows.shape == (2, len(points)) and rows.dtype == complex
+        re, im = rows.real, rows.imag
         scalar = [pd.amplitudes(k) for k in points]
         assert _bits(re[0]) == _bits([a.a.real for a in scalar])
         assert _bits(im[0]) == _bits([a.a.imag for a in scalar])
@@ -271,7 +272,8 @@ class TestAmplitudeArrays:
 
     def test_whole_module(self):
         module = module_points(10, ((-2, 2),))
-        re, im = pd.amplitude_arrays(module)
+        rows = pd.amplitude_arrays(module)
+        re, im = rows.real, rows.imag
         for i, k in enumerate(module.points()):
             pair = pd.amplitudes(k)
             assert _bits([re[0, i], im[0, i], re[1, i], im[1, i]]) == _bits(

@@ -192,6 +192,85 @@ class TestPeakTableOf:
         assert table.amplitude.shape == table.intensity.shape == (0,)
 
 
+# Weight and amplitude parts: ordinary, huge (up to the CLI's 1e150 bound),
+# tiny and subnormal.  Products stay under 1e300, so no sum of four overflows.
+_weigh_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+    st.floats(min_value=-1e-150, max_value=1e-150, allow_nan=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+_weigh_complexes = st.builds(complex, _weigh_parts, _weigh_parts)
+
+
+@st.composite
+def _weighings(draw):
+    """Weights for 1-4 letters and per-point columns of as many amplitudes."""
+    letters = draw(st.integers(min_value=1, max_value=4))
+    column = st.lists(_weigh_complexes, min_size=letters, max_size=letters)
+    return draw(column), draw(st.lists(column, max_size=30))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestWeigh:
+    @settings(max_examples=300, deadline=None)
+    @given(_weighings())
+    def test_bits_match_the_scalar_sum(self, case):
+        weights, columns = case
+        rows = np.array(columns, dtype=complex).reshape(-1, len(weights)).T
+        got = render.weigh(rows, weights)
+        expected = [sum(w * a for w, a in zip(weights, column)) for column in columns]
+        assert got.shape == (len(columns),)
+        assert _bits(got.real) == _bits([value.real for value in expected])
+        assert _bits(got.imag) == _bits([value.imag for value in expected])
+
+    def test_one_weight_per_row(self):
+        with pytest.raises(ValueError):
+            render.weigh(np.zeros((2, 3), dtype=complex), (1,))
+
+
+_ratios = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+class TestFigureUfuncs:
+    """The figures' array rules give CPython's ``abs(a)`` and ``x ** 0.5`` bit for bit."""
+
+    @staticmethod
+    def _assert_hypot_is_abs(amplitude):
+        expected = [abs(a) for a in amplitude.tolist()]
+        assert _bits(np.hypot(amplitude.real, amplitude.imag)) == _bits(expected)
+
+    @staticmethod
+    def _assert_float_power_is_pow(x):
+        expected = [value**0.5 for value in x.tolist()]
+        assert _bits(np.float_power(x, 0.5)) == _bits(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_components, _components), max_size=40))
+    def test_hypot_is_cpython_abs(self, parts):
+        self._assert_hypot_is_abs(np.array([complex(re, im) for re, im in parts], dtype=complex))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ratios, max_size=40))
+    def test_float_power_half_is_cpython_pow(self, ratios):
+        self._assert_float_power_is_pow(np.array(ratios, dtype=np.float64))
+
+    def test_bulk_sample(self):
+        # Long arrays run numpy's vector loops; exponents span subnormals to 2^500.
+        rng = np.random.default_rng(0)
+        parts = rng.standard_normal(1 << 17) * np.exp2(rng.integers(-1070, 500, 1 << 17))
+        self._assert_hypot_is_abs(parts.view(complex))
+        self._assert_float_power_is_pow(np.abs(parts))
+
+
 class TestColumnsMatchPeakLists:
     @settings(max_examples=150, deadline=None)
     @given(_peak_lists(1))

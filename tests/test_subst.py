@@ -107,6 +107,18 @@ class TestParsing:
         assert excinfo.value.line == line
         assert needle in str(excinfo.value)
 
+    def test_alphabet_holds_at_most_256_letters(self):
+        # Labels are uint8: a rule naming letter 256 would overflow its image.
+        def rules(count):
+            letters = [f"x{i}" for i in range(count)]
+            images = "".join(f"{letter} -> x0 {letters[-1]}\n" for letter in letters)
+            return f"kind = word\nfactor = 2\nalphabet = {' '.join(letters)}\n" + images
+
+        assert len(subst.parse_rules(rules(256)).alphabet) == 256
+        with pytest.raises(subst.RuleSemanticError, match="at most 256") as excinfo:
+            subst.parse_rules(rules(257))
+        assert excinfo.value.line == 3
+
     def test_missing_rule_is_reported(self):
         with pytest.raises(subst.RuleSemanticError, match="no rule"):
             subst.parse_rules("kind = word\nfactor = 2\nalphabet = a b\na -> a b\n")

@@ -248,11 +248,11 @@ def _corrupt_amplitudes(monkeypatch, points, system=chair):
     original = system.amplitude_arrays
 
     def corrupted(module):
-        re, im = original(module)
+        rows = original(module)
         for i, k in enumerate(module.points()):
             if k in points:
-                re[0, i] += 0.01
-        return re, im
+                rows.real[0, i] += 0.01
+        return rows
 
     monkeypatch.setattr(system, "amplitude_arrays", corrupted)
 
