@@ -11,7 +11,7 @@ peaks away from the integers, and the windowed sums show that directly.
 from pathlib import Path
 
 from limitper import numerics, subst
-from limitper.dyadic import Dyadic
+from limitper.dyadic import Dyadic, Module
 from limitper.render import window_text
 
 OUT = Path(__file__).resolve().parent / "out"
@@ -44,12 +44,13 @@ print("small patch:", window_text(subst.fixed_point_window(squared, seed, 2), sy
 # Windowed amplitude at k = 1/2, doubling the window three times.  For the
 # doubling chain this estimate settles near 2/3; here it keeps shrinking,
 # the signature of a spectrum with no point mass at 1/2.
-half_k = Dyadic.of(1, 1)
+half_k = Module.of([Dyadic.of(1, 1)], 1)
 for exponent in (12, 14, 16):
     half = 1 << exponent
     comb = numerics.WeightedComb(subst.centred_window(squared, seed, half), (1, -1))
-    estimate = numerics.empirical_amplitude(comb, half_k)
+    estimate = numerics.empirical_amplitudes(comb, half_k)[0]
     print(f"window 2^{exponent + 1}: |amplitude at 1/2| = {abs(estimate):.5f}")
 print("compare the doubling chain, where the same probe returns ~0.667:")
 pd_comb = numerics.pd_comb(1 << 16, (1, -1))
-print(f"window 2^17: |amplitude at 1/2| = {abs(numerics.empirical_amplitude(pd_comb, half_k)):.5f}")
+estimate = numerics.empirical_amplitudes(pd_comb, half_k)[0]
+print(f"window 2^17: |amplitude at 1/2| = {abs(estimate):.5f}")

@@ -292,7 +292,10 @@ def amplitude_arrays(module: Module) -> np.ndarray:
     n mod 2^s that occur (at most 2^s each); the one product per point is
     taken component-wise, through the ``.real`` and ``.imag`` views, as
     CPython does, so every bit, signed zeros included, is the scalar one.
+    A module of another dimension raises ``TypeError``.
     """
+    if module.dim != 2:
+        raise TypeError("the chair amplitudes live on a plane module")
     m, n = module.numerators[:, 0], module.numerators[:, 1]
     s = module.exponents
     rows = np.zeros((4, len(module)), dtype=complex)

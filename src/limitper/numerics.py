@@ -35,6 +35,8 @@ exact integer counts of its labels, and weights enter only at the end:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import chair, period_doubling, render, subst
@@ -217,9 +219,10 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     """
     half = comb.half
     if comb.dim == 1:
-        if not isinstance(z, int):
-            raise TypeError("one-dimensional shift must be an integer")
-        shifts = (z,)
+        try:
+            shifts = (operator.index(z),)
+        except TypeError:
+            raise TypeError("one-dimensional shift must be an integer") from None
     else:
         shifts = tuple(z)
         if len(shifts) != 2:

@@ -209,7 +209,10 @@ def amplitude_arrays(module: Module) -> np.ndarray:
     is the a amplitude, row 1 the b amplitude.  The phases come from
     ``dyadic.phase_arrays``, and the scaling and the complement repeat
     CPython's float-complex arithmetic on the ``.real`` and ``.imag`` views.
+    A module of another dimension raises ``TypeError``.
     """
+    if module.dim != 1:
+        raise TypeError("the chain amplitudes live on a one-dimensional module")
     m, r = module.numerators[:, 0], module.exponents
     phases = phase_arrays(m, r)
     scale = np.ldexp(2.0 / 3.0, -r)

@@ -19,6 +19,7 @@ with the coordinate, and a rule file lists block rows top line first.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -189,8 +190,8 @@ class PatternWindow:
         return self.labels.shape[::-1]
 
     def label_at(self, pos) -> int:
-        """The label of one cell; ``ValueError`` if the cell is outside the patch."""
-        cell = (pos,) if isinstance(pos, int) else tuple(pos)
+        """The label of one cell, any integer or tuple; ``ValueError`` outside the patch."""
+        cell = tuple(map(operator.index, pos)) if np.ndim(pos) else (operator.index(pos),)
         index = tuple(c - o for c, o in zip(cell, self.origin))[::-1]
         if len(cell) != self.dim or any(not 0 <= i < n for i, n in zip(index, self.labels.shape)):
             raise ValueError(f"cell {pos} is outside the patch")

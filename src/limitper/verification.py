@@ -26,12 +26,13 @@ from ``render.weigh`` and ``render.PeakTable.of``, the rules ``diffract``
 writes with.  A failing check names the first failing point in module
 order.  The pinned values stay scalar.
 
-The ``tamper`` argument is a negative-control hook for tests: naming a check
-perturbs the weight table on one side of that check's comparison only (the
-estimate, the moved point, or the side compared with a constant), so it must
-come back failed.  ``run_checks`` hands each check a ``pick`` for its weight
-tables, ``_perturb`` when the check is named and ``tuple`` otherwise; checks
-that use no weight table ignore it.
+Every check can fail, and its negative controls live with the tests: each
+control replaces one route a check reads (a closed form, a label window, a
+windowed sum, a symmetry image) on its module, say
+``chair.amplitude_arrays``, before ``run_checks``, and pins the exact set of
+checks that then fail.  Forked workers inherit the replacement.  The checks
+call those routes through their modules, so the replaced function is the
+one they run.
 """
 
 from __future__ import annotations
@@ -60,23 +61,12 @@ class CheckResult:
     elapsed_s: float = 0.0
 
 
-def _perturb(weights):
-    """Halve the last weight (or set a zero one to 0.5) so the two sides disagree.
-
-    A one-hot colour weight nudged this far moves a chair amplitude by up to
-    0.125, well past the loosest tolerance of a check that uses it.
-    """
-    values = list(weights)
-    values[-1] = values[-1] * 0.5 if values[-1] != 0 else 0.5
-    return tuple(values)
-
-
 # ---------------------------------------------------------------------------
 # Doubling chain checks
 # ---------------------------------------------------------------------------
 
 
-def _check_pd_eta(quick, pick):
+def _check_pd_eta(quick):
     limit = 1 << (12 if quick else 16)
     # A Fraction is kept in lowest terms with a positive denominator, so two
     # are equal exactly when their integer ratios are; comparing the pairs
@@ -90,7 +80,7 @@ def _check_pd_eta(quick, pick):
     return True, f"exact agreement for all shifts up to {limit}"
 
 
-def _check_pd_labels(quick, pick):
+def _check_pd_labels(quick):
     iterations = 6 if quick else 9
     window = period_doubling.pattern_window(iterations)
     half = 4**iterations
@@ -101,8 +91,8 @@ def _check_pd_labels(quick, pick):
     return True, f"congruences match the fixed point on [-{half}, {half})"
 
 
-def _check_pd_amplitude_relations(quick, pick):
-    weights = period_doubling.Weights(*pick((1, -1)))
+def _check_pd_amplitude_relations(quick):
+    weights = period_doubling.Weights(1, -1)
     frozen = [
         (Dyadic(0), 2 / 3 + 0j, 1 / 3 + 0j),
         (Dyadic(1, 1), 1 / 3 + 0j, -1 / 3 + 0j),
@@ -112,12 +102,6 @@ def _check_pd_amplitude_relations(quick, pick):
         got = period_doubling.amplitudes(k)
         if abs(got.a - amp_a) > 1e-15 or abs(got.b - amp_b) > 1e-15:
             return False, f"amplitude pair at {k} off the pinned value"
-    module = module_points(5 if quick else 8, ((0, 1),), include_hi=False)
-    moved = np.abs(period_doubling.amplitude_arrays(_image(module, offset=(1,)))[0])
-    broken = np.abs(period_doubling.amplitude_arrays(module)[0]) != moved
-    failure = _first_failure(module, [(broken, "|A| not lattice-periodic at {k}")])
-    if failure:
-        return False, failure
     balanced = [
         (Dyadic(0), 1 / 9),
         (Dyadic(1, 1), 4 / 9),
@@ -126,19 +110,26 @@ def _check_pd_amplitude_relations(quick, pick):
     for k, expected in balanced:
         if abs(period_doubling.intensity(k, weights) - expected) > 1e-12:
             return False, f"balanced intensity at {k} not {expected}"
-    return True, "pinned amplitudes, lattice periodicity, balanced intensities"
+    module = module_points(5 if quick else 8, ((0, 1),), include_hi=False)
+    moved = np.abs(period_doubling.amplitude_arrays(_image(module, offset=(1,)))[0])
+    broken = np.abs(period_doubling.amplitude_arrays(module)[0]) != moved
+    return _verdict(
+        module,
+        [(broken, "|A| not lattice-periodic at {k}")],
+        "pinned amplitudes, lattice periodicity, balanced intensities",
+    )
 
 
-def _check_pd_peak_mass(quick, pick):
+def _check_pd_peak_mass(quick):
     r_max = 8 if quick else 12
-    weights = period_doubling.Weights(*pick((1, -1)))
+    weights = period_doubling.Weights(1, -1)
     mass = period_doubling.peak_mass(r_max, weights)
     if not 0.99 <= mass <= 1 + 1e-9:
         return False, f"peak mass {mass:.6f} outside [0.99, 1] at r <= {r_max}"
     return True, f"peak mass {mass:.6f} at r <= {r_max}"
 
 
-def _check_pd_empirical_amplitudes(quick, pick):
+def _check_pd_empirical_amplitudes(quick):
     half = 1 << (16 if quick else 20)
     r_max = 4 if quick else 6
     tol = 0.02 if quick else 0.01
@@ -147,7 +138,7 @@ def _check_pd_empirical_amplitudes(quick, pick):
     comb = numerics.pd_comb(half, (1, 0))
     worst = 0.0
     for weights in ((1, 0), (0, 1), (1, -1)):
-        comb = comb.with_weights(pick(weights))
+        comb = comb.with_weights(weights)
         estimates = numerics.empirical_amplitudes(comb, module)
         worst = max(worst, float(np.abs(render.weigh(closed, weights) - estimates).max()))
     if worst > tol:
@@ -155,13 +146,12 @@ def _check_pd_empirical_amplitudes(quick, pick):
     return True, f"max error {worst:.4f} over r <= {r_max}, window half {half}"
 
 
-def _check_pd_empirical_autocorr(quick, pick):
+def _check_pd_empirical_autocorr(quick):
     half = 1 << (16 if quick else 20)
     z_max = 16 if quick else 64
     tol = 0.02 if quick else 0.01
-    comb_weights = pick((1, -1))
-    comb = numerics.pd_comb(half, comb_weights)
     weights = period_doubling.Weights(1, -1)
+    comb = numerics.pd_comb(half, (weights.alpha, weights.beta))
     worst = 0.0
     for z in range(-z_max, z_max + 1):
         expected = period_doubling.autocorr(z, weights)
@@ -188,7 +178,7 @@ _GOLDEN_8X8 = (
 )
 
 
-def _check_chair_labels(quick, pick):
+def _check_chair_labels(quick):
     iterations = 8 if quick else 10
     half = 1 << iterations
     window = chair.pattern_window(iterations)
@@ -205,7 +195,7 @@ def _check_chair_labels(quick, pick):
     return True, f"chains match the fixed point on [-{half}, {half})^2"
 
 
-def _check_chair_amplitude_relations(quick, pick):
+def _check_chair_amplitude_relations(quick):
     s_max = 3 if quick else 5
     frozen = [
         (DyadicPoint2(0, 0), (0.25, 0.25, 0.25, 0.25)),
@@ -223,16 +213,14 @@ def _check_chair_amplitude_relations(quick, pick):
     minus = chair.amplitude_arrays(_image(module, matrix=((-1, 0), (0, -1))))
     hermitian = (np.abs(minus - values.conj()) > 1e-12).any(axis=0)
     anti = (module.exponents >= 2) & ((values[2] != -values[0]) | (values[3] != -values[1]))
-    failure = _first_failure(
+    return _verdict(
         module,
         [(hermitian, "Hermitian symmetry broken at {k}"), (anti, "anti-pairing broken at {k}")],
+        f"pinned values, Hermitian symmetry, anti-pairing for s <= {s_max}",
     )
-    if failure:
-        return False, failure
-    return True, f"pinned values, Hermitian symmetry, anti-pairing for s <= {s_max}"
 
 
-def _check_chair_sum_rules(quick, pick):
+def _check_chair_sum_rules(quick):
     s_max = 3 if quick else 5
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     values = chair.amplitude_arrays(module)
@@ -245,39 +233,33 @@ def _check_chair_sum_rules(quick, pick):
         (np.abs(even_pair - 0.5) > 1e-12) | (np.abs(odd_pair - expected_odd) > 1e-12)
     )
     off_half = ~half & ((np.abs(even_pair) > 1e-12) | (np.abs(odd_pair) > 1e-12))
-    failure = _first_failure(
+    return _verdict(
         module,
         [
             (on_half, "sum rule broken on the half lattice at {k}"),
             (off_half, "pair sums nonzero off the half lattice at {k}"),
         ],
+        f"pair sums match on and off the half lattice for s <= {s_max}",
     )
-    if failure:
-        return False, failure
-    return True, f"pair sums match on and off the half lattice for s <= {s_max}"
 
 
-def _check_chair_extinctions(quick, pick):
+def _check_chair_extinctions(quick):
     s_max = 3 if quick else 5
-    ones = pick((1, 1, 1, 1))
-    fourth = pick((1, 1j, -1, -1j))
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    lattice = np.abs(_chair_intensities(module, ones) - (module.exponents == 0)) > 1e-12
-    fourth_amplitude = render.weigh(chair.amplitude_arrays(module), fourth)
+    lattice = np.abs(_chair_intensities(module, (1, 1, 1, 1)) - (module.exponents == 0)) > 1e-12
+    fourth_amplitude = render.weigh(chair.amplitude_arrays(module), (1, 1j, -1, -1j))
     extinct = _half_even_lattice(module) & (np.abs(fourth_amplitude) > 1e-12)
-    failure = _first_failure(
+    return _verdict(
         module,
         [
             (lattice, "all-ones intensity wrong at {k}"),
             (extinct, "fourth-root weights not extinct at {k}"),
         ],
+        f"lattice comb and fourth-root extinctions hold for s <= {s_max}",
     )
-    if failure:
-        return False, failure
-    return True, f"lattice comb and fourth-root extinctions hold for s <= {s_max}"
 
 
-def _check_chair_approximant(quick, pick):
+def _check_chair_approximant(quick):
     s_max = 3 if quick else 5
     levels = 12 if quick else 20
     tol = 1e-4 if quick else 1e-6
@@ -289,7 +271,7 @@ def _check_chair_approximant(quick, pick):
     return True, f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
 
 
-def _check_chair_empirical_amplitudes(quick, pick):
+def _check_chair_empirical_amplitudes(quick):
     half = 256 if quick else 1024
     s_max = 3 if quick else 4
     tol = 0.05 if quick else 0.01
@@ -299,7 +281,7 @@ def _check_chair_empirical_amplitudes(quick, pick):
     worst = 0.0
     for colour in range(4):
         one_hot = tuple(1.0 if i == colour else 0.0 for i in range(4))
-        comb = comb.with_weights(pick(one_hot))
+        comb = comb.with_weights(one_hot)
         estimates = numerics.empirical_amplitudes(comb, module)
         worst = max(worst, float(np.abs(closed[colour] - estimates).max()))
     if worst > tol:
@@ -307,7 +289,7 @@ def _check_chair_empirical_amplitudes(quick, pick):
     return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"
 
 
-def _check_chair_d4_window(quick, pick):
+def _check_chair_d4_window(quick):
     iterations = 7 if quick else 9
     half = 1 << iterations
     window = chair.pattern_window(iterations)
@@ -317,10 +299,9 @@ def _check_chair_d4_window(quick, pick):
     return True, f"all 8 symmetries fix the recoloured window, half {half}"
 
 
-def _check_chair_d4_intensity(quick, pick):
+def _check_chair_d4_intensity(quick):
     s_max = 3 if quick else 5
     fourth = (1, 1j, -1, -1j)
-    moved_weights = pick(fourth)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
     reference = _chair_intensities(module, fourth)
     failures = []
@@ -329,47 +310,30 @@ def _check_chair_d4_intensity(quick, pick):
         e1 = chair.transform_wavevector(element, DyadicPoint2(1, 0))
         e2 = chair.transform_wavevector(element, DyadicPoint2(0, 1))
         moved = _image(module, matrix=((e1.m, e2.m), (e1.n, e2.n)))
-        intensity = _chair_intensities(moved, moved_weights)
-        failures.append(
-            (
-                np.abs(intensity - reference) > 1e-10,
-                f"intensity not {element.name}-symmetric at {{k}}",
-            )
-        )
-    failure = _first_failure(module, failures)
-    if failure:
-        return False, failure
-    return True, f"fourth-root intensities are dihedral-symmetric for s <= {s_max}"
+        broken = np.abs(_chair_intensities(moved, fourth) - reference) > 1e-10
+        failures.append((broken, f"intensity not {element.name}-symmetric at {{k}}"))
+    return _verdict(
+        module, failures, f"fourth-root intensities are dihedral-symmetric for s <= {s_max}"
+    )
 
 
-def _check_chair_periodicity(quick, pick):
+def _check_chair_periodicity(quick):
     s_max = 3 if quick else 5
     generic = (0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j)
-    moved_weights = pick(generic)
     pair = (1, 0, 1, 0)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
     reference = _chair_intensities(module, generic)
     failures = []
     for shift in ((1, 0), (0, 1)):
-        intensity = _chair_intensities(_image(module, offset=shift), moved_weights)
-        failures.append(
-            (
-                np.abs(intensity - reference) > 1e-10,
-                f"intensity not lattice-periodic at {{k}} + {shift}",
-            )
-        )
-    failure = _first_failure(module, failures)
-    if failure:
-        return False, failure
+        drift = np.abs(_chair_intensities(_image(module, offset=shift), generic) - reference)
+        failures.append((drift > 1e-10, f"intensity not lattice-periodic at {{k}} + {shift}"))
     # k + (1/2, 1/2) = (2m + 2^s, 2n + 2^s) / 2^(s+1).
     moved = _chair_intensities(_image(module, offset=(1, 1), refine=1), pair)
-    half_shift = np.abs(moved - _chair_intensities(module, pair)) > 1e-10
-    failure = _first_failure(
-        module, [(half_shift, "pair-comb intensity not half-lattice-periodic at {k}")]
+    broken = np.abs(moved - _chair_intensities(module, pair)) > 1e-10
+    failures.append((broken, "pair-comb intensity not half-lattice-periodic at {k}"))
+    return _verdict(
+        module, failures, f"lattice and half-lattice periodicities hold for s <= {s_max}"
     )
-    if failure:
-        return False, failure
-    return True, f"lattice and half-lattice periodicities hold for s <= {s_max}"
 
 
 def _chair_intensities(module: Module, weights) -> np.ndarray:
@@ -402,8 +366,8 @@ def _image(module: Module, matrix=None, offset=None, refine=0) -> Module:
     return normal_form([(c << refine) + o * unit for c, o in zip(columns, offset)], s + refine)
 
 
-def _first_failure(module: Module, failures) -> str | None:
-    """The message for the first failing point in module order, or None.
+def _verdict(module: Module, failures, detail: str) -> tuple[bool, str]:
+    """``(False, message)`` at the first failing point in module order, else ``(True, detail)``.
 
     ``failures`` pairs a boolean mask over the points with a message naming
     the point as ``{k}``, in the order the conditions are tested at one
@@ -411,10 +375,10 @@ def _first_failure(module: Module, failures) -> str | None:
     """
     failing = np.logical_or.reduce([mask for mask, _ in failures])
     if not failing.any():
-        return None
+        return True, detail
     index = int(np.argmax(failing))
     k = module.select([index]).points()[0]
-    return next(message for mask, message in failures if mask[index]).format(k=k)
+    return False, next(message for mask, message in failures if mask[index]).format(k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -447,35 +411,31 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_check(index: int, quick: bool, tamper: frozenset) -> CheckResult:
+def _run_check(index: int, quick: bool) -> CheckResult:
     """Run check number ``index`` of the roster and time it on its own."""
     name, check = _CHECKS[index]
     start = time.perf_counter()
-    passed, detail = check(quick, _perturb if name in tamper else tuple)
+    passed, detail = check(quick)
     elapsed = time.perf_counter() - start
     return CheckResult(name=name, passed=passed, detail=detail, elapsed_s=elapsed)
 
 
-def run_checks(*, quick: bool = False, tamper=frozenset()) -> tuple[CheckResult, ...]:
+def run_checks(*, quick: bool = False) -> tuple[CheckResult, ...]:
     """Run every named check and collect the results in roster order.
 
     The checks run on forked workers or one after another, as the module
     docstring says; the results differ only in ``elapsed_s``.  A check that
     raises re-raises here.
     """
-    tamper = frozenset(tamper)
-    unknown = tamper - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names: {sorted(unknown)}")
-    job = functools.partial(_run_check, quick=quick, tamper=tamper)
+    job = functools.partial(_run_check, quick=quick)
     indices = range(len(_CHECKS))
     workers = min(_usable_cpus(), len(_CHECKS)) if sys.platform.startswith("linux") else 1
     if workers < 2:
         return tuple(map(job, indices))
     # Imported here rather than at the top, as ``json`` is below: the CLI
     # imports this module on every start-up.  A forked worker inherits the
-    # roster, so no check is pickled: only the index (with the run's
-    # ``quick`` and ``tamper``) goes out and the result comes back.  Workers
+    # roster, so no check is serialised: only the index (with the run's
+    # ``quick``) goes out and the result comes back.  Workers
     # leave by ``os._exit``, running no atexit handler or ``finally`` of the
     # parent.
     import multiprocessing

@@ -559,6 +559,10 @@ class TestAmplitudeArrays:
         module = module_points(4, ((-1, 1), (-1, 1)))
         self._assert_bits_match(module.points())
 
+    def test_chain_module_is_refused(self):
+        with pytest.raises(TypeError, match="plane module"):
+            chair.amplitude_arrays(module_points(1, ((0, 1),)))
+
 
 # ---------------------------------------------------------------------------
 # Dihedral colour symmetry

@@ -265,6 +265,20 @@ class TestEmpiricalAutocorrelation:
         with pytest.raises(ValueError, match="outside"):
             numerics.empirical_autocorrelation(grid, (0, 5))
 
+    def test_numpy_integer_shifts(self):
+        comb = numerics.pd_comb(64, (1, -1))
+        for z in (np.int64(3), np.int32(-5), np.uint8(0)):
+            assert numerics.empirical_autocorrelation(comb, z) == (
+                numerics.empirical_autocorrelation(comb, int(z))
+            )
+        for z in (3.0, np.float64(3), "3"):
+            with pytest.raises(TypeError, match="must be an integer"):
+                numerics.empirical_autocorrelation(comb, z)
+        grid = numerics.chair_comb(16, (1, 1j, -1, -1j))
+        assert numerics.empirical_autocorrelation(grid, (np.int64(2), np.int32(-3))) == (
+            numerics.empirical_autocorrelation(grid, (2, -3))
+        )
+
     def test_hermitian_symmetry(self):
         comb = numerics.pd_comb(256, (1 + 0.5j, -0.25 - 1j))
         for z in range(0, 65, 7):

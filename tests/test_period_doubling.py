@@ -280,6 +280,10 @@ class TestAmplitudeArrays:
                 [pair.a.real, pair.a.imag, pair.b.real, pair.b.imag]
             )
 
+    def test_plane_module_is_refused(self):
+        with pytest.raises(TypeError, match="one-dimensional module"):
+            pd.amplitude_arrays(module_points(1, ((0, 1), (0, 1))))
+
 
 class TestPeakMass:
     def test_balanced_mass_converges_to_one(self):

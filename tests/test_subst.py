@@ -245,6 +245,21 @@ class TestPatterns:
             with pytest.raises(ValueError, match="outside the patch"):
                 block.label_at(cell)
 
+    def test_label_at_takes_numpy_integers(self):
+        chain = subst.PatternWindow((-4,), np.arange(8, dtype=np.uint8))
+        assert [chain.label_at(c) for c in (np.int64(3), np.int32(-4), np.uint8(0))] == [7, 0, 4]
+        assert chain.label_at(np.array([3])) == 7
+        with pytest.raises(ValueError, match="outside the patch"):
+            chain.label_at(np.int64(4))
+        for cell in (3.0, np.float64(3)):
+            with pytest.raises(TypeError):
+                chain.label_at(cell)
+        block = subst.PatternWindow((-2, -2), np.arange(16, dtype=np.uint8).reshape(4, 4))
+        assert block.label_at((np.int64(1), np.int64(-2))) == 3
+        assert block.label_at(np.array([-2, 1])) == 12
+        with pytest.raises(TypeError):
+            block.label_at((1.0, -2.0))
+
     def test_subwindow_bounds(self):
         window = subst.PatternWindow((0,), np.arange(8, dtype=np.uint8))
         sub = window.subwindow((2,), (3,))

@@ -1,4 +1,4 @@
-"""Self-check runner tests: roster stability, tampering, report format."""
+"""Self-check runner tests: roster stability, negative controls, report format."""
 
 import json
 import os
@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from limitper import chair, period_doubling, verification
+from limitper import chair, numerics, period_doubling, verification
 from limitper.dyadic import Dyadic, DyadicPoint2
+from limitper.subst import PatternWindow
 
 # The text reports of ``verify --quick`` and ``verify``, byte for byte.
 _QUICK_REPORT = (
@@ -100,11 +101,11 @@ def _with_cpus(monkeypatch, count):
     monkeypatch.setattr(verification, "_usable_cpus", lambda: count)
 
 
-def _boom(quick, pick):
+def _boom(quick):
     raise ZeroDivisionError("check blew up")
 
 
-def _pid(quick, pick):
+def _pid(quick):
     return True, str(os.getpid())
 
 
@@ -166,46 +167,6 @@ class TestRunner:
         assert done.stdout == "[]\n"
 
 
-# Every check that feeds a weight table through the tamper hook.
-_TAMPERABLE = [
-    "pd-amplitude-relations",
-    "pd-peak-mass",
-    "pd-empirical-amplitudes",
-    "pd-empirical-autocorrelation",
-    "chair-extinctions",
-    "chair-empirical-amplitudes",
-    "chair-d4-intensity-symmetry",
-    "chair-lattice-periodicity",
-]
-
-
-class TestTamper:
-    @pytest.mark.parametrize("name", _TAMPERABLE)
-    def test_tampered_check_fails_alone(self, name):
-        results = verification.run_checks(quick=True, tamper={name})
-        by_name = {r.name: r.passed for r in results}
-        assert by_name[name] is False
-        assert all(passed for check, passed in by_name.items() if check != name)
-
-    def test_tamper_without_weight_table_is_ignored(self):
-        # The eta check compares two exact recurrences; there is no weight
-        # table to corrupt, so naming it changes nothing.
-        results = verification.run_checks(
-            quick=True, tamper={"pd-eta-recursion-closed-form"}
-        )
-        assert all(r.passed for r in results)
-
-    def test_unknown_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown check names"):
-            verification.run_checks(quick=True, tamper={"pd-eta-typo"})
-
-    def test_tamper_accepts_any_iterable(self):
-        results = verification.run_checks(
-            quick=True, tamper=["pd-peak-mass", "pd-peak-mass"]
-        )
-        assert sum(not r.passed for r in results) == 1
-
-
 class TestReport:
     def test_all_pass_report(self):
         results = verification.run_checks(quick=True)
@@ -255,6 +216,146 @@ def _corrupt_amplitudes(monkeypatch, points, system=chair):
         return rows
 
     monkeypatch.setattr(system, "amplitude_arrays", corrupted)
+
+
+def _wrap(monkeypatch, module, name, wrapper):
+    """Replace ``module.name`` by ``wrapper(original)`` for one test."""
+    monkeypatch.setattr(module, name, wrapper(getattr(module, name)))
+
+
+def _eta_off_at_4096(monkeypatch):
+    def wrapper(original):
+        return lambda shift: original(shift) + (1 if abs(shift) == 4096 else 0)
+
+    _wrap(monkeypatch, period_doubling, "autocorr_balanced_closed_form", wrapper)
+
+
+def _flip_first_label(module, name):
+    def wrapper(original):
+        def flipped(*bounds):
+            labels = original(*bounds).copy()
+            labels.flat[0] ^= 1
+            return labels
+
+        return flipped
+
+    return lambda monkeypatch: _wrap(monkeypatch, module, name, wrapper)
+
+
+def _offset_estimates(name, dim, offset):
+    """Add ``offset`` to every windowed estimate of a ``dim``-dimensional comb."""
+
+    def wrapper(original):
+        def offset_estimates(comb, *args):
+            estimate = original(comb, *args)
+            return estimate + offset if comb.dim == dim else estimate
+
+        return offset_estimates
+
+    return lambda monkeypatch: _wrap(monkeypatch, numerics, name, wrapper)
+
+
+def _scale_layer_sums(monkeypatch):
+    _wrap(
+        monkeypatch,
+        numerics,
+        "approximant_amplitudes_chair",
+        lambda original: lambda levels, module: original(levels, module) * 1.01,
+    )
+
+
+def _recolour_one_r90_cell(monkeypatch):
+    def wrapper(original):
+        def moved(element, window):
+            image = original(element, window)
+            if element.name != "r90":
+                return image
+            labels = image.labels.copy()
+            labels[0, 0] = (labels[0, 0] + 1) % 4
+            return PatternWindow(image.origin, labels)
+
+        return moved
+
+    _wrap(monkeypatch, chair, "apply_d4", wrapper)
+
+
+def _double_chain_tail(monkeypatch):
+    def wrapper(original):
+        def doubled(module):
+            rows = original(module)
+            rows[:, module.exponents > 4] *= 2
+            return rows
+
+        return doubled
+
+    _wrap(monkeypatch, period_doubling, "amplitude_arrays", wrapper)
+
+
+# Each negative control corrupts one route a check reads, and the exact set
+# of checks that must then fail.
+_CONTROLS = {
+    "eta-closed-form-off-at-4096": (_eta_off_at_4096, {"pd-eta-recursion-closed-form"}),
+    "chain-label-window-flipped-cell": (
+        _flip_first_label(period_doubling, "label_window"),
+        {"pd-label-window-agreement"},
+    ),
+    "chair-label-grid-flipped-cell": (
+        _flip_first_label(chair, "label_grid"),
+        {"chair-label-window-agreement"},
+    ),
+    "chain-windowed-amplitudes-offset": (
+        _offset_estimates("empirical_amplitudes", 1, 0.1),
+        {"pd-empirical-amplitudes"},
+    ),
+    "chair-windowed-amplitudes-offset": (
+        _offset_estimates("empirical_amplitudes", 2, 0.1),
+        {"chair-empirical-amplitudes"},
+    ),
+    "chain-windowed-autocorrelation-offset": (
+        _offset_estimates("empirical_autocorrelation", 1, 0.1),
+        {"pd-empirical-autocorrelation"},
+    ),
+    "chair-layer-sums-scaled": (_scale_layer_sums, {"chair-approximant-agreement"}),
+    "chair-d4-image-recoloured-cell": (_recolour_one_r90_cell, {"chair-d4-window-invariance"}),
+    # pd-empirical-amplitudes (quick tolerance 0.02) and pd-peak-mass, whose
+    # window [0.99, 1] takes the added intensity, still pass.
+    "chain-closed-form-point-bumped": (
+        lambda monkeypatch: _corrupt_amplitudes(
+            monkeypatch, {Dyadic(3, 3)}, system=period_doubling
+        ),
+        {"pd-amplitude-relations"},
+    ),
+    "chain-closed-form-tail-doubled": (_double_chain_tail, {"pd-peak-mass"}),
+    # Every chair check that reads the closed forms at (1/2, 1/2) fails, but
+    # chair-empirical-amplitudes, whose quick tolerance 0.05 covers the 0.01.
+    "chair-closed-form-point-bumped": (
+        lambda monkeypatch: _corrupt_amplitudes(monkeypatch, {DyadicPoint2(1, 1, 1)}),
+        {
+            "chair-amplitude-relations",
+            "chair-sum-rules",
+            "chair-extinctions",
+            "chair-approximant-agreement",
+            "chair-d4-intensity-symmetry",
+            "chair-lattice-periodicity",
+        },
+    ),
+}
+
+
+class TestNegativeControls:
+    """Corrupting one route fails exactly the checks that read it."""
+
+    @pytest.mark.parametrize("control", list(_CONTROLS))
+    def test_control_fails_exactly_its_checks(self, monkeypatch, control):
+        corrupt, expected = _CONTROLS[control]
+        corrupt(monkeypatch)
+        results = verification.run_checks(quick=True)
+        assert {r.name for r in results if not r.passed} == expected
+
+    def test_every_check_has_a_control(self):
+        covered = set().union(*(expected for _, expected in _CONTROLS.values()))
+        assert [name for name in verification.CHECK_NAMES if name not in covered] == []
+        assert covered <= set(verification.CHECK_NAMES)
 
 
 class TestFirstFailure:
