@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from limitper import chair, numerics, period_doubling, verification
+from limitper import chair, numerics, period_doubling, render, verification
 from limitper.dyadic import Dyadic, DyadicPoint2
 from limitper.subst import PatternWindow
 
@@ -291,41 +291,62 @@ def _double_chain_tail(monkeypatch):
     _wrap(monkeypatch, period_doubling, "amplitude_arrays", wrapper)
 
 
-# Each negative control corrupts one route a check reads, and the exact set
-# of checks that must then fail.
-_CONTROLS = {
-    "eta-closed-form-off-at-4096": (_eta_off_at_4096, {"pd-eta-recursion-closed-form"}),
-    "chain-label-window-flipped-cell": (
-        _flip_first_label(period_doubling, "label_window"),
-        {"pd-label-window-agreement"},
-    ),
-    "chair-label-grid-flipped-cell": (
-        _flip_first_label(chair, "label_grid"),
-        {"chair-label-window-agreement"},
-    ),
-    "chain-windowed-amplitudes-offset": (
-        _offset_estimates("empirical_amplitudes", 1, 0.1),
-        {"pd-empirical-amplitudes"},
-    ),
-    "chair-windowed-amplitudes-offset": (
-        _offset_estimates("empirical_amplitudes", 2, 0.1),
-        {"chair-empirical-amplitudes"},
-    ),
-    "chain-windowed-autocorrelation-offset": (
-        _offset_estimates("empirical_autocorrelation", 1, 0.1),
-        {"pd-empirical-autocorrelation"},
-    ),
-    "chair-layer-sums-scaled": (_scale_layer_sums, {"chair-approximant-agreement"}),
-    "chair-d4-image-recoloured-cell": (_recolour_one_r90_cell, {"chair-d4-window-invariance"}),
+def _bump_all_ones_weighting(monkeypatch):
+    """Add 0.01 at the first point to the chair's all-ones (lattice comb) weighting."""
+
+    def wrapper(original):
+        def bumped(rows, weights):
+            total = original(rows, weights)
+            if tuple(weights) == (1, 1, 1, 1):
+                total[0] += 0.01
+            return total
+
+        return bumped
+
+    _wrap(monkeypatch, render, "weigh", wrapper)
+
+
+def _shear_r90_wavevectors(monkeypatch):
+    """Send k = (m, n) / 2^s to the r90 image of (m + n, n) / 2^s, not of k."""
+
+    def wrapper(original):
+        def sheared(element, k):
+            if element.name != "r90":
+                return original(element, k)
+            return original(element, DyadicPoint2.of(k.m + k.n, k.n, k.s))
+
+        return sheared
+
+    _wrap(monkeypatch, chair, "transform_wavevector", wrapper)
+
+
+# Corrupting a route only one check reads: the check it fails, alone.
+_ALONE = {
+    "pd-eta-recursion-closed-form": _eta_off_at_4096,
+    "pd-label-window-agreement": _flip_first_label(period_doubling, "label_window"),
     # pd-empirical-amplitudes (quick tolerance 0.02) and pd-peak-mass, whose
     # window [0.99, 1] takes the added intensity, still pass.
-    "chain-closed-form-point-bumped": (
-        lambda monkeypatch: _corrupt_amplitudes(
-            monkeypatch, {Dyadic(3, 3)}, system=period_doubling
-        ),
-        {"pd-amplitude-relations"},
+    "pd-amplitude-relations": lambda monkeypatch: _corrupt_amplitudes(
+        monkeypatch, {Dyadic(3, 3)}, system=period_doubling
     ),
-    "chain-closed-form-tail-doubled": (_double_chain_tail, {"pd-peak-mass"}),
+    "pd-peak-mass": _double_chain_tail,
+    "pd-empirical-amplitudes": _offset_estimates("empirical_amplitudes", 1, 0.1),
+    "pd-empirical-autocorrelation": _offset_estimates("empirical_autocorrelation", 1, 0.1),
+    "chair-label-window-agreement": _flip_first_label(chair, "label_grid"),
+    "chair-extinctions": _bump_all_ones_weighting,
+    "chair-approximant-agreement": _scale_layer_sums,
+    "chair-empirical-amplitudes": _offset_estimates("empirical_amplitudes", 2, 0.1),
+    "chair-d4-window-invariance": _recolour_one_r90_cell,
+    "chair-d4-intensity-symmetry": _shear_r90_wavevectors,
+    # Only the lattice shifts of [0, 1)^2 reach (3/2, 1/2); every other
+    # chair check reads points of [-1, 1]^2.
+    "chair-lattice-periodicity": lambda monkeypatch: _corrupt_amplitudes(
+        monkeypatch, {DyadicPoint2(3, 1, 1)}
+    ),
+}
+
+# Corrupting a route several checks read: the exact set of checks it fails.
+_SHARED = {
     # Every chair check that reads the closed forms at (1/2, 1/2) fails, but
     # chair-empirical-amplitudes, whose quick tolerance 0.05 covers the 0.01.
     "chair-closed-form-point-bumped": (
@@ -342,18 +363,30 @@ _CONTROLS = {
 }
 
 
-class TestNegativeControls:
-    """Corrupting one route fails exactly the checks that read it."""
+def _failing_quick_checks():
+    return {r.name for r in verification.run_checks(quick=True) if not r.passed}
 
-    @pytest.mark.parametrize("control", list(_CONTROLS))
+
+class TestTamper:
+    """Corrupting a route only one check reads fails that check alone."""
+
+    @pytest.mark.parametrize("name", list(_ALONE))
+    def test_tampered_check_fails_alone(self, monkeypatch, name):
+        _ALONE[name](monkeypatch)
+        assert _failing_quick_checks() == {name}
+
+
+class TestNegativeControls:
+    """Corrupting a shared route fails exactly the checks that read it."""
+
+    @pytest.mark.parametrize("control", list(_SHARED))
     def test_control_fails_exactly_its_checks(self, monkeypatch, control):
-        corrupt, expected = _CONTROLS[control]
+        corrupt, expected = _SHARED[control]
         corrupt(monkeypatch)
-        results = verification.run_checks(quick=True)
-        assert {r.name for r in results if not r.passed} == expected
+        assert _failing_quick_checks() == expected
 
     def test_every_check_has_a_control(self):
-        covered = set().union(*(expected for _, expected in _CONTROLS.values()))
+        covered = set(_ALONE).union(*(expected for _, expected in _SHARED.values()))
         assert [name for name in verification.CHECK_NAMES if name not in covered] == []
         assert covered <= set(verification.CHECK_NAMES)
 
