@@ -19,18 +19,19 @@ OUT.mkdir(exist_ok=True)
 # b) the amplitude at k is A(k) - B(k); the deepest peaks fade like 4^-r.
 # ``weigh`` applies the weights to the per-letter rows as ``limitper
 # diffract`` does.
-weights = pd.Weights(1, -1)
+weights = (1, -1)
 quarters = module_points(2, ((0, 1),), include_hi=False)
-amplitude = weigh(pd.amplitude_arrays(quarters), (weights.alpha, weights.beta))
+amplitude = weigh(pd.amplitude_arrays(quarters), weights)
 balanced = PeakTable.of(quarters, amplitude)
 print("k, |amplitude|^2 for the balanced chain:")
 for k, intensity in zip(quarters.points(), balanced.intensity.tolist()):
     print(f"  {k}: {intensity:.6f}")
 
 # The same numbers fall out of a direct exponential sum over a finite patch;
-# no Fourier analysis beyond the definition is involved.
-comb = numerics.pd_comb(1 << 18, (1, -1))
-windowed = numerics.empirical_amplitudes(comb, quarters)
+# no Fourier analysis beyond the definition is involved.  The windowed sums
+# come as per-letter rows too, weighed the same way.
+comb = numerics.pd_comb(1 << 18)
+windowed = weigh(numerics.empirical_amplitudes(comb, quarters), weights)
 print("closed form vs windowed sum (window 2^19):")
 for k, closed, estimate in zip(quarters.points(), balanced.amplitude.tolist(), windowed.tolist()):
     print(f"  {k}: {closed:.6f} vs {estimate:.6f}")

@@ -31,10 +31,11 @@ for levels in (4, 8, 16):
     print(f"layer sum to depth {levels} at (1, 1): {approx:.10f}")
 print(f"closed form:                     {chair.amplitudes(k_int).values[0]:.10f}")
 
-# Route three: a windowed exponential sum over a 513^2 patch of one color.
+# Route three: a windowed exponential sum over a 513^2 patch of one color,
+# row 0 of the per-colour rows.
 k = DyadicPoint2(1, 0, 2)
-comb = numerics.chair_comb(256, (1.0, 0.0, 0.0, 0.0))
-windowed = numerics.empirical_amplitudes(comb, Module.of([k], 2))[0]
+comb = numerics.chair_comb(256)
+windowed = numerics.empirical_amplitudes(comb, Module.of([k], 2))[0, 0]
 print(f"windowed sum (513^2) at (1/4, 0): {windowed:.10f}")
 print(f"closed form:                      {chair.amplitudes(k).values[0]:.10f}")
 

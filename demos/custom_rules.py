@@ -12,7 +12,7 @@ from pathlib import Path
 
 from limitper import numerics, subst
 from limitper.dyadic import Dyadic, Module
-from limitper.render import window_text
+from limitper.render import weigh, window_text
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -47,10 +47,10 @@ print("small patch:", window_text(subst.fixed_point_window(squared, seed, 2), sy
 half_k = Module.of([Dyadic.of(1, 1)], 1)
 for exponent in (12, 14, 16):
     half = 1 << exponent
-    comb = numerics.WeightedComb(subst.centred_window(squared, seed, half), (1, -1))
-    estimate = numerics.empirical_amplitudes(comb, half_k)[0]
+    comb = numerics.WeightedComb(subst.centred_window(squared, seed, half), 2)
+    estimate = weigh(numerics.empirical_amplitudes(comb, half_k), (1, -1))[0]
     print(f"window 2^{exponent + 1}: |amplitude at 1/2| = {abs(estimate):.5f}")
 print("compare the doubling chain, where the same probe returns ~0.667:")
-pd_comb = numerics.pd_comb(1 << 16, (1, -1))
-estimate = numerics.empirical_amplitudes(pd_comb, half_k)[0]
+pd_comb = numerics.pd_comb(1 << 16)
+estimate = weigh(numerics.empirical_amplitudes(pd_comb, half_k), (1, -1))[0]
 print(f"window 2^17: |amplitude at 1/2| = {abs(estimate):.5f}")

@@ -50,7 +50,6 @@ __all__ = [
     "V",
     "COLOR_STEPS",
     "COLOR_SHIFTS",
-    "Weights",
     "Amplitudes",
     "system",
     "seed",
@@ -207,13 +206,6 @@ def coset_amplitude(level: int, step: tuple[int, int], k: DyadicPoint2) -> compl
 
 
 @dataclass(frozen=True)
-class Weights:
-    """Complex scattering weights for the four colours."""
-
-    values: tuple[complex, complex, complex, complex]
-
-
-@dataclass(frozen=True)
 class Amplitudes:
     """Per-colour peak amplitudes at one dyadic wave number."""
 
@@ -326,10 +318,10 @@ def amplitude_arrays(module: Module) -> np.ndarray:
     return rows
 
 
-def intensity(k: DyadicPoint2, weights: Weights) -> float:
-    """Peak intensity |sum_i alpha_i A_i|^2 at a dyadic wave number."""
+def intensity(k: DyadicPoint2, weights) -> float:
+    """Peak intensity |sum_i alpha_i A_i|^2 at a dyadic wave number, one weight per colour."""
     amp = amplitudes(k)
-    return abs(sum(w * a for w, a in zip(weights.values, amp.values))) ** 2
+    return abs(sum(w * a for w, a in zip(weights, amp.values))) ** 2
 
 
 @dataclass(frozen=True)

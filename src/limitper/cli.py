@@ -150,15 +150,13 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
         builtin, base, seeds = "chair", chair.system(), [chair.seed()]
     else:
         try:
-            text = Path(name_or_path).read_text()
-        except OSError as exc:
+            base = subst.load_rules(name_or_path)
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read rule file {name_or_path!r}: {exc}") from exc
-        try:
-            base = subst.parse_rules(text)
         except subst.RuleError as exc:
             raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
         builtin, seeds = None, None
-    if seed_spec:
+    if seed_spec is not None:
         seeds = [_parse_seed(base, seed_spec)]
     for system in (base,) if builtin else (base.power(e) for e in (1, 2, 3)):
         for seed in seeds or _all_seeds(system):
@@ -166,7 +164,7 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
                 return ResolvedSystem(system, seed, builtin)
     if builtin:
         raise UsageError(f"seed {seed_spec!r} is not legal for this system")
-    if seed_spec:
+    if seed_spec is not None:
         raise UsageError(f"seed {seed_spec!r} is not legal for this rule or its powers up to 3")
     raise UsageError("no legal seed found for this rule or its powers up to 3")
 
@@ -177,7 +175,10 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
 
 
 def _out_base(out: str) -> Path:
+    """``--out`` without a known extension; a path with no file name is refused."""
     base = Path(out)
+    if not base.name:
+        raise UsageError(f"output path {out!r} has no file name")
     if base.suffix.lower() in _KNOWN_SUFFIXES:
         base = base.with_suffix("")
     return base
@@ -200,6 +201,7 @@ def _write(path: Path, content: str, announce=None) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+    base = _out_base(args.out)
     if args.iterations < 0:
         raise UsageError(f"negative iteration count: {args.iterations}")
     system = resolved.system
@@ -218,7 +220,6 @@ def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     formats = (args.format,) if args.format else ("txt",) if system.dim == 1 else ("pgm", "txt")
     window = subst.fixed_point_window(system, resolved.seed, args.iterations)
     letters = system.alphabet
-    base = _out_base(args.out)
     for fmt in formats:
         if fmt == "txt":
             _write(base.with_suffix(".txt"), render.window_text(window, letters))
@@ -251,7 +252,7 @@ def _module(args: argparse.Namespace, resolved: ResolvedSystem):
     else:
         cutoff = 5 if args.smax is None else args.smax
         region = ((Fraction(-1), Fraction(1)),) * 2
-    if args.region:
+    if args.region is not None:
         region = parse_region(args.region, system.dim)
     try:
         module = module_points(cutoff, region, include_hi=not args.half_open)
@@ -280,9 +281,10 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
 
 
 def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+    base = _out_base(args.out)
     system = resolved.system
     letters = system.alphabet
-    weights = parse_weights(args.weights) if args.weights else (1,) * len(letters)
+    weights = parse_weights(args.weights) if args.weights is not None else (1,) * len(letters)
     if len(weights) != len(letters):
         raise UsageError(
             f"{len(weights)} weights for {len(letters)} letters; they must match"
@@ -300,18 +302,18 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     if "svg" in formats and any(lo == hi for lo, hi in region):
         raise UsageError("an SVG needs a region of nonzero width on every axis; use --format csv")
     if args.empirical:
-        # The weighted window [-N, N]^d grown by substitution from the resolved seed.
+        # The window [-N, N]^d grown by substitution from the resolved seed.
         half = args.window or (1 << 20 if system.dim == 1 else 1024)
         _check_empirical_size(half, module, len(letters), system.dim)
         window = subst.centred_window(system, resolved.seed, half)
-        amplitudes = numerics.empirical_amplitudes(numerics.WeightedComb(window, weights), module)
+        rows = numerics.empirical_amplitudes(numerics.WeightedComb(window, len(letters)), module)
     else:
         closed_forms = period_doubling if resolved.builtin == "period_doubling" else chair
-        amplitudes = render.weigh(closed_forms.amplitude_arrays(module), weights)
+        rows = closed_forms.amplitude_arrays(module)
+    amplitudes = render.weigh(rows, weights)
     table = render.PeakTable.of(module, amplitudes)
     kept = table.intensity >= args.floor
     peaks = render.PeakTable(module.select(kept), amplitudes[kept], table.intensity[kept])
-    base = _out_base(args.out)
     for fmt in formats:
         if fmt == "csv":
             _write(base.with_suffix(".csv"), render.peaks_csv(peaks))
@@ -326,14 +328,15 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
 
 
 def cmd_module(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+    base = _out_base(args.out)
     module, _ = _module(args, resolved)
-    _write(_out_base(args.out).with_suffix(".csv"), render.module_csv(module))
+    _write(base.with_suffix(".csv"), render.module_csv(module))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, resolved: ResolvedSystem | None) -> int:
-    results = verification.run_checks(quick=args.quick)
     base = _out_base(args.out)
+    results = verification.run_checks(quick=args.quick)
     if args.json:
         # stdout carries the JSON document alone; the file path goes to stderr.
         text = verification.report_json(results)

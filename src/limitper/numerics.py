@@ -3,23 +3,25 @@
 Everything here approaches the diffraction amplitudes from the pattern
 itself rather than from the closed forms, so the two routes can be compared.
 A window comes from substitution (``pd_comb``, ``chair_comb``, or
-``subst.centred_window`` for any system and seed); the estimators then read
-exact integer counts of its labels, and weights enter only at the end:
+``subst.centred_window`` for any system and seed); a ``WeightedComb`` holds
+its labels only.  The estimators read exact integer counts of the labels,
+and weights enter only at the end:
 
 * ``empirical_autocorrelation`` averages w(x) conj(w(x - z)) over a finite
-  centred window, normalised by the full window cardinality.  It counts the
-  label pairs (a, b) at distance z once and weighs the L^2 counts.
+  centred window for the weights it is given, normalised by the full window
+  cardinality.  It counts the label pairs (a, b) at distance z once and
+  weighs the L^2 counts.
 
-* ``empirical_amplitudes`` evaluates the normalised exponential sum
-  (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x} at every point of a
+* ``empirical_amplitudes`` evaluates the normalised per-letter sums
+  (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i k.x} at every point of a
   ``dyadic.Module`` (or a list of dyadic k).  At
   k = m / 2^s the exponential only depends on x mod 2^s, so the sum is the
   length-2^s DFT of the residue-class label counts.  One count table at the
   list's finest level 2^s_max (a single ``bincount``) and one FFT over its
   residue axes serve every point: k = (m, n) / 2^s is the entry
   (n 2^(s_max - s), m 2^(s_max - s)) mod 2^s_max, one row per label, and
-  ``render.weigh`` applies the weights.  ``empirical_amplitude`` is the
-  same lookup for a single point.
+  ``render.weigh`` applies the weights, as to the closed forms' rows.
+  ``empirical_amplitude`` is the same lookup for a single point.
 
 * ``approximant_amplitude_chair`` rebuilds a colour amplitude of the block
   fixed point by summing exact layer coefficients (``chair.coset_amplitude``)
@@ -39,8 +41,8 @@ import operator
 
 import numpy as np
 
-from . import chair, period_doubling, render, subst
-from .dyadic import _QUARTER_TURNS, DyadicPoint2, Module, normal_form, phase, phase_arrays
+from . import chair, period_doubling, subst
+from .dyadic import DyadicPoint2, Module, normal_form, phase, phase_arrays
 from .subst import PatternWindow
 
 __all__ = [
@@ -59,16 +61,15 @@ _BAND_CELLS = 1 << 18
 
 
 class WeightedComb:
-    """A weighted Dirac comb restricted to the centred cube [-N, N]^d.
+    """The labels of a Dirac comb on the centred cube [-N, N]^d, ``letters`` of them.
 
-    ``weights[label]`` is the complex scattering weight carried by every
-    cell of that label.  What depends on the labels alone (residue counts,
-    their transforms, per-label masks) is cached and shared with every comb
-    made by ``with_weights``, so many weight sets cost one count table.
+    Weights are not held here: ``render.weigh`` applies them to the
+    per-letter rows, so the label caches (residue counts, their transforms,
+    per-label masks) serve every weight set.  The class keeps its name for
+    the benchmark, whose tracing hooks ``residue_counts``.
     """
 
-    def __init__(self, window: PatternWindow, weights) -> None:
-        weights = tuple(complex(w) for w in weights)
+    def __init__(self, window: PatternWindow, letters: int) -> None:
         extent = window.extent
         if any(size != extent[0] for size in extent):
             raise ValueError("window must be a cube")
@@ -77,10 +78,10 @@ class WeightedComb:
         half = extent[0] // 2
         if window.origin != (-half,) * window.dim:
             raise ValueError("window must be centred: [-N, N]^d")
-        if int(window.labels.max()) >= len(weights):
-            raise ValueError("every window label needs a weight")
+        if int(window.labels.max()) >= letters:
+            raise ValueError(f"window labels exceed {letters} letters")
         self.window = window
-        self.weights = weights
+        self.letters = letters
         self.half = half
         self._label_data: dict = {}
 
@@ -92,17 +93,11 @@ class WeightedComb:
     def cells(self) -> int:
         return (2 * self.half + 1) ** self.dim
 
-    def with_weights(self, weights) -> "WeightedComb":
-        """The comb on the same window with other weights, sharing its label caches."""
-        comb = WeightedComb(self.window, weights)
-        comb._label_data = self._label_data
-        return comb
-
     def residue_counts(self, modulus: int) -> np.ndarray:
         """Occurrences of each (label, position mod modulus) pair, cached.
 
-        Shape (len(weights), modulus) in one dimension and
-        (len(weights), modulus, modulus) in two, the residues ordered
+        Shape (letters, modulus) in one dimension and
+        (letters, modulus, modulus) in two, the residues ordered
         (y mod modulus, x mod modulus).  The int64 keys
         (label, residues) are built one band of the window at a time, at
         least ``_BAND_CELLS`` cells and at least the table's size, and each
@@ -115,7 +110,7 @@ class WeightedComb:
         counts = self._label_data.get(key)
         if counts is not None:
             return counts
-        entries = len(self.weights) * modulus**self.dim
+        entries = self.letters * modulus**self.dim
         labels = self.window.labels
         size = 2 * self.half + 1
         step = max(1, max(_BAND_CELLS, entries) // size ** (self.dim - 1))
@@ -134,7 +129,7 @@ class WeightedComb:
                 counts = band_counts
             else:
                 counts += band_counts
-        counts = counts.reshape((len(self.weights),) + (modulus,) * self.dim)
+        counts = counts.reshape((self.letters,) + (modulus,) * self.dim)
         self._label_data[key] = counts
         return counts
 
@@ -159,7 +154,7 @@ class WeightedComb:
         masks = self._label_data.get("masks")
         if masks is None:
             labels = self.window.labels
-            masks = tuple(labels == label for label in range(len(self.weights)))
+            masks = tuple(labels == label for label in range(self.letters))
             self._label_data["masks"] = masks
         return masks
 
@@ -172,15 +167,15 @@ class WeightedComb:
         return totals
 
 
-def pd_comb(half: int, weights) -> WeightedComb:
-    """Comb over the chain fixed point on [-N, N], weights = (alpha, beta)."""
+def pd_comb(half: int) -> WeightedComb:
+    """Comb over the chain fixed point on [-N, N], letters a and b."""
     window = subst.centred_window(period_doubling.doubled_system(), period_doubling.seed(), half)
-    return WeightedComb(window, weights)
+    return WeightedComb(window, 2)
 
 
-def chair_comb(half: int, weights) -> WeightedComb:
-    """Comb over the block fixed point on [-N, N]^2, one weight per colour."""
-    return WeightedComb(subst.centred_window(chair.system(), chair.seed(), half), weights)
+def chair_comb(half: int) -> WeightedComb:
+    """Comb over the block fixed point on [-N, N]^2, four colours."""
+    return WeightedComb(subst.centred_window(chair.system(), chair.seed(), half), 4)
 
 
 def _overlap(size: int, shift: int) -> tuple[slice, slice]:
@@ -204,10 +199,11 @@ def _count_inside(mask: np.ndarray, total: int, region: tuple[slice, ...]) -> in
     return inside
 
 
-def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
+def empirical_autocorrelation(comb: WeightedComb, z, weights) -> complex:
     """Windowed autocorrelation coefficient at the integer shift z.
 
-    Averages w(x) conj(w(x - z)) over all window cells x whose shifted
+    Averages w(x) conj(w(x - z)), one weight in ``weights`` per letter
+    (else ``ValueError``), over all window cells x whose shifted
     partner also lies in the window, still normalising by the full
     cardinality (2N+1)^d, so missing boundary terms count as zero.  The
     shift must satisfy |z| <= N/2 componentwise to keep the boundary
@@ -217,6 +213,9 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     row and column of the count table follow from how often each label
     occurs in the two overlaps.
     """
+    weights = tuple(complex(w) for w in weights)
+    if len(weights) != comb.letters:
+        raise ValueError(f"{len(weights)} weights for {comb.letters} letters")
     half = comb.half
     if comb.dim == 1:
         try:
@@ -234,7 +233,7 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
     here, there = zip(*(_overlap(size, c) for c in reversed(shifts)))
     masks = comb._label_masks()
     totals = comb._label_totals()
-    last = len(comb.weights) - 1
+    last = comb.letters - 1
     overlap = masks[0][here].size
     # counts[a, b] = #{x in the overlap : label(x) = a, label(x - z) = b}.
     counts = np.zeros((last + 1, last + 1), dtype=np.int64)
@@ -250,21 +249,20 @@ def empirical_autocorrelation(comb: WeightedComb, z) -> complex:
         counts[last, b] = col_sums[b] - counts[:last, b].sum()
     counts[last, last] = row_sums[last] - counts[last, :last].sum()
     total = 0j
-    for a, w_a in enumerate(comb.weights):
-        for b, w_b in enumerate(comb.weights):
+    for a, w_a in enumerate(weights):
+        for b, w_b in enumerate(weights):
             total += w_a * w_b.conjugate() * int(counts[a, b])
     return total / float(comb.cells)
 
 
 def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
-    """Normalised exponential sums (2N+1)^{-d} sum_x w(x) e^{-2 pi i k.x}, one per k.
+    """Per-letter sums (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i k.x}, complex (L, N) rows.
 
     ``points`` is a ``dyadic.Module`` or a list of ``Dyadic`` (chains) or
     ``DyadicPoint2`` (planes).  As the window grows these converge to the
-    peak amplitudes at module points and to zero elsewhere.  Every k is read
-    from the label spectrum at the finest level among the points, so one
-    count table and one FFT serve the whole list, and the (L, N) rows read
-    there are weighed by ``render.weigh``.
+    per-letter peak amplitudes at module points and to zero elsewhere.
+    Every k is read from the label spectrum at the finest level among the
+    points, so one count table and one FFT serve the whole list.
     """
     module = points if isinstance(points, Module) else Module.of(points, comb.dim)
     if module.dim != comb.dim:
@@ -274,13 +272,12 @@ def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
     keys = (module.numerators << (level - module.exponents)[:, None]) % modulus
     # Residue axes run (y, x).
     index = tuple(keys[:, axis] for axis in reversed(range(comb.dim)))
-    rows = comb.label_spectrum(level)[(slice(None), *index)]
-    return render.weigh(rows, comb.weights)
+    return comb.label_spectrum(level)[(slice(None), *index)]
 
 
-def empirical_amplitude(comb: WeightedComb, k) -> complex:
-    """``empirical_amplitudes`` at a single wave number, from the table at its own level."""
-    return complex(empirical_amplitudes(comb, (k,))[0])
+def empirical_amplitude(comb: WeightedComb, k) -> np.ndarray:
+    """The (L,) column of ``empirical_amplitudes`` at one wave number, read at its own level."""
+    return empirical_amplitudes(comb, (k,))[:, 0]
 
 
 def approximant_amplitude_chair(levels: int, color: int, k: DyadicPoint2) -> complex:
@@ -327,7 +324,6 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
     s = module.exponents
     odd_sum = ((m + n) & 1) == 1
     odd_m = (m & 1) == 1
-    quarter_turns = np.array(_QUARTER_TURNS)
     out = np.empty((4, len(module)), dtype=complex)
     for colour, (step, shift) in enumerate(zip(chair.COLOR_STEPS, chair.COLOR_SHIFTS)):
         theta = normal_form((step[0] * m + step[1] * n,), s)
@@ -340,9 +336,9 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
             layer = np.zeros(len(module), dtype=complex)
             layer[supported & (r == 0)] = float(1 << level)
             deep = np.flatnonzero(supported & (r > level))
-            # 2^level theta has denominator 2^(r - level), r - level in {1, 2}.
-            turns = (-t[deep] << (level + 2 - r[deep])) & 3
-            layer[deep] = (1 - quarter_turns[turns]) / denominator[deep]
+            # 2^level theta has denominator 2^(r - level), r - level in {1, 2}:
+            # its phase is a quarter turn.
+            layer[deep] = (1 - phase_arrays(-t[deep], r[deep] - level)) / denominator[deep]
             # The shift phase e^{-2 pi i 2^(level+1) m / 2^s} is -1 exactly
             # when s = level + 2 and m is odd, and 1 elsewhere on the support.
             layer[(s == level + 2) & odd_m] *= -1

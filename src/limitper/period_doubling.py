@@ -35,7 +35,6 @@ from .dyadic import Dyadic, Module, module_points, phase, phase_arrays
 __all__ = [
     "LETTER_A",
     "LETTER_B",
-    "Weights",
     "Amplitudes",
     "system",
     "doubled_system",
@@ -157,23 +156,16 @@ def _eta_closed_form(halvings: int) -> Fraction:
     return 1 - Fraction(4, 3 * (1 << halvings))
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Complex scattering weights for the two letters."""
-
-    alpha: complex
-    beta: complex
-
-
-def autocorr(shift: int, weights: Weights) -> complex:
-    """Autocorrelation of the weighted comb at an integer shift.
+def autocorr(shift: int, weights) -> complex:
+    """Autocorrelation of the comb weighted by ``weights`` = (alpha, beta) at an integer shift.
 
     Writing the weight function as p + q * sign (sign = +1 on a, -1 on b),
     the mean of sign is 1/3 and the sign autocorrelation is the balanced
     coefficient, hence |p|^2 + (2/3) Re(p conj(q)) + |q|^2 eta(shift).
     """
-    p = (weights.alpha + weights.beta) / 2
-    q = (weights.alpha - weights.beta) / 2
+    alpha, beta = weights
+    p = (alpha + beta) / 2
+    q = (alpha - beta) / 2
     base = abs(p) ** 2 + (2.0 / 3.0) * (p * q.conjugate()).real
     return complex(base + abs(q) ** 2 * float(autocorr_balanced(shift)))
 
@@ -227,13 +219,14 @@ def amplitude_arrays(module: Module) -> np.ndarray:
     return rows
 
 
-def intensity(k: Dyadic, weights: Weights) -> float:
-    """Peak intensity |alpha A + beta B|^2 at a dyadic wave number."""
+def intensity(k: Dyadic, weights) -> float:
+    """Peak intensity |alpha A + beta B|^2 at a dyadic wave number, weights = (alpha, beta)."""
+    alpha, beta = weights
     amp = amplitudes(k)
-    return abs(weights.alpha * amp.a + weights.beta * amp.b) ** 2
+    return abs(alpha * amp.a + beta * amp.b) ** 2
 
 
-def peak_mass(r_max: int, weights: Weights) -> float:
+def peak_mass(r_max: int, weights) -> float:
     """Total intensity of all peaks with denominator exponent <= r_max in [0, 1).
 
     For the balanced weights this converges to the autocorrelation at shift
@@ -242,5 +235,5 @@ def peak_mass(r_max: int, weights: Weights) -> float:
     ``module_points`` of [0, 1), weighed and squared by ``render``'s rules.
     """
     module = module_points(r_max, ((0, 1),), include_hi=False)
-    amplitude = render.weigh(amplitude_arrays(module), (weights.alpha, weights.beta))
+    amplitude = render.weigh(amplitude_arrays(module), weights)
     return float(render.PeakTable.of(module, amplitude).intensity.sum())

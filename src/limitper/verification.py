@@ -92,7 +92,7 @@ def _check_pd_labels(quick):
 
 
 def _check_pd_amplitude_relations(quick):
-    weights = period_doubling.Weights(1, -1)
+    weights = (1, -1)
     frozen = [
         (Dyadic(0), 2 / 3 + 0j, 1 / 3 + 0j),
         (Dyadic(1, 1), 1 / 3 + 0j, -1 / 3 + 0j),
@@ -122,8 +122,7 @@ def _check_pd_amplitude_relations(quick):
 
 def _check_pd_peak_mass(quick):
     r_max = 8 if quick else 12
-    weights = period_doubling.Weights(1, -1)
-    mass = period_doubling.peak_mass(r_max, weights)
+    mass = period_doubling.peak_mass(r_max, (1, -1))
     if not 0.99 <= mass <= 1 + 1e-9:
         return False, f"peak mass {mass:.6f} outside [0.99, 1] at r <= {r_max}"
     return True, f"peak mass {mass:.6f} at r <= {r_max}"
@@ -135,12 +134,11 @@ def _check_pd_empirical_amplitudes(quick):
     tol = 0.02 if quick else 0.01
     module = module_points(r_max, ((0, 1),), include_hi=False)
     closed = period_doubling.amplitude_arrays(module)
-    comb = numerics.pd_comb(half, (1, 0))
-    worst = 0.0
-    for weights in ((1, 0), (0, 1), (1, -1)):
-        comb = comb.with_weights(weights)
-        estimates = numerics.empirical_amplitudes(comb, module)
-        worst = max(worst, float(np.abs(render.weigh(closed, weights) - estimates).max()))
+    windowed = numerics.empirical_amplitudes(numerics.pd_comb(half), module)
+    worst = max(
+        float(np.abs(render.weigh(closed, weights) - render.weigh(windowed, weights)).max())
+        for weights in ((1, 0), (0, 1), (1, -1))
+    )
     if worst > tol:
         return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
     return True, f"max error {worst:.4f} over r <= {r_max}, window half {half}"
@@ -150,12 +148,12 @@ def _check_pd_empirical_autocorr(quick):
     half = 1 << (16 if quick else 20)
     z_max = 16 if quick else 64
     tol = 0.02 if quick else 0.01
-    weights = period_doubling.Weights(1, -1)
-    comb = numerics.pd_comb(half, (weights.alpha, weights.beta))
+    weights = (1, -1)
+    comb = numerics.pd_comb(half)
     worst = 0.0
     for z in range(-z_max, z_max + 1):
         expected = period_doubling.autocorr(z, weights)
-        got = numerics.empirical_autocorrelation(comb, z)
+        got = numerics.empirical_autocorrelation(comb, z, weights)
         worst = max(worst, abs(expected - got))
     if worst > tol:
         return False, f"max autocorrelation error {worst:.4f} > {tol}"
@@ -277,13 +275,8 @@ def _check_chair_empirical_amplitudes(quick):
     tol = 0.05 if quick else 0.01
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     closed = chair.amplitude_arrays(module)
-    comb = numerics.chair_comb(half, (1, 0, 0, 0))
-    worst = 0.0
-    for colour in range(4):
-        one_hot = tuple(1.0 if i == colour else 0.0 for i in range(4))
-        comb = comb.with_weights(one_hot)
-        estimates = numerics.empirical_amplitudes(comb, module)
-        worst = max(worst, float(np.abs(closed[colour] - estimates).max()))
+    windowed = numerics.empirical_amplitudes(numerics.chair_comb(half), module)
+    worst = float(np.abs(closed - windowed).max())
     if worst > tol:
         return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
     return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"

@@ -453,19 +453,19 @@ class TestAmplitudes:
                 assert abs(odd_pair) <= 1e-12
 
     def test_all_ones_weights_collapse_to_the_lattice(self):
-        ones = chair.Weights((1, 1, 1, 1))
+        ones = (1, 1, 1, 1)
         for k in module_box(4, (-1, 1)):
             expected = 1.0 if k.s == 0 else 0.0
             assert chair.intensity(k, ones) == pytest.approx(expected, abs=1e-12)
 
     def test_fourth_root_weights_are_extinct_on_the_half_lattice(self):
-        fourth = chair.Weights((1, 1j, -1, -1j))
+        fourth = (1, 1j, -1, -1j)
         for k in module_box(4, (-1, 1)):
             if k.s == 0 or (k.s == 1 and k.m % 2 == 1 and k.n % 2 == 1):
                 assert chair.intensity(k, fourth) <= 1e-12
 
     def test_fourth_root_reference_intensities(self):
-        fourth = chair.Weights((1, 1j, -1, -1j))
+        fourth = (1, 1j, -1, -1j)
         assert chair.intensity(DyadicPoint2(1, 0, 1), fourth) == pytest.approx(
             0.125, abs=1e-12
         )
@@ -477,13 +477,13 @@ class TestAmplitudes:
         )
 
     def test_pair_comb_reference_intensity(self):
-        pair = chair.Weights((1, 0, 1, 0))
+        pair = (1, 0, 1, 0)
         assert chair.intensity(DyadicPoint2(1, 1, 1), pair) == pytest.approx(
             0.25, abs=1e-12
         )
 
     def test_lattice_periodicity_of_intensities(self):
-        weights = chair.Weights((0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j))
+        weights = (0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j)
         for k in module_box(4, (0, 1), include_hi=False):
             reference = chair.intensity(k, weights)
             for shift in ((1, 0), (0, 1), (-1, 1)):
@@ -493,8 +493,7 @@ class TestAmplitudes:
 
     def test_half_lattice_periodicity_of_pair_combs(self):
         half_shifts = (DyadicPoint2(1, 1, 1), DyadicPoint2(1, -1, 1))
-        for values in ((1, 0, 1, 0), (0, 1, 0, 1)):
-            weights = chair.Weights(values)
+        for weights in ((1, 0, 1, 0), (0, 1, 0, 1)):
             for k in module_box(4, (0, 1), include_hi=False):
                 reference = chair.intensity(k, weights)
                 for shift in half_shifts:
@@ -645,7 +644,7 @@ class TestD4:
                 assert sequential == combined
 
     def test_fourth_root_intensities_are_dihedral_symmetric(self):
-        fourth = chair.Weights((1, 1j, -1, -1j))
+        fourth = (1, 1j, -1, -1j)
         for k in module_box(4, (0, 1), include_hi=False):
             reference = chair.intensity(k, fourth)
             for element in chair.d4_elements():

@@ -421,11 +421,10 @@ class TestDiffract:
             return [complex(float(row.split(",")[3]), float(row.split(",")[4])) for row in rows]
 
         seed = subst.block_seed(chair.system(), (("1", "0"), ("0", "1")))
-        comb = numerics.WeightedComb(
-            subst.centred_window(chair.system(), seed, 64), (1, 1j, -1, -1j)
-        )
+        comb = numerics.WeightedComb(subst.centred_window(chair.system(), seed, 64), 4)
         points = module_box(2, (0, 1), include_hi=False)
-        expected = numerics.empirical_amplitudes(comb, points).tolist()
+        rows = numerics.empirical_amplitudes(comb, points)
+        expected = render.weigh(rows, (1, 1j, -1, -1j)).tolist()
         got = amplitudes("1 0 / 0 1")
         assert got == expected
         assert amplitudes("3 0 / 2 1") != got
@@ -833,6 +832,15 @@ _ERROR_TABLE = [
         "bad rule file 'RULES/big.sub': line 3: alphabet has 257 letters; "
         "labels are uint8, so at most 256",
     ),
+    # Empty flag values reach their parsers rather than the defaults.
+    (["diffract", "--weights", ""], "empty weight in ''"),
+    (["diffract", "--region", ""], "bad region ''"),
+    (["diffract", "--seed", ""], "a chain seed is written left|right, got ''"),
+    (
+        ["generate", "--system", "RULES/latin1.sub"],
+        "cannot read rule file 'RULES/latin1.sub': 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte",
+    ),
 ]
 
 
@@ -851,6 +859,8 @@ class TestErrorTable:
             ("big", _BIG_RULE),
         ):
             (rules / f"{name}.sub").write_text(text)
+        # A rule file that is not UTF-8: its first byte is 0xff.
+        (rules / "latin1.sub").write_bytes(b"\xff" + _CUSTOM_RULE.encode())
         return str(rules)
 
     @pytest.mark.parametrize("argv, message", _ERROR_TABLE)
@@ -863,6 +873,23 @@ class TestErrorTable:
         assert captured.err == f"limitper: {message.replace('RULES', rules)}\n"
         assert captured.out == ""
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    @pytest.mark.parametrize("command", ["generate", "diffract", "module", "verify"])
+    def test_output_path_without_a_file_name(self, command, out, tmp_path, monkeypatch, capsys):
+        # Refused before any pattern is grown, module enumerated or check run.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the output path was checked")
+
+        monkeypatch.setattr(subst, "fixed_point_window", refuse)
+        monkeypatch.setattr(cli, "module_points", refuse)
+        monkeypatch.setattr(cli.verification, "run_checks", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"limitper: output path {out!r} has no file name\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",
@@ -918,7 +945,9 @@ class TestErrorTable:
         monkeypatch.setattr(subst, "centred_window", lambda *args: None)
         monkeypatch.setattr(numerics, "WeightedComb", lambda *args: None)
         monkeypatch.setattr(
-            numerics, "empirical_amplitudes", lambda comb, module: np.zeros(len(module), complex)
+            numerics,
+            "empirical_amplitudes",
+            lambda comb, module: np.zeros((module.dim * 2, len(module)), complex),
         )
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from limitper import chair, numerics, period_doubling as pd
+from limitper import chair, numerics, period_doubling as pd, render
 from limitper.dyadic import (
     MAX_LEVEL,
     Dyadic,
@@ -33,15 +33,20 @@ from limitper.dyadic import (
 from limitper.subst import PatternWindow
 
 
-def _weight_array(comb: numerics.WeightedComb) -> np.ndarray:
+def _weight_array(comb: numerics.WeightedComb, weights) -> np.ndarray:
     """w(x) over the window as a complex array, read cell by cell by the oracles."""
-    return np.array(comb.weights)[comb.window.labels]
+    return np.array(weights, dtype=complex)[comb.window.labels]
 
 
-def _direct_amplitude(comb: numerics.WeightedComb, k) -> complex:
+def _weighed_amplitude(comb: numerics.WeightedComb, weights, k) -> complex:
+    """``empirical_amplitude``'s per-letter column at k, weighed by ``render.weigh``."""
+    return complex(render.weigh(numerics.empirical_amplitude(comb, k)[:, None], weights)[0])
+
+
+def _direct_amplitude(comb: numerics.WeightedComb, weights, k) -> complex:
     """Ungrouped exponential sum, the definition taken literally."""
     half = comb.half
-    weights = _weight_array(comb)
+    weights = _weight_array(comb, weights)
     positions = np.arange(-half, half + 1, dtype=np.float64)
     if comb.dim == 1:
         kernel = np.exp(-2j * math.pi * float(k.value) * positions)
@@ -59,7 +64,7 @@ def _exact_phases(numerator: int, den_exp: int) -> np.ndarray:
     )
 
 
-def _residue_sum_amplitude(comb: numerics.WeightedComb, k) -> complex:
+def _residue_sum_amplitude(comb: numerics.WeightedComb, weights, k) -> complex:
     """The per-point residue sum: exact counts times exact roots of unity, one k at a time."""
     if comb.dim == 1:
         counts = comb.residue_counts(1 << k.r)
@@ -68,13 +73,13 @@ def _residue_sum_amplitude(comb: numerics.WeightedComb, k) -> complex:
         counts = comb.residue_counts(1 << k.s)
         kernel = np.outer(_exact_phases(k.n, k.s), _exact_phases(k.m, k.s))
         per_label = (counts * kernel[None, :, :]).sum(axis=(1, 2))
-    total = sum(w * t for w, t in zip(comb.weights, per_label))
+    total = sum(w * t for w, t in zip(weights, per_label))
     return complex(total) / float(comb.cells)
 
 
-def _product_autocorrelation(comb: numerics.WeightedComb, z) -> complex:
+def _product_autocorrelation(comb: numerics.WeightedComb, weights, z) -> complex:
     """w(x) conj(w(x - z)) summed as complex products over the overlap."""
-    weights = _weight_array(comb)
+    weights = _weight_array(comb, weights)
     size = 2 * comb.half + 1
     shifts = (z,) if comb.dim == 1 else tuple(z)
     here, there = [], []
@@ -88,7 +93,7 @@ def _product_autocorrelation(comb: numerics.WeightedComb, z) -> complex:
 
 def _single_bincount_counts(comb: numerics.WeightedComb, modulus: int) -> np.ndarray:
     """The residue-count table from one ``bincount`` over int64 keys of the whole window."""
-    n_labels = len(comb.weights)
+    n_labels = comb.letters
     residues = np.arange(-comb.half, comb.half + 1, dtype=np.int64) % modulus
     keys = comb.window.labels.astype(np.int64)
     keys *= modulus
@@ -107,7 +112,7 @@ _weights = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=F
 
 @st.composite
 def _random_combs(draw, dim):
-    """A comb on a random labelling of [-N, N]^dim with random complex weights."""
+    """A comb on a random labelling of [-N, N]^dim and random complex weights for it."""
     half = draw(st.integers(min_value=0, max_value=40 if dim == 1 else 9))
     n_labels = draw(st.integers(min_value=1, max_value=4))
     side = 2 * half + 1
@@ -116,7 +121,7 @@ def _random_combs(draw, dim):
     )
     labels = np.array(cells, dtype=np.uint8).reshape((side,) * dim)
     weights = draw(st.lists(_weights, min_size=n_labels, max_size=n_labels))
-    return numerics.WeightedComb(PatternWindow((-half,) * dim, labels), weights)
+    return numerics.WeightedComb(PatternWindow((-half,) * dim, labels), n_labels), weights
 
 
 # ---------------------------------------------------------------------------
@@ -127,35 +132,34 @@ def _random_combs(draw, dim):
 @pytest.fixture(scope="module")
 def big_combs():
     """The combs of the full checks: the chain on [-2^20, 2^20], the chair on [-1024, 1024]^2."""
-    return numerics.pd_comb(1 << 20, (1, -1)), numerics.chair_comb(1024, (1, 1, 1, 1))
+    return numerics.pd_comb(1 << 20), numerics.chair_comb(1024)
 
 
 class TestWeightedComb:
     def test_validation(self):
         with pytest.raises(ValueError, match="cube"):
             numerics.WeightedComb(
-                PatternWindow((-1, -1), np.zeros((3, 5), dtype=np.uint8)), (1,)
+                PatternWindow((-1, -1), np.zeros((3, 5), dtype=np.uint8)), 1
             )
         with pytest.raises(ValueError, match="odd"):
-            numerics.WeightedComb(PatternWindow((-2,), np.zeros(4, dtype=np.uint8)), (1,))
+            numerics.WeightedComb(PatternWindow((-2,), np.zeros(4, dtype=np.uint8)), 1)
         with pytest.raises(ValueError, match="centred"):
-            numerics.WeightedComb(PatternWindow((0,), np.zeros(5, dtype=np.uint8)), (1,))
-        with pytest.raises(ValueError, match="weight"):
-            numerics.WeightedComb(PatternWindow((-1,), np.array([0, 1, 0], dtype=np.uint8)), (1,))
+            numerics.WeightedComb(PatternWindow((0,), np.zeros(5, dtype=np.uint8)), 1)
+        with pytest.raises(ValueError, match="letters"):
+            numerics.WeightedComb(PatternWindow((-1,), np.array([0, 1, 0], dtype=np.uint8)), 1)
 
     def test_weight_array_lookup(self):
-        comb = numerics.WeightedComb(
-            PatternWindow((-1,), np.array([0, 1, 0], dtype=np.uint8)), (2, -1j)
-        )
-        assert _weight_array(comb).tolist() == [2 + 0j, -1j, 2 + 0j]
+        comb = numerics.WeightedComb(PatternWindow((-1,), np.array([0, 1, 0], dtype=np.uint8)), 2)
+        assert comb.letters == 2
+        assert _weight_array(comb, (2, -1j)).tolist() == [2 + 0j, -1j, 2 + 0j]
 
     def test_residue_counts_are_complete(self):
-        comb = numerics.pd_comb(64, (1, -1))
+        comb = numerics.pd_comb(64)
         for modulus in (1, 2, 4, 8):
             counts = comb.residue_counts(modulus)
             assert counts.shape == (2, modulus)
             assert counts.sum() == 129
-        grid = numerics.chair_comb(8, (1, 1, 1, 1))
+        grid = numerics.chair_comb(8)
         counts = grid.residue_counts(4)
         assert counts.shape == (4, 4, 4)
         assert counts.sum() == 17 * 17
@@ -178,14 +182,14 @@ class TestWeightedComb:
     def test_banded_counts_match_one_bincount_across_band_edges(self, dim, half, band, modulus):
         # Windows narrower than one band, and bands cut short by the edge.
         build = numerics.pd_comb if dim == 1 else numerics.chair_comb
-        comb = build(half, (1,) * (2 if dim == 1 else 4))
+        comb = build(half)
         with mock.patch.object(numerics, "_BAND_CELLS", band):
             counts = comb.residue_counts(modulus)
         assert np.array_equal(counts, _single_bincount_counts(comb, modulus))
 
     def test_count_table_scratch_stays_small(self, big_combs):
-        comb = big_combs[0].with_weights((1, 0))
-        comb._label_data = {}
+        # A fresh comb on the same window, so no count table is cached.
+        comb = numerics.WeightedComb(big_combs[0].window, 2)
         tracemalloc.start()
         try:
             counts = comb.residue_counts(64)
@@ -194,32 +198,36 @@ class TestWeightedComb:
             tracemalloc.stop()
         assert peak - counts.nbytes < 8 << 20
 
-    def test_with_weights_shares_the_count_table(self):
-        comb = numerics.pd_comb(32, (1, 0))
-        other = comb.with_weights((0, 1))
-        assert other.weights == (0j, 1 + 0j)
-        assert other.window is comb.window
-        assert other.residue_counts(8) is comb.residue_counts(8)
-        assert other.label_spectrum(3) is comb.label_spectrum(3)
+    def test_amplitude_calls_share_the_count_table(self):
+        # Every weight set weighs the same rows; a second read counts nothing again.
+        comb = numerics.pd_comb(32)
+        points = module_interval(3, 0, 1)
+        rows = numerics.empirical_amplitudes(comb, points)
+        counts, spectrum = comb.residue_counts(8), comb.label_spectrum(3)
+        with mock.patch.object(np, "bincount", side_effect=AssertionError("recounted")):
+            again = numerics.empirical_amplitudes(comb, points)
+        assert comb.residue_counts(8) is counts
+        assert comb.label_spectrum(3) is spectrum
+        assert again.tolist() == rows.tolist()
 
     @pytest.mark.parametrize("half", [0, 1, 4, 63, 64, 1000])
     def test_pd_comb_matches_the_congruence_labels(self, half):
-        comb = numerics.pd_comb(half, (1, 0))
+        comb = numerics.pd_comb(half)
         assert comb.window.origin == (-half,)
         assert np.array_equal(comb.window.labels, pd.label_window(-half, half + 1))
 
     @pytest.mark.parametrize("half", [0, 1, 3, 8, 31, 100])
     def test_chair_comb_matches_the_halving_labels(self, half):
-        comb = numerics.chair_comb(half, (1, 0, 0, 0))
+        comb = numerics.chair_comb(half)
         assert comb.window.origin == (-half, -half)
         expected = chair.label_grid(-half, half + 1, -half, half + 1)
         assert np.array_equal(comb.window.labels, expected)
 
     def test_builders(self):
-        comb = numerics.pd_comb(8, (1, 0))
-        assert comb.dim == 1 and comb.half == 8
-        grid = numerics.chair_comb(4, (1, 2, 3, 4))
-        assert grid.dim == 2 and grid.half == 4
+        comb = numerics.pd_comb(8)
+        assert comb.dim == 1 and comb.half == 8 and comb.letters == 2
+        grid = numerics.chair_comb(4)
+        assert grid.dim == 2 and grid.half == 4 and grid.letters == 4
         assert grid.window.label_at((0, 0)) == 0
 
 
@@ -230,89 +238,99 @@ class TestWeightedComb:
 
 class TestEmpiricalAutocorrelation:
     def test_constant_comb_counts_overlap(self):
-        comb = numerics.pd_comb(8, (1, 1))
-        assert numerics.empirical_autocorrelation(comb, 0) == pytest.approx(1.0)
+        comb = numerics.pd_comb(8)
+        assert numerics.empirical_autocorrelation(comb, 0, (1, 1)) == pytest.approx(1.0)
         # 17-cell window, shift 3: 14 overlapping terms over 17.
-        assert numerics.empirical_autocorrelation(comb, 3) == pytest.approx(14 / 17)
-        assert numerics.empirical_autocorrelation(comb, -3) == pytest.approx(14 / 17)
+        assert numerics.empirical_autocorrelation(comb, 3, (1, 1)) == pytest.approx(14 / 17)
+        assert numerics.empirical_autocorrelation(comb, -3, (1, 1)) == pytest.approx(14 / 17)
 
     def test_constant_comb_in_the_plane(self):
-        comb = numerics.chair_comb(8, (1, 1, 1, 1))
-        got = numerics.empirical_autocorrelation(comb, (1, 0))
+        comb = numerics.chair_comb(8)
+        got = numerics.empirical_autocorrelation(comb, (1, 0), (1, 1, 1, 1))
         assert got == pytest.approx(16 * 17 / 17**2)
 
     def test_balanced_chain_values(self):
-        comb = numerics.pd_comb(1 << 18, (1, -1))
-        assert numerics.empirical_autocorrelation(comb, 3) == pytest.approx(
+        comb = numerics.pd_comb(1 << 18)
+        assert numerics.empirical_autocorrelation(comb, 3, (1, -1)) == pytest.approx(
             -1 / 3, abs=0.01
         )
-        assert numerics.empirical_autocorrelation(comb, 4) == pytest.approx(
+        assert numerics.empirical_autocorrelation(comb, 4, (1, -1)) == pytest.approx(
             2 / 3, abs=0.01
         )
-        assert numerics.empirical_autocorrelation(comb, 0) == pytest.approx(
+        assert numerics.empirical_autocorrelation(comb, 0, (1, -1)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_shift_validation(self):
-        comb = numerics.pd_comb(16, (1, -1))
+        comb = numerics.pd_comb(16)
         with pytest.raises(ValueError, match="outside"):
-            numerics.empirical_autocorrelation(comb, 9)
+            numerics.empirical_autocorrelation(comb, 9, (1, -1))
         with pytest.raises(TypeError):
-            numerics.empirical_autocorrelation(comb, (1, 0))
-        grid = numerics.chair_comb(8, (1, 1, 1, 1))
+            numerics.empirical_autocorrelation(comb, (1, 0), (1, -1))
+        grid = numerics.chair_comb(8)
         with pytest.raises(ValueError):
-            numerics.empirical_autocorrelation(grid, (1, 0, 0))
+            numerics.empirical_autocorrelation(grid, (1, 0, 0), (1, 1, 1, 1))
         with pytest.raises(ValueError, match="outside"):
-            numerics.empirical_autocorrelation(grid, (0, 5))
+            numerics.empirical_autocorrelation(grid, (0, 5), (1, 1, 1, 1))
+
+    def test_weight_count_must_match_the_letters(self):
+        with pytest.raises(ValueError, match="3 weights for 2 letters"):
+            numerics.empirical_autocorrelation(numerics.pd_comb(16), 1, (1, -1, 0))
+        with pytest.raises(ValueError, match="2 weights for 4 letters"):
+            numerics.empirical_autocorrelation(numerics.chair_comb(8), (1, 0), (1, 1))
 
     def test_numpy_integer_shifts(self):
-        comb = numerics.pd_comb(64, (1, -1))
+        comb = numerics.pd_comb(64)
         for z in (np.int64(3), np.int32(-5), np.uint8(0)):
-            assert numerics.empirical_autocorrelation(comb, z) == (
-                numerics.empirical_autocorrelation(comb, int(z))
+            assert numerics.empirical_autocorrelation(comb, z, (1, -1)) == (
+                numerics.empirical_autocorrelation(comb, int(z), (1, -1))
             )
         for z in (3.0, np.float64(3), "3"):
             with pytest.raises(TypeError, match="must be an integer"):
-                numerics.empirical_autocorrelation(comb, z)
-        grid = numerics.chair_comb(16, (1, 1j, -1, -1j))
-        assert numerics.empirical_autocorrelation(grid, (np.int64(2), np.int32(-3))) == (
-            numerics.empirical_autocorrelation(grid, (2, -3))
+                numerics.empirical_autocorrelation(comb, z, (1, -1))
+        grid = numerics.chair_comb(16)
+        fourth = (1, 1j, -1, -1j)
+        assert numerics.empirical_autocorrelation(grid, (np.int64(2), np.int32(-3)), fourth) == (
+            numerics.empirical_autocorrelation(grid, (2, -3), fourth)
         )
 
     def test_hermitian_symmetry(self):
-        comb = numerics.pd_comb(256, (1 + 0.5j, -0.25 - 1j))
+        comb, weights = numerics.pd_comb(256), (1 + 0.5j, -0.25 - 1j)
         for z in range(0, 65, 7):
-            plus = numerics.empirical_autocorrelation(comb, z)
-            minus = numerics.empirical_autocorrelation(comb, -z)
+            plus = numerics.empirical_autocorrelation(comb, z, weights)
+            minus = numerics.empirical_autocorrelation(comb, -z, weights)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
-        grid = numerics.chair_comb(32, (1, 1j, -1, -1j))
+        grid, fourth = numerics.chair_comb(32), (1, 1j, -1, -1j)
         for z in ((3, 1), (-2, 5), (0, 7)):
-            plus = numerics.empirical_autocorrelation(grid, z)
-            minus = numerics.empirical_autocorrelation(grid, (-z[0], -z[1]))
+            plus = numerics.empirical_autocorrelation(grid, z, fourth)
+            minus = numerics.empirical_autocorrelation(grid, (-z[0], -z[1]), fourth)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(_random_combs(1))
-    def test_pair_counts_match_the_complex_products_on_the_chain(self, comb):
+    def test_pair_counts_match_the_complex_products_on_the_chain(self, comb_and_weights):
+        comb, weights = comb_and_weights
         for z in range(-(comb.half // 2), comb.half // 2 + 1):
-            got = numerics.empirical_autocorrelation(comb, z)
-            assert got == pytest.approx(_product_autocorrelation(comb, z), abs=1e-12)
+            got = numerics.empirical_autocorrelation(comb, z, weights)
+            expected = _product_autocorrelation(comb, weights, z)
+            assert got == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(_random_combs(2))
-    def test_pair_counts_match_the_complex_products_in_the_plane(self, comb):
+    def test_pair_counts_match_the_complex_products_in_the_plane(self, comb_and_weights):
+        comb, weights = comb_and_weights
         reach = comb.half // 2
         for zx in range(-reach, reach + 1):
             for zy in range(-reach, reach + 1):
-                got = numerics.empirical_autocorrelation(comb, (zx, zy))
-                expected = _product_autocorrelation(comb, (zx, zy))
+                got = numerics.empirical_autocorrelation(comb, (zx, zy), weights)
+                expected = _product_autocorrelation(comb, weights, (zx, zy))
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_zero_shift_dominates(self):
-        comb = numerics.pd_comb(1 << 12, (1.5, -0.5 + 2j))
-        peak = abs(numerics.empirical_autocorrelation(comb, 0))
+        comb, weights = numerics.pd_comb(1 << 12), (1.5, -0.5 + 2j)
+        peak = abs(numerics.empirical_autocorrelation(comb, 0, weights))
         for z in range(1, 33):
-            assert abs(numerics.empirical_autocorrelation(comb, z)) <= peak + 1e-12
+            assert abs(numerics.empirical_autocorrelation(comb, z, weights)) <= peak + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -322,46 +340,49 @@ class TestEmpiricalAutocorrelation:
 
 class TestEmpiricalAmplitude:
     def test_matches_the_direct_sum_on_the_chain(self):
-        comb = numerics.pd_comb(64, (1 + 0.5j, -1))
+        comb, weights = numerics.pd_comb(64), (1 + 0.5j, -1)
         points = module_interval(3, 0, 1, include_hi=False) + [Dyadic(5, 3), Dyadic(-3, 2)]
         for k in points:
-            grouped = numerics.empirical_amplitude(comb, k)
-            direct = _direct_amplitude(comb, k)
+            grouped = _weighed_amplitude(comb, weights, k)
+            direct = _direct_amplitude(comb, weights, k)
             assert grouped == pytest.approx(direct, abs=1e-10)
 
     def test_matches_the_direct_sum_on_the_grid(self):
-        comb = numerics.chair_comb(16, (1, 1j, -0.5, 2 - 1j))
+        comb, weights = numerics.chair_comb(16), (1, 1j, -0.5, 2 - 1j)
         for k in module_box(2, (0, 1), include_hi=False):
-            grouped = numerics.empirical_amplitude(comb, k)
-            direct = _direct_amplitude(comb, k)
+            grouped = _weighed_amplitude(comb, weights, k)
+            direct = _direct_amplitude(comb, weights, k)
             assert grouped == pytest.approx(direct, abs=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(_random_combs(1), st.integers(min_value=0, max_value=6))
-    def test_transform_matches_the_residue_sum_on_the_chain(self, comb, level):
+    def test_transform_matches_the_residue_sum_on_the_chain(self, comb_and_weights, level):
+        comb, weights = comb_and_weights
         points = module_interval(level, -1, 1)
-        got = numerics.empirical_amplitudes(comb, points)
+        got = render.weigh(numerics.empirical_amplitudes(comb, points), weights)
         for k, value in zip(points, got):
-            assert value == pytest.approx(_residue_sum_amplitude(comb, k), abs=1e-12)
+            assert value == pytest.approx(_residue_sum_amplitude(comb, weights, k), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(_random_combs(2), st.integers(min_value=0, max_value=3))
-    def test_transform_matches_the_residue_sum_on_the_grid(self, comb, level):
+    def test_transform_matches_the_residue_sum_on_the_grid(self, comb_and_weights, level):
+        comb, weights = comb_and_weights
         points = module_box(level, (-1, 1))
-        got = numerics.empirical_amplitudes(comb, points)
+        got = render.weigh(numerics.empirical_amplitudes(comb, points), weights)
         for k, value in zip(points, got):
-            assert value == pytest.approx(_residue_sum_amplitude(comb, k), abs=1e-12)
+            assert value == pytest.approx(_residue_sum_amplitude(comb, weights, k), abs=1e-12)
 
     def test_single_point_lookup_agrees_with_the_batch(self):
-        comb = numerics.chair_comb(24, (1, 1j, -1, -1j))
+        comb = numerics.chair_comb(24)
         points = module_box(3, (0, 1), include_hi=False)
         batch = numerics.empirical_amplitudes(comb, points)
-        for k, value in zip(points, batch):
-            assert numerics.empirical_amplitude(comb, k) == pytest.approx(value, abs=1e-15)
-        assert numerics.empirical_amplitudes(comb, []).shape == (0,)
+        assert batch.shape == (4, len(points)) and batch.dtype == complex
+        for k, column in zip(points, batch.T):
+            assert numerics.empirical_amplitude(comb, k) == pytest.approx(column, abs=1e-15)
+        assert numerics.empirical_amplitudes(comb, []).shape == (4, 0)
 
     def test_module_columns_read_like_point_lists(self):
-        comb = numerics.chair_comb(24, (1, 1j, -1, -1j))
+        comb = numerics.chair_comb(24)
         module = module_points(3, ((-1, 1), (0, 1)), include_hi=False)
         by_columns = numerics.empirical_amplitudes(comb, module)
         by_points = numerics.empirical_amplitudes(comb, module.points())
@@ -370,8 +391,8 @@ class TestEmpiricalAmplitude:
             numerics.empirical_amplitudes(comb, Module.of([Dyadic(1, 2)], 1))
 
     def test_wave_number_type_checks(self):
-        comb = numerics.pd_comb(8, (1, 0))
-        grid = numerics.chair_comb(4, (1, 1, 1, 1))
+        comb = numerics.pd_comb(8)
+        grid = numerics.chair_comb(4)
         with pytest.raises(TypeError):
             numerics.empirical_amplitude(comb, DyadicPoint2(0, 0, 0))
         with pytest.raises(TypeError):
@@ -380,21 +401,20 @@ class TestEmpiricalAmplitude:
             numerics.empirical_amplitude(comb, 0.5)
 
     def test_chain_estimates_approach_the_closed_forms(self):
-        comb = numerics.pd_comb(1 << 16, (1, 0))
-        assert numerics.empirical_amplitude(comb, Dyadic(0)) == pytest.approx(
+        comb = numerics.pd_comb(1 << 16)
+        assert _weighed_amplitude(comb, (1, 0), Dyadic(0)) == pytest.approx(
             2 / 3, abs=0.005
         )
-        balanced = numerics.pd_comb(1 << 16, (1, -1))
-        assert numerics.empirical_amplitude(balanced, Dyadic(1, 1)) == pytest.approx(
+        assert _weighed_amplitude(comb, (1, -1), Dyadic(1, 1)) == pytest.approx(
             2 / 3, abs=0.01
         )
 
     def test_grid_estimate_of_the_lattice_comb(self):
-        comb = numerics.chair_comb(256, (1, 1, 1, 1))
-        assert numerics.empirical_amplitude(comb, DyadicPoint2(1, 1, 1)) == pytest.approx(
+        comb, ones = numerics.chair_comb(256), (1, 1, 1, 1)
+        assert _weighed_amplitude(comb, ones, DyadicPoint2(1, 1, 1)) == pytest.approx(
             0, abs=0.01
         )
-        assert numerics.empirical_amplitude(comb, DyadicPoint2(1, 0, 0)) == pytest.approx(
+        assert _weighed_amplitude(comb, ones, DyadicPoint2(1, 0, 0)) == pytest.approx(
             1, abs=0.01
         )
 
@@ -403,19 +423,15 @@ class TestEmpiricalAmplitude:
         expected = pd.amplitudes(k).a - pd.amplitudes(k).b
         errors = []
         for half in (1 << 12, 1 << 13, 1 << 14, 1 << 15):
-            comb = numerics.pd_comb(half, (1, -1))
-            errors.append(abs(numerics.empirical_amplitude(comb, k) - expected))
+            comb = numerics.pd_comb(half)
+            errors.append(abs(_weighed_amplitude(comb, (1, -1), k) - expected))
         for before, after in zip(errors, errors[1:]):
             assert after <= 1.1 * before + 1e-12
 
     def test_determinism_across_rebuilds(self):
-        first = numerics.empirical_amplitude(
-            numerics.pd_comb(1 << 12, (1, -1)), Dyadic(3, 4)
-        )
-        second = numerics.empirical_amplitude(
-            numerics.pd_comb(1 << 12, (1, -1)), Dyadic(3, 4)
-        )
-        assert first == second
+        first = numerics.empirical_amplitude(numerics.pd_comb(1 << 12), Dyadic(3, 4))
+        second = numerics.empirical_amplitude(numerics.pd_comb(1 << 12), Dyadic(3, 4))
+        assert first.tolist() == second.tolist()
 
 
 # ---------------------------------------------------------------------------

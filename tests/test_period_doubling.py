@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from limitper import period_doubling as pd
 from limitper.dyadic import MAX_LEVEL, Dyadic, Module, module_interval, module_points
 
-BALANCED = pd.Weights(1, -1)
+BALANCED = (1, -1)
 
 _shifts = st.integers(min_value=1, max_value=1 << 40)
 
@@ -152,8 +152,8 @@ _reals = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
 class TestWeightedAutocorrelation:
     def test_reference_values(self):
-        assert pd.autocorr(0, pd.Weights(1, 0)) == pytest.approx(2 / 3, abs=1e-15)
-        assert pd.autocorr(5, pd.Weights(1, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert pd.autocorr(0, (1, 0)) == pytest.approx(2 / 3, abs=1e-15)
+        assert pd.autocorr(5, (1, 1)) == pytest.approx(1.0, abs=1e-15)
         assert pd.autocorr(3, BALANCED) == pytest.approx(-1 / 3, abs=1e-15)
         assert pd.autocorr(0, BALANCED) == pytest.approx(1.0, abs=1e-15)
 
@@ -166,14 +166,14 @@ class TestWeightedAutocorrelation:
             0.25 * (alpha - beta) ** 2 * eta
             + (3 * (alpha + beta) ** 2 + 2 * (alpha**2 - beta**2)) / 12
         )
-        assert pd.autocorr(z, pd.Weights(alpha, beta)) == pytest.approx(
+        assert pd.autocorr(z, (alpha, beta)) == pytest.approx(
             expected, abs=1e-9
         )
 
     @given(_reals, _reals)
     def test_zero_shift_is_the_mean_square(self, alpha, beta):
         expected = (2 * abs(alpha) ** 2 + abs(beta) ** 2) / 3
-        assert pd.autocorr(0, pd.Weights(alpha, beta)) == pytest.approx(
+        assert pd.autocorr(0, (alpha, beta)) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -230,7 +230,7 @@ class TestAmplitudes:
         assert pd.intensity(Dyadic(1, 2), BALANCED) == pytest.approx(1 / 9, abs=1e-12)
 
     def test_lattice_weights_extinguish_refinements(self):
-        ones = pd.Weights(1, 1)
+        ones = (1, 1)
         assert pd.intensity(Dyadic(0), ones) == pytest.approx(1.0, abs=1e-15)
         assert pd.intensity(Dyadic(1, 1), ones) == 0.0
         assert pd.intensity(Dyadic(3, 3), ones) == 0.0
@@ -297,11 +297,11 @@ class TestPeakMass:
 
     def test_single_letter_mass_converges_to_the_density_mean(self):
         # Bessel: partial peak masses stay below eta(0) = 2/3 and approach it.
-        masses = [pd.peak_mass(r, pd.Weights(1, 0)) for r in range(13)]
+        masses = [pd.peak_mass(r, (1, 0)) for r in range(13)]
         assert all(m <= 2 / 3 + 1e-9 for m in masses)
         assert masses[-1] >= 2 / 3 - 0.01
 
-    @pytest.mark.parametrize("weights", [BALANCED, pd.Weights(1, 0)], ids=["balanced", "letter-a"])
+    @pytest.mark.parametrize("weights", [BALANCED, (1, 0)], ids=["balanced", "letter-a"])
     def test_array_mass_matches_the_scalar_sum(self, weights):
         # The scalar route the array sum replaced: one intensity per point.
         for r in range(13):
