@@ -25,7 +25,6 @@ file errors.  All outputs are deterministic byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -114,17 +113,6 @@ def _parse_seed(system: subst.SubstitutionSystem, text: str) -> subst.PatternWin
         raise UsageError(f"seed letter {exc.args[0]!r} is not in the alphabet") from exc
 
 
-def _all_seeds(system: subst.SubstitutionSystem):
-    """Every seed over the alphabet, legal or not, in alphabet order."""
-    letters = system.alphabet
-    if system.dim == 1:
-        for left, right in itertools.product(letters, repeat=2):
-            yield subst.word_seed(system, left, right)
-    else:
-        for tl, tr, bl, br in itertools.product(letters, repeat=4):
-            yield subst.block_seed(system, ((tl, tr), (bl, br)))
-
-
 @dataclass(frozen=True)
 class ResolvedSystem:
     """A substitution system with a legal seed and its analytic status."""
@@ -139,15 +127,14 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
 
     Built-in names come with their canonical seeds (the chain rule is squared
     so a two-sided fixed point exists).  Rule files get an explicit ``--seed``
-    or else the first legal seed, searching the rule and then its squares and
-    cubes; either way the seed must reproduce itself under substitution.
+    or else ``subst.first_legal_seed``, trying the rule and then its square
+    and cube; either way the seed must reproduce itself under substitution.
     """
     lowered = name_or_path.strip().lower()
     if lowered in _PD_ALIASES:
-        builtin, base = "period_doubling", period_doubling.doubled_system()
-        seeds = [period_doubling.seed()]
+        builtin, base, seed = "period_doubling", period_doubling.doubled_system(), period_doubling.seed()
     elif lowered == "chair":
-        builtin, base, seeds = "chair", chair.system(), [chair.seed()]
+        builtin, base, seed = "chair", chair.system(), chair.seed()
     else:
         try:
             base = subst.load_rules(name_or_path)
@@ -155,13 +142,13 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
             raise UsageError(f"cannot read rule file {name_or_path!r}: {exc}") from exc
         except subst.RuleError as exc:
             raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
-        builtin, seeds = None, None
+        builtin, seed = None, None
     if seed_spec is not None:
-        seeds = [_parse_seed(base, seed_spec)]
+        seed = _parse_seed(base, seed_spec)
     for system in (base,) if builtin else (base.power(e) for e in (1, 2, 3)):
-        for seed in seeds or _all_seeds(system):
-            if subst.check_seed_legal(system, seed):
-                return ResolvedSystem(system, seed, builtin)
+        candidate = subst.first_legal_seed(system) if seed is None else seed
+        if candidate is not None and subst.check_seed_legal(system, candidate):
+            return ResolvedSystem(system, candidate, builtin)
     if builtin:
         raise UsageError(f"seed {seed_spec!r} is not legal for this system")
     if seed_spec is not None:
@@ -175,9 +162,9 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
 
 
 def _out_base(out: str) -> Path:
-    """``--out`` without a known extension; a path with no file name is refused."""
+    """``--out`` without a known extension; a path with no file name, or ending in ``..``, is refused."""
     base = Path(out)
-    if not base.name:
+    if base.name in ("", ".."):
         raise UsageError(f"output path {out!r} has no file name")
     if base.suffix.lower() in _KNOWN_SUFFIXES:
         base = base.with_suffix("")

@@ -12,6 +12,10 @@ whose images meet the cube.  ``fixed_point_window`` asks for
 ``centred_window`` asks for [-N, N]^d.  The engine is generic over the
 alphabet; the built-in rule files ship as package data under ``rules/``.
 
+A seed is legal when one pass reproduces it, a test per cell: the seed cell
+at array index i in {0, 1}^d lands on index (b - 1)(1 - i) of its own image,
+so it must carry ``images[letter][(b - 1)(1 - i)] == letter``.
+
 Coordinate convention for blocks: the pattern assigns a label to each cell
 of Z^2, arrays are indexed ``labels[iy, ix]`` with both indices increasing
 with the coordinate, and a rule file lists block rows top line first.
@@ -41,6 +45,7 @@ __all__ = [
     "block_seed",
     "substitute",
     "check_seed_legal",
+    "first_legal_seed",
     "fixed_point_window",
     "centred_window",
     "natural_frequencies",
@@ -126,28 +131,15 @@ class SubstitutionSystem:
         """The substitution applied `exponent` times as a single rule set."""
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
-        images = []
-        for img in self.images:
-            out = img
-            for _ in range(exponent - 1):
-                out = _expand_labels(self, out)
-            images.append(out)
-        return SubstitutionSystem(
-            alphabet=self.alphabet,
-            kind=self.kind,
-            factor=self.factor**exponent,
-            images=tuple(images),
-        )
+        images = self.images
+        for _ in range(exponent - 1):
+            images = tuple(_expand_labels(self, img) for img in images)
+        return SubstitutionSystem(self.alphabet, self.kind, self.factor**exponent, images)
 
     def count_matrix(self) -> list[list[int]]:
         """M[i][j] = number of cells carrying letter i in the image of letter j."""
         k = len(self.alphabet)
-        mat = [[0] * k for _ in range(k)]
-        for j, img in enumerate(self.images):
-            counts = np.bincount(img.ravel(), minlength=k)
-            for i in range(k):
-                mat[i][j] = int(counts[i])
-        return mat
+        return np.stack([np.bincount(img.ravel(), minlength=k) for img in self.images], axis=1).tolist()
 
     def is_primitive(self) -> bool:
         """True iff some power of the count matrix is strictly positive."""
@@ -254,22 +246,39 @@ def block_seed(system: SubstitutionSystem, rows_top_down) -> PatternWindow:
     return PatternWindow((-1, -1), labels)
 
 
-def _require_seed_shape(seed: PatternWindow) -> None:
-    if seed.extent != (2,) * seed.dim or seed.origin != (-1,) * seed.dim:
-        raise ValueError("a seed is a 2-cell-per-axis patch centred on the origin")
+def _require_seed_shape(system: SubstitutionSystem, seed: PatternWindow) -> None:
+    if seed.extent != (2,) * system.dim or seed.origin != (-1,) * system.dim:
+        raise ValueError(f"a {system.kind} seed is a 2-cell-per-axis patch centred on the origin")
+    if int(seed.labels.max()) >= len(system.alphabet):
+        raise ValueError("seed uses a letter index outside the system alphabet")
+
+
+def _kept_letters(system: SubstitutionSystem) -> np.ndarray:
+    """Booleans (letters, 2, ..., 2): entry [l, i] says whether seed cell i keeps letter l."""
+    # Per axis, a step of 1 - b from the end visits index b - 1, then 0.
+    corners = system.image_lut()[(slice(None),) + (slice(None, None, 1 - system.factor),) * system.dim]
+    return corners == np.arange(len(system.alphabet)).reshape((-1,) + (1,) * system.dim)
 
 
 def check_seed_legal(system: SubstitutionSystem, seed: PatternWindow) -> bool:
-    """True iff substituting the seed reproduces it on the central cells.
+    """True iff one substitution pass reproduces the seed on its own cells.
 
     That nesting is exactly what makes repeated substitution converge to a
     two-sided fixed point: each pass extends the previous window outward
-    without rewriting it.
+    without rewriting it.  The pass sends the seed cell at array index i to
+    index (b - 1)(1 - i) of its own image, so the seed is legal exactly when
+    ``images[letter][(b - 1)(1 - i)] == letter`` on every cell.
     """
-    _require_seed_shape(seed)
-    image = substitute(system, seed)
-    central = image.subwindow((-1,) * seed.dim, (2,) * seed.dim)
-    return central == seed
+    _require_seed_shape(system, seed)
+    return bool(_kept_letters(system)[(seed.labels, *np.indices(seed.labels.shape))].all())
+
+
+def first_legal_seed(system: SubstitutionSystem) -> PatternWindow | None:
+    """The first legal seed: on each cell the first letter its image keeps; None if a cell has none."""
+    kept = _kept_letters(system)
+    if not kept.any(axis=0).all():
+        return None
+    return PatternWindow((-1,) * system.dim, kept.argmax(axis=0).astype(np.uint8))
 
 
 def _grow(system: SubstitutionSystem, seed: PatternWindow, lo: int, hi: int) -> PatternWindow:

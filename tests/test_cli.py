@@ -5,13 +5,18 @@ directory; one determinism test additionally shells out to a fresh
 interpreter to prove outputs do not depend on process state.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -704,6 +709,19 @@ _BIG_RULE = "kind = word\nfactor = 2\nalphabet = {}\n{}".format(
     " ".join(f"x{i}" for i in range(257)), "".join(f"x{i} -> x0 x256\n" for i in range(257))
 )
 
+# 256 letters, the most uint8 labels tell apart.  In the cyclic rule every
+# image is the next letter, so no cell keeps its letter under the rule, its
+# square or its cube; in the other only the last letter keeps its corners.
+_CYCLIC_256_RULE = "kind = block\nfactor = 2\nalphabet = {}\n{}".format(
+    " ".join(f"x{i}" for i in range(256)),
+    "".join(f"x{i} ->\n" + f"  x{(i + 1) % 256} x{(i + 1) % 256}\n" * 2 for i in range(256)),
+)
+_LAST_LETTER_256_RULE = "kind = block\nfactor = 3\nalphabet = {}\n{}x255 ->\n{}".format(
+    " ".join(f"x{i}" for i in range(256)),
+    "".join(f"x{i} ->\n" + f"  x{i + 1} x{i + 1} x{i + 1}\n" * 3 for i in range(255)),
+    "  x255 x0 x255\n  x0 x0 x0\n  x255 x0 x255\n",
+)
+
 # One flag wrong per argv, with the exact line each prints to stderr; RULES is
 # the directory of the rule files written by the test.
 # Inputs whose window or count table would outgrow the CLI's bounds, with
@@ -841,6 +859,10 @@ _ERROR_TABLE = [
         "cannot read rule file 'RULES/latin1.sub': 'utf-8' codec can't decode byte 0xff "
         "in position 0: invalid start byte",
     ),
+    (
+        ["generate", "--system", "RULES/cyclic256.sub"],
+        "no legal seed found for this rule or its powers up to 3",
+    ),
 ]
 
 
@@ -857,6 +879,8 @@ class TestErrorTable:
             ("broken", _BROKEN_RULE),
             ("no_seed", _NO_SEED_RULE),
             ("big", _BIG_RULE),
+            ("cyclic256", _CYCLIC_256_RULE),
+            ("last256", _LAST_LETTER_256_RULE),
         ):
             (rules / f"{name}.sub").write_text(text)
         # A rule file that is not UTF-8: its first byte is 0xff.
@@ -874,7 +898,7 @@ class TestErrorTable:
         assert captured.out == ""
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("out", ["", ".", "/"])
+    @pytest.mark.parametrize("out", ["", ".", "/", "..", "a/.."])
     @pytest.mark.parametrize("command", ["generate", "diffract", "module", "verify"])
     def test_output_path_without_a_file_name(self, command, out, tmp_path, monkeypatch, capsys):
         # Refused before any pattern is grown, module enumerated or check run.
@@ -890,6 +914,15 @@ class TestErrorTable:
         assert captured.err == f"limitper: output path {out!r} has no file name\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    def test_large_alphabet_with_one_legal_seed(self, rules, tmp_path, capsys):
+        resolved = cli.resolve_system(f"{rules}/last256.sub", None)
+        assert resolved.system == subst.load_rules(f"{rules}/last256.sub")
+        assert resolved.seed.labels.tolist() == [[255, 255], [255, 255]]
+        out = tmp_path / "p"
+        argv = ["generate", "--system", f"{rules}/last256.sub", "--iterations", "1"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}.pgm\n{out}.txt\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -1036,6 +1069,43 @@ class TestRuleFiles:
             ["generate", "--system", str(rules), "--out", str(tmp_path / "x")]
         ) == 2
         assert "line 4" in capsys.readouterr().err
+
+
+@st.composite
+def _rule_texts(draw):
+    """Rule file text: a word or block rule with 1-5 letters and factor 2-4."""
+    names = "abcde"[: draw(st.integers(min_value=1, max_value=5))]
+    factor = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(("word", "block")))
+    row = st.lists(st.sampled_from(names), min_size=factor, max_size=factor).map(" ".join)
+    lines = [f"kind = {kind}", f"factor = {factor}", f"alphabet = {' '.join(names)}"]
+    for letter in names:
+        if kind == "word":
+            lines.append(f"{letter} -> {draw(row)}")
+        else:
+            lines += [f"{letter} ->"] + [f"  {draw(row)}" for _ in range(factor)]
+    return "\n".join(lines) + "\n"
+
+
+class TestRuleFileSweep:
+    @settings(max_examples=50, deadline=None)
+    @given(_rule_texts())
+    def test_runs_or_exits_2_with_one_line(self, text):
+        cutoff = "--rmax" if text.startswith("kind = word") else "--smax"
+        with tempfile.TemporaryDirectory() as tmp:
+            rules = Path(tmp) / "rules.sub"
+            rules.write_text(text)
+            for argv in (
+                ["generate", "--iterations", "2"],
+                ["diffract", "--empirical", "--window", "9", cutoff, "2"],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(argv + ["--system", str(rules), "--out", str(Path(tmp) / "x")])
+                assert code in (0, 2)
+                if code == 2:
+                    assert len(err.getvalue().splitlines()) == 1
+                    assert err.getvalue().startswith("limitper: ")
 
 
 # ---------------------------------------------------------------------------

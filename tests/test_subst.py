@@ -413,6 +413,80 @@ class TestPatterns:
 
 
 # ---------------------------------------------------------------------------
+# Seed legality, cell by cell, against one literal pass
+# ---------------------------------------------------------------------------
+
+
+def _all_seeds(system):
+    """Every seed over the alphabet, legal or not, in alphabet order."""
+    letters = system.alphabet
+    if system.dim == 1:
+        for left, right in itertools.product(letters, repeat=2):
+            yield subst.word_seed(system, left, right)
+    else:
+        for tl, tr, bl, br in itertools.product(letters, repeat=4):
+            yield subst.block_seed(system, ((tl, tr), (bl, br)))
+
+
+def _reproduces(base, exponent, seed):
+    """``exponent`` passes of ``subst.substitute`` under the base rule give back the seed.
+
+    That is legality under ``base.power(exponent)`` taken literally, as one
+    pass of the power replaces each cell by its ``exponent``-fold image; the
+    base rule's passes keep the arrays small.
+    """
+    central = _substituted(base, seed, exponent).subwindow((-1,) * seed.dim, (2,) * seed.dim)
+    return central == seed
+
+
+@st.composite
+def _rules(draw):
+    """A word or block rule with 1-4 letters and factor 2-4."""
+    letters = draw(st.integers(min_value=1, max_value=4))
+    factor = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(("word", "block")))
+    shape = (factor,) if kind == "word" else (factor, factor)
+    size = factor ** len(shape)
+    cells = st.lists(st.integers(0, letters - 1), min_size=size, max_size=size)
+    images = tuple(np.array(draw(cells), dtype=np.uint8).reshape(shape) for _ in range(letters))
+    return subst.SubstitutionSystem(tuple("abcd"[:letters]), kind, factor, images)
+
+
+class TestSeedLegality:
+    @settings(max_examples=150, deadline=None)
+    @given(_rules(), st.integers(min_value=1, max_value=3))
+    def test_corner_rule_matches_the_enumeration(self, base, exponent):
+        system = base.power(exponent)
+        for letter, image in enumerate(system.images):
+            cell = subst.PatternWindow((0,) * base.dim, np.full((1,) * base.dim, letter, np.uint8))
+            assert np.array_equal(_substituted(base, cell, exponent).labels, image)
+        seeds = list(_all_seeds(system))
+        legal = [_reproduces(base, exponent, seed) for seed in seeds]
+        assert [subst.check_seed_legal(system, seed) for seed in seeds] == legal
+        # A window never equals None, so this also holds when neither finds a seed.
+        assert subst.first_legal_seed(system) == next(
+            (seed for seed, ok in zip(seeds, legal) if ok), None
+        )
+
+    def test_first_legal_seed_of_the_built_ins(self):
+        squared = _doubling().power(2)
+        assert subst.first_legal_seed(_doubling()) is None
+        assert subst.first_legal_seed(squared) == subst.word_seed(squared, "a", "a")
+        chair = subst.bundled_system("chair")
+        assert subst.first_legal_seed(chair) == subst.block_seed(chair, (("1", "0"), ("0", "1")))
+
+    def test_seeds_that_do_not_fit_the_system(self):
+        chair = subst.bundled_system("chair")
+        with pytest.raises(ValueError, match="2-cell-per-axis"):
+            subst.check_seed_legal(chair, subst.word_seed(_doubling(), "a", "a"))
+        with pytest.raises(ValueError, match="2-cell-per-axis"):
+            subst.check_seed_legal(_doubling(), subst.block_seed(chair, (("1", "0"), ("0", "1"))))
+        foreign = subst.PatternWindow((-1,), np.array([0, 2], dtype=np.uint8))
+        with pytest.raises(ValueError, match="outside the system alphabet"):
+            subst.check_seed_legal(_doubling(), foreign)
+
+
+# ---------------------------------------------------------------------------
 # Centred windows grown only where they reach the cube
 # ---------------------------------------------------------------------------
 
