@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Four subcommands share one pipeline: resolve a substitution system (built-in
-name or rule file) plus a legal seed, then either grow pattern windows
-(``generate``), evaluate peak lists over the dyadic wave-number module
-(``diffract``, closed forms for the built-ins, windowed sums with
-``--empirical``), enumerate the module itself (``module``), or run the named
-self-check suite (``verify``).
+Four subcommands: grow pattern windows (``generate``), evaluate peak lists
+over the dyadic wave-number module (``diffract``, closed forms for the
+built-ins, windowed sums with ``--empirical``), enumerate the module itself
+(``module``), or run the named self-check suite (``verify``).
 
-``main`` parses the flags, resolves the system once and hands the parsed
-arguments and the system to the subcommand's handler.  Each handler reads
-and checks the flags it uses before it does any work; argparse holds the
-plain defaults, and the defaults that depend on the system (cutoff, region,
+``main`` parses the flags and hands them to the subcommand's handler.
+``generate`` and ``diffract`` first resolve the system (built-in name or
+rule file) and a legal seed, once; ``module`` reads only the system's
+dimension and factor, so it takes no seed.  Each handler reads and checks
+the flags it uses before it does any work; argparse holds the plain
+defaults, and the defaults that depend on the system (cutoff, region,
 window, weights) live in the one helper that uses them.  ``diffract`` and
 ``module`` share ``_module``, which checks the cutoff flags and the region
 and enumerates the module once as arrays (``dyadic.module_points``);
@@ -110,7 +110,7 @@ def _parse_seed(system: subst.SubstitutionSystem, text: str) -> subst.PatternWin
             raise UsageError(f"a block seed is written 'tl tr / bl br', got {text!r}")
         return subst.block_seed(system, (tuple(rows[0]), tuple(rows[1])))
     except KeyError as exc:
-        raise UsageError(f"seed letter {exc.args[0]!r} is not in the alphabet") from exc
+        raise UsageError(f"seed {exc.args[0]}") from exc
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,21 @@ class ResolvedSystem:
     builtin: str | None
 
 
+def _load_system(name_or_path: str):
+    """``(builtin, system, seed)`` for a ``--system`` value; a rule file has no built-in name or seed."""
+    lowered = name_or_path.strip().lower()
+    if lowered in _PD_ALIASES:
+        return "period_doubling", period_doubling.doubled_system(), period_doubling.seed()
+    if lowered == "chair":
+        return "chair", chair.system(), chair.seed()
+    try:
+        return None, subst.load_rules(name_or_path), None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read rule file {name_or_path!r}: {exc}") from exc
+    except subst.RuleError as exc:
+        raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
+
+
 def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
     """Turn a ``--system`` value into a system plus a legal seed.
 
@@ -130,19 +145,7 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
     or else ``subst.first_legal_seed``, trying the rule and then its square
     and cube; either way the seed must reproduce itself under substitution.
     """
-    lowered = name_or_path.strip().lower()
-    if lowered in _PD_ALIASES:
-        builtin, base, seed = "period_doubling", period_doubling.doubled_system(), period_doubling.seed()
-    elif lowered == "chair":
-        builtin, base, seed = "chair", chair.system(), chair.seed()
-    else:
-        try:
-            base = subst.load_rules(name_or_path)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read rule file {name_or_path!r}: {exc}") from exc
-        except subst.RuleError as exc:
-            raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
-        builtin, seed = None, None
+    builtin, base, seed = _load_system(name_or_path)
     if seed_spec is not None:
         seed = _parse_seed(base, seed_spec)
     for system in (base,) if builtin else (base.power(e) for e in (1, 2, 3)):
@@ -187,7 +190,8 @@ def _write(path: Path, content: str, announce=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
+    resolved = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
     if args.iterations < 0:
         raise UsageError(f"negative iteration count: {args.iterations}")
@@ -215,13 +219,13 @@ def cmd_generate(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     return 0
 
 
-def _module(args: argparse.Namespace, resolved: ResolvedSystem):
+def _module(args: argparse.Namespace, system: subst.SubstitutionSystem):
     """The module points of ``diffract`` and ``module`` with their region.
 
     Checks the inflation factor, the cutoff flags and the region, applies
     their defaults, and enumerates the module before any window is grown.
+    Only the system's dimension and factor are read.
     """
-    system = resolved.system
     if system.factor & (system.factor - 1):
         raise UsageError(
             "the wave-number module enumerated here is dyadic; it only matches "
@@ -267,7 +271,8 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
         )
 
 
-def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+def cmd_diffract(args: argparse.Namespace) -> int:
+    resolved = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
     system = resolved.system
     letters = system.alphabet
@@ -284,7 +289,7 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
         raise UsageError(
             "no closed forms for user rules; pass --empirical for windowed sums"
         )
-    module, region = _module(args, resolved)
+    module, region = _module(args, system)
     formats = (args.format,) if args.format else ("csv", "svg")
     if "svg" in formats and any(lo == hi for lo, hi in region):
         raise UsageError("an SVG needs a region of nonzero width on every axis; use --format csv")
@@ -314,16 +319,17 @@ def cmd_diffract(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
     return 0
 
 
-def cmd_module(args: argparse.Namespace, resolved: ResolvedSystem) -> int:
+def cmd_module(args: argparse.Namespace) -> int:
+    _, system, _ = _load_system(args.system)
     base = _out_base(args.out)
-    module, _ = _module(args, resolved)
+    module, _ = _module(args, system)
     _write(base.with_suffix(".csv"), render.module_csv(module))
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, resolved: ResolvedSystem | None) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     base = _out_base(args.out)
-    results = verification.run_checks(quick=args.quick)
+    results = verification.run_checks()
     if args.json:
         # stdout carries the JSON document alone; the file path goes to stderr.
         text = verification.report_json(results)
@@ -348,13 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_system(sub):
+    def add_system(sub, seed=True):
         sub.add_argument(
             "--system",
             default="period_doubling",
             help="built-in name (period_doubling/pd, chair) or rule-file path",
         )
-        sub.add_argument("--seed", help="seed override: 'l|r' for chains, 'tl tr / bl br' for blocks")
+        if seed:
+            sub.add_argument("--seed", help="seed override: 'l|r' for chains, 'tl tr / bl br' for blocks")
 
     def add_module_flags(sub):
         sub.add_argument("--rmax", type=int, help="1D module cutoff: denominators up to 2^rmax")
@@ -390,13 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mod = commands.add_parser("module", help="enumerate wave-number module points")
     mod.set_defaults(handler=cmd_module)
-    add_system(mod)
+    add_system(mod, seed=False)
     add_module_flags(mod)
     mod.add_argument("--out", default="module", help="output base path (extensions are added)")
 
     ver = commands.add_parser("verify", help="run the named self-check suite")
     ver.set_defaults(handler=cmd_verify)
-    ver.add_argument("--quick", action="store_true", help="small windows and cutoffs, a few seconds")
     ver.add_argument(
         "--json",
         action="store_true",
@@ -414,9 +420,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        # Every subcommand but verify names a system; it is resolved once here.
-        resolved = resolve_system(args.system, args.seed) if hasattr(args, "system") else None
-        return args.handler(args, resolved)
+        return args.handler(args)
     except UsageError as exc:
         print(f"limitper: {exc}", file=sys.stderr)
         return 2

@@ -131,9 +131,9 @@ class SubstitutionSystem:
         """The substitution applied `exponent` times as a single rule set."""
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
-        images = self.images
+        lut, images = self.image_lut(), self.images
         for _ in range(exponent - 1):
-            images = tuple(_expand_labels(self, img) for img in images)
+            images = tuple(_expand_labels(lut, img) for img in images)
         return SubstitutionSystem(self.alphabet, self.kind, self.factor**exponent, images)
 
     def count_matrix(self) -> list[list[int]]:
@@ -203,10 +203,9 @@ class PatternWindow:
         return self.origin == other.origin and np.array_equal(self.labels, other.labels)
 
 
-def _expand_labels(system: SubstitutionSystem, arr: np.ndarray) -> np.ndarray:
-    """Replace every cell of `arr` by its rule image (no origin bookkeeping)."""
-    b = system.factor
-    lut = system.image_lut()
+def _expand_labels(lut: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Replace every cell of `arr` by its image in the stacked ``image_lut`` (no origin bookkeeping)."""
+    b = lut.shape[-1]
     out = np.empty(tuple(n * b for n in arr.shape), dtype=arr.dtype)
     # Offset (dy, dx) of every image fills the cells out[dy::b, dx::b].
     for offset in np.ndindex(*(b,) * arr.ndim):
@@ -223,7 +222,7 @@ def substitute(system: SubstitutionSystem, patch: PatternWindow) -> PatternWindo
     origin = tuple(system.factor * o for o in patch.origin)
     if patch.labels.size == 0:
         return PatternWindow(origin, patch.labels.copy())
-    return PatternWindow(origin, _expand_labels(system, patch.labels))
+    return PatternWindow(origin, _expand_labels(system.image_lut(), patch.labels))
 
 
 def word_seed(system: SubstitutionSystem, left: str, right: str) -> PatternWindow:
@@ -294,7 +293,7 @@ def _grow(system: SubstitutionSystem, seed: PatternWindow, lo: int, hi: int) -> 
     """
     if not check_seed_legal(system, seed):
         raise ValueError("seed is not legal for this system (no fixed point through it)")
-    b = system.factor
+    b, lut = system.factor, system.image_lut()
     scale = 1
     while not -scale <= lo <= hi < scale:
         scale *= b
@@ -305,7 +304,7 @@ def _grow(system: SubstitutionSystem, seed: PatternWindow, lo: int, hi: int) -> 
         labels = labels[(slice(first - origin, last - origin + 1),) * system.dim]
         if scale == 1:
             return PatternWindow((lo,) * system.dim, labels)
-        labels, origin, scale = _expand_labels(system, labels), first * b, scale // b
+        labels, origin, scale = _expand_labels(lut, labels), first * b, scale // b
 
 
 def fixed_point_window(

@@ -4,8 +4,8 @@ Each check pits two independent routes to the same quantity against each
 other (recursion vs closed form, congruences vs substitution, layer sums vs
 case formulas, windowed sums vs limits) or asserts an identity the closed
 forms must satisfy.  ``run_checks`` runs them all and reports one result per
-name; ``quick=True`` shrinks windows and cut-offs to keep the suite under a
-few seconds.
+name.  Each check has one size: its window, cut-off and tolerance are
+literals in its body.
 
 The checks are independent.  On Linux with two or more usable CPUs they run
 on forked worker processes, one per CPU, handed out in roster order; on one
@@ -37,7 +37,6 @@ one they run.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import time
@@ -66,8 +65,8 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_pd_eta(quick):
-    limit = 1 << (12 if quick else 16)
+def _check_pd_eta():
+    limit = 1 << 16
     # A Fraction is kept in lowest terms with a positive denominator, so two
     # are equal exactly when their integer ratios are; comparing the pairs
     # skips the number-type dispatch of ``Fraction.__eq__``.
@@ -80,8 +79,8 @@ def _check_pd_eta(quick):
     return True, f"exact agreement for all shifts up to {limit}"
 
 
-def _check_pd_labels(quick):
-    iterations = 6 if quick else 9
+def _check_pd_labels():
+    iterations = 9
     window = period_doubling.pattern_window(iterations)
     half = 4**iterations
     direct = period_doubling.label_window(-half, half)
@@ -91,7 +90,7 @@ def _check_pd_labels(quick):
     return True, f"congruences match the fixed point on [-{half}, {half})"
 
 
-def _check_pd_amplitude_relations(quick):
+def _check_pd_amplitude_relations():
     weights = (1, -1)
     frozen = [
         (Dyadic(0), 2 / 3 + 0j, 1 / 3 + 0j),
@@ -110,7 +109,7 @@ def _check_pd_amplitude_relations(quick):
     for k, expected in balanced:
         if abs(period_doubling.intensity(k, weights) - expected) > 1e-12:
             return False, f"balanced intensity at {k} not {expected}"
-    module = module_points(5 if quick else 8, ((0, 1),), include_hi=False)
+    module = module_points(8, ((0, 1),), include_hi=False)
     moved = np.abs(period_doubling.amplitude_arrays(_image(module, offset=(1,)))[0])
     broken = np.abs(period_doubling.amplitude_arrays(module)[0]) != moved
     return _verdict(
@@ -120,18 +119,18 @@ def _check_pd_amplitude_relations(quick):
     )
 
 
-def _check_pd_peak_mass(quick):
-    r_max = 8 if quick else 12
+def _check_pd_peak_mass():
+    r_max = 12
     mass = period_doubling.peak_mass(r_max, (1, -1))
     if not 0.99 <= mass <= 1 + 1e-9:
         return False, f"peak mass {mass:.6f} outside [0.99, 1] at r <= {r_max}"
     return True, f"peak mass {mass:.6f} at r <= {r_max}"
 
 
-def _check_pd_empirical_amplitudes(quick):
-    half = 1 << (16 if quick else 20)
-    r_max = 4 if quick else 6
-    tol = 0.02 if quick else 0.01
+def _check_pd_empirical_amplitudes():
+    half = 1 << 20
+    r_max = 6
+    tol = 0.01
     module = module_points(r_max, ((0, 1),), include_hi=False)
     closed = period_doubling.amplitude_arrays(module)
     windowed = numerics.empirical_amplitudes(numerics.pd_comb(half), module)
@@ -144,10 +143,10 @@ def _check_pd_empirical_amplitudes(quick):
     return True, f"max error {worst:.4f} over r <= {r_max}, window half {half}"
 
 
-def _check_pd_empirical_autocorr(quick):
-    half = 1 << (16 if quick else 20)
-    z_max = 16 if quick else 64
-    tol = 0.02 if quick else 0.01
+def _check_pd_empirical_autocorr():
+    half = 1 << 20
+    z_max = 64
+    tol = 0.01
     weights = (1, -1)
     comb = numerics.pd_comb(half)
     worst = 0.0
@@ -176,8 +175,8 @@ _GOLDEN_8X8 = (
 )
 
 
-def _check_chair_labels(quick):
-    iterations = 8 if quick else 10
+def _check_chair_labels():
+    iterations = 10
     half = 1 << iterations
     window = chair.pattern_window(iterations)
     direct = chair.label_grid(-half, half, -half, half)
@@ -193,8 +192,8 @@ def _check_chair_labels(quick):
     return True, f"chains match the fixed point on [-{half}, {half})^2"
 
 
-def _check_chair_amplitude_relations(quick):
-    s_max = 3 if quick else 5
+def _check_chair_amplitude_relations():
+    s_max = 5
     frozen = [
         (DyadicPoint2(0, 0), (0.25, 0.25, 0.25, 0.25)),
         (DyadicPoint2(1, 1, 1), (0.25, -0.25, 0.25, -0.25)),
@@ -218,8 +217,8 @@ def _check_chair_amplitude_relations(quick):
     )
 
 
-def _check_chair_sum_rules(quick):
-    s_max = 3 if quick else 5
+def _check_chair_sum_rules():
+    s_max = 5
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     values = chair.amplitude_arrays(module)
     even_pair = values[0] + values[2]
@@ -241,8 +240,8 @@ def _check_chair_sum_rules(quick):
     )
 
 
-def _check_chair_extinctions(quick):
-    s_max = 3 if quick else 5
+def _check_chair_extinctions():
+    s_max = 5
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     lattice = np.abs(_chair_intensities(module, (1, 1, 1, 1)) - (module.exponents == 0)) > 1e-12
     fourth_amplitude = render.weigh(chair.amplitude_arrays(module), (1, 1j, -1, -1j))
@@ -257,10 +256,10 @@ def _check_chair_extinctions(quick):
     )
 
 
-def _check_chair_approximant(quick):
-    s_max = 3 if quick else 5
-    levels = 12 if quick else 20
-    tol = 1e-4 if quick else 1e-6
+def _check_chair_approximant():
+    s_max = 5
+    levels = 20
+    tol = 1e-6
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     approx = numerics.approximant_amplitudes_chair(levels, module)
     worst = float(np.abs(approx - chair.amplitude_arrays(module)).max())
@@ -269,10 +268,10 @@ def _check_chair_approximant(quick):
     return True, f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
 
 
-def _check_chair_empirical_amplitudes(quick):
-    half = 256 if quick else 1024
-    s_max = 3 if quick else 4
-    tol = 0.05 if quick else 0.01
+def _check_chair_empirical_amplitudes():
+    half = 1024
+    s_max = 4
+    tol = 0.01
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     closed = chair.amplitude_arrays(module)
     windowed = numerics.empirical_amplitudes(numerics.chair_comb(half), module)
@@ -282,8 +281,8 @@ def _check_chair_empirical_amplitudes(quick):
     return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"
 
 
-def _check_chair_d4_window(quick):
-    iterations = 7 if quick else 9
+def _check_chair_d4_window():
+    iterations = 9
     half = 1 << iterations
     window = chair.pattern_window(iterations)
     for element in chair.d4_elements():
@@ -292,8 +291,8 @@ def _check_chair_d4_window(quick):
     return True, f"all 8 symmetries fix the recoloured window, half {half}"
 
 
-def _check_chair_d4_intensity(quick):
-    s_max = 3 if quick else 5
+def _check_chair_d4_intensity():
+    s_max = 5
     fourth = (1, 1j, -1, -1j)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
     reference = _chair_intensities(module, fourth)
@@ -310,8 +309,8 @@ def _check_chair_d4_intensity(quick):
     )
 
 
-def _check_chair_periodicity(quick):
-    s_max = 3 if quick else 5
+def _check_chair_periodicity():
+    s_max = 5
     generic = (0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j)
     pair = (1, 0, 1, 0)
     module = module_points(s_max, ((0, 1), (0, 1)), include_hi=False)
@@ -404,37 +403,34 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_check(index: int, quick: bool) -> CheckResult:
+def _run_check(index: int) -> CheckResult:
     """Run check number ``index`` of the roster and time it on its own."""
     name, check = _CHECKS[index]
     start = time.perf_counter()
-    passed, detail = check(quick)
-    elapsed = time.perf_counter() - start
-    return CheckResult(name=name, passed=passed, detail=detail, elapsed_s=elapsed)
+    passed, detail = check()
+    return CheckResult(name, passed, detail, elapsed_s=time.perf_counter() - start)
 
 
-def run_checks(*, quick: bool = False) -> tuple[CheckResult, ...]:
+def run_checks() -> tuple[CheckResult, ...]:
     """Run every named check and collect the results in roster order.
 
     The checks run on forked workers or one after another, as the module
     docstring says; the results differ only in ``elapsed_s``.  A check that
     raises re-raises here.
     """
-    job = functools.partial(_run_check, quick=quick)
     indices = range(len(_CHECKS))
     workers = min(_usable_cpus(), len(_CHECKS)) if sys.platform.startswith("linux") else 1
     if workers < 2:
-        return tuple(map(job, indices))
+        return tuple(map(_run_check, indices))
     # Imported here rather than at the top, as ``json`` is below: the CLI
     # imports this module on every start-up.  A forked worker inherits the
-    # roster, so no check is serialised: only the index (with the run's
-    # ``quick``) goes out and the result comes back.  Workers
-    # leave by ``os._exit``, running no atexit handler or ``finally`` of the
-    # parent.
+    # roster, so no check is serialised: only the index goes out and the
+    # result comes back.  Workers leave by ``os._exit``, running no atexit
+    # handler or ``finally`` of the parent.
     import multiprocessing
 
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        results = tuple(pool.imap(job, indices))
+        results = tuple(pool.imap(_run_check, indices))
         pool.close()
         pool.join()
     return results

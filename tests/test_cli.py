@@ -5,6 +5,7 @@ directory; one determinism test additionally shells out to a fresh
 interpreter to prove outputs do not depend on process state.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -590,9 +591,9 @@ class TestArrayRoute:
 
 
 class TestVerify:
-    def test_quick_suite_passes(self, tmp_path, capsys):
+    def test_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report"
-        assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
+        assert cli.main(["verify", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "all 15 checks passed" in stdout
         report = (tmp_path / "report.txt").read_text()
@@ -601,7 +602,7 @@ class TestVerify:
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "report"
-        assert cli.main(["verify", "--quick", "--json", "--out", str(out)]) == 0
+        assert cli.main(["verify", "--json", "--out", str(out)]) == 0
         captured = capsys.readouterr()
         records = json.loads(captured.out)
         assert [r["name"] for r in records] == list(cli.verification.CHECK_NAMES)
@@ -611,6 +612,34 @@ class TestVerify:
             assert record["elapsed_s"] >= 0
         assert json.loads((tmp_path / "report.json").read_text()) == records
         assert captured.err.strip() == str(tmp_path / "report.json")
+
+
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
+
+# Every flag of every subcommand, in the order ``--help`` lists them.  A new
+# option shows up here as a change to this table.
+_OPTIONS = {
+    "generate": ["--system", "--seed", "--iterations", "--out", "--format"],
+    "diffract": [
+        "--system", "--seed", "--weights", "--rmax", "--smax", "--region", "--half-open",
+        "--floor", "--window", "--empirical", "--out", "--format",
+    ],
+    "module": ["--system", "--rmax", "--smax", "--region", "--half-open", "--out"],
+    "verify": ["--json", "--out"],
+}
+
+
+class TestOptions:
+    def test_each_subcommand_has_exactly_its_flags(self):
+        parser = cli._build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: [flag for action in sub._actions if action.dest != "help" for flag in action.option_strings]
+            for name, sub in commands.choices.items()
+        }
+        assert flags == _OPTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +892,12 @@ _ERROR_TABLE = [
         ["generate", "--system", "RULES/cyclic256.sub"],
         "no legal seed found for this rule or its powers up to 3",
     ),
+    # A seed letter outside the alphabet, in a chain seed and in a block seed.
+    (["generate", "--seed", "x|a"], "seed letter 'x' is not in the alphabet"),
+    (
+        ["diffract", "--system", "chair", "--seed", "0 0 / 0 9"],
+        "seed letter '9' is not in the alphabet",
+    ),
 ]
 
 
@@ -1041,6 +1076,19 @@ class TestRuleFiles:
         by_k = {tuple(row.split(",")[:2]): float(row.split(",")[4]) for row in rows}
         assert by_k[("0", "0")] == pytest.approx(1 / 9, abs=0.02)
         assert by_k[("1", "1")] == pytest.approx(4 / 9, abs=0.02)
+
+    def test_module_takes_no_seed(self, tmp_path, capsys):
+        # The rule has no legal seed, nor have its square and cube; the module
+        # reads only the dimension and the power-of-two factor.
+        rules = tmp_path / "cyc4.sub"
+        rules.write_text(_NO_SEED_RULE)
+        tables = []
+        for name, system in (("rule", str(rules)), ("pd", "pd")):
+            out = tmp_path / name
+            assert cli.main(["module", "--system", system, "--rmax", "2", "--out", str(out)]) == 0
+            tables.append(out.with_suffix(".csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert capsys.readouterr().err == ""
 
     def test_non_dyadic_factor_is_rejected_for_modules(self, tmp_path, capsys):
         rules = tmp_path / "tripling.sub"

@@ -182,6 +182,22 @@ class TestSystemAlgebra:
         with pytest.raises(ValueError):
             system.power(0)
 
+    def test_power_stacks_the_images_once(self, monkeypatch):
+        system = subst.parse_rules(_BLOCK_TEXT)
+        stacks = []
+        stack = subst.SubstitutionSystem.image_lut
+
+        def counted(self):
+            stacks.append(self)
+            return stack(self)
+
+        monkeypatch.setattr(subst.SubstitutionSystem, "image_lut", counted)
+        cubed = system.power(3)
+        assert stacks == [system]
+        for letter, image in enumerate(cubed.images):
+            cell = subst.PatternWindow((0, 0), np.full((1, 1), letter, dtype=np.uint8))
+            assert np.array_equal(image, _substituted(system, cell, 3).labels)
+
     def test_count_matrix(self):
         # Column j counts the letters inside the image of letter j.
         assert _doubling().count_matrix() == [[1, 2], [1, 0]]

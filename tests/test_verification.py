@@ -12,26 +12,7 @@ from limitper import chair, numerics, period_doubling, render, verification
 from limitper.dyadic import Dyadic, DyadicPoint2
 from limitper.subst import PatternWindow
 
-# The text reports of ``verify --quick`` and ``verify``, byte for byte.
-_QUICK_REPORT = (
-    "PASS pd-eta-recursion-closed-form: exact agreement for all shifts up to 4096\n"
-    "PASS pd-label-window-agreement: congruences match the fixed point on [-4096, 4096)\n"
-    "PASS pd-amplitude-relations: pinned amplitudes, lattice periodicity, balanced intensities\n"
-    "PASS pd-peak-mass: peak mass 0.996528 at r <= 8\n"
-    "PASS pd-empirical-amplitudes: max error 0.0000 over r <= 4, window half 65536\n"
-    "PASS pd-empirical-autocorrelation: max error 0.0001 for |z| <= 16, window half 65536\n"
-    "PASS chair-label-window-agreement: chains match the fixed point on [-256, 256)^2\n"
-    "PASS chair-amplitude-relations: pinned values, Hermitian symmetry, anti-pairing for s <= 3\n"
-    "PASS chair-sum-rules: pair sums match on and off the half lattice for s <= 3\n"
-    "PASS chair-extinctions: lattice comb and fourth-root extinctions hold for s <= 3\n"
-    "PASS chair-approximant-agreement: max layer-sum error 3.05e-05 at 12 levels, s <= 3\n"
-    "PASS chair-empirical-amplitudes: max error 0.0015 per colour, s <= 3, window half 256\n"
-    "PASS chair-d4-window-invariance: all 8 symmetries fix the recoloured window, half 128\n"
-    "PASS chair-d4-intensity-symmetry: fourth-root intensities are dihedral-symmetric for s <= 3\n"
-    "PASS chair-lattice-periodicity: lattice and half-lattice periodicities hold for s <= 3\n"
-    "all 15 checks passed\n"
-)
-
+# The text report of ``verify``, byte for byte.
 _FULL_REPORT = (
     "PASS pd-eta-recursion-closed-form: exact agreement for all shifts up to 65536\n"
     "PASS pd-label-window-agreement: congruences match the fixed point on [-262144, 262144)\n"
@@ -54,8 +35,8 @@ _FULL_REPORT = (
 
 @pytest.fixture(scope="module")
 def full_results():
-    """One full run shared by the tests that need it (about a second of checks)."""
-    return verification.run_checks(quick=False)
+    """One run shared by the tests that need it (about a tenth of a second of checks)."""
+    return verification.run_checks()
 
 
 class TestRoster:
@@ -63,23 +44,17 @@ class TestRoster:
         assert len(verification.CHECK_NAMES) == 15
         assert len(set(verification.CHECK_NAMES)) == 15
 
-    def test_quick_suite_passes_in_order(self):
-        results = verification.run_checks(quick=True)
-        assert tuple(r.name for r in results) == verification.CHECK_NAMES
-        assert all(r.passed for r in results)
-        assert all(r.detail for r in results)
-
-    def test_each_result_carries_its_elapsed_time(self):
-        results = verification.run_checks(quick=True)
-        assert all(0 <= r.elapsed_s < 60 for r in results)
+    def test_each_result_carries_its_elapsed_time(self, full_results):
+        assert all(0 <= r.elapsed_s < 60 for r in full_results)
         assert verification.CheckResult("alpha", True, "fine").elapsed_s == 0.0
 
     def test_full_suite_passes(self, full_results):
         assert tuple(r.name for r in full_results) == verification.CHECK_NAMES
         assert [r.name for r in full_results if not r.passed] == []
+        assert all(r.detail for r in full_results)
 
-    def test_results_are_frozen_records(self):
-        result = verification.run_checks(quick=True)[0]
+    def test_results_are_frozen_records(self, full_results):
+        result = full_results[0]
         with pytest.raises(AttributeError):
             result.passed = False
 
@@ -101,11 +76,11 @@ def _with_cpus(monkeypatch, count):
     monkeypatch.setattr(verification, "_usable_cpus", lambda: count)
 
 
-def _boom(quick):
+def _boom():
     raise ZeroDivisionError("check blew up")
 
 
-def _pid(quick):
+def _pid():
     return True, str(os.getpid())
 
 
@@ -113,12 +88,18 @@ class TestRunner:
     """The forked pool and the serial loop give the same results."""
 
     @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
-    @pytest.mark.parametrize("quick", [True, False])
-    def test_serial_matches_pool(self, monkeypatch, quick):
-        _with_cpus(monkeypatch, 2)
-        pooled = verification.run_checks(quick=quick)
-        _with_cpus(monkeypatch, 1)
-        serial = verification.run_checks(quick=quick)
+    @pytest.mark.parametrize("serial_first", [False, True])
+    def test_serial_matches_pool(self, monkeypatch, serial_first):
+        # Forked workers inherit the parent's lru caches, so the order decides
+        # whether the caches a serial run fills reach the pool.
+        def run(cpus):
+            _with_cpus(monkeypatch, cpus)
+            return verification.run_checks()
+
+        if serial_first:
+            serial, pooled = run(1), run(2)
+        else:
+            pooled, serial = run(2), run(1)
 
         def fields(results):
             return [(r.name, r.passed, r.detail) for r in results]
@@ -141,7 +122,7 @@ class TestRunner:
         monkeypatch.setattr(verification, "_CHECKS", checks)
         _with_cpus(monkeypatch, cpus)
         with pytest.raises(ZeroDivisionError, match="check blew up"):
-            verification.run_checks(quick=True)
+            verification.run_checks()
 
     def test_atexit_runs_once(self, tmp_path):
         # Forked workers must leave without running the parent's exit hooks.
@@ -149,11 +130,11 @@ class TestRunner:
             "import atexit, sys\n"
             "from limitper import cli\n"
             "atexit.register(lambda: open('exits', 'a').write('exit\\n'))\n"
-            "sys.exit(cli.main(['verify', '--quick', '--out', 'report']))\n"
+            "sys.exit(cli.main(['verify', '--out', 'report']))\n"
         )
         done = _fresh_python(code, tmp_path)
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "report.txt").read_text() == _QUICK_REPORT
+        assert (tmp_path / "report.txt").read_text() == _FULL_REPORT
         assert (tmp_path / "exits").read_text() == "exit\n"
 
     def test_cli_import_leaves_out_multiprocessing(self, tmp_path):
@@ -168,16 +149,14 @@ class TestRunner:
 
 
 class TestReport:
-    def test_all_pass_report(self):
-        results = verification.run_checks(quick=True)
-        text = verification.report_text(results)
+    def test_all_pass_report(self, full_results):
+        text = verification.report_text(full_results)
         lines = text.splitlines()
-        assert len(lines) == len(results) + 1
-        for result, line in zip(results, lines):
+        assert len(lines) == len(full_results) + 1
+        for result, line in zip(full_results, lines):
             assert line == f"PASS {result.name}: {result.detail}"
         assert lines[-1] == "all 15 checks passed"
         assert text.endswith("\n")
-        assert text == _QUICK_REPORT
 
     def test_full_report_bytes(self, full_results):
         assert verification.report_text(full_results) == _FULL_REPORT
@@ -279,11 +258,25 @@ def _recolour_one_r90_cell(monkeypatch):
     _wrap(monkeypatch, chair, "apply_d4", wrapper)
 
 
+def _halve_chain_a_at_3_128(monkeypatch):
+    """Halve letter a's closed form at 3/128, a point of denominator 2^7."""
+
+    def wrapper(original):
+        def halved(module):
+            rows = original(module)
+            rows[0, (module.exponents == 7) & (module.numerators[:, 0] == 3)] *= 0.5
+            return rows
+
+        return halved
+
+    _wrap(monkeypatch, period_doubling, "amplitude_arrays", wrapper)
+
+
 def _double_chain_tail(monkeypatch):
     def wrapper(original):
         def doubled(module):
             rows = original(module)
-            rows[:, module.exponents > 4] *= 2
+            rows[:, module.exponents > 6] *= 2
             return rows
 
         return doubled
@@ -324,11 +317,11 @@ def _shear_r90_wavevectors(monkeypatch):
 _ALONE = {
     "pd-eta-recursion-closed-form": _eta_off_at_4096,
     "pd-label-window-agreement": _flip_first_label(period_doubling, "label_window"),
-    # pd-empirical-amplitudes (quick tolerance 0.02) and pd-peak-mass, whose
-    # window [0.99, 1] takes the added intensity, still pass.
-    "pd-amplitude-relations": lambda monkeypatch: _corrupt_amplitudes(
-        monkeypatch, {Dyadic(3, 3)}, system=period_doubling
-    ),
+    # 3/128 lies past pd-empirical-amplitudes' r <= 6, and halving one
+    # amplitude there takes far less peak mass than pd-peak-mass's 0.99 allows.
+    "pd-amplitude-relations": _halve_chain_a_at_3_128,
+    # Doubled rows keep |A| lattice-periodic, and pd-empirical-amplitudes
+    # reads r <= 6 only.
     "pd-peak-mass": _double_chain_tail,
     "pd-empirical-amplitudes": _offset_estimates("empirical_amplitudes", 1, 0.1),
     "pd-empirical-autocorrelation": _offset_estimates("empirical_autocorrelation", 1, 0.1),
@@ -348,7 +341,7 @@ _ALONE = {
 # Corrupting a route several checks read: the exact set of checks it fails.
 _SHARED = {
     # Every chair check that reads the closed forms at (1/2, 1/2) fails, but
-    # chair-empirical-amplitudes, whose quick tolerance 0.05 covers the 0.01.
+    # chair-empirical-amplitudes, whose error at that point stays within 0.01.
     "chair-closed-form-point-bumped": (
         lambda monkeypatch: _corrupt_amplitudes(monkeypatch, {DyadicPoint2(1, 1, 1)}),
         {
@@ -363,8 +356,8 @@ _SHARED = {
 }
 
 
-def _failing_quick_checks():
-    return {r.name for r in verification.run_checks(quick=True) if not r.passed}
+def _failing_checks():
+    return {r.name for r in verification.run_checks() if not r.passed}
 
 
 class TestTamper:
@@ -373,7 +366,7 @@ class TestTamper:
     @pytest.mark.parametrize("name", list(_ALONE))
     def test_tampered_check_fails_alone(self, monkeypatch, name):
         _ALONE[name](monkeypatch)
-        assert _failing_quick_checks() == {name}
+        assert _failing_checks() == {name}
 
 
 class TestNegativeControls:
@@ -383,7 +376,7 @@ class TestNegativeControls:
     def test_control_fails_exactly_its_checks(self, monkeypatch, control):
         corrupt, expected = _SHARED[control]
         corrupt(monkeypatch)
-        assert _failing_quick_checks() == expected
+        assert _failing_checks() == expected
 
     def test_every_check_has_a_control(self):
         covered = set(_ALONE).union(*(expected for _, expected in _SHARED.values()))
@@ -397,7 +390,7 @@ class TestFirstFailure:
     @staticmethod
     def _sum_rules_detail():
         return next(
-            r.detail for r in verification.run_checks(quick=True) if r.name == "chair-sum-rules"
+            r.detail for r in verification.run_checks() if r.name == "chair-sum-rules"
         )
 
     def test_earliest_point_in_module_order_reports(self, monkeypatch):
@@ -413,6 +406,6 @@ class TestFirstFailure:
         # Corrupting A at k breaks |A(k)| = |A(k + 1)|; 3/8 precedes 1/2.
         late, early = Dyadic(1, 1), Dyadic(3, 3)
         _corrupt_amplitudes(monkeypatch, {late, early}, system=period_doubling)
-        results = verification.run_checks(quick=True)
+        results = verification.run_checks()
         detail = next(r.detail for r in results if r.name == "pd-amplitude-relations")
         assert detail == "|A| not lattice-periodic at 3/8"
