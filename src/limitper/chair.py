@@ -29,9 +29,13 @@ of the same object live here:
   and s = 1 cases as masks, and each deeper level from tables of the
   scalar case formulas indexed by residues mod 2^s.
 
-The colour symmetry of the square acts by the dihedral elements in
-``d4_elements``: each geometric map pairs with a colour permutation that
-leaves the fixed point invariant as a coloured pattern.
+The colour symmetry of the square is the table ``d4_elements``: eight
+signed permutation matrices, each paired with the colour permutation that
+leaves the fixed point invariant as a coloured pattern.  Every action reads
+the matrix: ``transform_wavevector`` applies it to wave numbers,
+``apply_d4`` moves the cells of a centred window by it with one transpose
+and axis reversals, and ``d4_compose`` looks the matrix product up in the
+table.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from . import subst
 from .dyadic import Dyadic, DyadicPoint2, Module, phase
 
 __all__ = [
-    "U",
-    "V",
     "COLOR_STEPS",
     "COLOR_SHIFTS",
     "Amplitudes",
@@ -66,9 +68,6 @@ __all__ = [
     "apply_d4",
     "transform_wavevector",
 ]
-
-U = (1, 0)
-V = (0, 1)
 
 # Per colour: the diagonal step direction of its hierarchy layers, and the
 # lattice translation taking the layered set onto the colour class.
@@ -328,82 +327,64 @@ def intensity(k: DyadicPoint2, weights) -> float:
 class D4Element:
     """One symmetry of the square paired with its colour permutation.
 
-    The geometry acts on unit cells: `quarter_turns` anticlockwise quarter
-    rotations about the origin corner, preceded (if `mirrored`) by the
-    reflection in the horizontal axis.  ``color_perm[c]`` is the colour that
-    must replace c after moving the cells for the pattern to be invariant.
+    ``matrix`` ((a, b), (c, d)) is the signed permutation matrix of the map:
+    it sends a wave number k to (a k1 + b k2, c k1 + d k2), and the unit cell
+    centred at u to the cell centred at ``matrix`` u.  ``color_perm[c]`` is
+    the colour that must replace c after moving the cells for the pattern to
+    be invariant.
     """
 
     name: str
-    quarter_turns: int
-    mirrored: bool
+    matrix: tuple[tuple[int, int], tuple[int, int]]
     color_perm: tuple[int, int, int, int]
 
 
-# Generators: one anticlockwise quarter turn shifts every colour down by one
-# (0 -> 3 -> 2 -> 1 -> 0); the horizontal mirror swaps 0 with 1 and 2 with 3.
-_ROT_PERM = (3, 0, 1, 2)
-_MIRROR_PERM = (1, 0, 3, 2)
+# Rotations by 0, 90, 180 and 270 degrees anticlockwise, then each after the
+# mirror in the horizontal axis.  A quarter turn shifts every colour down by
+# one (0 -> 3 -> 2 -> 1 -> 0); the mirror swaps 0 with 1 and 2 with 3.
+_D4 = (
+    D4Element("r0", ((1, 0), (0, 1)), (0, 1, 2, 3)),
+    D4Element("r90", ((0, -1), (1, 0)), (3, 0, 1, 2)),
+    D4Element("r180", ((-1, 0), (0, -1)), (2, 3, 0, 1)),
+    D4Element("r270", ((0, 1), (-1, 0)), (1, 2, 3, 0)),
+    D4Element("r0m", ((1, 0), (0, -1)), (1, 0, 3, 2)),
+    D4Element("r90m", ((0, 1), (1, 0)), (0, 3, 2, 1)),
+    D4Element("r180m", ((-1, 0), (0, 1)), (3, 2, 1, 0)),
+    D4Element("r270m", ((0, -1), (-1, 0)), (2, 1, 0, 3)),
+)
 
 
-def _perm_compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(outer[inner[c]] for c in range(len(inner)))
-
-
-@lru_cache(maxsize=None)
 def d4_elements() -> tuple[D4Element, ...]:
     """The eight symmetries, rotations first, in a stable order."""
-    elements = []
-    for mirrored in (False, True):
-        perm = _MIRROR_PERM if mirrored else (0, 1, 2, 3)
-        for quarter_turns in range(4):
-            name = f"r{90 * quarter_turns}" + ("m" if mirrored else "")
-            elements.append(
-                D4Element(
-                    name=name,
-                    quarter_turns=quarter_turns,
-                    mirrored=mirrored,
-                    color_perm=perm,
-                )
-            )
-            perm = _perm_compose(_ROT_PERM, perm)
-    return tuple(elements)
+    return _D4
 
 
 def d4_compose(g: D4Element, h: D4Element) -> D4Element:
-    """The element acting like h followed by g."""
-    if g.mirrored:
-        # The outer mirror conjugates h's rotation: R^a M R^b = R^(a-b) M.
-        quarter_turns = (g.quarter_turns - h.quarter_turns) % 4
-    else:
-        quarter_turns = (g.quarter_turns + h.quarter_turns) % 4
-    mirrored = g.mirrored != h.mirrored
-    perm = _perm_compose(g.color_perm, h.color_perm)
-    name = f"r{90 * quarter_turns}" + ("m" if mirrored else "")
-    return D4Element(name, quarter_turns, mirrored, perm)
+    """The element acting like h followed by g: its matrix is g's times h's."""
+    (a, b), (c, d) = g.matrix
+    (e, f), (p, q) = h.matrix
+    product = ((a * e + b * p, a * f + b * q), (c * e + d * p, c * f + d * q))
+    return next(element for element in _D4 if element.matrix == product)
 
 
 def apply_d4(g: D4Element, window: subst.PatternWindow) -> subst.PatternWindow:
-    """Move a centred square window by g and recolour it by g's permutation."""
+    """Move a centred square window by g and recolour it by g's permutation.
+
+    The cell centred at u moves to g u: the labels, indexed [iy, ix], are
+    transposed when g swaps the axes, then reversed along each axis g negates.
+    """
     if window.dim != 2:
         raise ValueError("dihedral symmetries act on plane windows")
     ny, nx = window.labels.shape
     if nx != ny or window.origin != (-(nx // 2), -(ny // 2)) or nx % 2 != 0:
         raise ValueError("window must be a centred square [-h, h)^2")
-    labels = window.labels
-    if g.mirrored:
-        labels = labels[::-1, :]
-    for _ in range(g.quarter_turns):
-        # One anticlockwise quarter turn: new[iy, ix] = old[n - 1 - ix, iy].
-        labels = labels[::-1, :].T
+    (a, b), (c, d) = g.matrix
+    labels = window.labels if b == 0 else window.labels.T
     perm = np.array(g.color_perm, dtype=labels.dtype)
-    return subst.PatternWindow(window.origin, perm[labels])
+    return subst.PatternWindow(window.origin, perm[labels[:: c + d, :: a + b]])
 
 
 def transform_wavevector(g: D4Element, k: DyadicPoint2) -> DyadicPoint2:
-    """The (linear) action of g on wave numbers."""
-    if g.mirrored:
-        k = k.map_ints(1, 0, 0, -1)
-    for _ in range(g.quarter_turns):
-        k = k.map_ints(0, -1, 1, 0)
-    return k
+    """The (linear) action of g on wave numbers: k goes to g's matrix times k."""
+    (a, b), (c, d) = g.matrix
+    return k.map_ints(a, b, c, d)

@@ -15,6 +15,8 @@ range: at the finest level L present, every scaled numerator j must fit in
 int64 and L must be at most 62, so that 2^L and every residue mod 2^L fit
 too, and the box holds at most ``MAX_POINTS`` points; outside it
 ``module_points`` raises ``ValueError`` before allocating anything.
+``Module.of`` and ``phase_arrays`` refuse points past that level or int64
+with ``ValueError`` too.
 ``normal_form`` is the reduction on its own, for the images of a module
 under integer maps (negation, the dihedral maps, lattice shifts).
 ``module_interval`` and ``module_box`` are the scalar list API on top of it.
@@ -247,10 +249,14 @@ def phase_arrays(numerators: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     quarter turns come from the same exact table, and deeper angles are
     formed with the same two roundings (m mod 2^r over 2^r, then times 2 pi)
     before the same libm cos and sin, called once per point.  Exponents
-    must not exceed ``MAX_LEVEL``.
+    above ``MAX_LEVEL`` raise ``ValueError``.
     """
     numerators = np.asarray(numerators, dtype=np.int64)
     exponents = np.asarray(exponents, dtype=np.int64)
+    if exponents.size and exponents.max() > MAX_LEVEL:
+        raise ValueError(
+            f"phase at denominator 2^{exponents.max()}; the array routes stop at 2^{MAX_LEVEL}"
+        )
     quarter = exponents <= 2
     # Shifts wrap modulo 2^64, which keeps the two low bits exact.
     turns = (numerators[quarter] << (2 - exponents[quarter])) & 3
@@ -301,7 +307,10 @@ class Module:
 
     @classmethod
     def of(cls, points, dim: int) -> "Module":
-        """Columns of a list of ``Dyadic`` (dim 1) or ``DyadicPoint2`` (dim 2) points."""
+        """Columns of a list of ``Dyadic`` (dim 1) or ``DyadicPoint2`` (dim 2) points.
+
+        A level above ``MAX_LEVEL`` or a numerator outside int64 raises ``ValueError``.
+        """
         points = list(points)
         kind = Dyadic if dim == 1 else DyadicPoint2
         if not all(isinstance(k, kind) for k in points):
@@ -312,6 +321,11 @@ class Module:
         else:
             rows = [(k.m, k.n) for k in points]
             exponents = [k.s for k in points]
+        for k, row, level in zip(points, rows, exponents):
+            if level > MAX_LEVEL or not all(_INT64_MIN <= j <= _INT64_MAX for j in row):
+                raise ValueError(
+                    f"{k!r} is outside the array range: level <= {MAX_LEVEL}, int64 numerators"
+                )
         numerators = np.array(rows, dtype=np.int64).reshape(len(points), dim)
         return cls(numerators, np.array(exponents, dtype=np.int64))
 

@@ -7,6 +7,7 @@ period box.  The closed amplitude formulas are then checked against summed
 layers, against pinned values, and against every identity they must satisfy.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -575,8 +576,20 @@ class TestD4:
         assert len({e.name for e in elements}) == 8
         identity = elements[0]
         assert identity.name == "r0"
-        assert identity.quarter_turns == 0 and not identity.mirrored
+        assert identity.matrix == ((1, 0), (0, 1))
         assert identity.color_perm == (0, 1, 2, 3)
+
+    def test_table(self):
+        assert [(e.name, e.matrix, e.color_perm) for e in chair.d4_elements()] == [
+            ("r0", ((1, 0), (0, 1)), (0, 1, 2, 3)),
+            ("r90", ((0, -1), (1, 0)), (3, 0, 1, 2)),
+            ("r180", ((-1, 0), (0, -1)), (2, 3, 0, 1)),
+            ("r270", ((0, 1), (-1, 0)), (1, 2, 3, 0)),
+            ("r0m", ((1, 0), (0, -1)), (1, 0, 3, 2)),
+            ("r90m", ((0, 1), (1, 0)), (0, 3, 2, 1)),
+            ("r180m", ((-1, 0), (0, 1)), (3, 2, 1, 0)),
+            ("r270m", ((0, -1), (-1, 0)), (2, 1, 0, 3)),
+        ]
 
     def test_generator_permutations(self):
         by_name = {e.name: e for e in chair.d4_elements()}
@@ -585,11 +598,11 @@ class TestD4:
 
     def test_group_closure(self):
         elements = chair.d4_elements()
-        table = {(e.quarter_turns, e.mirrored): e for e in elements}
+        table = {e.matrix: e for e in elements}
         for g in elements:
             for h in elements:
                 composed = chair.d4_compose(g, h)
-                assert table[(composed.quarter_turns, composed.mirrored)] == composed
+                assert table[composed.matrix] == composed
 
     def test_rotation_order_and_mirror_involution(self):
         by_name = {e.name: e for e in chair.d4_elements()}
@@ -616,6 +629,24 @@ class TestD4:
                 sequential = chair.apply_d4(g, chair.apply_d4(h, window))
                 combined = chair.apply_d4(chair.d4_compose(g, h), window)
                 assert sequential == combined
+
+    @pytest.mark.parametrize("element", chair.d4_elements(), ids=lambda e: e.name)
+    def test_cells_move_by_the_wavevector_matrix(self, element):
+        # The matrix of the wave-vector action, read off the basis.
+        e1 = chair.transform_wavevector(element, DyadicPoint2(1, 0))
+        e2 = chair.transform_wavevector(element, DyadicPoint2(0, 1))
+        (a, b), (c, d) = matrix = ((e1.m, e2.m), (e1.n, e2.n))
+        assert element.matrix == matrix
+        n = 8
+        # Doubled centres 2u: cell i on an axis is centred at i - n/2 + 1/2.
+        # Each coordinate at a corner of the window or next to the origin.
+        ends = (-(n - 1), -1, 1, n - 1)
+        for x, y in itertools.product(ends, repeat=2):
+            labels = np.zeros((n, n), dtype=np.uint8)
+            labels[(y + n - 1) // 2, (x + n - 1) // 2] = 1
+            image = chair.apply_d4(element, PatternWindow((-n // 2, -n // 2), labels))
+            [[iy, ix]] = np.argwhere(image.labels == element.color_perm[1])
+            assert (2 * ix - n + 1, 2 * iy - n + 1) == (a * x + b * y, c * x + d * y)
 
     def test_apply_rejects_off_centre_windows(self):
         element = chair.d4_elements()[1]

@@ -3,7 +3,8 @@
 Each demo is copied into a temporary directory and run there with the
 package from ``src/`` on the path, so its ``out/`` lands beside the copy.
 The files it writes must match the copies committed under ``demos/out/``
-byte for byte.
+byte for byte.  The python block under the README's ``## Library`` heading
+runs the same way, in a fresh interpreter, and must exit 0.
 """
 
 import os
@@ -48,3 +49,20 @@ def test_demo_runs_and_writes_its_files(name, tmp_path):
         written = tmp_path / "out" / output
         assert written.is_file(), output
         assert written.read_bytes() == (DEMOS / "out" / output).read_bytes(), output
+
+
+def test_readme_library_block_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    script = tmp_path / "library.py"
+    script.write_text(block + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    result = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -379,6 +379,16 @@ class TestModulePoints:
         with pytest.raises(TypeError):
             Module.of([Dyadic(1)], 2)
 
+    @pytest.mark.parametrize(
+        "point, dim",
+        [(Dyadic(-7, 70), 1), (DyadicPoint2(1, 0, 70), 2), (Dyadic(2**70 + 1, 3), 1)],
+        ids=["chain-level-70", "plane-level-70", "numerator-past-int64"],
+    )
+    def test_module_of_refuses_points_past_the_array_range(self, point, dim):
+        with pytest.raises(ValueError) as refused:
+            Module.of([point], dim)
+        assert repr(point) in str(refused.value)
+
 
 # Scaled numerators at the finest level must lie in [-2^63, 2^63 - 1].
 _TOP, _BOTTOM = (1 << 63) - 1, -(1 << 63)
@@ -497,6 +507,15 @@ class TestPhaseArrays:
         expected = np.array([phase(k) for k in points], dtype=complex).reshape(-1)
         assert re.view(np.int64).tolist() == expected.real.view(np.int64).tolist()
         assert im.view(np.int64).tolist() == expected.imag.view(np.int64).tolist()
+
+    def test_refuses_levels_past_the_finest(self):
+        # At 2^70 the residue mask wraps: the phase of -7/2^70 came out as
+        # 1 - 3.7e-20j against 1 - 2.4e-16j from ``phase``.
+        with pytest.raises(ValueError, match=r"2\^70"):
+            phase_arrays(np.array([-7]), np.array([70]))
+        assert phase_arrays(np.array([-7]), np.array([MAX_LEVEL]))[0] == phase(
+            Dyadic(-7, MAX_LEVEL)
+        )
 
     def test_quarter_turns_keep_their_signed_zeros(self):
         points = [Dyadic(0), Dyadic(1, 1), Dyadic(1, 2), Dyadic(3, 2), Dyadic(-1, 2)]
