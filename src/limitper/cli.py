@@ -18,6 +18,12 @@ and enumerates the module once as arrays (``dyadic.module_points``);
 the windowed sums) over the whole array, weighs the per-letter rows by
 ``render.weigh`` and renders columns.
 
+Imports: at module level only the standard library, so building the parser
+and ``--help`` load no numpy.  Each handler imports the limitper modules it
+runs where it runs them, and calls their functions through the module at
+call time: a chain run loads no chair code, the closed forms load neither
+``numerics`` nor ``verification``.
+
 Exit codes: 0 on success, 1 when verification fails, 2 for usage, parse and
 file errors.  All outputs are deterministic byte-for-byte.
 """
@@ -30,9 +36,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import chair, numerics, period_doubling, render, subst, verification
-from .dyadic import MAX_CELLS, MAX_COUNTS, module_points
+if TYPE_CHECKING:
+    from . import subst
 
 __all__ = ["main", "UsageError"]
 
@@ -99,6 +106,8 @@ def parse_region(text: str, dim: int) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def _parse_seed(system: subst.SubstitutionSystem, text: str) -> subst.PatternWindow:
+    from . import subst
+
     try:
         if system.dim == 1:
             halves = [part.strip() for part in text.split("|")]
@@ -126,9 +135,15 @@ def _load_system(name_or_path: str):
     """``(builtin, system, seed)`` for a ``--system`` value; a rule file has no built-in name or seed."""
     lowered = name_or_path.strip().lower()
     if lowered in _PD_ALIASES:
+        from . import period_doubling
+
         return "period_doubling", period_doubling.doubled_system(), period_doubling.seed()
     if lowered == "chair":
+        from . import chair
+
         return "chair", chair.system(), chair.seed()
+    from . import subst
+
     try:
         return None, subst.load_rules(name_or_path), None
     except (OSError, UnicodeDecodeError) as exc:
@@ -145,6 +160,8 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
     or else ``subst.first_legal_seed``, trying the rule and then its square
     and cube; either way the seed must reproduce itself under substitution.
     """
+    from . import subst
+
     builtin, base, seed = _load_system(name_or_path)
     if seed_spec is not None:
         seed = _parse_seed(base, seed_spec)
@@ -191,6 +208,8 @@ def _write(path: Path, content: str, announce=None) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from . import dyadic, render, subst
+
     resolved = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
     if args.iterations < 0:
@@ -200,13 +219,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise UsageError("format 'pgm' not supported here (choose from txt)")
     # Seeds are 2 cells wide; past 64 passes the window is over the bound anyway.
     side = 2 * system.factor ** min(args.iterations, 64)
-    if side**system.dim > MAX_CELLS:
+    if side**system.dim > dyadic.MAX_CELLS:
         size = f"2*{system.factor}^{args.iterations}"
         if system.dim > 1:
             size = f"({size})^{system.dim}"
         raise UsageError(
             f"the window after {args.iterations} iterations has {size} cells; "
-            f"the CLI grows at most {MAX_CELLS}"
+            f"the CLI grows at most {dyadic.MAX_CELLS}"
         )
     formats = (args.format,) if args.format else ("txt",) if system.dim == 1 else ("pgm", "txt")
     window = subst.fixed_point_window(system, resolved.seed, args.iterations)
@@ -226,6 +245,8 @@ def _module(args: argparse.Namespace, system: subst.SubstitutionSystem):
     their defaults, and enumerates the module before any window is grown.
     Only the system's dimension and factor are read.
     """
+    from . import dyadic
+
     if system.factor & (system.factor - 1):
         raise UsageError(
             "the wave-number module enumerated here is dyadic; it only matches "
@@ -246,7 +267,7 @@ def _module(args: argparse.Namespace, system: subst.SubstitutionSystem):
     if args.region is not None:
         region = parse_region(args.region, system.dim)
     try:
-        module = module_points(cutoff, region, include_hi=not args.half_open)
+        module = dyadic.module_points(cutoff, region, include_hi=not args.half_open)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return module, region
@@ -258,20 +279,26 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
     The window [-N, N]^d has (2N + 1)^d cells; the count table has
     letters x 2^(s d) entries at the finest level s of the module.
     """
+    from . import dyadic
+
     cells = (2 * half + 1) ** dim
-    if cells > MAX_CELLS:
+    if cells > dyadic.MAX_CELLS:
         box = f"[-{half}, {half}]" + (f"^{dim}" if dim > 1 else "")
-        raise UsageError(f"the window {box} has {cells} cells; the CLI grows at most {MAX_CELLS}")
+        raise UsageError(
+            f"the window {box} has {cells} cells; the CLI grows at most {dyadic.MAX_CELLS}"
+        )
     level = int(module.exponents.max(initial=0))
     entries = letters << (level * dim)
-    if entries > MAX_COUNTS:
+    if entries > dyadic.MAX_COUNTS:
         raise UsageError(
             f"the count table at denominator 2^{level} has {letters} x 2^{level * dim} = "
-            f"{entries} entries; the CLI counts at most {MAX_COUNTS}"
+            f"{entries} entries; the CLI counts at most {dyadic.MAX_COUNTS}"
         )
 
 
 def cmd_diffract(args: argparse.Namespace) -> int:
+    from . import render
+
     resolved = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
     system = resolved.system
@@ -294,14 +321,21 @@ def cmd_diffract(args: argparse.Namespace) -> int:
     if "svg" in formats and any(lo == hi for lo, hi in region):
         raise UsageError("an SVG needs a region of nonzero width on every axis; use --format csv")
     if args.empirical:
+        from . import numerics, subst
+
         # The window [-N, N]^d grown by substitution from the resolved seed.
         half = args.window or (1 << 20 if system.dim == 1 else 1024)
         _check_empirical_size(half, module, len(letters), system.dim)
         window = subst.centred_window(system, resolved.seed, half)
         rows = numerics.empirical_amplitudes(numerics.WeightedComb(window, len(letters)), module)
+    elif resolved.builtin == "period_doubling":
+        from . import period_doubling
+
+        rows = period_doubling.amplitude_arrays(module)
     else:
-        closed_forms = period_doubling if resolved.builtin == "period_doubling" else chair
-        rows = closed_forms.amplitude_arrays(module)
+        from . import chair
+
+        rows = chair.amplitude_arrays(module)
     amplitudes = render.weigh(rows, weights)
     table = render.PeakTable.of(module, amplitudes)
     kept = table.intensity >= args.floor
@@ -320,6 +354,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
 
 
 def cmd_module(args: argparse.Namespace) -> int:
+    from . import render
+
     _, system, _ = _load_system(args.system)
     base = _out_base(args.out)
     module, _ = _module(args, system)
@@ -328,6 +364,8 @@ def cmd_module(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verification
+
     base = _out_base(args.out)
     results = verification.run_checks()
     if args.json:

@@ -422,11 +422,11 @@ def run_checks() -> tuple[CheckResult, ...]:
     workers = min(_usable_cpus(), len(_CHECKS)) if sys.platform.startswith("linux") else 1
     if workers < 2:
         return tuple(map(_run_check, indices))
-    # Imported here rather than at the top, as ``json`` is below: the CLI
-    # imports this module on every start-up.  A forked worker inherits the
-    # roster, so no check is serialised: only the index goes out and the
-    # result comes back.  Workers leave by ``os._exit``, running no atexit
-    # handler or ``finally`` of the parent.
+    # Imported here rather than at the top: only a pool, on two or more
+    # usable CPUs, needs it.  A forked worker inherits the roster, so no
+    # check is serialised: only the index goes out and the result comes
+    # back.  Workers leave by ``os._exit``, running no atexit handler or
+    # ``finally`` of the parent.
     import multiprocessing
 
     with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -452,8 +452,8 @@ def report_text(results) -> str:
 
 def report_json(results) -> str:
     """The results as a JSON list, one object per check."""
-    # Imported here rather than at the top: the CLI imports this module on
-    # every start-up, and only ``verify --json`` needs the encoder.
+    # Imported here rather than at the top: only ``verify --json`` needs the
+    # encoder.
     import json
 
     records = [

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
-from limitper import chair, cli, numerics, period_doubling, render, subst
+from limitper import chair, cli, dyadic, numerics, period_doubling, render, subst, verification
 from limitper.dyadic import Module, module_box, module_interval
 
 PD_IT2 = "abaaabababaaabaa|abaaabababaaabaa\n"
@@ -605,7 +605,7 @@ class TestVerify:
         assert cli.main(["verify", "--json", "--out", str(out)]) == 0
         captured = capsys.readouterr()
         records = json.loads(captured.out)
-        assert [r["name"] for r in records] == list(cli.verification.CHECK_NAMES)
+        assert [r["name"] for r in records] == list(verification.CHECK_NAMES)
         for record in records:
             assert set(record) == {"name", "passed", "elapsed_s", "detail"}
             assert record["passed"] is True
@@ -941,8 +941,8 @@ class TestErrorTable:
             raise AssertionError("work began before the output path was checked")
 
         monkeypatch.setattr(subst, "fixed_point_window", refuse)
-        monkeypatch.setattr(cli, "module_points", refuse)
-        monkeypatch.setattr(cli.verification, "run_checks", refuse)
+        monkeypatch.setattr(dyadic, "module_points", refuse)
+        monkeypatch.setattr(verification, "run_checks", refuse)
         monkeypatch.chdir(tmp_path)
         assert cli.main([command, "--out", out]) == 2
         captured = capsys.readouterr()
