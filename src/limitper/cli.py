@@ -8,15 +8,17 @@ built-ins, windowed sums with ``--empirical``), enumerate the module itself
 ``main`` parses the flags and hands them to the subcommand's handler.
 ``generate`` and ``diffract`` first resolve the system (built-in name or
 rule file) and a legal seed, once; ``module`` reads only the system's
-dimension and factor, so it takes no seed.  Each handler reads and checks
-the flags it uses before it does any work; argparse holds the plain
-defaults, and the defaults that depend on the system (cutoff, region,
-window, weights) live in the one helper that uses them.  ``diffract`` and
-``module`` share ``_module``, which checks the cutoff flags and the region
-and enumerates the module once as arrays (``dyadic.module_points``);
-``diffract`` then evaluates the closed forms (or grows the window and takes
-the windowed sums) over the whole array, weighs the per-letter rows by
-``render.weigh`` and renders columns.
+dimension and factor, so it takes no seed.  A loaded system is the triple
+``(system, seed, closed_forms)``: a built-in's ``closed_forms`` is its own
+module (``period_doubling`` or ``chair``), a rule file's is ``None``.  Each
+handler reads and checks the flags it uses before it does any work;
+argparse holds the plain defaults, and the defaults that depend on the
+system (cutoff, region, window, weights) live in the one helper that uses
+them.  ``diffract`` and ``module`` share ``_module``, which checks the
+cutoff flags and the region and enumerates the module once as arrays
+(``dyadic.module_points``); ``diffract`` then evaluates the closed forms
+(or grows the window and takes the windowed sums) over the whole array,
+weighs the per-letter rows by ``render.weigh`` and renders columns.
 
 Imports: at module level only the standard library, so building the parser
 and ``--help`` load no numpy.  Each handler imports the limitper modules it
@@ -33,7 +35,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -83,22 +84,17 @@ def parse_weights(text: str) -> tuple[complex, ...]:
 
 
 def parse_region(text: str, dim: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """``lo,hi`` or ``lo,hi,lo2,hi2`` with exact rational endpoints."""
+    """``lo,hi`` on every axis, or one ``lo,hi`` pair per axis, with exact rational endpoints."""
     try:
         parts = [Fraction(token.strip()) for token in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad region {text!r}") from exc
-    if dim == 1:
-        if len(parts) != 2:
-            raise UsageError("a chain region is lo,hi")
-        bounds = ((parts[0], parts[1]),)
-    else:
-        if len(parts) == 2:
-            bounds = ((parts[0], parts[1]),) * 2
-        elif len(parts) == 4:
-            bounds = ((parts[0], parts[1]), (parts[2], parts[3]))
-        else:
-            raise UsageError("a plane region is lo,hi or xlo,xhi,ylo,yhi")
+    if len(parts) not in (2, 2 * dim):
+        raise UsageError(
+            "a chain region is lo,hi" if dim == 1 else "a plane region is lo,hi or xlo,xhi,ylo,yhi"
+        )
+    pairs = tuple(zip(parts[::2], parts[1::2]))
+    bounds = pairs * dim if len(pairs) == 1 else pairs
     for lo, hi in bounds:
         if lo > hi:
             raise UsageError(f"region bound {lo} exceeds {hi}")
@@ -122,38 +118,43 @@ def _parse_seed(system: subst.SubstitutionSystem, text: str) -> subst.PatternWin
         raise UsageError(f"seed {exc.args[0]}") from exc
 
 
-@dataclass(frozen=True)
-class ResolvedSystem:
-    """A substitution system with a legal seed and its analytic status."""
-
-    system: subst.SubstitutionSystem
-    seed: subst.PatternWindow
-    builtin: str | None
-
-
 def _load_system(name_or_path: str):
-    """``(builtin, system, seed)`` for a ``--system`` value; a rule file has no built-in name or seed."""
+    """``(system, seed, closed_forms)`` for a ``--system`` value; a rule file comes with ``None, None``."""
     lowered = name_or_path.strip().lower()
     if lowered in _PD_ALIASES:
         from . import period_doubling
 
-        return "period_doubling", period_doubling.doubled_system(), period_doubling.seed()
+        return period_doubling.doubled_system(), period_doubling.seed(), period_doubling
     if lowered == "chair":
         from . import chair
 
-        return "chair", chair.system(), chair.seed()
+        return chair.system(), chair.seed(), chair
     from . import subst
 
     try:
-        return None, subst.load_rules(name_or_path), None
+        return subst.load_rules(name_or_path), None, None
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read rule file {name_or_path!r}: {exc}") from exc
     except subst.RuleError as exc:
         raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
 
 
-def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
-    """Turn a ``--system`` value into a system plus a legal seed.
+def _rule_powers(base: subst.SubstitutionSystem):
+    """The rule, its square and its cube; a power with images over the CLI's bound is refused unbuilt."""
+    from . import dyadic
+
+    for exponent in (1, 2, 3):
+        cells = base.factor ** (exponent * base.dim)
+        if cells > dyadic.MAX_CELLS:
+            raise UsageError(
+                f"the rule to the power {exponent} has images of {cells} cells each; "
+                f"the CLI grows at most {dyadic.MAX_CELLS}"
+            )
+        yield base.power(exponent)
+
+
+def resolve_system(name_or_path: str, seed_spec: str | None):
+    """Turn a ``--system`` value into ``(system, seed, closed_forms)`` with a legal seed.
 
     Built-in names come with their canonical seeds (the chain rule is squared
     so a two-sided fixed point exists).  Rule files get an explicit ``--seed``
@@ -162,14 +163,14 @@ def resolve_system(name_or_path: str, seed_spec: str | None) -> ResolvedSystem:
     """
     from . import subst
 
-    builtin, base, seed = _load_system(name_or_path)
+    base, seed, closed_forms = _load_system(name_or_path)
     if seed_spec is not None:
         seed = _parse_seed(base, seed_spec)
-    for system in (base,) if builtin else (base.power(e) for e in (1, 2, 3)):
+    for system in (base,) if closed_forms else _rule_powers(base):
         candidate = subst.first_legal_seed(system) if seed is None else seed
         if candidate is not None and subst.check_seed_legal(system, candidate):
-            return ResolvedSystem(system, candidate, builtin)
-    if builtin:
+            return system, candidate, closed_forms
+    if closed_forms:
         raise UsageError(f"seed {seed_spec!r} is not legal for this system")
     if seed_spec is not None:
         raise UsageError(f"seed {seed_spec!r} is not legal for this rule or its powers up to 3")
@@ -194,7 +195,7 @@ def _out_base(out: str) -> Path:
 def _write(path: Path, content: str, announce=None) -> None:
     """Write ``content`` to ``path`` and print the path to ``announce`` (stdout by default)."""
     try:
-        if path.parent and not path.parent.exists():
+        if not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content)
     except OSError as exc:
@@ -210,11 +211,10 @@ def _write(path: Path, content: str, announce=None) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     from . import dyadic, render, subst
 
-    resolved = resolve_system(args.system, args.seed)
+    system, seed, _ = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
     if args.iterations < 0:
         raise UsageError(f"negative iteration count: {args.iterations}")
-    system = resolved.system
     if system.dim == 1 and args.format == "pgm":
         raise UsageError("format 'pgm' not supported here (choose from txt)")
     # Seeds are 2 cells wide; past 64 passes the window is over the bound anyway.
@@ -228,7 +228,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"the CLI grows at most {dyadic.MAX_CELLS}"
         )
     formats = (args.format,) if args.format else ("txt",) if system.dim == 1 else ("pgm", "txt")
-    window = subst.fixed_point_window(system, resolved.seed, args.iterations)
+    window = subst.fixed_point_window(system, seed, args.iterations)
     letters = system.alphabet
     for fmt in formats:
         if fmt == "txt":
@@ -299,9 +299,8 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
 def cmd_diffract(args: argparse.Namespace) -> int:
     from . import render
 
-    resolved = resolve_system(args.system, args.seed)
+    system, seed, closed_forms = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
-    system = resolved.system
     letters = system.alphabet
     weights = parse_weights(args.weights) if args.weights is not None else (1,) * len(letters)
     if len(weights) != len(letters):
@@ -312,7 +311,7 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         raise UsageError(f"intensity floor must be nonnegative: {args.floor}")
     if args.window is not None and args.window < 1:
         raise UsageError(f"window half-width must be positive: {args.window}")
-    if resolved.builtin is None and not args.empirical:
+    if closed_forms is None and not args.empirical:
         raise UsageError(
             "no closed forms for user rules; pass --empirical for windowed sums"
         )
@@ -326,16 +325,10 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         # The window [-N, N]^d grown by substitution from the resolved seed.
         half = args.window or (1 << 20 if system.dim == 1 else 1024)
         _check_empirical_size(half, module, len(letters), system.dim)
-        window = subst.centred_window(system, resolved.seed, half)
+        window = subst.centred_window(system, seed, half)
         rows = numerics.empirical_amplitudes(numerics.WeightedComb(window, len(letters)), module)
-    elif resolved.builtin == "period_doubling":
-        from . import period_doubling
-
-        rows = period_doubling.amplitude_arrays(module)
     else:
-        from . import chair
-
-        rows = chair.amplitude_arrays(module)
+        rows = closed_forms.amplitude_arrays(module)
     amplitudes = render.weigh(rows, weights)
     table = render.PeakTable.of(module, amplitudes)
     kept = table.intensity >= args.floor
@@ -356,7 +349,7 @@ def cmd_diffract(args: argparse.Namespace) -> int:
 def cmd_module(args: argparse.Namespace) -> int:
     from . import render
 
-    _, system, _ = _load_system(args.system)
+    system, _, _ = _load_system(args.system)
     base = _out_base(args.out)
     module, _ = _module(args, system)
     _write(base.with_suffix(".csv"), render.module_csv(module))

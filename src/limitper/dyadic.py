@@ -70,13 +70,9 @@ _TWO_PI = 2.0 * math.pi
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def _strip_twos(num: int, exp: int) -> tuple[int, int]:
-    if num == 0:
-        return 0, 0
-    while exp > 0 and num % 2 == 0:
-        num //= 2
-        exp -= 1
-    return num, exp
+def _shared_twos(common: int, exp: int) -> int:
+    """How many factors of two cancel from numerators with bitwise or ``common`` over 2^exp."""
+    return min((common & -common).bit_length() - 1, exp) if common else exp
 
 
 @total_ordering
@@ -103,7 +99,8 @@ class Dyadic:
         """Normalise num / 2^den_exp."""
         if den_exp < 0:
             raise ValueError(f"negative denominator exponent: {den_exp}")
-        return cls(*_strip_twos(num, den_exp))
+        shift = _shared_twos(num, den_exp)
+        return cls(num >> shift, den_exp - shift)
 
     @property
     def value(self) -> Fraction:
@@ -174,13 +171,8 @@ class DyadicPoint2:
         """Normalise (mx, ny) / 2^den_exp."""
         if den_exp < 0:
             raise ValueError(f"negative denominator exponent: {den_exp}")
-        while den_exp > 0 and mx % 2 == 0 and ny % 2 == 0:
-            mx //= 2
-            ny //= 2
-            den_exp -= 1
-        if den_exp == 0:
-            return cls(mx, ny, 0)
-        return cls(mx, ny, den_exp)
+        shift = _shared_twos(mx | ny, den_exp)
+        return cls(mx >> shift, ny >> shift, den_exp - shift)
 
     @property
     def x(self) -> Dyadic:
@@ -369,7 +361,7 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
         common = 0
         for axis in axes:
             common |= axis.start
-        shift = min((common & -common).bit_length() - 1, cutoff) if common else cutoff
+        shift = _shared_twos(common, cutoff)
         level -= shift
         axes = [range(axis.start >> shift, (axis.start >> shift) + 1) for axis in axes]
     if level > MAX_LEVEL:

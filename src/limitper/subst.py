@@ -144,13 +144,11 @@ class SubstitutionSystem:
     def is_primitive(self) -> bool:
         """True iff some power of the count matrix is strictly positive."""
         k = len(self.alphabet)
-        adj = np.array(self.count_matrix(), dtype=bool)
-        power = adj.copy()
-        # Wielandt bound: a primitive k x k matrix is positive by power (k-1)^2 + 1.
-        for _ in range((k - 1) ** 2 + 1):
-            if power.all():
-                return True
-            power = power @ adj
+        power = np.array(self.count_matrix(), dtype=bool)
+        # Wielandt bound: a primitive k x k matrix is positive from power
+        # (k-1)^2 + 1 on, so the first power of two past it decides.
+        for _ in range(((k - 1) ** 2).bit_length()):
+            power = power @ power
         return bool(power.all())
 
 

@@ -7,8 +7,10 @@ interpreter to prove outputs do not depend on process state.
 
 import argparse
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -751,6 +753,20 @@ _LAST_LETTER_256_RULE = "kind = block\nfactor = 3\nalphabet = {}\n{}x255 ->\n{}"
     "  x255 x0 x255\n  x0 x0 x0\n  x255 x0 x255\n",
 )
 
+
+def _cycle_rule(kind: str, factor: int) -> str:
+    """Three letters in a cycle, a -> b -> c -> a, each image one letter.
+
+    No cell keeps its letter under the rule or its square; the cube keeps
+    every letter, and its images have factor^(3 d) cells.
+    """
+    text = f"kind = {kind}\nfactor = {factor}\nalphabet = a b c\n"
+    for x, y in zip("abc", "bca"):
+        row = " ".join([y] * factor)
+        text += f"{x} -> {row}\n" if kind == "word" else f"{x} ->\n" + f"  {row}\n" * factor
+    return text
+
+
 # One flag wrong per argv, with the exact line each prints to stderr; RULES is
 # the directory of the rule files written by the test.
 # Inputs whose window or count table would outgrow the CLI's bounds, with
@@ -898,6 +914,12 @@ _ERROR_TABLE = [
         ["diffract", "--system", "chair", "--seed", "0 0 / 0 9"],
         "seed letter '9' is not in the alphabet",
     ),
+    # A region with neither 2 nor 2 d bounds, in the plane and on the chain.
+    (
+        ["diffract", "--system", "chair", "--region", "0,1,2"],
+        "a plane region is lo,hi or xlo,xhi,ylo,yhi",
+    ),
+    (["diffract", "--region", "0,1,0,1"], "a chain region is lo,hi"),
 ]
 
 
@@ -916,6 +938,9 @@ class TestErrorTable:
             ("big", _BIG_RULE),
             ("cyclic256", _CYCLIC_256_RULE),
             ("last256", _LAST_LETTER_256_RULE),
+            ("cycle16", _cycle_rule("block", 16)),
+            ("cycle64", _cycle_rule("block", 64)),
+            ("cycle257", _cycle_rule("word", 257)),
         ):
             (rules / f"{name}.sub").write_text(text)
         # A rule file that is not UTF-8: its first byte is 0xff.
@@ -950,14 +975,73 @@ class TestErrorTable:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    def test_output_under_a_file(self, tmp_path, capsys):
+        # The write fails on the file in the way, not on creating the directory.
+        (tmp_path / "file").touch()
+        out = tmp_path / "file" / "m"
+        assert cli.main(["module", "--rmax", "1", "--out", str(out)]) == 2
+        error = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}.csv'"
+        assert capsys.readouterr().err == f"limitper: cannot write {out}.csv: {error}\n"
+
     def test_large_alphabet_with_one_legal_seed(self, rules, tmp_path, capsys):
-        resolved = cli.resolve_system(f"{rules}/last256.sub", None)
-        assert resolved.system == subst.load_rules(f"{rules}/last256.sub")
-        assert resolved.seed.labels.tolist() == [[255, 255], [255, 255]]
+        system, seed, closed_forms = cli.resolve_system(f"{rules}/last256.sub", None)
+        assert system == subst.load_rules(f"{rules}/last256.sub")
+        assert seed.labels.tolist() == [[255, 255], [255, 255]]
+        assert closed_forms is None
         out = tmp_path / "p"
         argv = ["generate", "--system", f"{rules}/last256.sub", "--iterations", "1"]
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == f"{out}.pgm\n{out}.txt\n"
+
+    @pytest.mark.parametrize(
+        "name, module", [("pd", period_doubling), ("chair", chair), ("RULES/doubling.sub", None)]
+    )
+    def test_a_builtin_resolves_to_its_closed_forms(self, name, module, rules):
+        system, seed, closed_forms = cli.resolve_system(name.replace("RULES", rules), None)
+        assert closed_forms is module
+        assert subst.check_seed_legal(system, seed)
+
+    @pytest.mark.parametrize(
+        "name, cells, peak_limit",
+        [
+            # The square, three images of 2^24 cells, is built and searched first.
+            ("cycle64", 1 << 36, 1 << 27),
+            ("cycle257", 257**3, 1 << 20),
+        ],
+    )
+    def test_rule_power_over_the_cell_bound_exits_two(
+        self, name, cells, peak_limit, rules, tmp_path, monkeypatch, capsys
+    ):
+        power = subst.SubstitutionSystem.power
+
+        def bounded(system, exponent):
+            if system.factor ** (exponent * system.dim) > dyadic.MAX_CELLS:
+                raise AssertionError(f"asked for power {exponent}, whose images are over the bound")
+            return power(system, exponent)
+
+        monkeypatch.setattr(subst.SubstitutionSystem, "power", bounded)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["generate", "--system", f"{rules}/{name}.sub", "--iterations", "0"]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--out", str(out / "x")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"limitper: the rule to the power 3 has images of {cells} cells each; "
+            "the CLI grows at most 16777216\n"
+        )
+        assert peak < peak_limit
+        assert not list(out.iterdir())
+
+    def test_rule_power_at_the_cell_bound_resolves(self, rules):
+        # The cube of the factor-16 cycle has images of exactly 2^24 cells.
+        system, seed, _ = cli.resolve_system(f"{rules}/cycle16.sub", None)
+        assert system.factor == 16**3
+        assert seed.labels.tolist() == [[0, 0], [0, 0]]
 
     @pytest.mark.parametrize(
         "argv",

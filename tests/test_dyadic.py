@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import dyadic
 from limitper.dyadic import (
@@ -35,6 +35,8 @@ from limitper.dyadic import (
 # products stay exact in the integer arithmetic under test.
 _nums = st.integers(min_value=-(1 << 40), max_value=1 << 40)
 _exps = st.integers(min_value=0, max_value=24)
+# Exponents past 10^4, for the normal form of wide numerators.
+_wide_exps = st.integers(min_value=0, max_value=1 << 15)
 
 
 def _dyadics():
@@ -80,6 +82,23 @@ class TestNormalForm:
     def test_normal_form_is_unique(self, num, exp, extra):
         # Any representation of the same value normalises identically.
         assert Dyadic.of(num << extra, exp + extra) == Dyadic.of(num, exp)
+
+    @given(_nums, _wide_exps, _wide_exps)
+    @example(1, 80000, 80000)
+    def test_of_at_wide_exponents(self, base, twos, exp):
+        # num / 2^exp with num = base * 2^twos: up to 2^15 factors of two either way.
+        num = base << twos
+        d = Dyadic.of(num, exp)
+        assert d.value == Fraction(num, 1 << exp)
+        assert d.r == 0 or d.m % 2 == 1
+
+    @given(_nums, _nums, _wide_exps, _wide_exps, _wide_exps)
+    @example(1, 3, 80000, 80000, 80000)
+    def test_point_of_at_wide_exponents(self, m, n, m_twos, n_twos, exp):
+        mx, ny = m << m_twos, n << n_twos
+        p = DyadicPoint2.of(mx, ny, exp)
+        assert p.value == (Fraction(mx, 1 << exp), Fraction(ny, 1 << exp))
+        assert p.s == 0 or p.m % 2 == 1 or p.n % 2 == 1
 
     @given(_dyadics(), _dyadics())
     def test_equal_value_iff_equal_representation(self, a, b):

@@ -42,6 +42,13 @@ class TestStartUp:
         loaded = _loaded_after("import limitper, limitper.cli", tmp_path)
         assert loaded == {"limitper", "limitper.cli"}
 
+    def test_import_loads_no_dataclasses_or_inspect(self, tmp_path):
+        code = (
+            "import json, sys, limitper, limitper.cli\n"
+            "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        )
+        assert json.loads(_fresh(code, tmp_path)) == []
+
     def test_help_loads_no_numpy(self, tmp_path):
         code = (
             "import contextlib, io\n"

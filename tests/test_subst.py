@@ -212,6 +212,25 @@ class TestSystemAlgebra:
         with pytest.raises(ValueError, match="primitive"):
             subst.natural_frequencies(split)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_primitivity_matches_the_definition(self, k):
+        # Every 0/1 support of a k-letter count matrix: each image is nonempty,
+        # so every column has a one.  The definition walks the powers of the
+        # support until they repeat and asks whether one of them is positive.
+        columns = [col for col in itertools.product((0, 1), repeat=k) if any(col)]
+        for support in itertools.product(columns, repeat=k):
+            # Image j repeats the letters of column j, so it holds exactly those.
+            images = tuple(np.resize(np.flatnonzero(col), max(k, 2)).astype(np.uint8) for col in support)
+            system = subst.SubstitutionSystem(tuple("abc"[:k]), "word", max(k, 2), images)
+            adj = np.array(support, dtype=bool).T
+            assert np.array_equal(np.array(system.count_matrix()) > 0, adj)
+            seen, power, positive = set(), adj, False
+            while power.tobytes() not in seen and not positive:
+                seen.add(power.tobytes())
+                positive = bool(power.all())
+                power = power @ adj
+            assert system.is_primitive() == positive, support
+
     def test_natural_frequencies(self):
         assert subst.natural_frequencies(_doubling()) == {
             "a": Fraction(2, 3),
