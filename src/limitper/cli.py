@@ -139,42 +139,39 @@ def _load_system(name_or_path: str):
         raise UsageError(f"bad rule file {name_or_path!r}: {exc}") from exc
 
 
-def _rule_powers(base: subst.SubstitutionSystem):
-    """The rule, its square and its cube; a power with images over the CLI's bound is refused unbuilt."""
-    from . import dyadic
-
-    for exponent in (1, 2, 3):
-        cells = base.factor ** (exponent * base.dim)
-        if cells > dyadic.MAX_CELLS:
-            raise UsageError(
-                f"the rule to the power {exponent} has images of {cells} cells each; "
-                f"the CLI grows at most {dyadic.MAX_CELLS}"
-            )
-        yield base.power(exponent)
-
-
 def resolve_system(name_or_path: str, seed_spec: str | None):
     """Turn a ``--system`` value into ``(system, seed, closed_forms)`` with a legal seed.
 
     Built-in names come with their canonical seeds (the chain rule is squared
     so a two-sided fixed point exists).  Rule files get an explicit ``--seed``
-    or else ``subst.first_legal_seed``, trying the rule and then its square
-    and cube; either way the seed must reproduce itself under substitution.
+    or else ``subst.first_legal_seed``; either way the seed must reproduce
+    itself under substitution.  The image corners alone pick the least of the
+    rule, its square and its cube with a legal seed; only that power is built.
     """
-    from . import subst
+    from . import dyadic, subst
 
     base, seed, closed_forms = _load_system(name_or_path)
     if seed_spec is not None:
         seed = _parse_seed(base, seed_spec)
-    for system in (base,) if closed_forms else _rule_powers(base):
-        candidate = subst.first_legal_seed(system) if seed is None else seed
-        if candidate is not None and subst.check_seed_legal(system, candidate):
-            return system, candidate, closed_forms
     if closed_forms:
-        raise UsageError(f"seed {seed_spec!r} is not legal for this system")
-    if seed_spec is not None:
-        raise UsageError(f"seed {seed_spec!r} is not legal for this rule or its powers up to 3")
-    raise UsageError("no legal seed found for this rule or its powers up to 3")
+        if not subst.check_seed_legal(base, seed):
+            raise UsageError(f"seed {seed_spec!r} is not legal for this system")
+        return base, seed, closed_forms
+    for exponent in (1, 2, 3):
+        candidate = subst.first_legal_seed(base, exponent) if seed is None else seed
+        if candidate is not None and subst.check_seed_legal(base, candidate, exponent):
+            break
+    else:
+        if seed_spec is not None:
+            raise UsageError(f"seed {seed_spec!r} is not legal for this rule or its powers up to 3")
+        raise UsageError("no legal seed found for this rule or its powers up to 3")
+    cells = base.factor ** (exponent * base.dim)
+    if cells > dyadic.MAX_CELLS:
+        raise UsageError(
+            f"the rule to the power {exponent} has images of {cells} cells each; "
+            f"the CLI grows at most {dyadic.MAX_CELLS}"
+        )
+    return base.power(exponent), candidate, None
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,24 @@ def _require_seed_shape(system: SubstitutionSystem, seed: PatternWindow) -> None
         raise ValueError("seed uses a letter index outside the system alphabet")
 
 
-def _kept_letters(system: SubstitutionSystem) -> np.ndarray:
-    """Booleans (letters, 2, ..., 2): entry [l, i] says whether seed cell i keeps letter l."""
+def _kept_letters(system: SubstitutionSystem, exponent: int = 1) -> np.ndarray:
+    """Booleans (letters, 2, ..., 2): entry [l, i] says whether seed cell i keeps letter l.
+
+    The rule to the power e maps corners as the rule's corner map iterated e times.
+    """
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
     # Per axis, a step of 1 - b from the end visits index b - 1, then 0.
     corners = system.image_lut()[(slice(None),) + (slice(None, None, 1 - system.factor),) * system.dim]
-    return corners == np.arange(len(system.alphabet)).reshape((-1,) + (1,) * system.dim)
+    letters = np.arange(len(system.alphabet)).reshape((-1,) + (1,) * system.dim)
+    mapped = np.broadcast_to(letters, corners.shape)
+    for _ in range(exponent):
+        mapped = np.take_along_axis(corners, mapped, axis=0)
+    return mapped == letters
 
 
-def check_seed_legal(system: SubstitutionSystem, seed: PatternWindow) -> bool:
-    """True iff one substitution pass reproduces the seed on its own cells.
+def check_seed_legal(system: SubstitutionSystem, seed: PatternWindow, exponent: int = 1) -> bool:
+    """True iff one pass of the rule to the power ``exponent`` reproduces the seed on its own cells.
 
     That nesting is exactly what makes repeated substitution converge to a
     two-sided fixed point: each pass extends the previous window outward
@@ -267,12 +276,12 @@ def check_seed_legal(system: SubstitutionSystem, seed: PatternWindow) -> bool:
     ``images[letter][(b - 1)(1 - i)] == letter`` on every cell.
     """
     _require_seed_shape(system, seed)
-    return bool(_kept_letters(system)[(seed.labels, *np.indices(seed.labels.shape))].all())
+    return bool(_kept_letters(system, exponent)[(seed.labels, *np.indices(seed.labels.shape))].all())
 
 
-def first_legal_seed(system: SubstitutionSystem) -> PatternWindow | None:
-    """The first legal seed: on each cell the first letter its image keeps; None if a cell has none."""
-    kept = _kept_letters(system)
+def first_legal_seed(system: SubstitutionSystem, exponent: int = 1) -> PatternWindow | None:
+    """The first legal seed of the rule to the power ``exponent``, or None if a cell keeps no letter."""
+    kept = _kept_letters(system, exponent)
     if not kept.any(axis=0).all():
         return None
     return PatternWindow((-1,) * system.dim, kept.argmax(axis=0).astype(np.uint8))
@@ -332,62 +341,60 @@ def centred_window(system: SubstitutionSystem, seed: PatternWindow, half: int) -
     return _grow(system, seed, -half, half)
 
 
-def _nullspace_vector(rows: list[list[Fraction]]) -> list[Fraction]:
-    """One non-zero kernel vector of a square matrix with 1-dimensional kernel."""
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    rank_row = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank_row, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank_row], mat[pivot] = mat[pivot], mat[rank_row]
-        inv = mat[rank_row][col]
-        mat[rank_row] = [v / inv for v in mat[rank_row]]
-        for r in range(n):
-            if r != rank_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    pivot_cols = {col for _, col in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    if not free_cols:
-        raise ValueError("matrix has trivial kernel")
-    vec = [Fraction(0)] * n
-    vec[free_cols[0]] = Fraction(1)
-    for row, col in pivots:
-        vec[col] = -mat[row][free_cols[0]]
-    return vec
-
-
 def natural_frequencies(system: SubstitutionSystem) -> dict[str, Fraction]:
-    """Exact per-letter cell frequencies of any fixed point of the system.
+    """Exact per-letter cell frequencies of any fixed point of a primitive system.
 
-    For a constant-length rule the dominant eigenvalue of the count matrix is
-    the cell count factor^dim, so the frequency vector solves an exact linear
-    system over the rationals.  Requires a primitive rule set.
+    Each column of the count matrix M sums to lam = factor^dim, so for a
+    primitive rule one positive vector spans the kernel of M - lam I, whose
+    rows sum to zero.  With the last row replaced by the normalisation
+    (sum = 1) the system is regular; Gauss-Jordan solves it over the rationals.
     """
     if not system.is_primitive():
         raise ValueError("substitution is not primitive; letter frequencies are not unique")
     lam = system.factor**system.dim
-    counts = system.count_matrix()
     k = len(system.alphabet)
     rows = [
-        [Fraction(counts[i][j] - (lam if i == j else 0)) for j in range(k)] for i in range(k)
+        [Fraction(count - (lam if i == j else 0)) for j, count in enumerate(row)] + [Fraction(0)]
+        for i, row in enumerate(system.count_matrix()[:-1])
     ]
-    vec = _nullspace_vector(rows)
-    total = sum(vec)
-    if total == 0:
-        raise ValueError("degenerate frequency vector")
-    vec = [v / total for v in vec]
-    if any(v <= 0 for v in vec):
-        raise ValueError("frequency vector is not strictly positive")
-    return dict(zip(system.alphabet, vec))
+    rows.append([Fraction(1)] * (k + 1))
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                scale = rows[r][col] / rows[col][col]
+                rows[r] = [v - scale * w for v, w in zip(rows[r], rows[col])]
+    return {letter: rows[i][k] / rows[i][i] for i, letter in enumerate(system.alphabet)}
 
 
-_HEADER_KEYS = ("kind", "factor", "alphabet")
+def _header_value(key: str, value: str, lineno: int):
+    """The checked value of one header line: the kind, the factor or the alphabet."""
+    if key == "kind":
+        if value not in ("word", "block"):
+            raise RuleSyntaxError(f"kind must be 'word' or 'block', got {value!r}", lineno)
+        return value
+    if key == "factor":
+        try:
+            factor = int(value)
+        except ValueError:
+            raise RuleSyntaxError(f"factor must be an integer, got {value!r}", lineno) from None
+        if factor < 2:
+            raise RuleSemanticError(f"factor must be >= 2, got {factor}", lineno)
+        return factor
+    letters = tuple(value.split())
+    if not letters:
+        raise RuleSyntaxError("empty alphabet", lineno)
+    if len(set(letters)) != len(letters):
+        raise RuleSemanticError("alphabet letters must be distinct", lineno)
+    if len(letters) > 256:
+        raise RuleSemanticError(
+            f"alphabet has {len(letters)} letters; labels are uint8, so at most 256", lineno
+        )
+    for letter in letters:
+        if letter.startswith("#"):
+            raise RuleSemanticError(f"letter {letter!r} begins with '#', which starts a comment", lineno)
+    return letters
 
 
 def parse_rules(text: str) -> SubstitutionSystem:
@@ -397,128 +404,84 @@ def parse_rules(text: str) -> SubstitutionSystem:
     ``alphabet = l1 l2 ...`` in any order, then one rule per letter.  A word
     rule is ``l -> l1 l2 ... lb`` on one line; a block rule is ``l ->``
     followed by b indented lines of b labels, top row first.  Lines starting
-    with ``#`` and blank lines are ignored.  Labels are uint8, so an
-    alphabet holds at most 256 letters.
+    with ``#`` and blank lines are ignored, so no letter may start with
+    ``#``.  Labels are uint8, so an alphabet holds at most 256 letters.
+    Image letters are checked once every line has been read.
     """
-    kind: str | None = None
-    factor: int | None = None
-    alphabet: tuple[str, ...] | None = None
-    rule_rows: dict[str, list[list[str]]] = {}
-    rule_lines: dict[str, int] = {}
-
-    lines = text.splitlines()
-    pos = 0
-    seen_rule = False
-    while pos < len(lines):
-        raw = lines[pos]
-        lineno = pos + 1
-        pos += 1
+    header: dict = dict.fromkeys(("kind", "factor", "alphabet"))
+    rules: dict[str, tuple[int, list[list[str]]]] = {}
+    numbered = enumerate(text.splitlines(), 1)
+    lines = ((lineno, raw) for lineno, raw in numbered if raw.strip()[:1] not in ("", "#"))
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line and "=" in line:
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _HEADER_KEYS:
-                raise RuleSyntaxError(f"unknown header key {key!r}", lineno)
-            if seen_rule:
-                raise RuleSyntaxError("header line after the first rule", lineno)
-            if key == "kind":
-                if value not in ("word", "block"):
-                    raise RuleSyntaxError(f"kind must be 'word' or 'block', got {value!r}", lineno)
-                kind = value
-            elif key == "factor":
-                try:
-                    factor = int(value)
-                except ValueError:
-                    raise RuleSyntaxError(f"factor must be an integer, got {value!r}", lineno) from None
-                if factor < 2:
-                    raise RuleSemanticError(f"factor must be >= 2, got {factor}", lineno)
-            else:
-                letters = tuple(value.split())
-                if not letters:
-                    raise RuleSyntaxError("empty alphabet", lineno)
-                if len(set(letters)) != len(letters):
-                    raise RuleSemanticError("alphabet letters must be distinct", lineno)
-                if len(letters) > 256:
-                    raise RuleSemanticError(
-                        f"alphabet has {len(letters)} letters; labels are uint8, so at most 256",
-                        lineno,
-                    )
-                alphabet = letters
-            continue
         if "->" in line:
-            if kind is None or factor is None or alphabet is None:
+            if None in header.values():
                 raise RuleSyntaxError("rule before a complete header (kind, factor, alphabet)", lineno)
-            seen_rule = True
+            kind, factor, alphabet = header.values()
             lhs, _, rhs = (part.strip() for part in line.partition("->"))
             if len(lhs.split()) != 1:
                 raise RuleSyntaxError(f"rule left side must be a single letter, got {lhs!r}", lineno)
             if lhs not in alphabet:
                 raise RuleSemanticError(f"rule for unknown letter {lhs!r}", lineno)
-            if lhs in rule_rows:
+            if lhs in rules:
                 raise RuleSemanticError(f"duplicate rule for letter {lhs!r}", lineno)
             if kind == "word":
-                tokens = rhs.split()
-                if len(tokens) != factor:
+                rows = [rhs.split()]
+                if len(rows[0]) != factor:
                     raise RuleSemanticError(
-                        f"rule {lhs!r}: non-constant length (expected {factor} letters, got {len(tokens)})",
+                        f"rule {lhs!r}: non-constant length (expected {factor} letters, got {len(rows[0])})",
                         lineno,
                     )
-                rule_rows[lhs] = [tokens]
+            elif rhs:
+                raise RuleSyntaxError(
+                    f"rule {lhs!r}: block rows belong on the following indented lines", lineno
+                )
             else:
-                if rhs:
-                    raise RuleSyntaxError(
-                        f"rule {lhs!r}: block rows belong on the following indented lines", lineno
-                    )
-                rows: list[list[str]] = []
-                while len(rows) < factor:
-                    if pos >= len(lines):
+                rows = []
+                for got in range(factor):
+                    row_lineno, row = next(lines, (lineno, None))
+                    if row is None:
                         raise RuleSemanticError(
-                            f"rule {lhs!r}: expected {factor} block rows, file ended after {len(rows)}",
-                            lineno,
+                            f"rule {lhs!r}: expected {factor} block rows, file ended after {got}", lineno
                         )
-                    row_raw = lines[pos]
-                    row_lineno = pos + 1
-                    pos += 1
-                    if not row_raw.strip() or row_raw.strip().startswith("#"):
-                        continue
-                    if not row_raw[0].isspace():
+                    if not row[0].isspace():
                         raise RuleSemanticError(
-                            f"rule {lhs!r}: expected {factor} indented block rows, got {len(rows)}",
+                            f"rule {lhs!r}: expected {factor} indented block rows, got {got}", row_lineno
+                        )
+                    rows.append(row.split())
+                    if len(rows[-1]) != factor:
+                        raise RuleSemanticError(
+                            f"rule {lhs!r}: block row has {len(rows[-1])} labels, expected {factor}",
                             row_lineno,
                         )
-                    tokens = row_raw.split()
-                    if len(tokens) != factor:
-                        raise RuleSemanticError(
-                            f"rule {lhs!r}: block row has {len(tokens)} labels, expected {factor}",
-                            row_lineno,
-                        )
-                    rows.append(tokens)
-                rule_rows[lhs] = rows
-            rule_lines[lhs] = lineno
-            continue
-        raise RuleSyntaxError(f"unrecognised line: {line!r}", lineno)
+            rules[lhs] = lineno, rows
+        elif "=" in line:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in header:
+                raise RuleSyntaxError(f"unknown header key {key!r}", lineno)
+            if rules:
+                raise RuleSyntaxError("header line after the first rule", lineno)
+            header[key] = _header_value(key, value, lineno)
+        else:
+            raise RuleSyntaxError(f"unrecognised line: {line!r}", lineno)
 
-    if kind is None or factor is None or alphabet is None:
+    if None in header.values():
         raise RuleSyntaxError("missing header line(s): kind, factor and alphabet are required")
-    missing = [letter for letter in alphabet if letter not in rule_rows]
+    kind, factor, alphabet = header.values()
+    missing = [letter for letter in alphabet if letter not in rules]
     if missing:
         raise RuleSemanticError(f"no rule for letter(s): {', '.join(repr(m) for m in missing)}")
 
     index = {letter: i for i, letter in enumerate(alphabet)}
     images = []
     for letter in alphabet:
-        rows = rule_rows[letter]
+        lineno, rows = rules[letter]
         for token in (t for row in rows for t in row):
             if token not in index:
-                raise RuleSemanticError(
-                    f"rule {letter!r} uses unknown letter {token!r}", rule_lines[letter]
-                )
-        if kind == "word":
-            images.append(np.array([index[t] for t in rows[0]], dtype=np.uint8))
-        else:
-            # Text lists the top row first; the array stores low y first.
-            images.append(np.array([[index[t] for t in row] for row in reversed(rows)], dtype=np.uint8))
+                raise RuleSemanticError(f"rule {letter!r} uses unknown letter {token!r}", lineno)
+        # Text lists the top row first; the array stores low y first.
+        labels = [[index[t] for t in row] for row in reversed(rows)]
+        images.append(np.array(labels[0] if kind == "word" else labels, dtype=np.uint8))
     return SubstitutionSystem(alphabet=alphabet, kind=kind, factor=factor, images=tuple(images))
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ import pytest
 from limitper import chair, cli, numerics, period_doubling as pd
 from limitper.dyadic import Dyadic, DyadicPoint2, module_box, module_interval, phase
 from limitper.subst import PatternWindow
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN_8X8 = (
     "3 2 1 2 1 2 1 0",
@@ -221,6 +224,7 @@ def test_criterion_9_deterministic_figures(tmp_path):
 
     for threads in ("1", "4"):
         env = {**os.environ, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         for name, args in (("stem", stem_args), ("disc", disc_args)):
             out = tmp_path / f"{name}_t{threads}"
             done = subprocess.run(

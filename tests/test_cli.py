@@ -26,6 +26,8 @@ from fractions import Fraction
 from limitper import chair, cli, dyadic, numerics, period_doubling, render, subst, verification
 from limitper.dyadic import Module, module_box, module_interval
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 PD_IT2 = "abaaabababaaabaa|abaaabababaaabaa\n"
 
 PD_BALANCED_CSV = (
@@ -1004,8 +1006,7 @@ class TestErrorTable:
     @pytest.mark.parametrize(
         "name, cells, peak_limit",
         [
-            # The square, three images of 2^24 cells, is built and searched first.
-            ("cycle64", 1 << 36, 1 << 27),
+            ("cycle64", 1 << 36, 1 << 20),
             ("cycle257", 257**3, 1 << 20),
         ],
     )
@@ -1037,9 +1038,18 @@ class TestErrorTable:
         assert peak < peak_limit
         assert not list(out.iterdir())
 
-    def test_rule_power_at_the_cell_bound_resolves(self, rules):
-        # The cube of the factor-16 cycle has images of exactly 2^24 cells.
+    def test_rule_power_at_the_cell_bound_resolves(self, rules, monkeypatch):
+        # The cube of the factor-16 cycle has images of exactly 2^24 cells;
+        # it is the only power built.
+        power, exponents = subst.SubstitutionSystem.power, []
+
+        def recorded(system, exponent):
+            exponents.append(exponent)
+            return power(system, exponent)
+
+        monkeypatch.setattr(subst.SubstitutionSystem, "power", recorded)
         system, seed, _ = cli.resolve_system(f"{rules}/cycle16.sub", None)
+        assert exponents == [3]
         assert system.factor == 16**3
         assert seed.labels.tolist() == [[0, 0], [0, 0]]
 
@@ -1280,9 +1290,12 @@ class TestDeterminism:
         inproc = tmp_path / "inproc"
         assert cli.main([*argv, "--out", str(inproc)]) == 0
         subproc = tmp_path / "subproc"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "limitper", *argv, "--out", str(subproc)],
             capture_output=True,
+            env=env,
             text=True,
         )
         assert result.returncode == 0

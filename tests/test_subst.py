@@ -52,6 +52,95 @@ def _substituted(system, seed, iterations):
 # Parsing
 # ---------------------------------------------------------------------------
 
+# (text, line, message fragment, exception class); the ids leave out the class.
+_PARSE_ERRORS = [
+    ("bogus = word\n", 1, "unknown header key", subst.RuleSyntaxError),
+    (
+        "kind = word\nfactor = 2\nalphabet = a\na -> a\n",
+        4,
+        "non-constant length",
+        subst.RuleSemanticError,
+    ),
+    ("kind = tile\n", 1, "kind", subst.RuleSyntaxError),
+    ("kind = word\nfactor = one\n", 2, "integer", subst.RuleSyntaxError),
+    ("kind = word\nfactor = 1\n", 2, ">= 2", subst.RuleSemanticError),
+    ("kind = word\nfactor = 2\nalphabet = a a\n", 3, "distinct", subst.RuleSemanticError),
+    ("kind = word\nfactor = 2\nalphabet =\n", 3, "empty alphabet", subst.RuleSyntaxError),
+    (
+        "kind = word\nfactor = 2\nalphabet = a\na -> a a\na -> a a\n",
+        5,
+        "duplicate",
+        subst.RuleSemanticError,
+    ),
+    (
+        "kind = word\nfactor = 2\nalphabet = a\na -> a b\n",
+        4,
+        "unknown letter",
+        subst.RuleSemanticError,
+    ),
+    (
+        "kind = word\nfactor = 2\nalphabet = a\nb -> a a\n",
+        4,
+        "unknown letter",
+        subst.RuleSemanticError,
+    ),
+    ("a -> a a\n", 1, "before a complete header", subst.RuleSyntaxError),
+    (
+        "kind = word\nfactor = 2\nalphabet = a\na -> a a\nkind = word\n",
+        5,
+        "after the first rule",
+        subst.RuleSyntaxError,
+    ),
+    ("kind = word\nfactor = 2\nalphabet = a\n???\n", 4, "unrecognised", subst.RuleSyntaxError),
+    # Block rows: too many labels, too few rows, rows on the rule line,
+    # and a row that is not indented.
+    (
+        "kind = block\nfactor = 2\nalphabet = p\np ->\n  p p p\n  p p\n",
+        5,
+        "block row has 3 labels, expected 2",
+        subst.RuleSemanticError,
+    ),
+    (
+        "kind = block\nfactor = 2\nalphabet = p\np ->\n  p p\n",
+        4,
+        "file ended after 1",
+        subst.RuleSemanticError,
+    ),
+    (
+        "kind = block\nfactor = 2\nalphabet = p\np -> p p\n",
+        4,
+        "indented",
+        subst.RuleSyntaxError,
+    ),
+    (
+        "kind = block\nfactor = 2\nalphabet = p\np ->\n  p p\n\n# c\np p\n",
+        8,
+        "expected 2 indented block rows, got 1",
+        subst.RuleSemanticError,
+    ),
+    # Image letters are checked after every line is read: a later
+    # unreadable line wins, and so does a missing rule.
+    (
+        "kind = word\nfactor = 2\nalphabet = a b\na -> a c\nb -> a a\n???\n",
+        6,
+        "unrecognised",
+        subst.RuleSyntaxError,
+    ),
+    (
+        "kind = word\nfactor = 2\nalphabet = a b\na -> a c\n",
+        None,
+        "no rule for letter(s): 'b'",
+        subst.RuleSemanticError,
+    ),
+    # A letter may not begin with '#': its rule line would read as a comment.
+    (
+        "kind = word\nfactor = 2\nalphabet = #x y\n#x -> y y\ny -> #x y\n",
+        3,
+        "letter '#x' begins with '#'",
+        subst.RuleSemanticError,
+    ),
+]
+
 
 class TestParsing:
     def test_word_system(self):
@@ -84,25 +173,11 @@ class TestParsing:
             subst.bundled_system("nonsense")
 
     @pytest.mark.parametrize(
-        "text,line,needle",
-        [
-            ("bogus = word\n", 1, "unknown header key"),
-            ("kind = word\nfactor = 2\nalphabet = a\na -> a\n", 4, "non-constant length"),
-            ("kind = tile\n", 1, "kind"),
-            ("kind = word\nfactor = one\n", 2, "integer"),
-            ("kind = word\nfactor = 1\n", 2, ">= 2"),
-            ("kind = word\nfactor = 2\nalphabet = a a\n", 3, "distinct"),
-            ("kind = word\nfactor = 2\nalphabet =\n", 3, "empty alphabet"),
-            ("kind = word\nfactor = 2\nalphabet = a\na -> a a\na -> a a\n", 5, "duplicate"),
-            ("kind = word\nfactor = 2\nalphabet = a\na -> a b\n", 4, "unknown letter"),
-            ("kind = word\nfactor = 2\nalphabet = a\nb -> a a\n", 4, "unknown letter"),
-            ("a -> a a\n", 1, "before a complete header"),
-            ("kind = word\nfactor = 2\nalphabet = a\na -> a a\nkind = word\n", 5, "after the first rule"),
-            ("kind = word\nfactor = 2\nalphabet = a\n???\n", 4, "unrecognised"),
-        ],
+        "text,line,needle,error",
+        [pytest.param(*row, id=f"{row[0]}-{row[1]}-{row[2]}") for row in _PARSE_ERRORS],
     )
-    def test_errors_carry_line_numbers(self, text, line, needle):
-        with pytest.raises(subst.RuleError) as excinfo:
+    def test_errors_carry_line_numbers(self, text, line, needle, error):
+        with pytest.raises(error) as excinfo:
             subst.parse_rules(text)
         assert excinfo.value.line == line
         assert needle in str(excinfo.value)
@@ -122,15 +197,6 @@ class TestParsing:
     def test_missing_rule_is_reported(self):
         with pytest.raises(subst.RuleSemanticError, match="no rule"):
             subst.parse_rules("kind = word\nfactor = 2\nalphabet = a b\na -> a b\n")
-
-    def test_block_row_errors(self):
-        base = "kind = block\nfactor = 2\nalphabet = p\n"
-        with pytest.raises(subst.RuleSemanticError, match="expected 2"):
-            subst.parse_rules(base + "p ->\n  p p p\n  p p\n")
-        with pytest.raises(subst.RuleSemanticError, match="file ended"):
-            subst.parse_rules(base + "p ->\n  p p\n")
-        with pytest.raises(subst.RuleSyntaxError, match="indented"):
-            subst.parse_rules(base + "p -> p p\n")
 
     def test_round_trip_bundled(self):
         for name in subst.bundled_names():
@@ -167,6 +233,31 @@ class TestParsing:
 # ---------------------------------------------------------------------------
 # System algebra
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def _primitive_rules(draw):
+    """A word or block rule with 1-6 letters and factor 2 or 3, primitive by construction.
+
+    The first cell of letter l's image is l + 1 (mod L) and the last cell of
+    letter 0's is 0: a cycle through every letter with a loop at the first
+    makes some power of the count matrix positive.
+    """
+    letters = draw(st.integers(min_value=1, max_value=6))
+    factor = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("word", "block")))
+    shape = (factor,) if kind == "word" else (factor, factor)
+    size = factor ** len(shape)
+    images = []
+    for letter in range(letters):
+        cells = draw(st.lists(st.integers(0, letters - 1), min_size=size, max_size=size))
+        cells[0] = (letter + 1) % letters
+        if letter == 0:
+            cells[-1] = 0
+        images.append(np.array(cells, dtype=np.uint8).reshape(shape))
+    system = subst.SubstitutionSystem(tuple("abcdef"[:letters]), kind, factor, tuple(images))
+    assert system.is_primitive()
+    return system
 
 
 class TestSystemAlgebra:
@@ -244,6 +335,16 @@ class TestSystemAlgebra:
     def test_single_letter_frequencies(self):
         solo = subst.parse_rules("kind = word\nfactor = 2\nalphabet = a\na -> a a\n")
         assert subst.natural_frequencies(solo) == {"a": Fraction(1)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(_primitive_rules())
+    def test_frequencies_are_the_normalised_perron_vector(self, system):
+        nu = list(subst.natural_frequencies(system).values())
+        assert all(v > 0 for v in nu)
+        assert sum(nu) == 1
+        cells = system.factor**system.dim
+        for row, v in zip(system.count_matrix(), nu):
+            assert sum(count * w for count, w in zip(row, nu)) == cells * v
 
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(subst.RuleSemanticError):
@@ -502,6 +603,9 @@ class TestSeedLegality:
         assert subst.first_legal_seed(system) == next(
             (seed for seed, ok in zip(seeds, legal) if ok), None
         )
+        # The base rule's corner maps, iterated, give the same answers unbuilt.
+        assert [subst.check_seed_legal(base, seed, exponent) for seed in seeds] == legal
+        assert subst.first_legal_seed(base, exponent) == subst.first_legal_seed(system)
 
     def test_first_legal_seed_of_the_built_ins(self):
         squared = _doubling().power(2)
@@ -519,6 +623,10 @@ class TestSeedLegality:
         foreign = subst.PatternWindow((-1,), np.array([0, 2], dtype=np.uint8))
         with pytest.raises(ValueError, match="outside the system alphabet"):
             subst.check_seed_legal(_doubling(), foreign)
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            subst.check_seed_legal(_doubling(), subst.word_seed(_doubling(), "a", "a"), 0)
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            subst.first_legal_seed(chair, 0)
 
 
 # ---------------------------------------------------------------------------
