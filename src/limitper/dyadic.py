@@ -342,12 +342,15 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
     """
     if cutoff < 0:
         raise ValueError(f"negative denominator cutoff: {cutoff}")
-    axes = []
-    for lo, hi in bounds:
-        flo, fhi = Fraction(lo), Fraction(hi)
+    pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
+    for flo, fhi in pairs:
         if flo > fhi:
             raise ValueError(f"empty range: [{flo}, {fhi}]")
-        axes.append(_axis_indices(flo, fhi, 1 << cutoff, include_hi))
+    # From level `reach` on, an axis of nonzero width holds two or more
+    # indices and a degenerate one its point or none, as at any finer cutoff;
+    # so the axes are found at 2^reach, and 2^cutoff is never built.
+    reach = min(cutoff, MAX_LEVEL + 2 + sum(f.denominator.bit_length() for pair in pairs for f in pair))
+    axes = [_axis_indices(flo, fhi, 1 << reach, include_hi) for flo, fhi in pairs]
     dim = len(axes)
     # Counts from the ends: len() of a range overflows past 2^63 - 1.
     counts = [axis.stop - axis.start for axis in axes]
@@ -361,8 +364,8 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
         common = 0
         for axis in axes:
             common |= axis.start
-        shift = _shared_twos(common, cutoff)
-        level -= shift
+        shift = _shared_twos(common, reach)
+        level = reach - shift
         axes = [range(axis.start >> shift, (axis.start >> shift) + 1) for axis in axes]
     if level > MAX_LEVEL:
         raise ValueError(

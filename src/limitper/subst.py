@@ -74,34 +74,33 @@ class RuleSemanticError(RuleError):
 class SubstitutionSystem:
     """A constant-length substitution rule set.
 
-    ``images[i]`` is the image of letter i: a (factor,) array of letter
-    indices for a word system, a (factor, factor) array for a block system
-    with row index increasing with the y coordinate.
+    ``images[i]`` is the image of letter i in one read-only uint8 array of
+    shape (letters, factor), or (letters, factor, factor) with row index
+    increasing with y; a tuple of per-letter arrays is stacked on construction.
     """
 
     alphabet: tuple[str, ...]
     kind: str
     factor: int
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in ("word", "block"):
             raise RuleSemanticError(f"unknown kind: {self.kind!r}")
         if self.factor < 2:
             raise RuleSemanticError(f"expansion factor must be >= 2, got {self.factor}")
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
-            raise RuleSemanticError("alphabet letters must be distinct and non-empty")
-        if len(self.images) != len(self.alphabet):
-            raise RuleSemanticError("one image per letter required")
-        shape = (self.factor,) * self.dim
-        for letter, img in zip(self.alphabet, self.images):
-            if img.shape != shape:
-                raise RuleSemanticError(
-                    f"rule {letter!r}: image shape {img.shape} does not match factor {self.factor}"
-                )
-            if img.min() < 0 or img.max() >= len(self.alphabet):
-                raise RuleSemanticError(f"rule {letter!r}: image uses an unknown letter index")
-            img.setflags(write=False)
+        _check_letters(self.alphabet)
+        shape = (len(self.alphabet),) + (self.factor,) * self.dim
+        try:
+            images = np.asarray(self.images)
+        except ValueError:  # per-letter arrays of different shapes
+            images = np.empty(0)
+        if images.shape != shape:
+            raise RuleSemanticError(f"images stack to shape {images.shape}, not {shape} (one per letter)")
+        if not np.issubdtype(images.dtype, np.integer) or images.min() < 0 or images.max() >= shape[0]:
+            raise RuleSemanticError("an image uses an unknown letter index")
+        object.__setattr__(self, "images", images.astype(np.uint8, copy=False))
+        self.images.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -113,10 +112,6 @@ class SubstitutionSystem:
         except ValueError:
             raise KeyError(f"letter {letter!r} is not in the alphabet") from None
 
-    def image_lut(self) -> np.ndarray:
-        """All images stacked: shape (letters, factor) or (letters, factor, factor)."""
-        return np.stack(self.images)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubstitutionSystem):
             return NotImplemented
@@ -124,22 +119,24 @@ class SubstitutionSystem:
             self.alphabet == other.alphabet
             and self.kind == other.kind
             and self.factor == other.factor
-            and all(np.array_equal(a, b) for a, b in zip(self.images, other.images))
+            and np.array_equal(self.images, other.images)
         )
 
     def power(self, exponent: int) -> "SubstitutionSystem":
         """The substitution applied `exponent` times as a single rule set."""
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
-        lut, images = self.image_lut(), self.images
+        images = self.images
         for _ in range(exponent - 1):
-            images = tuple(_expand_labels(lut, img) for img in images)
+            images = _expand_labels(self.images, images)
         return SubstitutionSystem(self.alphabet, self.kind, self.factor**exponent, images)
 
     def count_matrix(self) -> list[list[int]]:
         """M[i][j] = number of cells carrying letter i in the image of letter j."""
         k = len(self.alphabet)
-        return np.stack([np.bincount(img.ravel(), minlength=k) for img in self.images], axis=1).tolist()
+        # Letter i in image j counts at j * k + i; the transpose puts letters on the rows.
+        keys = self.images.reshape(k, -1) + k * np.arange(k)[:, None]
+        return np.bincount(keys.ravel(), minlength=k * k).reshape(k, k).T.tolist()
 
     def is_primitive(self) -> bool:
         """True iff some power of the count matrix is strictly positive."""
@@ -201,13 +198,13 @@ class PatternWindow:
         return self.origin == other.origin and np.array_equal(self.labels, other.labels)
 
 
-def _expand_labels(lut: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Replace every cell of `arr` by its image in the stacked ``image_lut`` (no origin bookkeeping)."""
-    b = lut.shape[-1]
-    out = np.empty(tuple(n * b for n in arr.shape), dtype=arr.dtype)
-    # Offset (dy, dx) of every image fills the cells out[dy::b, dx::b].
-    for offset in np.ndindex(*(b,) * arr.ndim):
-        out[tuple(slice(o, None, b) for o in offset)] = lut[(arr, *offset)]
+def _expand_labels(images: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Replace each cell of the last d = dim axes of `labels` by its image, in the images' dtype."""
+    b, d = images.shape[-1], images.ndim - 1
+    out = np.empty(labels.shape[:-d] + tuple(n * b for n in labels.shape[-d:]), dtype=images.dtype)
+    # Offset (dy, dx) of every image fills the cells out[..., dy::b, dx::b].
+    for offset in np.ndindex(*(b,) * d):
+        out[(..., *(slice(o, None, b) for o in offset))] = images[(labels, *offset)]
     return out
 
 
@@ -215,12 +212,10 @@ def substitute(system: SubstitutionSystem, patch: PatternWindow) -> PatternWindo
     """Apply the rule once: the cell at p maps to its image at factor * p + offsets."""
     if patch.dim != system.dim:
         raise ValueError(f"{system.kind} system cannot act on a {patch.dim}-dimensional patch")
-    if patch.labels.size and int(patch.labels.max()) >= len(system.alphabet):
+    if (patch.labels >= len(system.alphabet)).any():
         raise ValueError("patch uses a letter index outside the system alphabet")
     origin = tuple(system.factor * o for o in patch.origin)
-    if patch.labels.size == 0:
-        return PatternWindow(origin, patch.labels.copy())
-    return PatternWindow(origin, _expand_labels(system.image_lut(), patch.labels))
+    return PatternWindow(origin, _expand_labels(system.images, patch.labels))
 
 
 def word_seed(system: SubstitutionSystem, left: str, right: str) -> PatternWindow:
@@ -243,13 +238,6 @@ def block_seed(system: SubstitutionSystem, rows_top_down) -> PatternWindow:
     return PatternWindow((-1, -1), labels)
 
 
-def _require_seed_shape(system: SubstitutionSystem, seed: PatternWindow) -> None:
-    if seed.extent != (2,) * system.dim or seed.origin != (-1,) * system.dim:
-        raise ValueError(f"a {system.kind} seed is a 2-cell-per-axis patch centred on the origin")
-    if int(seed.labels.max()) >= len(system.alphabet):
-        raise ValueError("seed uses a letter index outside the system alphabet")
-
-
 def _kept_letters(system: SubstitutionSystem, exponent: int = 1) -> np.ndarray:
     """Booleans (letters, 2, ..., 2): entry [l, i] says whether seed cell i keeps letter l.
 
@@ -258,7 +246,7 @@ def _kept_letters(system: SubstitutionSystem, exponent: int = 1) -> np.ndarray:
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     # Per axis, a step of 1 - b from the end visits index b - 1, then 0.
-    corners = system.image_lut()[(slice(None),) + (slice(None, None, 1 - system.factor),) * system.dim]
+    corners = system.images[(slice(None),) + (slice(None, None, 1 - system.factor),) * system.dim]
     letters = np.arange(len(system.alphabet)).reshape((-1,) + (1,) * system.dim)
     mapped = np.broadcast_to(letters, corners.shape)
     for _ in range(exponent):
@@ -275,7 +263,10 @@ def check_seed_legal(system: SubstitutionSystem, seed: PatternWindow, exponent: 
     index (b - 1)(1 - i) of its own image, so the seed is legal exactly when
     ``images[letter][(b - 1)(1 - i)] == letter`` on every cell.
     """
-    _require_seed_shape(system, seed)
+    if seed.extent != (2,) * system.dim or seed.origin != (-1,) * system.dim:
+        raise ValueError(f"a {system.kind} seed is a 2-cell-per-axis patch centred on the origin")
+    if int(seed.labels.max()) >= len(system.alphabet):
+        raise ValueError("seed uses a letter index outside the system alphabet")
     return bool(_kept_letters(system, exponent)[(seed.labels, *np.indices(seed.labels.shape))].all())
 
 
@@ -300,7 +291,7 @@ def _grow(system: SubstitutionSystem, seed: PatternWindow, lo: int, hi: int) -> 
     """
     if not check_seed_legal(system, seed):
         raise ValueError("seed is not legal for this system (no fixed point through it)")
-    b, lut = system.factor, system.image_lut()
+    b = system.factor
     scale = 1
     while not -scale <= lo <= hi < scale:
         scale *= b
@@ -311,7 +302,7 @@ def _grow(system: SubstitutionSystem, seed: PatternWindow, lo: int, hi: int) -> 
         labels = labels[(slice(first - origin, last - origin + 1),) * system.dim]
         if scale == 1:
             return PatternWindow((lo,) * system.dim, labels)
-        labels, origin, scale = _expand_labels(lut, labels), first * b, scale // b
+        labels, origin, scale = _expand_labels(system.images, labels), first * b, scale // b
 
 
 def fixed_point_window(
@@ -368,6 +359,23 @@ def natural_frequencies(system: SubstitutionSystem) -> dict[str, Fraction]:
     return {letter: rows[i][k] / rows[i][i] for i, letter in enumerate(system.alphabet)}
 
 
+def _check_letters(letters: tuple[str, ...], line: int | None = None) -> tuple[str, ...]:
+    """The letters, if uint8 labels hold them and rule text spells them; errors name ``line``."""
+    if not letters:
+        raise RuleSyntaxError("empty alphabet", line)
+    if len(set(letters)) != len(letters):
+        raise RuleSemanticError("alphabet letters must be distinct", line)
+    if (count := len(letters)) > 256:
+        raise RuleSemanticError(f"alphabet has {count} letters; labels are uint8, so at most 256", line)
+    # Rule text splits on whitespace and on `->`, and a leading `#` starts a comment.
+    for letter in letters:
+        if letter.split() != [letter] or "->" in letter:
+            raise RuleSemanticError(f"letter {letter!r} is empty or holds whitespace or '->'", line)
+        if letter.startswith("#"):
+            raise RuleSemanticError(f"letter {letter!r} begins with '#', which starts a comment", line)
+    return letters
+
+
 def _header_value(key: str, value: str, lineno: int):
     """The checked value of one header line: the kind, the factor or the alphabet."""
     if key == "kind":
@@ -382,19 +390,7 @@ def _header_value(key: str, value: str, lineno: int):
         if factor < 2:
             raise RuleSemanticError(f"factor must be >= 2, got {factor}", lineno)
         return factor
-    letters = tuple(value.split())
-    if not letters:
-        raise RuleSyntaxError("empty alphabet", lineno)
-    if len(set(letters)) != len(letters):
-        raise RuleSemanticError("alphabet letters must be distinct", lineno)
-    if len(letters) > 256:
-        raise RuleSemanticError(
-            f"alphabet has {len(letters)} letters; labels are uint8, so at most 256", lineno
-        )
-    for letter in letters:
-        if letter.startswith("#"):
-            raise RuleSemanticError(f"letter {letter!r} begins with '#', which starts a comment", lineno)
-    return letters
+    return _check_letters(tuple(value.split()), lineno)
 
 
 def parse_rules(text: str) -> SubstitutionSystem:
@@ -404,9 +400,8 @@ def parse_rules(text: str) -> SubstitutionSystem:
     ``alphabet = l1 l2 ...`` in any order, then one rule per letter.  A word
     rule is ``l -> l1 l2 ... lb`` on one line; a block rule is ``l ->``
     followed by b indented lines of b labels, top row first.  Lines starting
-    with ``#`` and blank lines are ignored, so no letter may start with
-    ``#``.  Labels are uint8, so an alphabet holds at most 256 letters.
-    Image letters are checked once every line has been read.
+    with ``#`` and blank lines are ignored; the alphabet obeys
+    ``_check_letters``.  Image letters are checked once every line is read.
     """
     header: dict = dict.fromkeys(("kind", "factor", "alphabet"))
     rules: dict[str, tuple[int, list[list[str]]]] = {}

@@ -922,6 +922,15 @@ _ERROR_TABLE = [
         "a plane region is lo,hi or xlo,xhi,ylo,yhi",
     ),
     (["diffract", "--region", "0,1,0,1"], "a chain region is lo,hi"),
+    # Cutoffs far past the array routes, refused without building 2^cutoff.
+    (
+        ["module", "--rmax", "100000000000000"],
+        "module points reach denominator 2^100000000000000; the array routes stop at 2^62",
+    ),
+    (
+        ["diffract", "--system", "chair", "--smax", "100000000000000"],
+        "module points reach denominator 2^100000000000000; the array routes stop at 2^62",
+    ),
 ]
 
 

@@ -11,6 +11,7 @@ included; ``phase_arrays`` is pinned bit for bit to ``phase``.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -473,6 +474,108 @@ class TestPointBound:
     def test_bound_is_far_above_the_sweeps(self):
         assert dyadic.MAX_POINTS >= 100 * len(module_points(7, ((-1, 1), (-1, 1))))
 
+
+
+def _peak_bytes(call):
+    """``call()``'s outcome (its result or the exception it raised) and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except ValueError as refused:
+            outcome = refused
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _outcome_at_the_cutoff(cutoff, bounds):
+    """What ``module_points`` answers for a box that holds at most one point per axis, or refuses.
+
+    The axes are indexed at 2^cutoff itself, as the enumeration did before
+    it found them at a coarser level: two indices on an axis put points at
+    level ``cutoff``, one on every axis is a single point at its own level.
+    """
+    den = 1 << cutoff
+    axes = [range(math.ceil(lo * den), math.floor(hi * den) + 1) for lo, hi in bounds]
+    # Counts from the ends: len() of a range overflows past 2^63 - 1.
+    counts = [axis.stop - axis.start for axis in axes]
+    if min(counts) <= 0:
+        return []
+    if max(counts) > 1:
+        return f"reach denominator 2^{cutoff};"
+    point = (Dyadic.of if len(axes) == 1 else DyadicPoint2.of)(*(axis[0] for axis in axes), cutoff)
+    level = point.r if len(axes) == 1 else point.s
+    return [point] if level <= MAX_LEVEL else f"reach denominator 2^{level};"
+
+
+# Micro boxes: a corner with a dyadic or a non-dyadic denominator and a width
+# of 0 or about 2^-width_exp, so that past MAX_LEVEL an axis holds 0, 1 or
+# more indices depending on the cutoff.
+_corners = st.builds(
+    Fraction,
+    st.integers(min_value=-9, max_value=9),
+    st.one_of(st.integers(min_value=0, max_value=120).map(lambda k: 1 << k), st.integers(1, 12)),
+)
+_widths = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda num, exp: Fraction(num, 1 << exp), st.integers(1, 3), st.integers(0, 150)),
+)
+
+
+class TestHugeCutoff:
+    """Past MAX_LEVEL the answer is found without building 2^cutoff."""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [((0, 1),), ((-1, 1), (0, Fraction(1, 1000000))), ((0, 0), (0, Fraction(1, 2**200)))],
+        ids=["chain", "plane", "plane-one-wide-axis"],
+    )
+    def test_a_box_of_nonzero_width_is_refused_at_once(self, bounds):
+        refused, peak = _peak_bytes(lambda: module_points(10**12, bounds))
+        assert isinstance(refused, ValueError)
+        assert str(refused) == (
+            f"module points reach denominator 2^{10**12}; the array routes stop at 2^{MAX_LEVEL}"
+        )
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "bounds, expected",
+        [
+            (((Fraction(3, 8), Fraction(3, 8)),), [Dyadic(3, 3)]),
+            (((0, 0), (Fraction(-5, 2**62), Fraction(-5, 2**62))), [DyadicPoint2(0, -5, 62)]),
+            (((Fraction(1, 2**63), Fraction(1, 2**63)),), "reach denominator 2^63;"),
+            (((Fraction(1, 3), Fraction(1, 3)),), []),
+            (((0, 1), (Fraction(1, 3), Fraction(1, 3))), []),
+        ],
+        ids=["own-level", "plane-level-62", "level-63", "not-dyadic", "empty-axis-wins"],
+    )
+    def test_a_degenerate_box_keeps_its_answer(self, bounds, expected):
+        outcome, peak = _peak_bytes(lambda: module_points(10**12, bounds))
+        if isinstance(expected, str):
+            assert isinstance(outcome, ValueError) and expected in str(outcome)
+        else:
+            assert outcome.points() == expected
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=MAX_LEVEL + 1, max_value=400),
+        st.lists(st.tuples(_corners, _widths), min_size=1, max_size=2),
+    )
+    @example(63, [(Fraction(0), Fraction(1, 2**100))])
+    @example(300, [(Fraction(0), Fraction(1, 2**100))])
+    def test_matches_the_indices_at_the_cutoff(self, cutoff, corners):
+        bounds = [(lo, lo + width) for lo, width in corners]
+        expected = _outcome_at_the_cutoff(cutoff, bounds)
+        try:
+            got = module_points(cutoff, bounds).points()
+        except ValueError as refused:
+            got = str(refused)
+        if isinstance(expected, str):
+            assert expected in got
+        else:
+            assert got == expected
 
 _int64 = st.integers(min_value=_BOTTOM, max_value=_TOP)
 

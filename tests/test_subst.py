@@ -206,18 +206,24 @@ class TestParsing:
     @given(
         kind=st.sampled_from(["word", "block"]),
         factor=st.integers(min_value=2, max_value=3),
-        n_letters=st.integers(min_value=1, max_value=4),
+        alphabet=st.lists(
+            st.text(max_size=4) | st.sampled_from(("->", "a->b", "#x", "x y", "-", ">", "=")),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ).map(tuple),
         data=st.data(),
     )
-    @settings(max_examples=60)
-    def test_round_trip_random_systems(self, kind, factor, n_letters, data):
-        alphabet = tuple("abcd"[:n_letters])
+    @settings(max_examples=200)
+    def test_round_trip_random_systems(self, kind, factor, alphabet, data):
+        # Any distinct strings: the type refuses exactly the letters rule text
+        # cannot spell, and every system it accepts reads back from its text.
         shape = (factor,) if kind == "word" else (factor, factor)
         images = tuple(
             np.array(
                 data.draw(
                     st.lists(
-                        st.integers(0, n_letters - 1),
+                        st.integers(0, len(alphabet) - 1),
                         min_size=int(np.prod(shape)),
                         max_size=int(np.prod(shape)),
                     )
@@ -226,8 +232,52 @@ class TestParsing:
             ).reshape(shape)
             for _ in alphabet
         )
-        system = subst.SubstitutionSystem(alphabet, kind, factor, images)
+        unspellable = [
+            letter
+            for letter in alphabet
+            if not letter or any(c.isspace() for c in letter) or "->" in letter or letter[0] == "#"
+        ]
+        try:
+            system = subst.SubstitutionSystem(alphabet, kind, factor, images)
+        except subst.RuleSemanticError:
+            assert unspellable
+            return
+        assert not unspellable
         assert subst.parse_rules(subst.render_rules(system)) == system
+
+    @pytest.mark.parametrize(
+        "letter, needle",
+        [
+            ("a b", "'a b' is empty or holds whitespace"),
+            ("a\nb", "'a\\nb' is empty or holds whitespace"),
+            ("a->", "'a->' is empty or holds whitespace or '->'"),
+            ("", "'' is empty"),
+            ("#x", "'#x' begins with '#'"),
+        ],
+        ids=["space", "newline", "arrow", "empty", "hash"],
+    )
+    def test_type_refuses_letters_rule_text_cannot_spell(self, letter, needle):
+        images = (np.array([0, 1], dtype=np.uint8), np.array([1, 1], dtype=np.uint8))
+        with pytest.raises(subst.RuleSemanticError, match="^letter ") as refused:
+            subst.SubstitutionSystem(("z", letter), "word", 2, images)
+        assert needle in str(refused.value) and refused.value.line is None
+
+    def test_type_refuses_an_alphabet_past_uint8_labels(self):
+        for count in (257, 300):
+            letters = tuple(f"x{i}" for i in range(count))
+            with pytest.raises(subst.RuleSemanticError, match=f"alphabet has {count} letters; .* at most 256"):
+                subst.SubstitutionSystem(letters, "word", 2, np.zeros((count, 2), dtype=np.int64))
+
+    def test_a_256_letter_rule_grows_label_255(self):
+        # Letter i becomes x255 xi, so the seed x254|x255 keeps both cells.
+        letters = tuple(f"x{i}" for i in range(256))
+        images = np.stack([np.full(256, 255), np.arange(256)], axis=1)
+        system = subst.SubstitutionSystem(letters, "word", 2, images)
+        assert subst.parse_rules(subst.render_rules(system)) == system
+        window = subst.fixed_point_window(system, subst.word_seed(system, "x254", "x255"), 2)
+        assert window.labels.dtype == np.uint8
+        assert window.labels.tolist() == [255, 255, 255, 254, 255, 255, 255, 255]
+        assert system.alphabet[window.label_at(-1)] == "x254"
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +323,30 @@ class TestSystemAlgebra:
         with pytest.raises(ValueError):
             system.power(0)
 
-    def test_power_stacks_the_images_once(self, monkeypatch):
-        system = subst.parse_rules(_BLOCK_TEXT)
-        stacks = []
-        stack = subst.SubstitutionSystem.image_lut
-
-        def counted(self):
-            stacks.append(self)
-            return stack(self)
-
-        monkeypatch.setattr(subst.SubstitutionSystem, "image_lut", counted)
+    @pytest.mark.parametrize("name", ["word", "block", "chair"])
+    def test_power_is_repeated_substitution_of_every_letter(self, name):
+        system = {
+            "word": _doubling,
+            "block": lambda: subst.parse_rules(_BLOCK_TEXT),
+            "chair": lambda: subst.bundled_system("chair"),
+        }[name]()
         cubed = system.power(3)
-        assert stacks == [system]
+        assert cubed.images.shape == (len(system.alphabet),) + (system.factor**3,) * system.dim
         for letter, image in enumerate(cubed.images):
-            cell = subst.PatternWindow((0, 0), np.full((1, 1), letter, dtype=np.uint8))
+            cell = subst.PatternWindow((0,) * system.dim, np.full((1,) * system.dim, letter, dtype=np.uint8))
             assert np.array_equal(image, _substituted(system, cell, 3).labels)
+
+    def test_images_are_one_read_only_uint8_array(self):
+        parts = (np.array([0, 1], dtype=np.int64), np.array([0, 0], dtype=np.int64))
+        system = subst.SubstitutionSystem(("a", "b"), "word", 2, parts)
+        assert isinstance(system.images, np.ndarray) and system.images.dtype == np.uint8
+        assert system.images.tolist() == [[0, 1], [0, 0]]
+        assert not system.images.flags.writeable
+        with pytest.raises(ValueError):
+            system.images[0, 0] = 1
+        assert system == _doubling() and system.power(2).images.dtype == np.uint8
+        block = subst.parse_rules(_BLOCK_TEXT)
+        assert block.images.shape == (2, 2, 2) and not block.images.flags.writeable
 
     def test_count_matrix(self):
         # Column j counts the letters inside the image of letter j.
@@ -353,6 +412,11 @@ class TestSystemAlgebra:
             )
         with pytest.raises(subst.RuleSemanticError):
             subst.SubstitutionSystem(("a",), "word", 2, (np.array([0, 1], dtype=np.uint8),))
+        # Images of different lengths, one image too few, and float labels.
+        ragged = (np.array([0, 1], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
+        for images in (ragged, ragged[:1], (np.zeros(2), np.zeros(2))):
+            with pytest.raises(subst.RuleSemanticError):
+                subst.SubstitutionSystem(("a", "b"), "word", 2, images)
 
 
 # ---------------------------------------------------------------------------
