@@ -291,16 +291,12 @@ def amplitude_arrays(module: Module) -> np.ndarray:
     s = module.exponents
     rows = np.zeros((4, len(module)), dtype=complex)
     re, im = rows.real, rows.imag
-    re[:, s == 0] = 0.25
-    odd_m, odd_n = (m & 1) == 1, (n & 1) == 1
-    both_odd = (s == 1) & odd_m & odd_n
-    re[:, both_odd] = np.array([[0.25], [-0.25], [0.25], [-0.25]])
-    mixed = (s == 1) & ~both_odd
-    re[0, mixed] = 0.125
-    re[1, mixed] = np.where(odd_n[mixed], -0.125, 0.125)
-    re[2, mixed] = -0.125
-    re[3, mixed] = np.where(odd_m[mixed], -0.125, 0.125)
-    # The levels present, read off a bincount: np.unique would import numpy.ma.
+    # At levels 0 and 1 the amplitudes depend only on the parities of m and n.
+    parities = ((m & 1) << 1) | (n & 1)
+    for level in (0, 1):
+        at = s == level
+        table = [amplitudes(DyadicPoint2.of(j >> 1, j & 1, level)).values for j in range(4)]
+        rows[:, at] = np.array(table, dtype=complex).T[:, parities[at]]
     for level in (np.flatnonzero(np.bincount(s)[2:]) + 2).tolist():
         at = np.flatnonzero(s == level)
         # Residues mod 2^level, exact although m + n may wrap past int64.

@@ -314,7 +314,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         )
     module, region = _module(args, system)
     formats = (args.format,) if args.format else ("csv", "svg")
-    if "svg" in formats and any(lo == hi for lo, hi in region):
+    # The renderers' own test: a width that rounds to 0.0 cannot be drawn.
+    if "svg" in formats and any(not float(hi - lo) > 0 for lo, hi in region):
         raise UsageError("an SVG needs a region of nonzero width on every axis; use --format csv")
     if args.empirical:
         from . import numerics, subst

@@ -28,7 +28,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 import numpy as np
 
@@ -75,7 +74,6 @@ def _shared_twos(common: int, exp: int) -> int:
     return min((common & -common).bit_length() - 1, exp) if common else exp
 
 
-@total_ordering
 @dataclass(frozen=True, slots=True)
 class Dyadic:
     """m / 2^r in normal form: r == 0, or r >= 1 with m odd.
@@ -106,47 +104,8 @@ class Dyadic:
     def value(self) -> Fraction:
         return Fraction(self.m, 1 << self.r)
 
-    def __float__(self) -> float:
-        return self.m / (1 << self.r)
-
-    def __bool__(self) -> bool:
-        return self.m != 0
-
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.m, self.r)
-
-    def __add__(self, other: "Dyadic | int") -> "Dyadic":
-        if isinstance(other, int):
-            other = Dyadic(other, 0)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        r = max(self.r, other.r)
-        num = (self.m << (r - self.r)) + (other.m << (r - other.r))
-        return Dyadic.of(num, r)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Dyadic | int") -> "Dyadic":
-        if isinstance(other, int):
-            other = Dyadic(other, 0)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "Dyadic":
-        return (-self) + other
-
-    def __mul__(self, factor: int) -> "Dyadic":
-        if not isinstance(factor, int):
-            return NotImplemented
-        return Dyadic.of(self.m * factor, self.r)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.m << other.r < other.m << self.r
 
     def __str__(self) -> str:
         return str(self.m) if self.r == 0 else f"{self.m}/{1 << self.r}"
@@ -175,39 +134,12 @@ class DyadicPoint2:
         return cls(mx >> shift, ny >> shift, den_exp - shift)
 
     @property
-    def x(self) -> Dyadic:
-        return Dyadic.of(self.m, self.s)
-
-    @property
-    def y(self) -> Dyadic:
-        return Dyadic.of(self.n, self.s)
-
-    @property
     def value(self) -> tuple[Fraction, Fraction]:
         den = 1 << self.s
         return Fraction(self.m, den), Fraction(self.n, den)
 
     def __neg__(self) -> "DyadicPoint2":
         return DyadicPoint2(-self.m, -self.n, self.s)
-
-    def __add__(self, other: "DyadicPoint2 | tuple[int, int]") -> "DyadicPoint2":
-        if isinstance(other, tuple):
-            other = DyadicPoint2(other[0], other[1], 0)
-        if not isinstance(other, DyadicPoint2):
-            return NotImplemented
-        s = max(self.s, other.s)
-        mx = (self.m << (s - self.s)) + (other.m << (s - other.s))
-        ny = (self.n << (s - self.s)) + (other.n << (s - other.s))
-        return DyadicPoint2.of(mx, ny, s)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "DyadicPoint2 | tuple[int, int]") -> "DyadicPoint2":
-        if isinstance(other, tuple):
-            other = DyadicPoint2(other[0], other[1], 0)
-        if not isinstance(other, DyadicPoint2):
-            return NotImplemented
-        return self + (-other)
 
     def dot(self, step: tuple[int, int]) -> Dyadic:
         """Exact inner product with an integer vector."""
@@ -218,7 +150,7 @@ class DyadicPoint2:
         return DyadicPoint2.of(a * self.m + b * self.n, c * self.m + d * self.n, self.s)
 
     def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
+        return f"({Dyadic.of(self.m, self.s)}, {Dyadic.of(self.n, self.s)})"
 
 
 def phase(t: Dyadic) -> complex:

@@ -173,9 +173,10 @@ def stem_svg(table: PeakTable, lo, hi) -> str:
     """
     width, height, margin = 800.0, 400.0, 40.0
     flo, fhi = Fraction(lo), Fraction(hi)
-    if fhi <= flo:
-        raise ValueError("empty axis range")
+    # A width that rounds to 0.0 would put nan coordinates in the figure.
     span = float(fhi - flo)
+    if not span > 0:
+        raise ValueError("empty axis range")
     # CPython's complex abs is libm hypot; np.abs need not round the same way.
     size = np.hypot(table.amplitude.real, table.amplitude.imag)
     top = size.max(initial=0.0)
@@ -211,9 +212,9 @@ def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
     top_radius = 16.0
     fxlo, fxhi = Fraction(x_bounds[0]), Fraction(x_bounds[1])
     fylo, fyhi = Fraction(y_bounds[0]), Fraction(y_bounds[1])
-    if fxhi <= fxlo or fyhi <= fylo:
-        raise ValueError("empty plot region")
     xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
+    if not (xspan > 0 and yspan > 0):
+        raise ValueError("empty plot region")
     intensity = table.intensity
     top = intensity.max(initial=0.0)
     lines = [

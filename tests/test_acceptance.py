@@ -84,7 +84,7 @@ def test_criterion_3_empirical_amplitudes_and_stem_periodicity():
     assert worst <= 0.01
     # Stem data over one period: |A| repeats exactly under k -> k + 1.
     for k in module_interval(8, 0, 1, include_hi=False):
-        assert abs(pd.amplitudes(k).a) == abs(pd.amplitudes(k + 1).a)
+        assert abs(pd.amplitudes(k).a) == abs(pd.amplitudes(Dyadic.of(k.m + (1 << k.r), k.r)).a)
     print(f"PASS criterion 3: empirical amplitudes r <= 6, worst {worst:.2e}; |A| 1-periodic")
 
 
@@ -178,8 +178,9 @@ def test_criterion_8_symmetries():
     worst_shift = 0.0
     for k in module_box(5, (0, 1), include_hi=False):
         base = chair.intensity(k, generic)
-        for shift in ((1, 0), (0, 1)):
-            worst_shift = max(worst_shift, abs(chair.intensity(k + shift, generic) - base))
+        for dx, dy in ((1, 0), (0, 1)):
+            shifted = DyadicPoint2.of(k.m + (dx << k.s), k.n + (dy << k.s), k.s)
+            worst_shift = max(worst_shift, abs(chair.intensity(shifted, generic) - base))
     assert worst_shift <= 1e-10
 
     fourth = (1, 1j, -1, -1j)

@@ -487,18 +487,22 @@ class TestAmplitudes:
         weights = (0.8 + 0.3j, -0.5 + 0.9j, 0.2 - 0.7j, -0.9 - 0.4j)
         for k in module_box(4, (0, 1), include_hi=False):
             reference = chair.intensity(k, weights)
-            for shift in ((1, 0), (0, 1), (-1, 1)):
-                assert chair.intensity(k + shift, weights) == pytest.approx(
+            for dx, dy in ((1, 0), (0, 1), (-1, 1)):
+                shifted = DyadicPoint2.of(k.m + (dx << k.s), k.n + (dy << k.s), k.s)
+                assert chair.intensity(shifted, weights) == pytest.approx(
                     reference, abs=1e-10
                 )
 
     def test_half_lattice_periodicity_of_pair_combs(self):
-        half_shifts = (DyadicPoint2(1, 1, 1), DyadicPoint2(1, -1, 1))
+        # Shifts by (1, 1) / 2 and (1, -1) / 2, built on the numerators at level s + 1.
         for weights in ((1, 0, 1, 0), (0, 1, 0, 1)):
             for k in module_box(4, (0, 1), include_hi=False):
                 reference = chair.intensity(k, weights)
-                for shift in half_shifts:
-                    assert chair.intensity(k + shift, weights) == pytest.approx(
+                for dx, dy in ((1, 1), (1, -1)):
+                    shifted = DyadicPoint2.of(
+                        (k.m << 1) + (dx << k.s), (k.n << 1) + (dy << k.s), k.s + 1
+                    )
+                    assert chair.intensity(shifted, weights) == pytest.approx(
                         reference, abs=1e-10
                     )
 

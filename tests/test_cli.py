@@ -479,6 +479,16 @@ class TestDiffract:
                 "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity\n"
                 "0,0,0,1.0,0.0,1.0\n0,1,0,1.0,0.0,1.0\n",
             ),
+            # Widths that round to 0.0 as floats.
+            (
+                ["--region", "0,1e-400"],
+                "k_num,k_log2den,amp_re,amp_im,intensity\n0,0,1.0,0.0,1.0\n",
+            ),
+            (
+                ["--system", "chair", "--smax", "1", "--region=0,1e-400,0,1"],
+                "kx_num,ky_num,k_log2den,amp_re,amp_im,intensity\n"
+                "0,0,0,1.0,0.0,1.0\n0,1,0,1.0,0.0,1.0\n",
+            ),
         ],
     )
     def test_zero_width_region_writes_csv(self, argv, csv, tmp_path):
@@ -930,6 +940,15 @@ _ERROR_TABLE = [
     (
         ["diffract", "--system", "chair", "--smax", "100000000000000"],
         "module points reach denominator 2^100000000000000; the array routes stop at 2^62",
+    ),
+    # Nonzero widths that round to 0.0 as floats, which the figure divides by.
+    (
+        ["diffract", "--system", "pd", "--region", "0,1e-400"],
+        "an SVG needs a region of nonzero width on every axis; use --format csv",
+    ),
+    (
+        ["diffract", "--system", "chair", "--region=0,1e-400,0,1"],
+        "an SVG needs a region of nonzero width on every axis; use --format csv",
     ),
 ]
 

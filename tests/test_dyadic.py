@@ -38,6 +38,8 @@ _nums = st.integers(min_value=-(1 << 40), max_value=1 << 40)
 _exps = st.integers(min_value=0, max_value=24)
 # Exponents past 10^4, for the normal form of wide numerators.
 _wide_exps = st.integers(min_value=0, max_value=1 << 15)
+# Numerators far past int64.
+_huge_nums = st.integers(min_value=-(1 << 80), max_value=1 << 80)
 
 
 def _dyadics():
@@ -105,39 +107,24 @@ class TestNormalForm:
     def test_equal_value_iff_equal_representation(self, a, b):
         assert (a == b) == (a.value == b.value)
 
-    def test_ordering_and_str(self):
-        assert Dyadic(1, 2) < Dyadic(1, 1) < Dyadic(1, 0)
-        assert Dyadic(-3, 1) < Dyadic(0)
+    def test_str(self):
         assert str(Dyadic(3, 2)) == "3/4"
         assert str(Dyadic(-2)) == "-2"
+        assert str(DyadicPoint2(-3, 0, 2)) == "(-3/4, 0)"
 
-    @given(_dyadics(), _dyadics())
-    def test_ordering_matches_values(self, a, b):
-        assert (a < b) == (a.value < b.value)
-
-
-class TestArithmetic:
-    @given(_dyadics(), _dyadics())
-    def test_sum_and_difference_are_exact(self, a, b):
-        assert (a + b).value == a.value + b.value
-        assert (a - b).value == a.value - b.value
-
-    @given(_dyadics(), _dyadics())
-    def test_group_closure_of_the_hierarchy(self, a, b):
-        # 2^-r Z is a group: sums never need a finer denominator.
-        assert (a + b).r <= max(a.r, b.r)
-        assert (a - b).r <= max(a.r, b.r)
-
-    @given(_dyadics(), st.integers(min_value=-(1 << 20), max_value=1 << 20))
-    def test_int_mixing(self, a, n):
-        assert (a + n).value == a.value + n
-        assert (n - a).value == n - a.value
-        assert (a * n).value == a.value * n
+    # Both signs, levels 0 to 70 and numerators far past int64: ``Fraction``
+    # is an independent oracle for the text the verify report prints.
+    @given(_huge_nums, _huge_nums, st.integers(min_value=0, max_value=70))
+    @example(-(1 << 70) - 1, 1 << 65, 70)
+    @example(-6, 0, 0)
+    def test_str_matches_fraction(self, num, other, exp):
+        assert str(Dyadic.of(num, exp)) == str(Fraction(num, 1 << exp))
+        p = DyadicPoint2.of(num, other, exp)
+        assert str(p) == f"({p.value[0]}, {p.value[1]})"
 
     @given(_dyadics())
-    def test_negation_and_float(self, a):
+    def test_negation_is_exact(self, a):
         assert (-a).value == -a.value
-        assert float(a) == pytest.approx(float(a.value))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +152,9 @@ class TestPhase:
 
     @given(_dyadics(), _dyadics())
     def test_additivity(self, a, b):
-        assert phase(a + b) == pytest.approx(phase(a) * phase(b), abs=1e-12)
+        r = max(a.r, b.r)
+        total = Dyadic.of((a.m << (r - a.r)) + (b.m << (r - b.r)), r)
+        assert phase(total) == pytest.approx(phase(a) * phase(b), abs=1e-12)
 
     @given(_dyadics())
     def test_conjugation_under_negation(self, a):
@@ -173,7 +162,7 @@ class TestPhase:
 
     @given(_dyadics(), st.integers(min_value=-8, max_value=8))
     def test_integer_periodicity(self, a, n):
-        assert phase(a + n) == pytest.approx(phase(a), abs=1e-12)
+        assert phase(Dyadic.of(a.m + (n << a.r), a.r)) == pytest.approx(phase(a), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +179,8 @@ class TestDyadicPoint2:
             DyadicPoint2(2, 2, 1)
 
     @given(_points())
-    def test_components_match(self, p):
-        assert p.x.value == p.value[0]
-        assert p.y.value == p.value[1]
-
-    @given(_points(), _points())
-    def test_sum_is_exact_and_closed(self, p, q):
-        total = p + q
-        assert total.value == (p.value[0] + q.value[0], p.value[1] + q.value[1])
-        assert total.s <= max(p.s, q.s)
-
-    @given(_points())
-    def test_tuple_shift_and_negation(self, p):
-        shifted = p + (1, -2)
-        assert shifted.value == (p.value[0] + 1, p.value[1] - 2)
+    def test_negation_is_exact(self, p):
         assert (-p).value == (-p.value[0], -p.value[1])
-        assert (p - p) == DyadicPoint2(0, 0, 0)
 
     @given(_points(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     def test_dot_is_exact(self, p, step):

@@ -368,6 +368,11 @@ class TestStemSvg:
         with pytest.raises(ValueError):
             render.stem_svg(_table([], 1), 1, 1)
 
+    def test_width_that_rounds_to_zero_rejected(self):
+        # 10^-400 is nonzero but floats to 0.0, which would divide to nan.
+        with pytest.raises(ValueError, match="empty axis range"):
+            render.stem_svg(_table([(Dyadic(0), 1 + 0j)], 1), 0, Fraction("1e-400"))
+
     def test_determinism(self):
         peaks = [(Dyadic(m, 3), complex(m) / 10) for m in range(1, 8, 2)]
         assert render.stem_svg(_table(peaks, 1), 0, 1) == render.stem_svg(_table(peaks, 1), 0, 1)
@@ -409,6 +414,11 @@ class TestDiscSvg:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
             render.disc_svg(_table([], 2), (0, 0))
+
+    @pytest.mark.parametrize("bounds", [((0, Fraction("1e-400")), (0, 1)), ((0, 1), (0, Fraction("1e-400")))])
+    def test_width_that_rounds_to_zero_rejected(self, bounds):
+        with pytest.raises(ValueError, match="empty plot region"):
+            render.disc_svg(_table([(DyadicPoint2(0, 0, 0), 1 + 0j)], 2), *bounds)
 
 
 def _window_text_per_cell(window, letters):
