@@ -314,7 +314,7 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         )
     module, region = _module(args, system)
     formats = (args.format,) if args.format else ("csv", "svg")
-    # The renderers' own test: a width that rounds to 0.0 cannot be drawn.
+    # The figures' placement test: an axis whose width rounds to 0.0 cannot be drawn.
     if "svg" in formats and any(not float(hi - lo) > 0 for lo, hi in region):
         raise UsageError("an SVG needs a region of nonzero width on every axis; use --format csv")
     if args.empirical:

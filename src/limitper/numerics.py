@@ -14,14 +14,14 @@ and weights enter only at the end:
 
 * ``empirical_amplitudes`` evaluates the normalised per-letter sums
   (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i k.x} at every point of a
-  ``dyadic.Module`` (or a list of dyadic k).  At
-  k = m / 2^s the exponential only depends on x mod 2^s, so the sum is the
-  length-2^s DFT of the residue-class label counts.  One count table at the
-  list's finest level 2^s_max (a single ``bincount``) and one FFT over its
-  residue axes serve every point: k = (m, n) / 2^s is the entry
+  ``dyadic.Module``.  At k = m / 2^s the exponential only depends on
+  x mod 2^s, so the sum is the length-2^s DFT of the residue-class label
+  counts.  One count table at the module's finest level 2^s_max (a single
+  ``bincount``) and one FFT over its residue axes serve every point:
+  k = (m, n) / 2^s is the entry
   (n 2^(s_max - s), m 2^(s_max - s)) mod 2^s_max, one row per label, and
   ``render.weigh`` applies the weights, as to the closed forms' rows.
-  ``empirical_amplitude`` is the same lookup for a single point.
+  ``empirical_amplitude`` is the same lookup for a one-point module.
 
 * ``approximant_amplitude_chair`` rebuilds a colour amplitude of the block
   fixed point by summing exact layer coefficients (``chair.coset_amplitude``)
@@ -255,16 +255,14 @@ def empirical_autocorrelation(comb: WeightedComb, z, weights) -> complex:
     return total / float(comb.cells)
 
 
-def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
+def empirical_amplitudes(comb: WeightedComb, module: Module) -> np.ndarray:
     """Per-letter sums (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i k.x}, complex (L, N) rows.
 
-    ``points`` is a ``dyadic.Module`` or a list of ``Dyadic`` (chains) or
-    ``DyadicPoint2`` (planes).  As the window grows these converge to the
-    per-letter peak amplitudes at module points and to zero elsewhere.
-    Every k is read from the label spectrum at the finest level among the
-    points, so one count table and one FFT serve the whole list.
+    One row entry per point k of ``module``.  As the window grows these
+    converge to the per-letter peak amplitudes at module points and to zero
+    elsewhere.  Every k is read from the label spectrum at the module's
+    finest level, so one count table and one FFT serve every point.
     """
-    module = points if isinstance(points, Module) else Module.of(points, comb.dim)
     if module.dim != comb.dim:
         raise TypeError(f"{module.dim}-dimensional wave numbers for a {comb.dim}-dimensional comb")
     level = int(module.exponents.max(initial=0))
@@ -277,7 +275,7 @@ def empirical_amplitudes(comb: WeightedComb, points) -> np.ndarray:
 
 def empirical_amplitude(comb: WeightedComb, k) -> np.ndarray:
     """The (L,) column of ``empirical_amplitudes`` at one wave number, read at its own level."""
-    return empirical_amplitudes(comb, (k,))[:, 0]
+    return empirical_amplitudes(comb, Module.of([k], comb.dim))[:, 0]
 
 
 def approximant_amplitude_chair(levels: int, color: int, k: DyadicPoint2) -> complex:

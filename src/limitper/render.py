@@ -2,9 +2,10 @@
 
 Every function here returns a string built only from its arguments, with
 floats formatted by ``repr`` (shortest round-trip form), so identical inputs
-give byte-identical files on any platform or thread count.  Wave numbers are
-written as exact integer numerators plus a log2 denominator; floats never
-carry coordinate information.
+give byte-identical files on any platform or thread count.  The CSV writes
+wave numbers as exact integer numerators plus a log2 denominator, and the
+figures place peaks by offsets from the region's lower bound taken off those
+numerators exactly, so a narrow region far from 0 keeps its peaks apart.
 
 Every amplitude route (closed forms, layer sums, windowed sums) yields one
 complex row per letter, shape (L, N), and two rules here turn rows into
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -88,17 +88,8 @@ class PeakTable:
         return cls(module, amplitude, intensity)
 
 
-def _fmt(x: float) -> str:
-    # repr() of a float is its shortest exact decimal form; -0.0 would
-    # break byte-stable goldens, so flush it to 0.0.
-    value = float(x)
-    if value == 0.0:
-        value = 0.0
-    return repr(value)
-
-
 def _reprs(column: np.ndarray) -> list[str]:
-    """``_fmt`` of every entry of a float64 column, formatting each distinct value once.
+    """``repr`` of every entry of a float64 column, -0.0 as 0.0, each distinct value formatted once.
 
     Adding 0.0 flushes -0.0 and keeps every other value, so equal entries
     have equal bits.  Peak columns repeat a lot (the closed forms are
@@ -108,15 +99,6 @@ def _reprs(column: np.ndarray) -> list[str]:
     distinct, where = np.unique(column + 0.0, return_inverse=True)
     texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
     return texts[where].tolist()
-
-
-def _coordinates(module: Module, axis: int) -> np.ndarray:
-    """float(m / 2^s) along one axis, correctly rounded as ``float(Fraction)`` is.
-
-    Scaling by a power of two is exact, so rounding the numerator first
-    rounds the quotient.
-    """
-    return np.ldexp(module.numerators[:, axis].astype(np.float64), -module.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +141,38 @@ def module_csv(module: Module) -> str:
 # SVG
 # ---------------------------------------------------------------------------
 
-_SVG_OPEN = (
-    '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-    'viewBox="0 0 {w} {h}">'
-)
+
+def _positions(module: Module, axis: int, lo, hi, length: float) -> np.ndarray:
+    """(k - lo) / (hi - lo) * length for every point k of ``module`` along ``axis``.
+
+    The integer part of ``lo``, truncated toward zero, comes off the exact
+    numerators in int64 when it and every shifted numerator fit, so a narrow
+    region far from 0 keeps its peaks apart.  Scaling by 2^-s is exact.
+    """
+    lo = Fraction(lo)
+    span = float(Fraction(hi) - lo)
+    # A width that rounds to 0.0 would put nan coordinates in the figure.
+    if not span > 0:
+        raise ValueError("empty axis range")
+    numerators, exponents = module.numerators[:, axis], module.exponents
+    shift = int(lo)
+    if shift and len(exponents):
+        scaled = [shift << int(exponents.min()), shift << int(exponents.max())]
+        ends = [int(numerators.min()) - max(scaled), int(numerators.max()) - min(scaled)]
+        if all(-(1 << 63) <= value < 1 << 63 for value in scaled + ends):
+            numerators = numerators - (np.int64(shift) << exponents)
+        else:
+            shift = 0
+    offset = np.ldexp(numerators.astype(np.float64), -exponents) - float(lo - shift)
+    return offset / span * length
+
+
+def _svg(height: int, marks) -> str:
+    """An SVG 800 wide and ``height`` high: a white background, then ``marks``, one a line."""
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="{height}" '
+    head += f'viewBox="0 0 800 {height}">'
+    rect = f'<rect width="800" height="{height}" fill="white"/>'
+    return "\n".join([head, rect, *marks, "</svg>\n"])
 
 
 def stem_svg(table: PeakTable, lo, hi) -> str:
@@ -171,31 +181,16 @@ def stem_svg(table: PeakTable, lo, hi) -> str:
     ``lo`` and ``hi`` bound the wave-number axis.  The tallest stem spans the
     full plot height, so the figure is invariant under rescaling all weights.
     """
-    width, height, margin = 800.0, 400.0, 40.0
-    flo, fhi = Fraction(lo), Fraction(hi)
-    # A width that rounds to 0.0 would put nan coordinates in the figure.
-    span = float(fhi - flo)
-    if not span > 0:
-        raise ValueError("empty axis range")
     # CPython's complex abs is libm hypot; np.abs need not round the same way.
     size = np.hypot(table.amplitude.real, table.amplitude.imag)
-    top = size.max(initial=0.0)
-    lines = [
-        _SVG_OPEN.format(w=int(width), h=int(height)),
-        f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
-        f'<line x1="{_fmt(margin)}" y1="{_fmt(height - margin)}" '
-        f'x2="{_fmt(width - margin)}" y2="{_fmt(height - margin)}" '
-        'stroke="black" stroke-width="1"/>',
-    ]
-    if top != 0.0:
-        shown = size != 0.0
-        kx = _coordinates(table.module, 0)[shown]
-        x = margin + (kx - float(flo)) / span * (width - 2 * margin)
-        y = height - margin - size[shown] / top * (height - 2 * margin)
-        stem = '<line x1="{0}" y1="{1}" x2="{0}" y2="{2}" stroke="black" stroke-width="1.5"/>'
-        lines.extend(map(stem.format, _reprs(x), repeat(_fmt(height - margin)), _reprs(y)))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    shown = size != 0.0
+    x = 40.0 + _positions(table.module.select(shown), 0, lo, hi, 720.0)
+    y = 360.0 - size[shown] / size.max(initial=0.0) * 320.0
+    stem = '<line x1="{0}" y1="360.0" x2="{0}" y2="{1}" stroke="black" stroke-width="1.5"/>'
+    return _svg(400, [
+        '<line x1="40.0" y1="360.0" x2="760.0" y2="360.0" stroke="black" stroke-width="1"/>',
+        *map(stem.format, _reprs(x), _reprs(y)),
+    ])
 
 
 def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
@@ -207,34 +202,15 @@ def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
     """
     if y_bounds is None:
         y_bounds = x_bounds
-    width = height = 800.0
-    margin = 40.0
-    top_radius = 16.0
-    fxlo, fxhi = Fraction(x_bounds[0]), Fraction(x_bounds[1])
-    fylo, fyhi = Fraction(y_bounds[0]), Fraction(y_bounds[1])
-    xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
-    if not (xspan > 0 and yspan > 0):
-        raise ValueError("empty plot region")
     intensity = table.intensity
-    top = intensity.max(initial=0.0)
-    lines = [
-        _SVG_OPEN.format(w=int(width), h=int(height)),
-        f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
-    ]
-    if top != 0.0:
-        shown = ~(intensity <= 0.0)
-        kx = _coordinates(table.module, 0)[shown]
-        ky = _coordinates(table.module, 1)[shown]
-        x = margin + (kx - float(fxlo)) / xspan * (width - 2 * margin)
-        y = height - margin - (ky - float(fylo)) / yspan * (height - 2 * margin)
-        # x ** 0.5 is libm pow, which need not round like np.sqrt.
-        radius = top_radius * np.float_power(intensity[shown] / top, 0.5)
-        disc = '<circle cx="{}" cy="{}" r="{}" fill="black" data-intensity="{}"/>'
-        lines.extend(
-            map(disc.format, _reprs(x), _reprs(y), _reprs(radius), _reprs(intensity[shown]))
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    shown = ~(intensity <= 0.0)
+    module = table.module.select(shown)
+    x = 40.0 + _positions(module, 0, *x_bounds, 720.0)
+    y = 760.0 - _positions(module, 1, *y_bounds, 720.0)
+    # x ** 0.5 is libm pow, which need not round like np.sqrt.
+    radius = 16.0 * np.float_power(intensity[shown] / intensity.max(initial=0.0), 0.5)
+    disc = '<circle cx="{}" cy="{}" r="{}" fill="black" data-intensity="{}"/>'
+    return _svg(800, map(disc.format, *map(_reprs, (x, y, radius, intensity[shown]))))
 
 
 # ---------------------------------------------------------------------------

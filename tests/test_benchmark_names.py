@@ -3,8 +3,9 @@
 ``benchmarks/tracing.py`` wraps every (module, attribute) of its
 ``TARGETS``, and ``benchmarks/workloads.py`` imports the scalar helpers it
 checks outputs with.  Deleting one of those names from the package would
-otherwise surface only in a benchmark run.  These tests read
-``benchmarks/`` and write nothing there (no bytecode either).
+otherwise surface only in a benchmark run; so would a change to the bytes
+closed-form-sweep records, which one test here runs in process.  These
+tests read ``benchmarks/`` and write nothing there (no bytecode either).
 """
 
 import functools
@@ -13,7 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from limitper import verification
+from limitper import cli, verification
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -47,3 +48,15 @@ def test_every_traced_target_resolves(monkeypatch):
 def test_workloads_import_cleanly(monkeypatch):
     workloads = _load("workloads", monkeypatch)
     assert workloads.VERIFY_CHECKS == len(verification.CHECK_NAMES)
+
+
+def test_closed_form_sweep_keeps_its_bytes(monkeypatch, tmp_path, capsys):
+    # Each invocation's own check: sha256 digests, every row against the
+    # scalar closed forms, one figure mark per peak.
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.build("closed-form-sweep", workloads.DEFAULT_SEED)
+    for invocation in workload.invocations:
+        base = tmp_path / invocation.label
+        assert cli.main([*invocation.args, "--out", str(base)]) == 0
+        facts = invocation.check(base, capsys.readouterr().out)
+        assert facts["peaks_kept"] > 0

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -432,7 +433,7 @@ class TestDiffract:
 
         seed = subst.block_seed(chair.system(), (("1", "0"), ("0", "1")))
         comb = numerics.WeightedComb(subst.centred_window(chair.system(), seed, 64), 4)
-        points = module_box(2, (0, 1), include_hi=False)
+        points = dyadic.module_points(2, ((0, 1), (0, 1)), include_hi=False)
         rows = numerics.empirical_amplitudes(comb, points)
         expected = render.weigh(rows, (1, 1j, -1, -1j)).tolist()
         got = amplitudes("1 0 / 0 1")
@@ -497,6 +498,46 @@ class TestDiffract:
         assert cli.main(["diffract", *argv, "--format", "csv", "--out", str(out)]) == 0
         assert out.with_suffix(".csv").read_text() == csv
         assert not out.with_suffix(".svg").exists()
+
+    @pytest.mark.parametrize(
+        "argv, tag, positions",
+        [
+            (
+                ["--region", "1000000000000000000,1000000000000000001", "--rmax", "2"],
+                "line",
+                [("40.0", "360.0"), ("760.0", "360.0")],
+            ),
+            (
+                ["--system", "chair", "--region=1000000000000000000,1000000000000000001,0,1",
+                 "--smax", "1"],
+                "circle",
+                [("40.0", "760.0"), ("40.0", "40.0"), ("760.0", "760.0"), ("760.0", "40.0")],
+            ),
+        ],
+    )
+    def test_far_narrow_region_keeps_its_peaks_apart(self, argv, tag, positions, tmp_path):
+        # Floats of 10^18 and 10^18 + 1 are equal; the exact offsets are 0 and 1.
+        out = tmp_path / "far"
+        assert cli.main(["diffract", *argv, "--out", str(out)]) == 0
+        root = ET.fromstring(out.with_suffix(".svg").read_text())
+        marks = [el for el in root if el.tag.endswith(tag)]
+        if tag == "line":
+            marks = marks[1:]  # the baseline
+        names = ("x1", "y1") if tag == "line" else ("cx", "cy")
+        assert [tuple(mark.get(name) for name in names) for mark in marks] == positions
+
+    def test_empty_region_beyond_int64(self, tmp_path):
+        # The integer part of the lower bound is past int64, and no point lies there.
+        out = tmp_path / "empty"
+        region = "--region=-100000000000000000000000000000.9,-100000000000000000000000000000.1"
+        assert cli.main(["diffract", "--system", "pd", "--rmax", "0", region, "--out", str(out)]) == 0
+        assert out.with_suffix(".csv").read_text() == "k_num,k_log2den,amp_re,amp_im,intensity\n"
+        assert out.with_suffix(".svg").read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="400" viewBox="0 0 800 400">\n'
+            '<rect width="800" height="400" fill="white"/>\n'
+            '<line x1="40.0" y1="360.0" x2="760.0" y2="360.0" stroke="black" stroke-width="1"/>\n'
+            "</svg>\n"
+        )
 
 
 class TestArrayRoute:

@@ -201,7 +201,7 @@ class TestWeightedComb:
     def test_amplitude_calls_share_the_count_table(self):
         # Every weight set weighs the same rows; a second read counts nothing again.
         comb = numerics.pd_comb(32)
-        points = module_interval(3, 0, 1)
+        points = module_points(3, ((0, 1),))
         rows = numerics.empirical_amplitudes(comb, points)
         counts, spectrum = comb.residue_counts(8), comb.label_spectrum(3)
         with mock.patch.object(np, "bincount", side_effect=AssertionError("recounted")):
@@ -358,37 +358,28 @@ class TestEmpiricalAmplitude:
     @given(_random_combs(1), st.integers(min_value=0, max_value=6))
     def test_transform_matches_the_residue_sum_on_the_chain(self, comb_and_weights, level):
         comb, weights = comb_and_weights
-        points = module_interval(level, -1, 1)
+        points = module_points(level, ((-1, 1),))
         got = render.weigh(numerics.empirical_amplitudes(comb, points), weights)
-        for k, value in zip(points, got):
+        for k, value in zip(points.points(), got):
             assert value == pytest.approx(_residue_sum_amplitude(comb, weights, k), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(_random_combs(2), st.integers(min_value=0, max_value=3))
     def test_transform_matches_the_residue_sum_on_the_grid(self, comb_and_weights, level):
         comb, weights = comb_and_weights
-        points = module_box(level, (-1, 1))
+        points = module_points(level, ((-1, 1), (-1, 1)))
         got = render.weigh(numerics.empirical_amplitudes(comb, points), weights)
-        for k, value in zip(points, got):
+        for k, value in zip(points.points(), got):
             assert value == pytest.approx(_residue_sum_amplitude(comb, weights, k), abs=1e-12)
 
     def test_single_point_lookup_agrees_with_the_batch(self):
         comb = numerics.chair_comb(24)
-        points = module_box(3, (0, 1), include_hi=False)
+        points = module_points(3, ((0, 1), (0, 1)), include_hi=False)
         batch = numerics.empirical_amplitudes(comb, points)
         assert batch.shape == (4, len(points)) and batch.dtype == complex
-        for k, column in zip(points, batch.T):
+        for k, column in zip(points.points(), batch.T):
             assert numerics.empirical_amplitude(comb, k) == pytest.approx(column, abs=1e-15)
-        assert numerics.empirical_amplitudes(comb, []).shape == (4, 0)
-
-    def test_module_columns_read_like_point_lists(self):
-        comb = numerics.chair_comb(24)
-        module = module_points(3, ((-1, 1), (0, 1)), include_hi=False)
-        by_columns = numerics.empirical_amplitudes(comb, module)
-        by_points = numerics.empirical_amplitudes(comb, module.points())
-        assert by_columns.tolist() == by_points.tolist()
-        with pytest.raises(TypeError):
-            numerics.empirical_amplitudes(comb, Module.of([Dyadic(1, 2)], 1))
+        assert numerics.empirical_amplitudes(comb, Module.of([], 2)).shape == (4, 0)
 
     def test_wave_number_type_checks(self):
         comb = numerics.pd_comb(8)
@@ -399,6 +390,8 @@ class TestEmpiricalAmplitude:
             numerics.empirical_amplitude(grid, Dyadic(0))
         with pytest.raises(TypeError):
             numerics.empirical_amplitude(comb, 0.5)
+        with pytest.raises(TypeError):
+            numerics.empirical_amplitudes(grid, Module.of([Dyadic(1, 2)], 1))
 
     def test_chain_estimates_approach_the_closed_forms(self):
         comb = numerics.pd_comb(1 << 16)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitper import period_doubling, render
-from limitper.dyadic import Dyadic, DyadicPoint2, Module
+from limitper.dyadic import Dyadic, DyadicPoint2, Module, module_points
 from limitper.subst import PatternWindow
 
 
@@ -48,8 +48,23 @@ def _rows(pairs):
 # ---------------------------------------------------------------------------
 
 
+def _fmt(x: float) -> str:
+    # repr() of a float is its shortest exact decimal form; -0.0 would
+    # break byte-stable goldens, so flush it to 0.0.
+    value = float(x)
+    if value == 0.0:
+        value = 0.0
+    return repr(value)
+
+
+_SVG_OPEN = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+    'viewBox="0 0 {w} {h}">'
+)
+
+
 def _legacy_peaks_csv(peaks, dim):
-    fmt = render._fmt
+    fmt = _fmt
     if dim == 1:
         lines = ["k_num,k_log2den,amp_re,amp_im,intensity"]
         for k, amplitude, intensity in peaks:
@@ -76,13 +91,13 @@ def _legacy_module_csv(points, dim):
 
 
 def _legacy_stem_svg(peaks, lo, hi):
-    fmt = render._fmt
+    fmt = _fmt
     width, height, margin = 800.0, 400.0, 40.0
     flo, fhi = Fraction(lo), Fraction(hi)
     span = float(fhi - flo)
     top = max((abs(amplitude) for _, amplitude, _ in peaks), default=0.0)
     lines = [
-        render._SVG_OPEN.format(w=int(width), h=int(height)),
+        _SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
         f'<line x1="{fmt(margin)}" y1="{fmt(height - margin)}" '
         f'x2="{fmt(width - margin)}" y2="{fmt(height - margin)}" '
@@ -104,7 +119,7 @@ def _legacy_stem_svg(peaks, lo, hi):
 
 
 def _legacy_disc_svg(peaks, x_bounds, y_bounds):
-    fmt = render._fmt
+    fmt = _fmt
     width = height = 800.0
     margin, top_radius = 40.0, 16.0
     fxlo, fxhi = Fraction(x_bounds[0]), Fraction(x_bounds[1])
@@ -112,7 +127,7 @@ def _legacy_disc_svg(peaks, x_bounds, y_bounds):
     xspan, yspan = float(fxhi - fxlo), float(fyhi - fylo)
     top = max((intensity for _, _, intensity in peaks), default=0.0)
     lines = [
-        render._SVG_OPEN.format(w=int(width), h=int(height)),
+        _SVG_OPEN.format(w=int(width), h=int(height)),
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
     ]
     for k, _, intensity in peaks:
@@ -417,8 +432,51 @@ class TestDiscSvg:
 
     @pytest.mark.parametrize("bounds", [((0, Fraction("1e-400")), (0, 1)), ((0, 1), (0, Fraction("1e-400")))])
     def test_width_that_rounds_to_zero_rejected(self, bounds):
-        with pytest.raises(ValueError, match="empty plot region"):
+        with pytest.raises(ValueError, match="empty axis range"):
             render.disc_svg(_table([(DyadicPoint2(0, 0, 0), 1 + 0j)], 2), *bounds)
+
+
+# Integer lower bounds of both signs up to about 10^18, the far ends included.
+_far_bounds = st.one_of(
+    st.integers(-(10**18), 10**18),
+    st.sampled_from([10**18, -(10**18), 2**59, -(2**59), 2**53 + 1, -(2**53) - 1, 3, -3]),
+)
+
+
+class TestPlacement:
+    """Figures place each peak by its offset from the lower bound, taken off exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_far_bounds, st.integers(min_value=0, max_value=4))
+    def test_stems_sit_at_the_exact_offsets(self, lo, cutoff):
+        # The finest level whose numerators on [lo, lo + 1] stay in int64.
+        cutoff = min(cutoff, 62 - (abs(lo) + 1).bit_length())
+        hi = lo + 1
+        module = module_points(cutoff, ((lo, hi),))
+        table = render.PeakTable.of(module, np.ones(len(module)))
+        root = ET.fromstring(render.stem_svg(table, lo, hi))
+        stems = [el for el in root if el.tag.endswith("line")][1:]
+        expected = [40.0 + float(k.value - lo) / float(hi - lo) * 720.0 for k in module.points()]
+        assert _bits([float(stem.get("x1")) for stem in stems]) == _bits(expected)
+        assert stems[0].get("x1") == "40.0" and stems[-1].get("x1") == "760.0"
+
+    @pytest.mark.parametrize(
+        "ks, lo",
+        [
+            # Shifting 1/16 by 10^18 * 2^4 would wrap in int64.
+            ([Dyadic(1, 4), Dyadic(10**18), Dyadic(-3, 2)], 10**18),
+            ([Dyadic(1, 4), Dyadic(-(10**18)), Dyadic(5)], -(10**18)),
+            # The shift fits, but -6e18 - 4e18 does not.
+            ([Dyadic(-6 * 10**18), Dyadic(1, 1)], 4 * 10**18),
+        ],
+    )
+    def test_points_far_outside_keep_the_float_offsets(self, ks, lo):
+        pairs = [(k, 1 + 0j) for k in ks]
+        peaks = _rows(pairs)
+        assert render.stem_svg(_table(pairs, 1), lo, lo + 1) == _legacy_stem_svg(peaks, lo, lo + 1)
+        plane = [(DyadicPoint2(k.m, k.m, k.r), a) for k, a in pairs]
+        bounds = ((lo, lo + 1), (lo, lo + 1))
+        assert render.disc_svg(_table(plane, 2), *bounds) == _legacy_disc_svg(_rows(plane), *bounds)
 
 
 def _window_text_per_cell(window, letters):
@@ -523,11 +581,9 @@ class TestWindowRendering:
 
 
 class TestFormatting:
-    def test_fmt_shortest_round_trip(self):
-        assert render._fmt(0.1) == "0.1"
-        assert render._fmt(1 / 3) == "0.3333333333333333"
-        assert render._fmt(-0.0) == "0.0"
-        assert render._fmt(2.0) == "2.0"
+    def test_reprs_shortest_round_trip(self):
+        column = np.array([0.1, 1 / 3, -0.0, 2.0, 0.1, 0.0])
+        assert render._reprs(column) == ["0.1", "0.3333333333333333", "0.0", "2.0", "0.1", "0.0"]
 
     def test_svg_headers_match(self):
         stem = render.stem_svg(_table([], 1), 0, 1)
