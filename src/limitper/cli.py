@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +47,9 @@ __all__ = ["main", "UsageError"]
 
 _KNOWN_SUFFIXES = {".csv", ".svg", ".txt", ".pgm"}
 _PD_ALIASES = {"pd", "period_doubling", "period-doubling"}
+# The imaginary unit i of a weight: the last letter, or the last before ")".
+# Only it becomes j, so the i of inf and infinity stays.
+_IMAGINARY_I = re.compile(r"i(?=\s*\)?\Z)")
 
 
 class UsageError(Exception):
@@ -61,10 +65,11 @@ def parse_weights(text: str) -> tuple[complex, ...]:
     """Comma-separated complex literals written with an i suffix.
 
     Accepts forms like ``1``, ``-0.5``, ``i``, ``-i``, ``2i``, ``1+2i`` and
-    ``1.5-0.25i``; plain ``j`` notation works too.  A weight's modulus may
-    be at most 1e150: rule files have at most 256 letters and every
-    per-letter amplitude has modulus at most 1, so every intensity stays
-    below (256 * 1e150)^2, which is finite.
+    ``1.5-0.25i``; plain ``j`` notation works too.  Infinite and nan parts,
+    in every spelling ``complex`` reads (``inf``, ``-Infinity``, ``infi``),
+    are refused.  A weight's modulus may be at most 1e150: rule files have
+    at most 256 letters and every per-letter amplitude has modulus at most
+    1, so every intensity stays below (256 * 1e150)^2, which is finite.
     """
     values = []
     for token in text.split(","):
@@ -72,7 +77,7 @@ def parse_weights(text: str) -> tuple[complex, ...]:
         if not token:
             raise UsageError(f"empty weight in {text!r}")
         try:
-            value = complex(token.replace("i", "j"))
+            value = complex(_IMAGINARY_I.sub("j", token))
         except ValueError as exc:
             raise UsageError(f"bad complex weight {token!r}") from exc
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):

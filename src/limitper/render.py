@@ -14,9 +14,11 @@ and ``PeakTable.of(module, amplitude)`` is the one route from amplitudes to
 a table, the intensity of a peak being CPython's ``abs(a) ** 2`` of its
 amplitude a.  Peak lists and modules are rendered from columns: a
 ``PeakTable`` (or, for ``module_csv``, a ``dyadic.Module``), one row per
-point, whose ``len()`` is the row count.  A float column is written as
-``repr`` of ``col + 0.0``, where adding 0.0 turns -0.0 into 0.0 and
-changes nothing else.  Where the figures need ``abs`` of an amplitude or a
+point, whose ``len()`` is the row count.  Every column, integer or float,
+is written as ``repr`` of ``col + 0``, each distinct value formatted once:
+adding 0 turns -0.0 into 0.0 and changes nothing else, and ``repr`` of an
+int is its ``str``.  Each SVG mark is joined from its literal pieces and
+its row's column texts.  Where the figures need ``abs`` of an amplitude or a
 square root, they take ``np.hypot`` and ``np.float_power(x, 0.5)``, the
 libm ``hypot`` and ``pow`` behind CPython's ``abs`` and ``x ** 0.5``, so
 the bytes match the scalar forms.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -89,14 +92,16 @@ class PeakTable:
 
 
 def _reprs(column: np.ndarray) -> list[str]:
-    """``repr`` of every entry of a float64 column, -0.0 as 0.0, each distinct value formatted once.
+    """``repr`` of every entry of an int64 or float64 column, -0.0 as 0.0, each distinct value once.
 
-    Adding 0.0 flushes -0.0 and keeps every other value, so equal entries
-    have equal bits.  Peak columns repeat a lot (the closed forms are
-    lattice-periodic, and figure coordinates take one value per grid line),
-    and ``repr`` is the costly step.
+    Adding 0 flushes -0.0 and keeps every other value, so equal entries
+    have equal bits; an integer column stays as it is, and ``repr`` of an
+    int is its ``str``.  Columns repeat a lot (numerators and exponents
+    take few values, the closed forms are lattice-periodic, and figure
+    coordinates take one value per grid line), and formatting is the
+    costly step.
     """
-    distinct, where = np.unique(column + 0.0, return_inverse=True)
+    distinct, where = np.unique(column + 0, return_inverse=True)
     texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
     return texts[where].tolist()
 
@@ -119,8 +124,8 @@ def _coordinate_columns(module: Module) -> tuple[str, list]:
     """The header and the exact numerator and exponent columns of a module."""
     if module.dim not in _COORDINATE_HEADERS:
         raise ValueError(f"unsupported dimension: {module.dim}")
-    columns = [map(str, column.tolist()) for column in module.numerators.T]
-    columns.append(map(str, module.exponents.tolist()))
+    columns = [_reprs(column) for column in module.numerators.T]
+    columns.append(_reprs(module.exponents))
     return _COORDINATE_HEADERS[module.dim], columns
 
 
@@ -175,6 +180,18 @@ def _svg(height: int, marks) -> str:
     return "\n".join([head, rect, *marks, "</svg>\n"])
 
 
+def _marks(template: str, *columns: list[str]):
+    """One mark per row: the pieces of ``template`` around its ``{}`` fields and the row's texts.
+
+    Joining them costs less than ``str.format`` per row.
+    """
+    pieces = template.split("{}")
+    parts = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:], strict=True):
+        parts += [column, repeat(piece)]
+    return map("".join, zip(*parts))
+
+
 def stem_svg(table: PeakTable, lo, hi) -> str:
     """Stem plot: one vertical line per peak, height proportional to |amplitude|.
 
@@ -186,10 +203,11 @@ def stem_svg(table: PeakTable, lo, hi) -> str:
     shown = size != 0.0
     x = 40.0 + _positions(table.module.select(shown), 0, lo, hi, 720.0)
     y = 360.0 - size[shown] / size.max(initial=0.0) * 320.0
-    stem = '<line x1="{0}" y1="360.0" x2="{0}" y2="{1}" stroke="black" stroke-width="1.5"/>'
+    stem = '<line x1="{}" y1="360.0" x2="{}" y2="{}" stroke="black" stroke-width="1.5"/>'
+    xs = _reprs(x)
     return _svg(400, [
         '<line x1="40.0" y1="360.0" x2="760.0" y2="360.0" stroke="black" stroke-width="1"/>',
-        *map(stem.format, _reprs(x), _reprs(y)),
+        *_marks(stem, xs, xs, _reprs(y)),
     ])
 
 
@@ -210,7 +228,7 @@ def disc_svg(table: PeakTable, x_bounds, y_bounds=None) -> str:
     # x ** 0.5 is libm pow, which need not round like np.sqrt.
     radius = 16.0 * np.float_power(intensity[shown] / intensity.max(initial=0.0), 0.5)
     disc = '<circle cx="{}" cy="{}" r="{}" fill="black" data-intensity="{}"/>'
-    return _svg(800, map(disc.format, *map(_reprs, (x, y, radius, intensity[shown]))))
+    return _svg(800, _marks(disc, *map(_reprs, (x, y, radius, intensity[shown]))))
 
 
 # ---------------------------------------------------------------------------

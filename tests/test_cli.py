@@ -2,12 +2,15 @@
 
 Each test drives ``limitper.cli.main`` in-process with a throwaway working
 directory; one determinism test additionally shells out to a fresh
-interpreter to prove outputs do not depend on process state.
+interpreter to prove outputs do not depend on process state, and the
+entry-point tests run ``python -m limitper`` itself.
 """
 
 import argparse
+import ast
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -735,6 +738,7 @@ class TestUsageErrors:
         assert cli.parse_weights("1,i,-1,-i") == (1, 1j, -1, -1j)
         assert cli.parse_weights("1.5-0.25i") == (1.5 - 0.25j,)
         assert cli.parse_weights("2j") == (2j,)
+        assert cli.parse_weights("2i,(1+2i),( 1+2i )") == (2j, 1 + 2j, 1 + 2j)
         with pytest.raises(cli.UsageError):
             cli.parse_weights("nan")
 
@@ -991,6 +995,11 @@ _ERROR_TABLE = [
         ["diffract", "--system", "chair", "--region=0,1e-400,0,1"],
         "an SVG needs a region of nonzero width on every axis; use --format csv",
     ),
+    # Infinite weights in every spelling complex() reads, the i of inf kept.
+    (["diffract", "--weights=inf,1"], "non-finite weight 'inf'"),
+    (["diffract", "--weights=-inf,1"], "non-finite weight '-inf'"),
+    (["diffract", "--weights=1,Infinity"], "non-finite weight 'Infinity'"),
+    (["diffract", "--weights=infi,1"], "non-finite weight 'infi'"),
 ]
 
 
@@ -1370,3 +1379,63 @@ class TestDeterminism:
         assert result.returncode == 0
         assert (tmp_path / "subproc.csv").read_bytes() == (tmp_path / "inproc.csv").read_bytes()
         assert (tmp_path / "subproc.svg").read_bytes() == (tmp_path / "inproc.svg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Process entry point
+# ---------------------------------------------------------------------------
+
+
+def _python(args, cwd):
+    """A fresh interpreter run with the package from ``src/`` on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+class TestEntryPoint:
+    """``python -m limitper`` and the console script freeze the collector; ``main`` never does."""
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        argv = ["diffract", "--rmax", "2", "--region", "0,1", "--out", str(tmp_path / "p")]
+        assert cli.main(argv) == 0
+        assert cli.main(["diffract", "--weights", "1,x"]) == 2
+        assert cli.main(["--help"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_run_keeps_its_exit_codes_and_output(self, tmp_path):
+        result = _python(["-m", "limitper", "diffract", "--rmax", "2", "--region", "0,1"], tmp_path)
+        assert (result.returncode, result.stdout) == (0, "peaks.csv\npeaks.svg\n")
+        assert result.stderr == ""
+        assert (tmp_path / "peaks.csv").is_file() and (tmp_path / "peaks.svg").is_file()
+        argv, message = _ERROR_TABLE[0]
+        result = _python(["-m", "limitper", *argv], tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"limitper: {message}\n"
+
+    def test_run_freezes_then_exits_through_atexit(self, tmp_path):
+        # atexit handlers run after the freeze, and buffered stdout is flushed.
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['limitper', 'module', '--rmax', '1']\n"
+            "from limitper.__main__ import run\n"
+            "run()\n"
+        )
+        result = _python(["-c", code], tmp_path)
+        assert (result.returncode, result.stdout) == (0, "module.csv\nfrozen True\n")
+
+    def test_console_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        module, name = project["scripts"]["limitper"].split(":")
+        assert module == "limitper.__main__"
+        # The body of the ``if __name__ == "__main__":`` block calls that one function.
+        tree = ast.parse((SRC / "limitper" / "__main__.py").read_text())
+        (guard,) = [node for node in tree.body if isinstance(node, ast.If)]
+        assert ast.unparse(guard.test) == "__name__ == '__main__'"
+        assert [ast.unparse(node) for node in guard.body] == [f"{name}()"]

@@ -481,7 +481,14 @@ def _outcome_at_the_cutoff(cutoff, bounds):
         return f"reach denominator 2^{cutoff};"
     point = (Dyadic.of if len(axes) == 1 else DyadicPoint2.of)(*(axis[0] for axis in axes), cutoff)
     level = point.r if len(axes) == 1 else point.s
-    return [point] if level <= MAX_LEVEL else f"reach denominator 2^{level};"
+    if level > MAX_LEVEL:
+        return f"reach denominator 2^{level};"
+    # A numerator past int64 at its own level is refused, the first by axis.
+    numerators = (point.m,) if len(axes) == 1 else (point.m, point.n)
+    for j in numerators:
+        if not _BOTTOM <= j <= _TOP:
+            return f"module numerator {j} at denominator 2^{level} is outside the int64 range"
+    return [point]
 
 
 # Micro boxes: a corner with a dyadic or a non-dyadic denominator and a width
@@ -540,6 +547,7 @@ class TestHugeCutoff:
     )
     @example(63, [(Fraction(0), Fraction(1, 2**100))])
     @example(300, [(Fraction(0), Fraction(1, 2**100))])
+    @example(63, [(Fraction(1, 2**62), Fraction(0)), (Fraction(2), Fraction(0))])
     def test_matches_the_indices_at_the_cutoff(self, cutoff, corners):
         bounds = [(lo, lo + width) for lo, width in corners]
         expected = _outcome_at_the_cutoff(cutoff, bounds)

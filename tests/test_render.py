@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitper import period_doubling, render
 from limitper.dyadic import Dyadic, DyadicPoint2, Module, module_points
@@ -305,6 +305,16 @@ class TestColumnsMatchPeakLists:
         for bounds in (((-1, 1), (-1, 1)), ((Fraction(-1, 3), 1), (-2, Fraction(1, 5)))):
             assert render.disc_svg(table, *bounds) == _legacy_disc_svg(peaks, *bounds)
 
+    def test_int64_edge_numerators(self):
+        top, bottom = (1 << 63) - 1, -(1 << 63)
+        chain = [Dyadic(top), Dyadic(bottom), Dyadic(-top, 62), Dyadic(top, 1), Dyadic(top)]
+        plane = [DyadicPoint2(top, bottom, 0), DyadicPoint2(bottom, -top, 3), DyadicPoint2(top, 0, 62)]
+        for dim, points in ((1, chain), (2, plane)):
+            pairs = [(k, complex(index, -index)) for index, k in enumerate(points)]
+            table = _table(pairs, dim)
+            assert render.peaks_csv(table) == _legacy_peaks_csv(_rows(pairs), dim)
+            assert render.module_csv(table.module) == _legacy_module_csv(points, dim)
+
     def test_negative_zero_everywhere(self):
         peaks = [(Dyadic(1, 1), complex(-0.0, -0.0), -0.0)] * 3
         assert render.peaks_csv(_columns(peaks, 1)) == _legacy_peaks_csv(peaks, 1)
@@ -584,6 +594,22 @@ class TestFormatting:
     def test_reprs_shortest_round_trip(self):
         column = np.array([0.1, 1 / 3, -0.0, 2.0, 0.1, 0.0])
         assert render._reprs(column) == ["0.1", "0.3333333333333333", "0.0", "2.0", "0.1", "0.0"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+                st.sampled_from([0, -1, (1 << 63) - 1, -((1 << 63) - 1), -(1 << 63)]),
+            ),
+            max_size=40,
+        )
+    )
+    @example([])
+    @example([(1 << 63) - 1, -((1 << 63) - 1), -(1 << 63), 0, (1 << 63) - 1])
+    def test_reprs_of_int64_columns_are_str(self, values):
+        column = np.array(values, dtype=np.int64)
+        assert render._reprs(column) == list(map(str, column.tolist()))
 
     def test_svg_headers_match(self):
         stem = render.stem_svg(_table([], 1), 0, 1)
