@@ -5,20 +5,25 @@ itself rather than from the closed forms, so the two routes can be compared.
 A window comes from substitution (``pd_comb``, ``chair_comb``, or
 ``subst.centred_window`` for any system and seed); a ``WeightedComb`` holds
 its labels only.  The estimators read exact integer counts of the labels,
-and weights enter only at the end:
+and weights enter only at the end.  The counts come from block kernels
+that make a few array passes over the window, band by band, so their
+scratch stays a few bands of ``_BAND_CELLS`` cells whatever the window:
 
 * ``empirical_autocorrelation`` averages w(x) conj(w(x - z)) over a finite
   centred window for the weights it is given, normalised by the full window
   cardinality.  It counts the label pairs (a, b) at distance z once and
-  weighs the L^2 counts.
+  weighs the L^2 counts.  The pairs are popcounts of ANDed rows of bits,
+  each label but the last packed along x at all eight bit phases once per
+  comb, so a shift is a row offset, a byte offset and a phase.
 
 * ``empirical_amplitudes`` evaluates the normalised per-letter sums
   (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i k.x} at every point of a
   ``dyadic.Module``.  At k = m / 2^s the exponential only depends on
   x mod 2^s, so the sum is the length-2^s DFT of the residue-class label
-  counts.  One count table at the module's finest level 2^s_max (a single
-  ``bincount``) and one FFT over its residue axes serve every point:
-  k = (m, n) / 2^s is the entry
+  counts.  One count table at the module's finest level 2^s_max
+  (``WeightedComb.residue_counts``: per letter, a uint8 mask summed over
+  whole periods of the window) and one FFT over its residue axes serve
+  every point: k = (m, n) / 2^s is the entry
   (n 2^(s_max - s), m 2^(s_max - s)) mod 2^s_max, one row per label, and
   ``render.weigh`` applies the weights, as to the closed forms' rows.
   ``empirical_amplitude`` is the same lookup for a one-point module.
@@ -37,6 +42,7 @@ and weights enter only at the end:
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -56,7 +62,7 @@ __all__ = [
     "approximant_amplitudes_chair",
 ]
 
-# Cells per band of ``WeightedComb.residue_counts``: 2 MB of int64 keys.
+# Cells per band of the counting kernels: 256 KiB of labels and as much of masks.
 _BAND_CELLS = 1 << 18
 
 
@@ -65,7 +71,7 @@ class WeightedComb:
 
     Weights are not held here: ``render.weigh`` applies them to the
     per-letter rows, so the label caches (residue counts, their transforms,
-    per-label masks) serve every weight set.  The class keeps its name for
+    per-label bit rows) serve every weight set.  The class keeps its name for
     the benchmark, whose tracing hooks ``residue_counts``.
     """
 
@@ -98,38 +104,62 @@ class WeightedComb:
 
         Shape (letters, modulus) in one dimension and
         (letters, modulus, modulus) in two, the residues ordered
-        (y mod modulus, x mod modulus).  The int64 keys
-        (label, residues) are built one band of the window at a time, at
-        least ``_BAND_CELLS`` cells and at least the table's size, and each
-        band's ``bincount`` is added into the table, so the scratch stays a
-        few bands' worth whatever the window.  A band is a slice of the
-        leading array axis (cells in 1D, rows in 2D); the residues along
-        that axis are taken per band, those along the others whole.
+        (y mod modulus, x mod modulus), int64; any modulus >= 1, else
+        ``ValueError``.  The window is copied band by band into a buffer
+        padded with the last letter, so that the buffer's index 0 has
+        residue 0 on every axis and each axis spans whole periods: the x
+        axis of a plane window periods of the modulus, the leading axis
+        rows of ``period`` cells, a multiple of the modulus long enough
+        that a band of ``_BAND_CELLS`` cells has at most 255 rows.  Per band
+        and per letter but the last, the letter's uint8 mask is summed over
+        the rows in uint8, exact for 255 rows, and the one row left is
+        folded onto the residues in int64.  The last letter is never
+        masked: its row is what the others leave of each residue class of
+        the window, so the padding counts nowhere.  The scratch is about two
+        bands and a row, a band being one row where a row is longer.
         """
+        modulus = operator.index(modulus)
+        if modulus < 1:
+            raise ValueError(f"modulus must be a positive integer, got {modulus}")
         key = ("counts", modulus)
         counts = self._label_data.get(key)
         if counts is not None:
             return counts
-        entries = self.letters * modulus**self.dim
+        dim, half, last = self.dim, self.half, self.letters - 1
         labels = self.window.labels
-        size = 2 * self.half + 1
-        step = max(1, max(_BAND_CELLS, entries) // size ** (self.dim - 1))
-        counts = None
-        for start in range(0, size, step):
-            stop = min(start + step, size)
-            keys = labels[start:stop].astype(np.int64)
-            for axis in range(self.dim):
-                lo, hi = (start, stop) if axis == 0 else (0, size)
-                residues = np.arange(lo - self.half, hi - self.half, dtype=np.int64)
-                residues %= modulus
-                keys *= modulus
-                keys += residues.reshape((-1,) + (1,) * (self.dim - 1 - axis))
-            band_counts = np.bincount(keys.ravel(), minlength=entries)
-            if counts is None:
-                counts = band_counts
-            else:
-                counts += band_counts
-        counts = counts.reshape((self.letters,) + (modulus,) * self.dim)
+        size = 2 * half + 1
+        # The x axis of a plane window: `skip` cells from residue 0 to the window.
+        skip = -half % modulus
+        width = -(-(skip + size) // modulus) * modulus
+        inner = width ** (dim - 1)
+        # The leading axis: rows long enough that _BAND_CELLS cells make at most 255.
+        period = modulus * -(-_BAND_CELLS // (255 * modulus * inner))
+        lead = -half % period
+        rows = -(-(lead + size) // period)
+        step = max(1, _BAND_CELLS // (period * inner))
+        counts = np.zeros((last,) + (modulus,) * dim, dtype=np.int64)
+        buffer = np.empty((min(step, rows) * period,) + (width,) * (dim - 1), dtype=np.uint8)
+        across = (slice(skip, skip + size),) * (dim - 1)
+        fold = (period // modulus, modulus) + (width // modulus, modulus) * (dim - 1)
+        block_axes = tuple(range(0, 2 * dim, 2))
+        for first in range(0, rows, step):
+            band = buffer[: (min(first + step, rows) - first) * period]
+            lo = first * period - lead  # the window row at band row 0
+            band.fill(last)
+            band[(slice(max(lo, 0) - lo, min(lo + len(band), size) - lo),) + across] = labels[
+                max(lo, 0) : lo + len(band)
+            ]
+            for letter, table in enumerate(counts):
+                mask = np.equal(band, letter).view(np.uint8).reshape(-1, period * inner)
+                row = mask.sum(axis=0, dtype=np.uint8).reshape(fold)
+                table += row.sum(axis=block_axes, dtype=np.int64)
+        # Cells x in [-N, N] with x = r mod modulus, per axis and then per residue.
+        residues = np.arange(modulus)
+        per_axis = (half - residues) // modulus - (-half - 1 - residues) // modulus
+        cells = 1
+        for _ in range(dim):
+            cells = np.multiply.outer(cells, per_axis)
+        counts = np.concatenate((counts, (cells - counts.sum(axis=0))[None]))
         self._label_data[key] = counts
         return counts
 
@@ -149,22 +179,36 @@ class WeightedComb:
             self._label_data[key] = spectrum
         return spectrum
 
-    def _label_masks(self) -> tuple[np.ndarray, ...]:
-        """One boolean array per label, True where the window carries it, cached."""
-        masks = self._label_data.get("masks")
-        if masks is None:
-            labels = self.window.labels
-            masks = tuple(labels == label for label in range(self.letters))
-            self._label_data["masks"] = masks
-        return masks
+    def _label_bits(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Every label but the last as bits along x at eight phases, and its cell count, cached.
 
-    def _label_totals(self) -> tuple[int, ...]:
-        """How many window cells carry each label, cached."""
-        totals = self._label_data.get("totals")
-        if totals is None:
-            totals = tuple(int(np.count_nonzero(mask)) for mask in self._label_masks())
-            self._label_data["totals"] = totals
-        return totals
+        ``bits[l, p]`` has the window's shape with the last axis packed into
+        bytes, a whole number of 64-bit words with at least 8 spare bits:
+        bit i of byte j (little bit order) is set when the cell at
+        x index 8 j + i - p carries l.  The cache holds about letters - 1
+        bytes per window cell.  The bits are packed in bands of columns, a
+        multiple of 8 wide and about ``_BAND_CELLS`` cells, so the scratch is
+        one band's mask.
+        """
+        cached = self._label_data.get("bits")
+        if cached is not None:
+            return cached
+        labels = self.window.labels
+        width = -(-(labels.shape[-1] + 8) // 64) * 8
+        bits = np.zeros((self.letters - 1, 8) + labels.shape[:-1] + (width,), dtype=np.uint8)
+        cols = max(8, _BAND_CELLS // math.prod(labels.shape[:-1]) // 8 * 8)
+        for start in range(0, 8 * width, cols):
+            lo, hi = start // 8, min(start + cols, 8 * width) // 8
+            carry = max(lo, 1)
+            for letter, phases in enumerate(bits):
+                packed = np.packbits(labels[..., start : start + cols] == letter, axis=-1, bitorder="little")
+                phases[0, ..., lo : lo + packed.shape[-1]] = packed
+                for offset in range(1, 8):
+                    np.left_shift(phases[0, ..., lo:hi], offset, out=phases[offset, ..., lo:hi])
+                    phases[offset, ..., carry:hi] |= phases[0, ..., carry - 1 : hi - 1] >> (8 - offset)
+        totals = tuple(int(np.bitwise_count(phases[0].view(np.uint64)).sum()) for phases in bits)
+        self._label_data["bits"] = bits, totals
+        return bits, totals
 
 
 def pd_comb(half: int) -> WeightedComb:
@@ -184,19 +228,60 @@ def _overlap(size: int, shift: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo - shift, hi - shift)
 
 
-def _count_inside(mask: np.ndarray, total: int, region: tuple[slice, ...]) -> int:
-    """True cells of ``mask`` inside the box ``region``, given all ``total`` of them.
+def _count_inside(labels: np.ndarray, letter: int, total: int, region: tuple[slice, ...]) -> int:
+    """Cells carrying ``letter`` inside the box ``region``, given all ``total`` of them.
 
     Subtracts the cells outside, slab by slab, so the work is the border
     the box cuts off rather than the box itself.
     """
     inside = total
     kept: tuple[slice, ...] = ()
-    for cut, size in zip(region, mask.shape):
+    for cut, size in zip(region, labels.shape):
         for part in (slice(0, cut.start), slice(cut.stop, size)):
-            inside -= int(np.count_nonzero(mask[kept + (part,)]))
+            inside -= int(np.count_nonzero(labels[kept + (part,)] == letter))
         kept += (cut,)
     return inside
+
+
+def _pair_counts(comb: WeightedComb, shifts: tuple[int, ...]) -> np.ndarray:
+    """counts[a, b] = #{x in the overlap : label(x) = a, label(x - z) = b}, int64 (L, L).
+
+    ``shifts`` are the integer components (x[, y]) of z, each |z_i| <= 2N.  The
+    pairs of the first L - 1 labels are popcounts of ANDed bit rows from
+    ``WeightedComb._label_bits``: z_x = 8 q + p puts bit i of byte j of
+    phase 0 against byte j - q of phase p, so the x shift is a byte offset
+    and the y shift a row offset.  The last row and column of the table
+    follow from how often each label occurs in the two overlaps.  The
+    scratch is one bit per window cell, the ANDed rows.
+    """
+    labels = comb.window.labels
+    bits, totals = comb._label_bits()
+    last = comb.letters - 1
+    # Array axes run (y, x), shifts are given (x, y).
+    here, there = zip(*(_overlap(n, c) for n, c in zip(labels.shape, reversed(shifts))))
+    q, offset = divmod(shifts[0], 8)
+    bytes_here, bytes_there = _overlap(bits.shape[-1], q)
+    first = bits[(slice(None), 0) + here[:-1] + (bytes_here,)]
+    second = bits[(slice(None), offset) + there[:-1] + (bytes_there,)]
+    counts = np.zeros((last + 1, last + 1), dtype=np.int64)
+    size = math.prod(first.shape[1:])
+    # Whole 64-bit words, the spare tail zero, so popcounts run on words.
+    buffer = np.zeros(-(-size // 8) * 8, dtype=np.uint8)
+    anded, words = buffer[:size].reshape(first.shape[1:]), buffer.view(np.uint64)
+    for a in range(last):
+        for b in range(last):
+            np.bitwise_and(first[a], second[b], out=anded)
+            counts[a, b] = int(np.bitwise_count(words).sum())
+    overlap = math.prod(cut.stop - cut.start for cut in here)
+    row_sums = [_count_inside(labels, a, totals[a], here) for a in range(last)]
+    col_sums = [_count_inside(labels, b, totals[b], there) for b in range(last)]
+    row_sums.append(overlap - sum(row_sums))
+    for a in range(last):
+        counts[a, last] = row_sums[a] - counts[a, :last].sum()
+    for b in range(last):
+        counts[last, b] = col_sums[b] - counts[:last, b].sum()
+    counts[last, last] = row_sums[last] - counts[last, :last].sum()
+    return counts
 
 
 def empirical_autocorrelation(comb: WeightedComb, z, weights) -> complex:
@@ -207,11 +292,10 @@ def empirical_autocorrelation(comb: WeightedComb, z, weights) -> complex:
     partner also lies in the window, still normalising by the full
     cardinality (2N+1)^d, so missing boundary terms count as zero.  The
     shift must satisfy |z| <= N/2 componentwise to keep the boundary
-    deficit small against the estimate itself.  The sum is taken as exact
-    counts of label pairs (label(x), label(x - z)), weighed once.  Only the
-    pairs of the first L - 1 of L labels are counted cell by cell; the last
-    row and column of the count table follow from how often each label
-    occurs in the two overlaps.
+    deficit small against the estimate itself, and each component must be
+    an integer (else ``TypeError``).  The sum is the exact table of label
+    pair counts from ``_pair_counts``, bit rows ANDed and popcounted,
+    weighed once.
     """
     weights = tuple(complex(w) for w in weights)
     if len(weights) != comb.letters:
@@ -226,28 +310,13 @@ def empirical_autocorrelation(comb: WeightedComb, z, weights) -> complex:
         shifts = tuple(z)
         if len(shifts) != 2:
             raise ValueError("two-dimensional shift must be a pair")
+        try:
+            shifts = tuple(map(operator.index, shifts))
+        except TypeError:
+            raise TypeError("each two-dimensional shift component must be an integer") from None
     if any(abs(c) > half // 2 for c in shifts):
         raise ValueError(f"shift {z} outside allowed range |z| <= {half // 2}")
-    size = 2 * half + 1
-    # Array axes run (y, x), shifts are given (x, y).
-    here, there = zip(*(_overlap(size, c) for c in reversed(shifts)))
-    masks = comb._label_masks()
-    totals = comb._label_totals()
-    last = comb.letters - 1
-    overlap = masks[0][here].size
-    # counts[a, b] = #{x in the overlap : label(x) = a, label(x - z) = b}.
-    counts = np.zeros((last + 1, last + 1), dtype=np.int64)
-    for a in range(last):
-        for b in range(last):
-            counts[a, b] = np.count_nonzero(masks[a][here] & masks[b][there])
-    row_sums = [_count_inside(masks[a], totals[a], here) for a in range(last)]
-    col_sums = [_count_inside(masks[b], totals[b], there) for b in range(last)]
-    row_sums.append(overlap - sum(row_sums))
-    for a in range(last):
-        counts[a, last] = row_sums[a] - counts[a, :last].sum()
-    for b in range(last):
-        counts[last, b] = col_sums[b] - counts[:last, b].sum()
-    counts[last, last] = row_sums[last] - counts[last, :last].sum()
+    counts = _pair_counts(comb, shifts)
     total = 0j
     for a, w_a in enumerate(weights):
         for b, w_b in enumerate(weights):

@@ -23,6 +23,7 @@ with the coordinate, and a rule file lists block rows top line first.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,9 @@ __all__ = [
     "centred_window",
     "natural_frequencies",
 ]
+
+# Cells per band of ``_expand_labels``: 128 KiB of intp indices.
+_BAND_CELLS = 1 << 14
 
 
 class RuleError(ValueError):
@@ -199,12 +203,28 @@ class PatternWindow:
 
 
 def _expand_labels(images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Replace each cell of the last d = dim axes of `labels` by its image, in the images' dtype."""
+    """Replace each cell of the last d = dim axes of `labels` by its image, as uint8.
+
+    Leading axes (the stacked images that ``SubstitutionSystem.power``
+    passes) are carried along.  Each image row of b cells is one b-byte item
+    (``np.void``), so one ``take`` per image row y gathers that row for every
+    cell at once into the output's rows b iy + y.  The cells go band by band
+    along the first axis, ``_BAND_CELLS`` at a time, because ``take`` casts
+    the uint8 labels to intp: the scratch is 8 + b bytes per band cell
+    whatever the window.  Any factor, d = 1 or 2, and any strided `labels`.
+    """
     b, d = images.shape[-1], images.ndim - 1
-    out = np.empty(labels.shape[:-d] + tuple(n * b for n in labels.shape[-d:]), dtype=images.dtype)
-    # Offset (dy, dx) of every image fills the cells out[..., dy::b, dx::b].
-    for offset in np.ndindex(*(b,) * d):
-        out[(..., *(slice(o, None, b) for o in offset))] = images[(labels, *offset)]
+    # rows[l, y] is row y of the image of l, one b-byte item; (L, 1) in 1D.
+    rows = np.ascontiguousarray(images).reshape(len(images), -1, b).view(f"V{b}")[..., 0]
+    out = np.empty(labels.shape[:-d] + tuple(n * b for n in labels.shape[-d:]), dtype=np.uint8)
+    # targets[y] has the shape of `labels` and views the output rows b iy + y.
+    spread = labels.shape[:-1] + (rows.shape[1], labels.shape[-1] * b)
+    targets = np.moveaxis(out.reshape(spread).view(f"V{b}"), -2, 0)
+    step = max(1, _BAND_CELLS // max(1, math.prod(labels.shape[1:])))
+    for start in range(0, len(labels), step):
+        band = labels[start : start + step].astype(np.intp)
+        for target, image_rows in zip(targets, rows.T):
+            target[start : start + step] = image_rows.take(band)
     return out
 
 

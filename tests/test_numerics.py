@@ -5,8 +5,10 @@ counts.  Two oracles pin it: the ungrouped sum evaluated with floating
 exponentials (to 1e-10), and the per-point residue sum with exact roots of
 unity that the transform replaced (to 1e-12).  The pair-count
 autocorrelation is pinned the same way to the complex product over the
-window, and the substitution-built combs to the halving and congruence
-labels.  Convergence, symmetry, and the layer-sum approximant round out the
+window, and its integer table exactly to the byte-mask loop the packed bit
+rows replaced; the residue counts are pinned exactly to one ``bincount``,
+and the substitution-built combs to the halving and congruence labels.
+Convergence, symmetry, and the layer-sum approximant round out the
 estimator contracts; its array form is pinned to the scalar layer sum to
 1e-15 across levels, signs, depths and the int64 edges.
 """
@@ -77,18 +79,57 @@ def _residue_sum_amplitude(comb: numerics.WeightedComb, weights, k) -> complex:
     return complex(total) / float(comb.cells)
 
 
-def _product_autocorrelation(comb: numerics.WeightedComb, weights, z) -> complex:
-    """w(x) conj(w(x - z)) summed as complex products over the overlap."""
-    weights = _weight_array(comb, weights)
+def _overlaps(comb: numerics.WeightedComb, shifts) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Array index boxes of x and of x - z over the cells where both lie in the window."""
     size = 2 * comb.half + 1
-    shifts = (z,) if comb.dim == 1 else tuple(z)
     here, there = [], []
     for shift in reversed(shifts):
         lo, hi = max(0, shift), size + min(0, shift)
         here.append(slice(lo, hi))
         there.append(slice(lo - shift, hi - shift))
-    prod = weights[tuple(here)] * np.conj(weights[tuple(there)])
-    return complex(prod.sum()) / float(size**comb.dim)
+    return tuple(here), tuple(there)
+
+
+def _product_autocorrelation(comb: numerics.WeightedComb, weights, z) -> complex:
+    """w(x) conj(w(x - z)) summed as complex products over the overlap."""
+    weights = _weight_array(comb, weights)
+    here, there = _overlaps(comb, (z,) if comb.dim == 1 else tuple(z))
+    prod = weights[here] * np.conj(weights[there])
+    return complex(prod.sum()) / float(comb.cells)
+
+
+def _mask_pair_counts(comb: numerics.WeightedComb, shifts) -> np.ndarray:
+    """The pair-count oracle: one byte mask per label, ANDed over the whole overlap, every pair."""
+    here, there = _overlaps(comb, shifts)
+    masks = [comb.window.labels == label for label in range(comb.letters)]
+    counts = np.zeros((comb.letters, comb.letters), dtype=np.int64)
+    for a, first in enumerate(masks):
+        for b, second in enumerate(masks):
+            counts[a, b] = np.count_nonzero(first[here] & second[there])
+    return counts
+
+
+def _drawn_shifts(data, reach: int) -> list[int]:
+    """Shifts in [-reach, reach]: all for reach < 8, else 0, +-reach and a drawn run of 8 and its negatives.
+
+    The run covers every bit phase mod 8 of a shift in either direction.
+    """
+    if reach < 8:
+        return list(range(-reach, reach + 1))
+    start = data.draw(st.integers(min_value=-reach, max_value=reach - 7), label="run start")
+    run = range(start, start + 8)
+    return sorted({0, reach, -reach, *run, *(-z for z in run)})
+
+
+class _SealedWindow:
+    """Stands in for a comb's window once its tables are cached: reading the labels fails."""
+
+    def __init__(self, window):
+        self.dim, self.origin, self.extent = window.dim, window.origin, window.extent
+
+    @property
+    def labels(self):
+        raise AssertionError("the labels were read again: a table was recounted")
 
 
 def _single_bincount_counts(comb: numerics.WeightedComb, modulus: int) -> np.ndarray:
@@ -112,14 +153,18 @@ _weights = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=F
 
 @st.composite
 def _random_combs(draw, dim):
-    """A comb on a random labelling of [-N, N]^dim and random complex weights for it."""
-    half = draw(st.integers(min_value=0, max_value=40 if dim == 1 else 9))
+    """A comb on a random labelling of [-N, N]^dim and random complex weights for it.
+
+    N reaches 300 on the line and 70 in the plane, so rows of packed bits
+    span several 64-bit words; the letters' shares are drawn too, so some
+    letters are rare or absent.
+    """
+    top = 300 if dim == 1 else 70
+    half = draw(st.one_of(st.integers(0, 12), st.integers(0, top)))
     n_labels = draw(st.integers(min_value=1, max_value=4))
-    side = 2 * half + 1
-    cells = draw(
-        st.lists(st.integers(0, n_labels - 1), min_size=side**dim, max_size=side**dim)
-    )
-    labels = np.array(cells, dtype=np.uint8).reshape((side,) * dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="labels seed"))
+    shares = rng.dirichlet(np.ones(n_labels))
+    labels = rng.choice(n_labels, size=(2 * half + 1,) * dim, p=shares).astype(np.uint8)
     weights = draw(st.lists(_weights, min_size=n_labels, max_size=n_labels))
     return numerics.WeightedComb(PatternWindow((-half,) * dim, labels), n_labels), weights
 
@@ -181,11 +226,60 @@ class TestWeightedComb:
     )
     def test_banded_counts_match_one_bincount_across_band_edges(self, dim, half, band, modulus):
         # Windows narrower than one band, and bands cut short by the edge.
+        # _BAND_CELLS sets both the band and the row length of the kernel, so
+        # small values put band edges at every few rows.
         build = numerics.pd_comb if dim == 1 else numerics.chair_comb
         comb = build(half)
         with mock.patch.object(numerics, "_BAND_CELLS", band):
             counts = comb.residue_counts(modulus)
         assert np.array_equal(counts, _single_bincount_counts(comb, modulus))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((1, 2)).flatmap(_random_combs),
+        st.one_of(st.integers(min_value=1, max_value=20), st.sampled_from((32, 64, 100, 257))),
+        st.one_of(st.integers(min_value=1, max_value=600), st.just(numerics._BAND_CELLS)),
+    )
+    def test_counts_match_one_bincount_on_random_windows(self, comb_and_weights, modulus, band):
+        # Any modulus, powers of two or not, narrower or wider than the window.
+        comb, _ = comb_and_weights
+        with mock.patch.object(numerics, "_BAND_CELLS", band):
+            counts = comb.residue_counts(modulus)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _single_bincount_counts(comb, modulus))
+
+    def test_the_band_size_bounds_the_count_scratch(self):
+        # The kernel reads _BAND_CELLS: a window of 2^17 cells counted in
+        # bands of 4096 cells needs a few bands of scratch, not the window.
+        window = numerics.pd_comb(1 << 16).window
+        peaks = {}
+        for band in (1 << 12, 1 << 18):
+            comb = numerics.WeightedComb(window, 2)
+            with mock.patch.object(numerics, "_BAND_CELLS", band):
+                tracemalloc.start()
+                try:
+                    comb.residue_counts(8)
+                    peaks[band] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1 << 12] < 48 << 10 < 256 << 10 < peaks[1 << 18], peaks
+
+    @pytest.mark.parametrize("modulus", [1, 3, 64])
+    def test_row_sums_stay_exact_where_every_cell_counts(self, modulus):
+        # One letter everywhere: each column of a band sums to its row count,
+        # which a uint8 sum holds only up to 255 rows.
+        half = 1 << 18
+        labels = np.zeros((2 * half + 1,), dtype=np.uint8)
+        comb = numerics.WeightedComb(PatternWindow((-half,), labels), 2)
+        counts = comb.residue_counts(modulus)
+        assert counts[1].tolist() == [0] * modulus
+        assert counts[0].tolist() == _single_bincount_counts(comb, modulus)[0].tolist()
+
+    def test_a_modulus_below_one_is_refused(self):
+        comb = numerics.pd_comb(8)
+        for modulus in (0, -1, -8):
+            with pytest.raises(ValueError, match=f"modulus must be a positive integer, got {modulus}"):
+                comb.residue_counts(modulus)
 
     def test_count_table_scratch_stays_small(self, big_combs):
         # A fresh comb on the same window, so no count table is cached.
@@ -198,16 +292,42 @@ class TestWeightedComb:
             tracemalloc.stop()
         assert peak - counts.nbytes < 8 << 20
 
+    def test_block_count_table_stays_within_its_budget(self, big_combs):
+        # The parent's peak on the chair window at modulus 16 was 4 MiB.
+        comb = numerics.WeightedComb(big_combs[1].window, 4)
+        tracemalloc.start()
+        try:
+            counts = comb.residue_counts(16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - counts.nbytes <= 4 << 20
+
+    def test_the_check_combs_grow_within_their_budgets(self):
+        # The parent's peaks: 3.07 MiB for the chain, 6.07 MiB for the chair.
+        for build, half, budget in ((numerics.pd_comb, 1 << 20, 3.1), (numerics.chair_comb, 1024, 6.1)):
+            tracemalloc.start()
+            try:
+                build(half)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget * (1 << 20), (build.__name__, peak)
+
     def test_amplitude_calls_share_the_count_table(self):
-        # Every weight set weighs the same rows; a second read counts nothing again.
+        # Every weight set weighs the same rows; a second read counts nothing
+        # again.  Any count reads the labels, so a sealed window catches a
+        # recount whatever the kernel calls.
         comb = numerics.pd_comb(32)
         points = module_points(3, ((0, 1),))
         rows = numerics.empirical_amplitudes(comb, points)
         counts, spectrum = comb.residue_counts(8), comb.label_spectrum(3)
-        with mock.patch.object(np, "bincount", side_effect=AssertionError("recounted")):
+        with mock.patch.object(comb, "window", _SealedWindow(comb.window)):
             again = numerics.empirical_amplitudes(comb, points)
-        assert comb.residue_counts(8) is counts
-        assert comb.label_spectrum(3) is spectrum
+            assert comb.residue_counts(8) is counts
+            assert comb.label_spectrum(3) is spectrum
+            with pytest.raises(AssertionError, match="recounted"):
+                comb.residue_counts(4)
         assert again.tolist() == rows.tolist()
 
     @pytest.mark.parametrize("half", [0, 1, 4, 63, 64, 1000])
@@ -286,13 +406,16 @@ class TestEmpiricalAutocorrelation:
                 numerics.empirical_autocorrelation(comb, int(z), (1, -1))
             )
         for z in (3.0, np.float64(3), "3"):
-            with pytest.raises(TypeError, match="must be an integer"):
+            with pytest.raises(TypeError, match="one-dimensional shift must be an integer"):
                 numerics.empirical_autocorrelation(comb, z, (1, -1))
         grid = numerics.chair_comb(16)
         fourth = (1, 1j, -1, -1j)
         assert numerics.empirical_autocorrelation(grid, (np.int64(2), np.int32(-3)), fourth) == (
             numerics.empirical_autocorrelation(grid, (2, -3), fourth)
         )
+        for z in ((1.5, 0), (0, 2.0), (np.float64(1), 1), ("1", 0)):
+            with pytest.raises(TypeError, match="two-dimensional shift component must be an integer"):
+                numerics.empirical_autocorrelation(grid, z, fourth)
 
     def test_hermitian_symmetry(self):
         comb, weights = numerics.pd_comb(256), (1 + 0.5j, -0.25 - 1j)
@@ -316,15 +439,57 @@ class TestEmpiricalAutocorrelation:
             assert got == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(_random_combs(2))
-    def test_pair_counts_match_the_complex_products_in_the_plane(self, comb_and_weights):
+    @given(_random_combs(2), st.data())
+    def test_pair_counts_match_the_complex_products_in_the_plane(self, comb_and_weights, data):
         comb, weights = comb_and_weights
         reach = comb.half // 2
-        for zx in range(-reach, reach + 1):
-            for zy in range(-reach, reach + 1):
+        for zx in _drawn_shifts(data, reach):
+            for zy in _drawn_shifts(data, reach):
                 got = numerics.empirical_autocorrelation(comb, (zx, zy), weights)
                 expected = _product_autocorrelation(comb, weights, (zx, zy))
                 assert got == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_combs(1), st.data())
+    def test_pair_count_tables_match_the_mask_loop_on_the_chain(self, comb_and_weights, data):
+        # Bit rows packed in bands of drawn width, every phase mod 8, both signs.
+        comb, _ = comb_and_weights
+        band = data.draw(st.one_of(st.integers(min_value=1, max_value=64), st.just(numerics._BAND_CELLS)))
+        with mock.patch.object(numerics, "_BAND_CELLS", band):
+            for z in _drawn_shifts(data, comb.half // 2):
+                got = numerics._pair_counts(comb, (z,))
+                assert got.dtype == np.int64
+                assert got.tolist() == _mask_pair_counts(comb, (z,)).tolist(), z
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_combs(2), st.data())
+    def test_pair_count_tables_match_the_mask_loop_in_the_plane(self, comb_and_weights, data):
+        comb, _ = comb_and_weights
+        band = data.draw(st.one_of(st.integers(min_value=1, max_value=600), st.just(numerics._BAND_CELLS)))
+        reach = comb.half // 2
+        with mock.patch.object(numerics, "_BAND_CELLS", band):
+            for zx in _drawn_shifts(data, reach):
+                zy = data.draw(st.sampled_from(sorted({0, reach, -reach, zx, -zx})), label="zy")
+                got = numerics._pair_counts(comb, (zx, zy))
+                assert got.tolist() == _mask_pair_counts(comb, (zx, zy)).tolist(), (zx, zy)
+
+    def test_pair_count_tables_on_the_check_window(self, big_combs):
+        comb = numerics.WeightedComb(big_combs[0].window, 2)
+        for z in (-64, -57, -8, -1, 0, 1, 7, 8, 9, 63, 64):
+            assert numerics._pair_counts(comb, (z,)).tolist() == _mask_pair_counts(comb, (z,)).tolist()
+
+    def test_the_check_shifts_stay_within_their_budget(self, big_combs):
+        # The parent's 129 shifts on the chain peaked at 2.0 MiB with its byte
+        # masks already cached; the packed bit rows are built inside the budget.
+        comb = numerics.WeightedComb(big_combs[0].window, 2)
+        tracemalloc.start()
+        try:
+            for z in range(-64, 65):
+                numerics.empirical_autocorrelation(comb, z, (1, -1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (1 << 20)
 
     def test_zero_shift_dominates(self):
         comb, weights = numerics.pd_comb(1 << 12), (1.5, -0.5 + 2j)

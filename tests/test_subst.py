@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -805,3 +806,61 @@ class TestCentredWindow:
             subst.centred_window(squared, subst.word_seed(squared, "a", "a"), -1)
         with pytest.raises(ValueError, match="not legal"):
             subst.centred_window(squared, subst.word_seed(squared, "b", "b"), 4)
+
+
+# ---------------------------------------------------------------------------
+# Growth kernel
+# ---------------------------------------------------------------------------
+
+
+def _expand_by_offsets(images, labels):
+    """The growth oracle: one fancy-index pass per image offset, each written with stride b."""
+    b, d = images.shape[-1], images.ndim - 1
+    out = np.empty(labels.shape[:-d] + tuple(n * b for n in labels.shape[-d:]), dtype=images.dtype)
+    for offset in np.ndindex(*(b,) * d):
+        out[(..., *(slice(o, None, b) for o in offset))] = images[(labels, *offset)]
+    return out
+
+
+@st.composite
+def _expansions(draw):
+    """Images of factor 2-5 in one or two dimensions, and labels for them.
+
+    The labels carry up to two stacked leading axes, as ``power`` passes
+    them, and are cut from a larger array by a start and a step per cell
+    axis, as ``_grow``'s trimmed (and here also strided) slices are.
+    """
+    d = draw(st.sampled_from((1, 2)))
+    b = draw(st.integers(min_value=2, max_value=5))
+    letters = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = rng.integers(0, letters, (letters,) + (b,) * d, dtype=np.uint8)
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    cells = draw(st.lists(st.integers(0, 70 if d == 1 else 14), min_size=d, max_size=d))
+    starts = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    steps = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    whole = rng.integers(0, letters, lead + tuple(s + n * k for s, n, k in zip(starts, cells, steps)))
+    cut = tuple(slice(s, s + n * k, k) for s, n, k in zip(starts, cells, steps))
+    return images, whole.astype(np.uint8)[(...,) + cut]
+
+
+class TestExpandLabels:
+    """``_expand_labels`` against the per-offset loop it replaced, cell for cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_expansions(), st.one_of(st.integers(1, 40), st.just(subst._BAND_CELLS)))
+    def test_matches_the_offset_loop(self, case, band):
+        images, labels = case
+        with mock.patch.object(subst, "_BAND_CELLS", band):
+            got = subst._expand_labels(images, labels)
+        expected = _expand_by_offsets(images, labels)
+        assert got.dtype == np.uint8 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("text", [_DOUBLING_TEXT, _BLOCK_TEXT, _TRIPLING_WORD, _TRIPLING_BLOCK])
+    def test_power_matches_the_offset_loop(self, text):
+        system = subst.parse_rules(text)
+        images = system.images
+        for exponent in range(1, 5):
+            assert np.array_equal(system.power(exponent).images, images)
+            images = _expand_by_offsets(system.images, images)
