@@ -133,6 +133,10 @@ class WeightedComb:
         width = -(-(skip + size) // modulus) * modulus
         inner = width ** (dim - 1)
         # The leading axis: rows long enough that _BAND_CELLS cells make at most 255.
+        # Long rows summed in uint8 keep numpy's inner loops long; an int64 sum
+        # over the block axes of a (-1, modulus) fold runs loops of `modulus`
+        # cells: on the 2049^2 chair window at modulus 2 it takes 4.6 times as
+        # long as one bincount of int64 keys.
         period = modulus * -(-_BAND_CELLS // (255 * modulus * inner))
         lead = -half % period
         rows = -(-(lead + size) // period)
