@@ -377,7 +377,8 @@ def apply_d4(g: D4Element, window: subst.PatternWindow) -> subst.PatternWindow:
     (a, b), (c, d) = g.matrix
     labels = window.labels if b == 0 else window.labels.T
     perm = np.array(g.color_perm, dtype=labels.dtype)
-    return subst.PatternWindow(window.origin, perm[labels[:: c + d, :: a + b]])
+    # np.take gathers from the strided view faster than perm[view] does.
+    return subst.PatternWindow(window.origin, np.take(perm, labels[:: c + d, :: a + b]))
 
 
 def transform_wavevector(g: D4Element, k: DyadicPoint2) -> DyadicPoint2:

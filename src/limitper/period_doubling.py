@@ -7,7 +7,8 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
   point equations (b sits exactly on the classes 2*4^(i-1) - 1 mod 4^i,
   the n with v_2(n + 1) odd, which ``label_window`` tests bit-wise),
 * the two-valued autocorrelation follows its halving recursion in rational
-  arithmetic,
+  arithmetic, one shift at a time or, as exact integer numerator and
+  denominator arrays, over many shifts at once,
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
   one amplitude per letter, and weighted peak intensities follow from
   those by sesquilinear combination; ``amplitude_arrays`` evaluates the
@@ -44,6 +45,8 @@ __all__ = [
     "label_window",
     "autocorr_balanced",
     "autocorr_balanced_closed_form",
+    "autocorr_balanced_arrays",
+    "autocorr_balanced_closed_form_arrays",
     "autocorr",
     "amplitudes",
     "amplitude_arrays",
@@ -58,6 +61,10 @@ ALPHABET = ("a", "b")
 
 # The bits at odd positions 1, 3, ..., 63 of a 64-bit word.
 _ODD_BITS = 0xAAAAAAAAAAAAAAAA
+
+# The deepest 2-adic valuation the eta arrays take: 3 * 2^61 is the largest
+# denominator 3 * 2^r below 2^63.
+_ETA_MAX_VALUATION = 61
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +161,75 @@ def autocorr_balanced_closed_form(shift: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _eta_closed_form(halvings: int) -> Fraction:
     return 1 - Fraction(4, 3 * (1 << halvings))
+
+
+def autocorr_balanced_arrays(shifts) -> tuple[np.ndarray, np.ndarray]:
+    """``autocorr_balanced`` at every shift, as exact int64 (numerators, denominators).
+
+    Each fraction is in lowest terms with a positive denominator, as its
+    ``Fraction.as_integer_ratio()``.  The halving recursion runs on the
+    whole array: step i halves the shifts of valuation above i, and
+    ``np.gcd`` reduces each result, so a shift stops at its own valuation.
+    Valid for shift 0 and the shifts of 2-adic valuation at most 61, else
+    ``ValueError``.  ``shifts`` is any int64 array-like; the arrays have its
+    shape, one element for a single shift.
+    """
+    valuations, zero = _eta_valuations(shifts)
+    numerators = np.full(valuations.shape, -1, dtype=np.int64)
+    denominators = np.full(valuations.shape, 3, dtype=np.int64)
+    # The flat indices of the shifts that step ``step`` halves: those of
+    # valuation above it.
+    halving = np.flatnonzero(valuations)
+    step = 0
+    while halving.size:
+        n, d = numerators.flat[halving], denominators.flat[halving]
+        # (1 + n / d) / 2 = (d + n) / (2 d)
+        n, d = d + n, 2 * d
+        common = np.gcd(n, d)
+        numerators.flat[halving] = n // common
+        denominators.flat[halving] = d // common
+        step += 1
+        halving = halving[valuations.flat[halving] > step]
+    numerators[zero] = denominators[zero] = 1
+    return numerators, denominators
+
+
+def autocorr_balanced_closed_form_arrays(shifts) -> tuple[np.ndarray, np.ndarray]:
+    """``autocorr_balanced_closed_form`` at every shift, as ``autocorr_balanced_arrays`` gives it.
+
+    (3 * 2^r - 4) / (3 * 2^r) for shift = 2^r * odd, reduced by ``np.gcd``;
+    the same valid range.
+    """
+    valuations, zero = _eta_valuations(shifts)
+    denominators = np.left_shift(3, valuations)
+    numerators = denominators - 4
+    common = np.gcd(numerators, denominators)
+    numerators //= common
+    denominators //= common
+    numerators[zero] = denominators[zero] = 1
+    return numerators, denominators
+
+
+def _eta_valuations(shifts) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-adic valuation of every shift as int64, 0 at shift 0, and the mask of zero shifts.
+
+    The valuation is the count of bits below the lowest set bit x & -x of
+    the shift's uint64 image, which has the same low bits; shift 0 has no
+    set bit and counts 64.  A valuation above ``_ETA_MAX_VALUATION`` raises
+    ``ValueError``.
+    """
+    shifts = np.array(shifts, dtype=np.int64, ndmin=1)
+    x = shifts.view(np.uint64)
+    valuations = np.bitwise_count((x & -x) - np.uint64(1)).astype(np.int64)
+    zero = x == 0
+    valuations[zero] = 0
+    if (valuations > _ETA_MAX_VALUATION).any():
+        deepest = shifts[valuations > _ETA_MAX_VALUATION][0]
+        raise ValueError(
+            f"shift {deepest} has 2-adic valuation above {_ETA_MAX_VALUATION}, "
+            "past the int64 range of the eta arrays"
+        )
+    return valuations, zero
 
 
 def autocorr(shift: int, weights) -> complex:

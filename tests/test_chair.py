@@ -624,6 +624,24 @@ class TestD4:
         for element in chair.d4_elements():
             assert chair.apply_d4(element, window) == window
 
+    @given(
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.sampled_from([np.uint8, np.int64]),
+    )
+    def test_recolouring_matches_indexing_the_permutation(self, half, seed, dtype):
+        # The reference recolours by indexing the permutation with the moved view.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 4, size=(2 * half, 2 * half)).astype(dtype)
+        window = PatternWindow((-half, -half), labels)
+        for element in chair.d4_elements():
+            (a, b), (c, d) = element.matrix
+            moved = (labels if b == 0 else labels.T)[:: c + d, :: a + b]
+            expected = np.array(element.color_perm, dtype=dtype)[moved]
+            image = chair.apply_d4(element, window)
+            assert image.labels.dtype == expected.dtype
+            assert np.array_equal(image.labels, expected)
+
     def test_composition_acts_like_sequential_application(self):
         half = 32
         labels = chair.label_grid(-half, half, -half, half)

@@ -147,6 +147,52 @@ class TestBalancedAutocorrelation:
                 assert pd.autocorr_balanced_closed_form(odd << halvings) == expected
 
 
+def _wrap_int64(value: int) -> int:
+    """``value`` mod 2^64 as a signed 64-bit integer: the same low bits, so the same valuation."""
+    return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+# Any int64 shift of valuation 0..61, either sign, and shift 0.
+_int64_shifts = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda odd, valuation: _wrap_int64((2 * odd + 1) << valuation),
+        st.integers(min_value=-(1 << 62), max_value=(1 << 62) - 1),
+        st.integers(min_value=0, max_value=61),
+    ),
+)
+
+
+class TestBalancedAutocorrelationArrays:
+    """The array routes give the scalar routes' fractions, exactly."""
+
+    @given(st.lists(_int64_shifts, max_size=16))
+    @example([0, 1, -1, 2, -6, 4096, 1 << 61, -(1 << 61), 3 << 61, (1 << 63) - 1])
+    def test_arrays_equal_the_scalar_routes(self, shifts):
+        for arrays, scalar in (
+            (pd.autocorr_balanced_arrays, pd.autocorr_balanced),
+            (pd.autocorr_balanced_closed_form_arrays, pd.autocorr_balanced_closed_form),
+        ):
+            numerators, denominators = arrays(np.array(shifts, dtype=np.int64))
+            assert numerators.dtype == denominators.dtype == np.int64
+            pairs = list(zip(numerators.tolist(), denominators.tolist()))
+            assert pairs == [scalar(m).as_integer_ratio() for m in shifts]
+
+    def test_shape_follows_the_shifts(self):
+        numerators, denominators = pd.autocorr_balanced_arrays([[1, 2], [4, 0]])
+        assert numerators.tolist() == [[-1, 1], [2, 1]]
+        assert denominators.tolist() == [[3, 3], [3, 1]]
+        numerators, denominators = pd.autocorr_balanced_closed_form_arrays(8)
+        assert (numerators.tolist(), denominators.tolist()) == ([5], [6])
+
+    @pytest.mark.parametrize("shift", [1 << 62, -(1 << 62), 3 << 62, -(1 << 63)])
+    def test_valuations_past_61_are_refused(self, shift):
+        shifts = np.array([1, _wrap_int64(shift)], dtype=np.int64)
+        for arrays in (pd.autocorr_balanced_arrays, pd.autocorr_balanced_closed_form_arrays):
+            with pytest.raises(ValueError, match="above 61"):
+                arrays(shifts)
+
+
 _reals = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
 

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from limitper import chair, numerics, period_doubling, render, verification
@@ -63,12 +65,17 @@ _LINUX = sys.platform.startswith("linux")
 _SRC = Path(verification.__file__).resolve().parents[1]
 
 
-def _fresh_python(code, tmp_path):
+def _fresh_python(code, tmp_path, timeout=None):
     """Run ``code`` in a fresh interpreter that imports limitper from this tree."""
     path = os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
 
 
@@ -85,7 +92,7 @@ def _pid():
 
 
 class TestRunner:
-    """The forked pool and the serial loop give the same results."""
+    """The forked workers and the serial loop give the same results; a worker fault raises."""
 
     @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
     @pytest.mark.parametrize("serial_first", [False, True])
@@ -138,14 +145,101 @@ class TestRunner:
         assert (tmp_path / "exits").read_text() == "exit\n"
 
     def test_cli_import_leaves_out_multiprocessing(self, tmp_path):
+        # Neither importing the CLI nor a forked verify run loads a pool.
         code = (
-            "import sys, limitper.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('multiprocessing', 'concurrent')))\n"
+            "import sys\n"
+            "from limitper import cli, verification\n"
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent'))\n"
+            "imported = pools()\n"
+            "verification._usable_cpus = lambda: 2\n"
+            "status = cli.main(['verify', '--out', 'report'])\n"
+            "print(status, imported, pools(), file=sys.stderr)\n"
         )
         done = _fresh_python(code, tmp_path)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert done.stderr.splitlines()[-1] == "0 [] []"
+
+    @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
+    @pytest.mark.parametrize("cpus, forks", [(2, 2), (3, 3), (64, 4)])
+    def test_forks_one_worker_per_cpu_and_no_thread(self, monkeypatch, cpus, forks):
+        monkeypatch.setattr(verification, "_CHECKS", (("pid", _pid),) * 4)
+        _with_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+        forked = []
+        fork = os.fork
+
+        def counted():
+            if os.getpid() == parent:
+                forked.append(1)
+            return fork()
+
+        def refused(thread):
+            raise AssertionError("run_checks started a thread")
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert all(r.passed for r in verification.run_checks())
+        assert len(forked) == forks
+
+    @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("os._exit(3)", "RuntimeError: no result for odd (worker N exited with status 3)"),
+            ("os._exit(0)", "RuntimeError: no result for odd (every worker exited with status 0)"),
+            (
+                "os.kill(os.getpid(), signal.SIGKILL)",
+                "RuntimeError: no result for odd (worker N killed by signal 9)",
+            ),
+            # A class made inside a function cannot be pickled by reference.
+            (
+                "class Local(Exception): pass\n    raise Local('blew up')",
+                "RuntimeError: odd gave Local('blew up'), which cannot be pickled",
+            ),
+            # Pickles, but unpickling calls __init__ with the one stored argument.
+            (
+                "raise TwoArguments('blew up', 7)",
+                "RuntimeError: odd gave TwoArguments('blew up'), which cannot be pickled",
+            ),
+        ],
+        ids=["exit", "clean-exit", "sigkill", "local-class", "unloadable"],
+    )
+    def test_worker_fault_raises_not_hangs(self, tmp_path, body, error):
+        # A fresh interpreter with a time limit: a runner that waits forever
+        # for a dead worker or a lost result fails here instead of stalling
+        # the suite.
+        code = (
+            "import os, re, signal\n"
+            "from limitper import verification\n"
+            "class TwoArguments(Exception):\n"
+            "    def __init__(self, message, code):\n"
+            "        super().__init__(message)\n"
+            "def fine():\n"
+            "    return True, 'fine'\n"
+            "def odd():\n"
+            f"    {body}\n"
+            "verification._CHECKS = (('first', fine), ('odd', odd), ('last', fine))\n"
+            "verification._usable_cpus = lambda: 2\n"
+            "try:\n"
+            "    verification.run_checks()\n"
+            "except Exception as error:\n"
+            "    text = f'{type(error).__name__}: {error}'\n"
+            "    print(re.sub(r'worker \\d+', 'worker N', text))\n"
+        )
+        done = _fresh_python(code, tmp_path, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == error + "\n"
+
+    @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
+    def test_worker_traceback_comes_back_as_a_note(self, monkeypatch):
+        monkeypatch.setattr(verification, "_CHECKS", (("pid", _pid), ("boom", _boom)))
+        _with_cpus(monkeypatch, 2)
+        with pytest.raises(ZeroDivisionError) as raised:
+            verification.run_checks()
+        [note] = raised.value.__notes__
+        assert "in _boom" in note and note.endswith("ZeroDivisionError: check blew up\n")
 
 
 class TestReport:
@@ -203,10 +297,17 @@ def _wrap(monkeypatch, module, name, wrapper):
 
 
 def _eta_off_at_4096(monkeypatch):
-    def wrapper(original):
-        return lambda shift: original(shift) + (1 if abs(shift) == 4096 else 0)
+    """Add 1 to the closed-form array's fraction at shift 4096."""
 
-    _wrap(monkeypatch, period_doubling, "autocorr_balanced_closed_form", wrapper)
+    def wrapper(original):
+        def off(shifts):
+            numerators, denominators = original(shifts)
+            at = np.abs(np.asarray(shifts)) == 4096
+            return np.where(at, numerators + denominators, numerators), denominators
+
+        return off
+
+    _wrap(monkeypatch, period_doubling, "autocorr_balanced_closed_form_arrays", wrapper)
 
 
 def _flip_first_label(module, name):
