@@ -313,6 +313,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         raise UsageError(f"intensity floor must be nonnegative: {args.floor}")
     if args.window is not None and args.window < 1:
         raise UsageError(f"window half-width must be positive: {args.window}")
+    if args.window is not None and not args.empirical:
+        raise UsageError("--window is for --empirical; the closed forms take no window")
     if closed_forms is None and not args.empirical:
         raise UsageError(
             "no closed forms for user rules; pass --empirical for windowed sums"

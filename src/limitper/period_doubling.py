@@ -6,9 +6,9 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
 * letter membership comes from the residue-class solution of the fixed
   point equations (b sits exactly on the classes 2*4^(i-1) - 1 mod 4^i,
   the n with v_2(n + 1) odd, which ``label_window`` tests bit-wise),
-* the two-valued autocorrelation follows its halving recursion in rational
-  arithmetic, one shift at a time or, as exact integer numerator and
-  denominator arrays, over many shifts at once,
+* the two-valued autocorrelation depends on the shift's 2-adic valuation
+  alone: its recursion and closed form run in rational arithmetic once per
+  valuation, and the arrays over many shifts gather exact int64 ratios,
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
   one amplitude per letter, and weighted peak intensities follow from
   those by sesquilinear combination; ``amplitude_arrays`` evaluates the
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import render, subst
-from .dyadic import Dyadic, Module, module_points, phase, phase_arrays
+from .dyadic import Dyadic, Module, _trailing_zeros, module_points, phase, phase_arrays
 
 __all__ = [
     "LETTER_A",
@@ -136,10 +136,19 @@ def autocorr_balanced(shift: int) -> Fraction:
     eta(2m) = (1 + eta(m)) / 2, evaluated exactly.  eta depends only on the
     2-adic valuation of the shift, so the recursion runs once per valuation.
     """
-    shift = abs(shift)
+    return _at_valuation(_eta_recursion, shift)
+
+
+def autocorr_balanced_closed_form(shift: int) -> Fraction:
+    """The same coefficient in closed form: 1 - 4 / (3 * 2^r) for shift = 2^r * odd."""
+    return _at_valuation(_eta_closed_form, shift)
+
+
+def _at_valuation(eta, shift: int) -> Fraction:
+    """``eta`` at the 2-adic valuation of a nonzero shift; 1 at shift 0."""
     if shift == 0:
         return Fraction(1)
-    return _eta_recursion((shift & -shift).bit_length() - 1)
+    return eta((shift & -shift).bit_length() - 1)
 
 
 @lru_cache(maxsize=None)
@@ -148,14 +157,6 @@ def _eta_recursion(halvings: int) -> Fraction:
     for _ in range(halvings):
         value = (1 + value) / 2
     return value
-
-
-def autocorr_balanced_closed_form(shift: int) -> Fraction:
-    """The same coefficient in closed form: 1 - 4 / (3 * 2^r) for shift = 2^r * odd."""
-    shift = abs(shift)
-    if shift == 0:
-        return Fraction(1)
-    return _eta_closed_form((shift & -shift).bit_length() - 1)
 
 
 @lru_cache(maxsize=None)
@@ -167,69 +168,37 @@ def autocorr_balanced_arrays(shifts) -> tuple[np.ndarray, np.ndarray]:
     """``autocorr_balanced`` at every shift, as exact int64 (numerators, denominators).
 
     Each fraction is in lowest terms with a positive denominator, as its
-    ``Fraction.as_integer_ratio()``.  The halving recursion runs on the
-    whole array: step i halves the shifts of valuation above i, and
-    ``np.gcd`` reduces each result, so a shift stops at its own valuation.
-    Valid for shift 0 and the shifts of 2-adic valuation at most 61, else
-    ``ValueError``.  ``shifts`` is any int64 array-like; the arrays have its
-    shape, one element for a single shift.
+    ``Fraction.as_integer_ratio()``.  Valid for shift 0 and the shifts of
+    2-adic valuation at most 61, else ``ValueError``.  ``shifts`` is any int64
+    array-like; the arrays have its shape, one element for a single shift.
     """
-    valuations, zero = _eta_valuations(shifts)
-    numerators = np.full(valuations.shape, -1, dtype=np.int64)
-    denominators = np.full(valuations.shape, 3, dtype=np.int64)
-    # The flat indices of the shifts that step ``step`` halves: those of
-    # valuation above it.
-    halving = np.flatnonzero(valuations)
-    step = 0
-    while halving.size:
-        n, d = numerators.flat[halving], denominators.flat[halving]
-        # (1 + n / d) / 2 = (d + n) / (2 d)
-        n, d = d + n, 2 * d
-        common = np.gcd(n, d)
-        numerators.flat[halving] = n // common
-        denominators.flat[halving] = d // common
-        step += 1
-        halving = halving[valuations.flat[halving] > step]
-    numerators[zero] = denominators[zero] = 1
-    return numerators, denominators
+    return _ratio_arrays(_eta_recursion, shifts)
 
 
 def autocorr_balanced_closed_form_arrays(shifts) -> tuple[np.ndarray, np.ndarray]:
-    """``autocorr_balanced_closed_form`` at every shift, as ``autocorr_balanced_arrays`` gives it.
-
-    (3 * 2^r - 4) / (3 * 2^r) for shift = 2^r * odd, reduced by ``np.gcd``;
-    the same valid range.
-    """
-    valuations, zero = _eta_valuations(shifts)
-    denominators = np.left_shift(3, valuations)
-    numerators = denominators - 4
-    common = np.gcd(numerators, denominators)
-    numerators //= common
-    denominators //= common
-    numerators[zero] = denominators[zero] = 1
-    return numerators, denominators
+    """``autocorr_balanced_closed_form`` at every shift, as ``autocorr_balanced_arrays`` gives it."""
+    return _ratio_arrays(_eta_closed_form, shifts)
 
 
-def _eta_valuations(shifts) -> tuple[np.ndarray, np.ndarray]:
-    """The 2-adic valuation of every shift as int64, 0 at shift 0, and the mask of zero shifts.
+def _ratio_arrays(eta, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """``eta(v).as_integer_ratio()`` at each shift's 2-adic valuation v, (1, 1) at shift 0.
 
-    The valuation is the count of bits below the lowest set bit x & -x of
-    the shift's uint64 image, which has the same low bits; shift 0 has no
-    set bit and counts 64.  A valuation above ``_ETA_MAX_VALUATION`` raises
-    ``ValueError``.
+    The table reads ``eta`` at each call, up to the deepest valuation present only.
     """
     shifts = np.array(shifts, dtype=np.int64, ndmin=1)
-    x = shifts.view(np.uint64)
-    valuations = np.bitwise_count((x & -x) - np.uint64(1)).astype(np.int64)
-    zero = x == 0
-    valuations[zero] = 0
-    if (valuations > _ETA_MAX_VALUATION).any():
-        deepest = shifts[valuations > _ETA_MAX_VALUATION][0]
+    valuations = _trailing_zeros(shifts, _ETA_MAX_VALUATION + 1)
+    nonzero = shifts != 0
+    deep = nonzero & (valuations > _ETA_MAX_VALUATION)
+    if deep.any():
         raise ValueError(
-            f"shift {deepest} has 2-adic valuation above {_ETA_MAX_VALUATION}, "
+            f"shift {shifts[deep][0]} has 2-adic valuation above {_ETA_MAX_VALUATION}, "
             "past the int64 range of the eta arrays"
         )
-    return valuations, zero
+    deepest = int(valuations.max(initial=-1, where=nonzero))
+    # Column v holds eta(v); the column after the deepest holds shift 0's 1.
+    ratios = [eta(v).as_integer_ratio() for v in range(deepest + 1)] + [(1, 1)]
+    table = np.array(ratios, dtype=np.int64).T
+    return tuple(table[:, np.where(nonzero, valuations, deepest + 1)])
 
 
 def autocorr(shift: int, weights) -> complex:

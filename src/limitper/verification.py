@@ -24,6 +24,9 @@ back in roster order either way, so the reports are byte-identical;
 ``pd-eta-recursion-closed-form`` compares exact integer arrays, the
 numerators and denominators of ``period_doubling.autocorr_balanced_arrays``
 and ``autocorr_balanced_closed_form_arrays``, over all its shifts at once.
+Each array gathers a shift's ratio by its 2-adic valuation from a table of
+``_eta_recursion`` or ``_eta_closed_form`` made at the call, so replacing
+either function changes what the check compares.
 
 The closed-form checks of both systems work on arrays, with no loop over
 points: each calls its own system's ``period_doubling.amplitude_arrays`` or

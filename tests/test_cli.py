@@ -1000,6 +1000,8 @@ _ERROR_TABLE = [
     (["diffract", "--weights=-inf,1"], "non-finite weight '-inf'"),
     (["diffract", "--weights=1,Infinity"], "non-finite weight 'Infinity'"),
     (["diffract", "--weights=infi,1"], "non-finite weight 'infi'"),
+    # A window without the windowed route it sizes.
+    (["diffract", "--window", "64"], "--window is for --empirical; the closed forms take no window"),
 ]
 
 

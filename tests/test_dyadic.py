@@ -592,6 +592,28 @@ class TestNormalFormArrays:
         assert got.points() == [DyadicPoint2.of(x, y, 1) for x in range(3) for y in range(2)]
 
 
+def _trailing_zeros_rule(value: int, cap: int) -> int:
+    """Python's lowest-set-bit count, capped; zero reads the cap."""
+    return cap if value == 0 else min((value & -value).bit_length() - 1, cap)
+
+
+# Both signs at the top valuations, 3 * 2^62 wrapped to int64, and -2^63.
+_TRAILING_EDGES = [0, 1, -1, 1 << 61, -(1 << 61), 1 << 62, -(1 << 62), (3 << 62) - (1 << 64), _BOTTOM]
+
+
+class TestTrailingZeros:
+    """``_trailing_zeros``, which ``normal_form`` and the chain's eta arrays read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_int64, max_size=30), st.sampled_from([62, 64]))
+    @example(_TRAILING_EDGES, 62)
+    @example(_TRAILING_EDGES, 64)
+    def test_matches_the_python_bit_rule(self, values, cap):
+        got = dyadic._trailing_zeros(np.array(values, dtype=np.int64), cap)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_trailing_zeros_rule(v, cap) for v in values]
+
+
 class TestPhaseArrays:
     @settings(max_examples=60, deadline=None)
     @given(

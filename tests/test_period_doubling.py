@@ -193,6 +193,20 @@ class TestBalancedAutocorrelationArrays:
                 arrays(shifts)
 
 
+    def test_table_asks_only_the_valuations_present(self, monkeypatch):
+        # The recursion is read at the call, once per valuation up to the deepest.
+        asked = []
+        original = pd._eta_recursion
+
+        def counting(halvings):
+            asked.append(halvings)
+            return original(halvings)
+
+        monkeypatch.setattr(pd, "_eta_recursion", counting)
+        pd.autocorr_balanced_arrays(np.arange(1, (1 << 16) + 1))
+        assert asked == list(range(17))
+
+
 _reals = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
 

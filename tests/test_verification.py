@@ -470,6 +470,22 @@ class TestTamper:
         assert _failing_checks() == {name}
 
 
+    def test_replaced_closed_form_reaches_the_eta_check(self, monkeypatch):
+        # The eta arrays read _eta_closed_form at each call, not from a table
+        # made at import, so a replacement after import splits the routes.
+        def wrapper(original):
+            def off(halvings):
+                return original(halvings) + (halvings == 12)
+
+            return off
+
+        _wrap(monkeypatch, period_doubling, "_eta_closed_form", wrapper)
+        failing = [(r.name, r.detail) for r in verification.run_checks() if not r.passed]
+        assert failing == [
+            ("pd-eta-recursion-closed-form", "recursion and closed form split at shift 4096")
+        ]
+
+
 class TestNegativeControls:
     """Corrupting a shared route fails exactly the checks that read it."""
 
