@@ -27,7 +27,9 @@ of the same object live here:
   exact index arithmetic mod 2^s.  ``amplitude_arrays`` gives the same bits
   over a whole ``dyadic.Module``, one complex row per colour: the s = 0
   and s = 1 cases as masks, and each deeper level from tables of the
-  scalar case formulas indexed by residues mod 2^s.
+  scalar case formulas indexed by residues mod 2^s.  ``amplitude_bounds``
+  bounds every colour's amplitude by the level s alone, which falls about
+  as 2^-s / pi.
 
 The colour symmetry of the square is the table ``d4_elements``: eight
 signed permutation matrices, each paired with the colour permutation that
@@ -61,6 +63,7 @@ __all__ = [
     "coset_amplitude",
     "amplitudes",
     "amplitude_arrays",
+    "amplitude_bounds",
     "intensity",
     "D4Element",
     "d4_elements",
@@ -259,19 +262,18 @@ def amplitudes(k: DyadicPoint2) -> Amplitudes:
     return Amplitudes(k=k, values=vals)
 
 
-def _level_table(fn, residues: np.ndarray, level: int) -> np.ndarray:
-    """fn(j) at every residue j mod 2^level, complex, one scalar call per table entry.
+def _level_tables(fn, level: int, *residues: np.ndarray) -> list[np.ndarray]:
+    """fn(j) at every residue j mod 2^level of each array, complex, one scalar call per table entry.
 
-    The table holds all 2^level residues, or only the distinct ones when
-    there are fewer points than that.
+    One table serves every array: it holds all 2^level residues, or only
+    the distinct ones when the arrays hold fewer points than that.
     """
-    if 1 << level <= residues.size:
-        distinct, where = range(1 << level), residues
-    else:
-        distinct, where = np.unique(residues, return_inverse=True)
-        distinct = distinct.tolist()
-    table = np.array([fn(j) for j in distinct], dtype=complex)
-    return table[where]
+    if 1 << level <= sum(part.size for part in residues):
+        table = np.array([fn(j) for j in range(1 << level)], dtype=complex)
+        return [table[part] for part in residues]
+    distinct, where = np.unique(np.concatenate(residues), return_inverse=True)
+    gathered = np.array([fn(j) for j in distinct.tolist()], dtype=complex)[where]
+    return np.split(gathered, np.cumsum([part.size for part in residues[:-1]]))
 
 
 def amplitude_arrays(module: Module) -> np.ndarray:
@@ -279,8 +281,9 @@ def amplitude_arrays(module: Module) -> np.ndarray:
 
     Returns one complex array of shape (4, N), one row per colour.  Every
     s >= 2 value comes from ``_axis_sum_amplitude`` and ``_eps_pow``
-    themselves, tabulated per level over the residues of m + n, m - n and
-    n mod 2^s that occur (at most 2^s each); the one product per point is
+    themselves, tabulated per level over the residues that occur (at most
+    2^s each): one table of ``_axis_sum_amplitude`` serves both m + n and
+    m - n, another of ``_eps_pow`` serves n.  The one product per point is
     taken component-wise, through the ``.real`` and ``.imag`` views, as
     CPython does, so every bit, signed zeros included, is the scalar one.
     A module of another dimension raises ``TypeError``.
@@ -303,14 +306,42 @@ def amplitude_arrays(module: Module) -> np.ndarray:
         mask = (1 << level) - 1
         m_at, n_at = m[at], n[at]
         axis_sum = partial(_axis_sum_amplitude, s=level)
-        a0 = _level_table(axis_sum, (m_at + n_at) & mask, level)
-        t = _level_table(axis_sum, (m_at - n_at) & mask, level)
-        e = _level_table(lambda j: _eps_pow(-j, level), n_at & mask, level)
+        a0, t = _level_tables(axis_sum, level, (m_at + n_at) & mask, (m_at - n_at) & mask)
+        (e,) = _level_tables(lambda j: _eps_pow(-j, level), level, n_at & mask)
         rows[0, at], rows[2, at] = a0, -a0
         re[1, at] = e.real * t.real - e.imag * t.imag
         im[1, at] = e.real * t.imag + e.imag * t.real
         rows[3, at] = -rows[1, at]
     return rows
+
+
+def amplitude_bounds(top: int) -> np.ndarray:
+    """Upper bounds on each colour's |amplitude| at the levels s = 0, ..., top.
+
+    Returns a float array of shape (4, top + 1): entry [c, s] bounds
+    |``amplitudes``| of colour c over every wave number (m, n) / 2^s in
+    normal form.  Proof: at s <= 1 every amplitude is +-1/4 or +-1/8, so
+    the bound is 1/4.  At s >= 2 the amplitudes are +-a and +-e a', where
+    |e| = 1 and a, a' are ``_axis_sum_amplitude``(c, s) at c = m + n and
+    c = m - n.  That is 2^-2s / (1 - e^{-2 pi i c / 2^s}) for odd c,
+    -4 * 2^-2s / (1 - ...) for c = 2 mod 4, and 0 otherwise, and
+    |1 - e^{i theta}| = 2 |sin(theta / 2)| grows with theta's distance from
+    0 mod 2 pi.  So the largest moduli sit at c = +-1 among the odd c and
+    at c = +-2 among the c = 2 mod 4, and the bound is the largest of the
+    four (checked on the float values for every residue up to s = 12, and
+    next to 0 and 2^(s-1) up to ``MAX_LEVEL``).  In exact arithmetic c and
+    -c give the same modulus; both signs are taken because the float phases
+    are not mirror images: ``phase`` rounds the angle of (2^s - 1) / 2^s
+    near a full turn, and from s = 54 on that angle is fl(2 pi), 2.4e-16
+    short of one, so c = 1 and c = -1 part by up to a factor 180 at s = 62.
+    The bounds are these moduli; the float amplitudes of colours 1 and 3
+    may exceed them by a few units in the last place (|e| may be above 1),
+    so a caller that prunes by them adds a relative slack.
+    """
+    bounds = [0.25, 0.25][: top + 1]
+    for level in range(2, top + 1):
+        bounds.append(max(abs(_axis_sum_amplitude(c, level)) for c in (1, -1, 2, -2)))
+    return np.tile(np.array(bounds), (4, 1))
 
 
 def intensity(k: DyadicPoint2, weights) -> float:

@@ -16,9 +16,18 @@ argparse holds the plain defaults, and the defaults that depend on the
 system (cutoff, region, window, weights) live in the one helper that uses
 them.  ``diffract`` and ``module`` share ``_module``, which checks the
 cutoff flags and the region and enumerates the module once as arrays
-(``dyadic.module_points``); ``diffract`` then evaluates the closed forms
-(or grows the window and takes the windowed sums) over the whole array,
-weighs the per-letter rows by ``render.weigh`` and renders columns.
+(``dyadic.module_points``).  ``diffract`` then takes the windowed sums
+over the whole array with ``--empirical`` (after growing the window).
+For the closed forms it first drops the points of every level whose
+amplitude bound (the system's ``amplitude_bounds``, weighted, with a
+stated rounding slack) cannot reach ``--floor``, since the amplitudes fall
+geometrically with the level, and evaluates the rest.  It weighs the
+per-letter rows by ``render.weigh``, keeps the peaks at or above the floor
+and renders columns.  When it writes both the CSV and the SVG on Linux
+with two or more usable CPUs, a bare ``os.fork`` child renders and writes
+the SVG while the handler renders and writes the CSV; the handler reaps the
+child, then prints the paths, or at most one error, in format order, so
+stdout, stderr and the exit code are those of the sequential run.
 
 Imports: at module level only the standard library, so building the parser
 and ``--help`` load no numpy.  Each handler imports the limitper modules it
@@ -194,15 +203,107 @@ def _out_base(out: str) -> Path:
     return base
 
 
-def _write(path: Path, content: str, announce=None) -> None:
-    """Write ``content`` to ``path`` and print the path to ``announce`` (stdout by default)."""
+def _store(path: Path, content: str) -> None:
+    """Write ``content`` to ``path``, creating its directory; ``OSError`` becomes ``UsageError``."""
     try:
         if not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(path: Path, content: str, announce=None) -> None:
+    """Write ``content`` to ``path`` and print the path to ``announce`` (stdout by default)."""
+    _store(path, content)
     print(path, file=announce)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    import os
+
+    return len(os.sched_getaffinity(0))
+
+
+def _write_all(files) -> None:
+    """Render and write each ``(path, render)`` pair in order, printing each path once written.
+
+    ``render()`` returns the file's text.  Two files, on Linux with two or
+    more usable CPUs, are written at once: this process renders and writes
+    the first while a bare ``os.fork`` child renders and writes the second
+    (see ``_write_forked``).  Otherwise, or when the fork fails, they are
+    written one after another here.  Either way stdout, stderr and the
+    raised error are the same.
+    """
+    forked = len(files) == 2 and sys.platform.startswith("linux") and _usable_cpus() >= 2
+    if not (forked and _write_forked(*files)):
+        for path, render in files:
+            _write(path, render())
+
+
+def _write_forked(first, second) -> bool:
+    """Write ``first`` here and ``second`` in a forked child, and report them in that order.
+
+    Returns True once both are written and reported, and False, having
+    written nothing, when ``os.fork`` fails.  The child only reports its status: exit code 0 once written, 2 with the
+    ``UsageError`` text in a pipe, or 1 with any other error's type and
+    text.  It leaves by ``os._exit``, running no atexit handler or
+    ``finally`` of this process.  This process reads the pipe to its end and
+    reaps the child whether or not its own file was written.  Then it
+    re-raises its own error or prints the first path; only after that does
+    it raise the child's error or print the second path.  So at most one
+    error surfaces, the one a sequential run would have raised, though a
+    failure may leave the other file written.  In a diffract run the first
+    file is the CSV, which takes the longer to render.
+    """
+    import os
+
+    (path, render), (child_path, child_render) = first, second
+    source, sink = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(source)
+        os.close(sink)
+        return False
+    if pid == 0:
+        os.close(source)
+        _write_in_child(sink, child_path, child_render)
+    os.close(sink)
+    try:
+        _store(path, render())
+    finally:
+        with open(source, "rb") as pipe:
+            report = pipe.read().decode(errors="surrogateescape")
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    print(path)
+    if code == 2:
+        raise UsageError(report)
+    if code:
+        exit_text = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"writing {child_path} in a forked child failed: {report or exit_text}")
+    print(child_path)
+    return True
+
+
+def _write_in_child(sink: int, path: Path, render):
+    """A forked child's whole life: write one file, report any error into ``sink``, exit."""
+    import os
+
+    status = 1
+    try:
+        with open(sink, "wb") as report:
+            try:
+                _store(path, render())
+                status = 0
+            except UsageError as exc:
+                report.write(str(exc).encode(errors="surrogateescape"))
+                status = 2
+            except BaseException as exc:
+                report.write(f"{type(exc).__name__}: {exc}".encode(errors="surrogateescape"))
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +434,40 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         window = subst.centred_window(system, seed, half)
         rows = numerics.empirical_amplitudes(numerics.WeightedComb(window, len(letters)), module)
     else:
+        module = _levels_over(closed_forms, module, weights, args.floor)
         rows = closed_forms.amplitude_arrays(module)
     amplitudes = render.weigh(rows, weights)
     table = render.PeakTable.of(module, amplitudes)
     kept = table.intensity >= args.floor
     peaks = render.PeakTable(module.select(kept), amplitudes[kept], table.intensity[kept])
-    for fmt in formats:
-        if fmt == "csv":
-            _write(base.with_suffix(".csv"), render.peaks_csv(peaks))
-        elif system.dim == 1:
-            _write(
-                base.with_suffix(".svg"),
-                render.stem_svg(peaks, region[0][0], region[0][1]),
-            )
-        else:
-            _write(base.with_suffix(".svg"), render.disc_svg(peaks, region[0], region[1]))
+    figure, bounds = (render.stem_svg, region[0]) if system.dim == 1 else (render.disc_svg, region)
+    renders = {"csv": lambda: render.peaks_csv(peaks), "svg": lambda: figure(peaks, *bounds)}
+    _write_all([(base.with_suffix(f".{fmt}"), renders[fmt]) for fmt in formats])
     return 0
+
+
+# The pre-filter's slack: the bound on |weighted amplitude| is raised by a
+# relative 2^-20, for the roundings of the amplitudes, the weighing, hypot
+# and pow, and by an absolute 2^-500, so that every floor below 2^-1000,
+# where subnormal rounding is absolute rather than relative, keeps every level.
+_BOUND_SLACK = (2.0**-20, 2.0**-500)
+
+
+def _levels_over(closed_forms, module, weights, floor: float):
+    """The points of ``module`` at levels whose intensities may reach ``floor``.
+
+    At level s every weighted amplitude has modulus at most
+    sum_l |w_l| b_l(s), with b the system's ``amplitude_bounds``.  A level
+    is kept when that bound, with ``_BOUND_SLACK``, squares to ``floor`` or
+    more; the points of the other levels are dropped before any amplitude
+    is evaluated.  The ``intensity >= floor`` mask still decides every peak
+    that is kept, so the output is the same as without this step.
+    """
+    relative, absolute = _BOUND_SLACK
+    bounds = closed_forms.amplitude_bounds(int(module.exponents.max(initial=0)))
+    reach = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
+    keep = ((reach * (1 + relative) + absolute) ** 2 >= floor)[module.exponents]
+    return module if keep.all() else module.select(keep)
 
 
 def cmd_module(args: argparse.Namespace) -> int:

@@ -14,7 +14,8 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
   those by sesquilinear combination; ``amplitude_arrays`` evaluates the
   same closed form over a whole ``dyadic.Module`` with the scalar bits, as
   one complex row per letter, and ``peak_mass`` sums the intensities over
-  such a module.
+  such a module; ``amplitude_bounds`` bounds each letter's amplitude by
+  the level r alone, which falls as 2^-r.
 
 The one aperiodic subtlety: position -1 never matches any residue class.
 It is the 2-adic limit point of the hierarchy and is fixed to letter a,
@@ -50,6 +51,7 @@ __all__ = [
     "autocorr",
     "amplitudes",
     "amplitude_arrays",
+    "amplitude_bounds",
     "intensity",
     "peak_mass",
 ]
@@ -261,6 +263,24 @@ def amplitude_arrays(module: Module) -> np.ndarray:
     im[0] = scale * phases.imag + 0.0 * phases.real
     re[1] = np.where(r == 0, 1.0, 0.0) - re[0]
     im[1] = 0.0 - im[0]
+    return rows
+
+
+def amplitude_bounds(top: int) -> np.ndarray:
+    """Upper bounds on each letter's |amplitude| at the levels r = 0, ..., top.
+
+    Returns a float array of shape (2, top + 1): entry [l, r] bounds
+    |``amplitudes``| of letter l over every wave number m / 2^r in normal
+    form.  Proof: |e^{2 pi i k}| = 1, so |A_a| = 2 / (3 * 2^r) at every
+    level.  At r = 0 the wave number is an integer, so A_a = 2/3 and
+    A_b = 1 - 2/3 = 1/3; at r >= 1, A_b = -A_a.  The bounds are these exact
+    moduli.  The float amplitudes may exceed them by a few units in the last
+    place (1 - fl(2/3) is above 1/3, and a float phase may have modulus
+    above 1), so a caller that prunes by them adds a relative slack.
+    """
+    bounds = np.ldexp(2.0 / 3.0, -np.arange(top + 1))
+    rows = np.stack([bounds, bounds])
+    rows[1, 0] = 1.0 / 3.0
     return rows
 
 

@@ -2,10 +2,12 @@
 
 Every function here returns a string built only from its arguments, with
 floats formatted by ``repr`` (shortest round-trip form), so identical inputs
-give byte-identical files on any platform or thread count.  The CSV writes
-wave numbers as exact integer numerators plus a log2 denominator, and the
-figures place peaks by offsets from the region's lower bound taken off those
-numerators exactly, so a narrow region far from 0 keeps its peaks apart.
+give byte-identical files on any platform or thread count, and in whichever
+process renders them (``diffract`` may render its CSV and its SVG in two
+forked processes at once).  The CSV writes wave numbers as exact integer
+numerators plus a log2 denominator, and the figures place peaks by offsets
+from the region's lower bound taken off those numerators exactly, so a
+narrow region far from 0 keeps its peaks apart.
 
 Every amplitude route (closed forms, layer sums, windowed sums) yields one
 complex row per letter, shape (L, N), and two rules here turn rows into

@@ -568,6 +568,64 @@ class TestAmplitudeArrays:
             chair.amplitude_arrays(module_points(1, ((0, 1),)))
 
 
+# The float amplitudes may exceed the exact bounds by a few units in the last place.
+_ROUNDING = 1 + 2.0**-40
+
+
+def _assert_bounded(points):
+    module = Module.of(points, 2)
+    rows = chair.amplitude_arrays(module)
+    bounds = chair.amplitude_bounds(MAX_LEVEL)[:, module.exponents]
+    assert (np.hypot(rows.real, rows.imag) <= bounds * _ROUNDING).all()
+
+
+class TestAmplitudeBounds:
+    """``amplitude_bounds`` is at least every colour's |amplitude| at its level."""
+
+    def test_shape_and_the_shallow_levels(self):
+        bounds = chair.amplitude_bounds(3)
+        assert bounds.shape == (4, 4)
+        assert (bounds == bounds[0]).all()
+        assert bounds[0, :3].tolist() == [0.25, 0.25, 0.125]
+
+    def test_every_residue_pair_up_to_level_7(self):
+        # Every (m, n) mod 2^s in normal form, at every level s <= 7.
+        points = [DyadicPoint2.of(m, n, 0) for m in range(2) for n in range(2)]
+        for s in range(1, 8):
+            side = range(1 << s)
+            points += [DyadicPoint2.of(m, n, s) for m in side for n in side if (m | n) & 1]
+        _assert_bounded(points)
+
+    def test_every_axis_sum_residue_up_to_level_12(self):
+        # The moduli depend on m + n and m - n mod 2^s (times a unit phase);
+        # (c - 1, 1) / 2^s is in normal form, and m + n = c, m - n = c - 2
+        # run over every residue c.
+        _assert_bounded(
+            [DyadicPoint2.of(c - 1, 1, s) for s in range(2, 13) for c in range(1 << s)]
+        )
+
+    def test_extreme_residues_up_to_the_deepest_level(self):
+        # Axis sums next to 0 and to 2^(s-1) mod 2^s, with n of several sizes.
+        points = []
+        for s in range(2, MAX_LEVEL + 1):
+            den, half = 1 << s, 1 << (s - 1)
+            sums = {c % den for j in range(1, 7) for c in (j, -j, half - j, half + j)}
+            for c in sums:
+                points += [DyadicPoint2.of(c - n, n, s) for n in (1, 3, half - 1, den - 1)]
+        _assert_bounded(points)
+
+    def test_both_signs_count_at_deep_levels(self):
+        # The float phases of 1 / 2^s and -1 / 2^s are not mirror images there.
+        # Colour 0's amplitude at (c - 1, 1) / 2^s is the axis sum at c.
+        bound = chair.amplitude_bounds(MAX_LEVEL)[0, MAX_LEVEL]
+        moduli = {
+            c: abs(chair.amplitudes(DyadicPoint2.of(c - 1, 1, MAX_LEVEL)).values[0])
+            for c in (1, -1, 2, -2)
+        }
+        assert max(moduli.values()) == bound
+        assert max(moduli[1], moduli[2]) < bound / 50
+
+
 # ---------------------------------------------------------------------------
 # Dihedral colour symmetry
 # ---------------------------------------------------------------------------

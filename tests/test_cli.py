@@ -14,6 +14,8 @@ import gc
 import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -641,6 +643,248 @@ class TestArrayRoute:
         assert cli.main(["module", "--rmax", "61", region, "--out", str(out)]) == 0
         rows = out.with_suffix(".csv").read_text().splitlines()[1:]
         assert rows == [f"{(1 << 63) - 3},61", f"{(1 << 62) - 1},60", f"{(1 << 63) - 1},61"]
+
+
+# Weights for the pre-filter sweep: zero, units, tiny, and moduli at the 1e150 bound.
+_PREFILTER_WEIGHT = st.sampled_from(
+    ["0", "1", "-1", "i", "0.3-0.2i", "0.9+0.4i", "1e-300", "1e150", "-1e150i",
+     "7.07e149-7.07e149i"]
+)
+
+
+@st.composite
+def _prefilter_weights(draw, letters: int) -> str:
+    """Weights drawn free, all zero, or in equal pairs (w, w, v, v, ...)."""
+    kind = draw(st.sampled_from(["free", "zero", "pairs"]))
+    if kind == "zero":
+        return ",".join(["0"] * letters)
+    if kind == "pairs":
+        return ",".join(w for w in draw(st.lists(_PREFILTER_WEIGHT, min_size=letters // 2,
+                                                 max_size=letters // 2)) for _ in "ab")
+    return ",".join(draw(st.lists(_PREFILTER_WEIGHT, min_size=letters, max_size=letters)))
+
+
+def _no_prefilter(closed_forms, module, weights, floor):
+    return module
+
+
+class TestLevelPrefilter:
+    """Dropping the levels below the floor before the closed forms changes no byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["pd", "chair"]),
+        st.data(),
+        st.sampled_from([None, "0", "1e-300", "1e-3", "inf"]),
+    )
+    @example("pd", None, None)
+    def test_output_matches_the_unfiltered_run(self, system, data, floor):
+        if data is None:
+            # The benchmark's chain run, where levels 14 to 16 are dropped.
+            argv = ["diffract", "--rmax", "16", "--region", "0,1",
+                    "--weights=0.028-0.553i,0.086-1.593i"]
+        elif system == "pd":
+            rmax = data.draw(st.integers(0, 18))
+            argv = ["diffract", "--rmax", str(rmax), "--region", "0,1/8",
+                    "--weights=" + data.draw(_prefilter_weights(2))]
+        else:
+            smax = data.draw(st.integers(0, 16))
+            argv = ["diffract", "--system", "chair", "--smax", str(smax),
+                    "--region=0,1/512,-1/512,0", "--weights=" + data.draw(_prefilter_weights(4))]
+        if floor is not None:
+            argv += ["--floor", floor]
+        runs = []
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda: 1)
+            for name in ("filtered", "unfiltered"):
+                if name == "unfiltered":
+                    patch.setattr(cli, "_levels_over", _no_prefilter)
+                out = Path(scratch) / name / "peaks"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main([*argv, "--out", str(out)])
+                runs.append((code, stdout.getvalue().replace(name, "*"),
+                             out.with_suffix(".csv").read_bytes(),
+                             out.with_suffix(".svg").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_the_slack_keeps_a_peak_that_rounds_over_its_bound(self, tmp_path):
+        # A_b at the integers is 1 - fl(2/3), above the bound 1/3: with the
+        # floor at its intensity, the bound alone would drop the level.
+        intensity = (1 - 2 / 3) ** 2
+        assert intensity > (1 / 3) ** 2
+        out = tmp_path / "b"
+        argv = ["diffract", "--weights", "0,1", "--rmax", "0", "--floor", repr(intensity),
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0", "0"], ["1", "0"]]
+
+    @staticmethod
+    def _evaluated(closed_forms, monkeypatch) -> list:
+        """The modules ``closed_forms.amplitude_arrays`` is called on, from now on."""
+        evaluated = []
+        amplitude_arrays = closed_forms.amplitude_arrays
+
+        def recorded(module):
+            evaluated.append(module)
+            return amplitude_arrays(module)
+
+        monkeypatch.setattr(closed_forms, "amplitude_arrays", recorded)
+        return evaluated
+
+    def test_the_chain_sweep_evaluates_the_kept_levels_only(self, tmp_path, monkeypatch):
+        evaluated = self._evaluated(period_doubling, monkeypatch)
+        out = tmp_path / "pd"
+        argv = ["diffract", "--rmax", "16", "--region", "0,1",
+                "--weights=0.028-0.553i,0.086-1.593i", "--out", str(out)]
+        assert cli.main(argv) == 0
+        [module] = evaluated
+        assert len(module) == 8193 and int(module.exponents.max()) == 13
+        assert len(out.with_suffix(".csv").read_text().splitlines()) == 1 + 4097
+
+    def test_the_chair_sweep_keeps_every_level(self, tmp_path, monkeypatch):
+        evaluated = self._evaluated(chair, monkeypatch)
+        argv = ["diffract", "--system", "chair", "--smax", "7", "--region=-1,1",
+                "--weights=0.028-0.553i,-0.024+0.426i,0.897-1.144i,0.331-0.593i",
+                "--format", "csv", "--out", str(tmp_path / "c")]
+        assert cli.main(argv) == 0
+        assert [len(module) for module in evaluated] == [66049]
+
+
+# The two files of each built-in's diffract, written to ./peaks.
+_BOTH_FORMATS = {
+    "pd": ["diffract", "--weights", "1,-1", "--rmax", "6", "--region", "0,1", "--out", "peaks"],
+    "chair": ["diffract", "--system", "chair", "--weights", "1,i,-1,-i", "--smax", "4",
+              "--region=-1,1", "--out", "peaks"],
+}
+
+
+class TestForkedRender:
+    """Writing the CSV and the SVG on two processes changes no output, exit code or error."""
+
+    @staticmethod
+    def _run(argv, cwd, cpus, monkeypatch, capsys):
+        """``(exit code, stdout, stderr, {suffix: bytes})`` of one run in ``cwd``."""
+        cwd.mkdir(exist_ok=True)
+        monkeypatch.chdir(cwd)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        files = {path.suffix: path.read_bytes() for path in cwd.glob("peaks.*") if path.is_file()}
+        return code, captured.out, captured.err, files
+
+    @staticmethod
+    def _count_forks(monkeypatch) -> list:
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize("system", sorted(_BOTH_FORMATS))
+    def test_bytes_and_stdout_match_the_sequential_run(self, system, tmp_path, monkeypatch, capsys):
+        forks = self._count_forks(monkeypatch)
+        argv = _BOTH_FORMATS[system]
+        alone = self._run(argv, tmp_path / "one", 1, monkeypatch, capsys)
+        assert forks == []
+        forked = self._run(argv, tmp_path / "two", 2, monkeypatch, capsys)
+        assert forks == [os.getpid()]
+        assert alone == forked
+        assert forked[:3] == (0, "peaks.csv\npeaks.svg\n", "")
+        assert set(forked[3]) == {".csv", ".svg"}
+
+    def test_diffract_under_a_file_has_one_line_of_stderr(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").touch()
+        out = tmp_path / "file" / "m"
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        assert cli.main(["diffract", "--rmax", "1", "--out", str(out)]) == 2
+        error = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}.csv'"
+        assert capsys.readouterr() == ("", f"limitper: cannot write {out}.csv: {error}\n")
+
+    @pytest.mark.parametrize("blocked", ["peaks.csv", "peaks.svg", "both"])
+    def test_write_errors_match_the_sequential_run(self, blocked, tmp_path, monkeypatch, capsys):
+        runs = []
+        for cpus in (1, 2):
+            cwd = tmp_path / str(cpus)
+            # A directory where a file should go makes its write fail.
+            for name in (["peaks.csv", "peaks.svg"] if blocked == "both" else [blocked]):
+                (cwd / name).mkdir(parents=True)
+            runs.append(self._run(_BOTH_FORMATS["chair"], cwd, cpus, monkeypatch, capsys)[:3])
+        # The files may differ: the child may write the SVG when the CSV fails.
+        assert runs[0] == runs[1]
+        code, out, err = runs[1]
+        failed = "peaks.svg" if blocked == "peaks.svg" else "peaks.csv"
+        assert code == 2
+        assert out == ("peaks.csv\n" if blocked == "peaks.svg" else "")
+        assert re.fullmatch(f"limitper: cannot write {failed}: [^\n]*\n", err)
+
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_a_failing_child_names_its_file(self, how, tmp_path, monkeypatch, capsys):
+        def broken(*args):
+            if how == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("no figure today")
+
+        monkeypatch.setattr(render, "disc_svg", broken)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        report = "ValueError: no figure today" if how == "raises" else "killed by signal 9"
+        failure = f"writing peaks.svg in a forked child failed: {report}"
+        with pytest.raises(RuntimeError, match=re.escape(failure)):
+            cli.main(_BOTH_FORMATS["chair"])
+        assert capsys.readouterr() == ("peaks.csv\n", "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", ["none", "parent", "child"])
+    def test_no_child_is_left_behind(self, failing, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("no render today")
+
+        if failing != "none":
+            monkeypatch.setattr(render, "peaks_csv" if failing == "parent" else "stem_svg", broken)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        quiet = contextlib.redirect_stdout(io.StringIO())
+        with contextlib.suppress(ValueError, RuntimeError), quiet:
+            assert cli.main(_BOTH_FORMATS["pd"]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_fork_writes_both_files_here(self, tmp_path, monkeypatch, capsys):
+        def refuse():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        argv = _BOTH_FORMATS["chair"]
+        alone = self._run(argv, tmp_path / "one", 1, monkeypatch, capsys)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self._run(argv, tmp_path / "two", 2, monkeypatch, capsys) == alone
+
+    @pytest.mark.parametrize(
+        "extra, platform",
+        [(["--format", "csv"], "linux"), (["--format", "svg"], "linux"), ([], "darwin")],
+        ids=["csv", "svg", "not-linux"],
+    )
+    def test_one_format_or_another_platform_never_forks(
+        self, extra, platform, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(sys, "platform", platform)
+        # Off Linux the CPU count is not asked for: None would not compare with 2.
+        cpus = 2 if platform == "linux" else None
+        code, out, _, files = self._run(
+            _BOTH_FORMATS["pd"] + extra, tmp_path, cpus, monkeypatch, capsys
+        )
+        assert code == 0
+        assert out == "".join(f"peaks{suffix}\n" for suffix in sorted(files))
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,40 @@ class TestAmplitudeArrays:
             pd.amplitude_arrays(module_points(1, ((0, 1), (0, 1))))
 
 
+# The float amplitudes may exceed the exact bounds by a few units in the last place.
+_ROUNDING = 1 + 2.0**-40
+
+
+class TestAmplitudeBounds:
+    """``amplitude_bounds`` is at least every letter's |amplitude| at its level."""
+
+    def test_shape_and_values(self):
+        bounds = pd.amplitude_bounds(3)
+        assert bounds.shape == (2, 4)
+        assert bounds.tolist() == [[2 / 3, 1 / 3, 1 / 6, 1 / 12], [1 / 3, 1 / 3, 1 / 6, 1 / 12]]
+
+    def test_every_residue_up_to_level_12(self):
+        module = module_points(12, ((0, 1),), include_hi=False)
+        assert len(module) == 1 << 12
+        self._assert_bounded(module)
+
+    def test_extreme_residues_up_to_the_deepest_level(self):
+        points = [Dyadic.of(0, 0), Dyadic.of(1, 0)]
+        for r in range(1, MAX_LEVEL + 1):
+            half = 1 << (r - 1)
+            ends = {1, 3, (1 << r) - 3, (1 << r) - 1, half - 1, half + 1, -1, -(1 << 62) - 1}
+            points += [Dyadic.of(m, r) for m in ends if m % 2]
+        self._assert_bounded(Module.of(points, 1))
+
+    @staticmethod
+    def _assert_bounded(module):
+        rows = pd.amplitude_arrays(module)
+        bounds = pd.amplitude_bounds(MAX_LEVEL)[:, module.exponents]
+        assert (np.hypot(rows.real, rows.imag) <= bounds * _ROUNDING).all()
+        # The bounds are the exact moduli, so they are met to the rounding.
+        assert (np.hypot(rows.real, rows.imag) >= bounds / _ROUNDING).all()
+
+
 class TestPeakMass:
     def test_balanced_mass_converges_to_one(self):
         masses = [pd.peak_mass(r, BALANCED) for r in range(13)]
