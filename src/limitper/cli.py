@@ -23,11 +23,11 @@ amplitude bound (the system's ``amplitude_bounds``, weighted, with a
 stated rounding slack) cannot reach ``--floor``, since the amplitudes fall
 geometrically with the level, and evaluates the rest.  It weighs the
 per-letter rows by ``render.weigh``, keeps the peaks at or above the floor
-and renders columns.  When it writes both the CSV and the SVG on Linux
-with two or more usable CPUs, a bare ``os.fork`` child renders and writes
-the SVG while the handler renders and writes the CSV; the handler reaps the
-child, then prints the paths, or at most one error, in format order, so
-stdout, stderr and the exit code are those of the sequential run.
+and renders columns.  It renders and writes each file as one task of
+``forked.run``, so the CSV and the SVG are written at once when there are
+CPUs to spare, then prints the paths in format order up to the first
+failure and raises that failure, so stdout, stderr and the exit code are
+those of a run that writes one file after the other.
 
 Imports: at module level only the standard library, so building the parser
 and ``--help`` load no numpy.  Each handler imports the limitper modules it
@@ -219,93 +219,6 @@ def _write(path: Path, content: str, announce=None) -> None:
     print(path, file=announce)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    import os
-
-    return len(os.sched_getaffinity(0))
-
-
-def _write_all(files) -> None:
-    """Render and write each ``(path, render)`` pair in order, printing each path once written.
-
-    ``render()`` returns the file's text.  Two files, on Linux with two or
-    more usable CPUs, are written at once: this process renders and writes
-    the first while a bare ``os.fork`` child renders and writes the second
-    (see ``_write_forked``).  Otherwise, or when the fork fails, they are
-    written one after another here.  Either way stdout, stderr and the
-    raised error are the same.
-    """
-    forked = len(files) == 2 and sys.platform.startswith("linux") and _usable_cpus() >= 2
-    if not (forked and _write_forked(*files)):
-        for path, render in files:
-            _write(path, render())
-
-
-def _write_forked(first, second) -> bool:
-    """Write ``first`` here and ``second`` in a forked child, and report them in that order.
-
-    Returns True once both are written and reported, and False, having
-    written nothing, when ``os.fork`` fails.  The child only reports its status: exit code 0 once written, 2 with the
-    ``UsageError`` text in a pipe, or 1 with any other error's type and
-    text.  It leaves by ``os._exit``, running no atexit handler or
-    ``finally`` of this process.  This process reads the pipe to its end and
-    reaps the child whether or not its own file was written.  Then it
-    re-raises its own error or prints the first path; only after that does
-    it raise the child's error or print the second path.  So at most one
-    error surfaces, the one a sequential run would have raised, though a
-    failure may leave the other file written.  In a diffract run the first
-    file is the CSV, which takes the longer to render.
-    """
-    import os
-
-    (path, render), (child_path, child_render) = first, second
-    source, sink = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(source)
-        os.close(sink)
-        return False
-    if pid == 0:
-        os.close(source)
-        _write_in_child(sink, child_path, child_render)
-    os.close(sink)
-    try:
-        _store(path, render())
-    finally:
-        with open(source, "rb") as pipe:
-            report = pipe.read().decode(errors="surrogateescape")
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    print(path)
-    if code == 2:
-        raise UsageError(report)
-    if code:
-        exit_text = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise RuntimeError(f"writing {child_path} in a forked child failed: {report or exit_text}")
-    print(child_path)
-    return True
-
-
-def _write_in_child(sink: int, path: Path, render):
-    """A forked child's whole life: write one file, report any error into ``sink``, exit."""
-    import os
-
-    status = 1
-    try:
-        with open(sink, "wb") as report:
-            try:
-                _store(path, render())
-                status = 0
-            except UsageError as exc:
-                report.write(str(exc).encode(errors="surrogateescape"))
-                status = 2
-            except BaseException as exc:
-                report.write(f"{type(exc).__name__}: {exc}".encode(errors="surrogateescape"))
-    finally:
-        os._exit(status)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -400,7 +313,7 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
 
 
 def cmd_diffract(args: argparse.Namespace) -> int:
-    from . import render
+    from . import forked, render
 
     system, seed, closed_forms = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
@@ -441,8 +354,15 @@ def cmd_diffract(args: argparse.Namespace) -> int:
     kept = table.intensity >= args.floor
     peaks = render.PeakTable(module.select(kept), amplitudes[kept], table.intensity[kept])
     figure, bounds = (render.stem_svg, region[0]) if system.dim == 1 else (render.disc_svg, region)
-    renders = {"csv": lambda: render.peaks_csv(peaks), "svg": lambda: figure(peaks, *bounds)}
-    _write_all([(base.with_suffix(f".{fmt}"), renders[fmt]) for fmt in formats])
+    paths = {fmt: base.with_suffix(f".{fmt}") for fmt in formats}
+    writes = {
+        "csv": lambda: _store(paths["csv"], render.peaks_csv(peaks)),
+        "svg": lambda: _store(paths["svg"], figure(peaks, *bounds)),
+    }
+    for fmt, outcome in zip(formats, forked.run((str(paths[fmt]), writes[fmt]) for fmt in formats)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        print(paths[fmt])
     return 0
 
 

@@ -7,19 +7,11 @@ forms must satisfy.  ``run_checks`` runs them all and reports one result per
 name.  Each check has one size: its window, cut-off and tolerance are
 literals in its body.
 
-The checks are independent.  On Linux with two or more usable CPUs they run
-on forked worker processes, one per CPU up to one per check; on one CPU or
-another platform they run one after another in the calling process.  The
-workers are bare ``os.fork`` children, with no pool and no helper thread:
-the roster indices wait in one pipe, one byte each, and a worker that is
-free reads the next, so the checks go out in roster order to whichever
-worker asks first.  Each worker pickles its results into a pipe of its own,
-which the parent reads to the end.  A worker that dies before reporting a
-check (killed, or leaving by ``os._exit``) makes ``run_checks`` raise
-``RuntimeError`` naming the checks without a result and the worker's exit
-status; it does not wait for results that cannot come.  The results come
-back in roster order either way, so the reports are byte-identical;
-``elapsed_s`` is each check's own wall time, not a share of the run.
+The checks are independent, so ``run_checks`` hands them to
+``forked.run``, which runs them on forked workers when there are CPUs to
+spare and one after another otherwise.  The results come back in roster
+order either way, so the reports are byte-identical; ``elapsed_s`` is each
+check's own wall time, not a share of the run.
 
 ``pd-eta-recursion-closed-form`` compares exact integer arrays, the
 numerators and denominators of ``period_doubling.autocorr_balanced_arrays``
@@ -51,16 +43,13 @@ one they run.
 
 from __future__ import annotations
 
-import io
-import os
-import pickle
-import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import chair, numerics, period_doubling, render
+from . import chair, forked, numerics, period_doubling, render
 from .dyadic import Dyadic, DyadicPoint2, Module, module_points, normal_form, phase_arrays
 
 __all__ = ["CheckResult", "run_checks", "report_text", "report_json", "CHECK_NAMES"]
@@ -418,144 +407,26 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def _run_check(index: int) -> CheckResult:
-    """Run check number ``index`` of the roster and time it on its own."""
-    name, check = _CHECKS[index]
+def _run_check(name: str, check) -> CheckResult:
+    """Run one check and time it on its own."""
     start = time.perf_counter()
     passed, detail = check()
     return CheckResult(name, passed, detail, elapsed_s=time.perf_counter() - start)
 
 
 def run_checks() -> tuple[CheckResult, ...]:
-    """Run every named check and collect the results in roster order.
+    """Run every named check through ``forked.run`` and collect the results in roster order.
 
-    On Linux with two or more usable CPUs the checks run on forked workers,
-    one per CPU up to one per check, each taking the next check in roster
-    order when it is free; otherwise they run one after another in the
-    calling process.  The results differ only in ``elapsed_s``.  A check
-    that raises re-raises here, the first in roster order.  A worker that
-    dies before reporting its checks raises ``RuntimeError`` naming them
-    and the worker's exit status.
+    The results differ only in ``elapsed_s`` between one CPU and several.  A
+    check that raises re-raises here, the first in roster order; a worker
+    that dies before reporting a check raises ``forked.run``'s
+    ``RuntimeError`` naming the checks without a result.
     """
-    indices = range(len(_CHECKS))
-    workers = min(_usable_cpus(), len(_CHECKS)) if sys.platform.startswith("linux") else 1
-    if workers < 2:
-        return tuple(map(_run_check, indices))
-    outcomes = _run_forked(workers)
+    outcomes = forked.run((name, partial(_run_check, name, check)) for name, check in _CHECKS)
     for outcome in outcomes:
-        if isinstance(outcome, BaseException):
+        if isinstance(outcome, Exception):
             raise outcome
-    return outcomes
-
-
-def _run_forked(workers: int) -> tuple:
-    """Each check's ``CheckResult`` or exception, from ``workers`` forked processes.
-
-    The parent writes the roster indices into one pipe, one byte each, and
-    closes it; every worker reads one byte at a time from it until it runs
-    dry.  A pipe read is atomic, so each check goes to exactly one worker,
-    the next free one, in roster order.  Each worker pickles
-    ``(index, outcome)`` into a pipe of its own and leaves by ``os._exit``,
-    running no atexit handler or ``finally`` of the parent.  The parent
-    does no check: it reads every result pipe to its end, which comes when
-    the worker exits, however it exits, then reaps the workers.  A forked
-    worker inherits the roster, so only an index goes out.
-    """
-    count = len(_CHECKS)
-    assert count < 256, "one byte names each check"
-    tasks, feed = os.pipe()
-    # Fewer than 256 bytes fit in a pipe's buffer, so this does not block.
-    os.write(feed, bytes(range(count)))
-    os.close(feed)
-    streams = {}
-    try:
-        for _ in range(workers):
-            source, sink = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(source)
-                os.close(sink)
-                raise
-            if pid == 0:
-                _work(tasks, sink)
-            os.close(sink)
-            streams[pid] = open(source, "rb")
-        received = [stream.read() for stream in streams.values()]
-    finally:
-        os.close(tasks)
-        for stream in streams.values():
-            stream.close()
-        statuses = {pid: os.waitpid(pid, 0)[1] for pid in streams}
-    outcomes = dict(record for data in received for record in _records(data))
-    missing = [name for index, (name, _) in enumerate(_CHECKS) if index not in outcomes]
-    if missing:
-        exits = "; ".join(
-            f"worker {pid} {_exit_text(status)}" for pid, status in statuses.items() if status
-        )
-        exits = exits or "every worker exited with status 0"
-        raise RuntimeError(f"no result for {', '.join(missing)} ({exits})")
-    return tuple(outcomes[index] for index in range(count))
-
-
-def _work(tasks: int, sink: int):
-    """A forked worker's whole life: run the checks it draws, report each, exit."""
-    status = 1
-    try:
-        with open(sink, "wb") as out:
-            while drawn := os.read(tasks, 1):
-                index = drawn[0]
-                try:
-                    outcome = _run_check(index)
-                except Exception as error:
-                    # A pickled exception drops its traceback; the note keeps it.
-                    import traceback
-
-                    error.__notes__ = [
-                        *getattr(error, "__notes__", ()),
-                        "".join(traceback.format_exception(error)),
-                    ]
-                    outcome = error
-                out.write(_record(index, outcome))
-                out.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _record(index: int, outcome) -> bytes:
-    """``(index, outcome)`` pickled, or with a ``RuntimeError`` in its place.
-
-    The stand-in goes when the outcome fails to pickle or to unpickle.
-    """
-    try:
-        record = pickle.dumps((index, outcome))
-        pickle.loads(record)
-    except Exception:
-        name = _CHECKS[index][0]
-        error = RuntimeError(f"{name} gave {outcome!r}, which cannot be pickled")
-        record = pickle.dumps((index, error))
-    return record
-
-
-def _records(data: bytes):
-    """The ``(index, outcome)`` pairs one worker wrote, up to any record it left unfinished."""
-    stream = io.BytesIO(data)
-    while stream.tell() < len(data):
-        try:
-            yield pickle.load(stream)
-        except (EOFError, pickle.UnpicklingError):
-            return
-
-
-def _exit_text(status: int) -> str:
-    code = os.waitstatus_to_exitcode(status)
-    return f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return tuple(outcomes)
 
 
 def report_text(results) -> str:

@@ -29,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fractions import Fraction
 
-from limitper import chair, cli, dyadic, numerics, period_doubling, render, subst, verification
+from limitper import chair, cli, dyadic, forked, numerics, period_doubling, render, subst, verification
 from limitper.dyadic import Module, module_box, module_interval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -695,7 +695,7 @@ class TestLevelPrefilter:
             argv += ["--floor", floor]
         runs = []
         with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_usable_cpus", lambda: 1)
+            patch.setattr(forked, "_usable_cpus", lambda: 1)
             for name in ("filtered", "unfiltered"):
                 if name == "unfiltered":
                     patch.setattr(cli, "_levels_over", _no_prefilter)
@@ -768,7 +768,7 @@ class TestForkedRender:
         """``(exit code, stdout, stderr, {suffix: bytes})`` of one run in ``cwd``."""
         cwd.mkdir(exist_ok=True)
         monkeypatch.chdir(cwd)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
         code = cli.main(argv)
         captured = capsys.readouterr()
         files = {path.suffix: path.read_bytes() for path in cwd.glob("peaks.*") if path.is_file()}
@@ -792,16 +792,17 @@ class TestForkedRender:
         argv = _BOTH_FORMATS[system]
         alone = self._run(argv, tmp_path / "one", 1, monkeypatch, capsys)
         assert forks == []
-        forked = self._run(argv, tmp_path / "two", 2, monkeypatch, capsys)
-        assert forks == [os.getpid()]
-        assert alone == forked
-        assert forked[:3] == (0, "peaks.csv\npeaks.svg\n", "")
-        assert set(forked[3]) == {".csv", ".svg"}
+        pooled = self._run(argv, tmp_path / "two", 2, monkeypatch, capsys)
+        # One worker per file: the parent renders nothing once it forks.
+        assert forks == [os.getpid()] * 2
+        assert alone == pooled
+        assert pooled[:3] == (0, "peaks.csv\npeaks.svg\n", "")
+        assert set(pooled[3]) == {".csv", ".svg"}
 
     def test_diffract_under_a_file_has_one_line_of_stderr(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").touch()
         out = tmp_path / "file" / "m"
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
         assert cli.main(["diffract", "--rmax", "1", "--out", str(out)]) == 2
         error = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}.csv'"
         assert capsys.readouterr() == ("", f"limitper: cannot write {out}.csv: {error}\n")
@@ -814,10 +815,10 @@ class TestForkedRender:
             # A directory where a file should go makes its write fail.
             for name in (["peaks.csv", "peaks.svg"] if blocked == "both" else [blocked]):
                 (cwd / name).mkdir(parents=True)
-            runs.append(self._run(_BOTH_FORMATS["chair"], cwd, cpus, monkeypatch, capsys)[:3])
-        # The files may differ: the child may write the SVG when the CSV fails.
+            runs.append(self._run(_BOTH_FORMATS["chair"], cwd, cpus, monkeypatch, capsys))
+        # Both runs try every file, so the one that can be written is written by both.
         assert runs[0] == runs[1]
-        code, out, err = runs[1]
+        code, out, err, _ = runs[1]
         failed = "peaks.svg" if blocked == "peaks.svg" else "peaks.csv"
         assert code == 2
         assert out == ("peaks.csv\n" if blocked == "peaks.svg" else "")
@@ -831,13 +832,21 @@ class TestForkedRender:
             raise ValueError("no figure today")
 
         monkeypatch.setattr(render, "disc_svg", broken)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        report = "ValueError: no figure today" if how == "raises" else "killed by signal 9"
-        failure = f"writing peaks.svg in a forked child failed: {report}"
-        with pytest.raises(RuntimeError, match=re.escape(failure)):
-            cli.main(_BOTH_FORMATS["chair"])
-        assert capsys.readouterr() == ("peaks.csv\n", "")
+        raised = []
+        for cpus in (1, 2) if how == "raises" else (2,):
+            (tmp_path / str(cpus)).mkdir()
+            monkeypatch.chdir(tmp_path / str(cpus))
+            monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
+            with pytest.raises(Exception) as error:
+                cli.main(_BOTH_FORMATS["chair"])
+            text = re.sub(r"worker \d+", "worker N", f"{error.type.__name__}: {error.value}")
+            raised.append((text, capsys.readouterr()))
+        # A raising child's own error comes back, as in the one-CPU run.
+        expected = (
+            "ValueError: no figure today" if how == "raises"
+            else "RuntimeError: no result for peaks.svg (worker N killed by signal 9)"
+        )
+        assert set(raised) == {(expected, ("peaks.csv\n", ""))}
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -849,7 +858,7 @@ class TestForkedRender:
         if failing != "none":
             monkeypatch.setattr(render, "peaks_csv" if failing == "parent" else "stem_svg", broken)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
         quiet = contextlib.redirect_stdout(io.StringIO())
         with contextlib.suppress(ValueError, RuntimeError), quiet:
             assert cli.main(_BOTH_FORMATS["pd"]) == 0
@@ -893,6 +902,22 @@ class TestForkedRender:
 
 
 class TestVerify:
+    def test_a_failed_fork_runs_the_checks_here(self, tmp_path, monkeypatch, capsys):
+        def refuse():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        runs = []
+        for cpus in (1, 2):
+            (tmp_path / str(cpus)).mkdir()
+            monkeypatch.chdir(tmp_path / str(cpus))
+            monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
+            if cpus == 2:
+                monkeypatch.setattr(os, "fork", refuse)
+            code = cli.main(["verify", "--out", "report"])
+            runs.append((code, *capsys.readouterr(), Path("report.txt").read_bytes()))
+        assert runs[1] == runs[0]
+        assert runs[0][0::2] == (0, "")
+
     def test_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report"
         assert cli.main(["verify", "--out", str(out)]) == 0

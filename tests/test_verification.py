@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limitper import chair, numerics, period_doubling, render, verification
+from limitper import chair, forked, numerics, period_doubling, render, verification
 from limitper.dyadic import Dyadic, DyadicPoint2
 from limitper.subst import PatternWindow
 
@@ -80,7 +80,7 @@ def _fresh_python(code, tmp_path, timeout=None):
 
 
 def _with_cpus(monkeypatch, count):
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: count)
 
 
 def _boom():
@@ -120,6 +120,8 @@ class TestRunner:
         _with_cpus(monkeypatch, 2)
         pids = {r.detail for r in verification.run_checks()}
         assert str(os.getpid()) not in pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         _with_cpus(monkeypatch, 1)
         assert {r.detail for r in verification.run_checks()} == {str(os.getpid())}
 
@@ -130,6 +132,8 @@ class TestRunner:
         _with_cpus(monkeypatch, cpus)
         with pytest.raises(ZeroDivisionError, match="check blew up"):
             verification.run_checks()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_atexit_runs_once(self, tmp_path):
         # Forked workers must leave without running the parent's exit hooks.
@@ -148,12 +152,12 @@ class TestRunner:
         # Neither importing the CLI nor a forked verify run loads a pool.
         code = (
             "import sys\n"
-            "from limitper import cli, verification\n"
+            "from limitper import cli, forked\n"
             "def pools():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] in "
             "('multiprocessing', 'concurrent'))\n"
             "imported = pools()\n"
-            "verification._usable_cpus = lambda: 2\n"
+            "forked._usable_cpus = lambda: 2\n"
             "status = cli.main(['verify', '--out', 'report'])\n"
             "print(status, imported, pools(), file=sys.stderr)\n"
         )
@@ -167,12 +171,12 @@ class TestRunner:
         monkeypatch.setattr(verification, "_CHECKS", (("pid", _pid),) * 4)
         _with_cpus(monkeypatch, cpus)
         parent = os.getpid()
-        forked = []
+        parent_forks = []
         fork = os.fork
 
         def counted():
             if os.getpid() == parent:
-                forked.append(1)
+                parent_forks.append(1)
             return fork()
 
         def refused(thread):
@@ -181,7 +185,7 @@ class TestRunner:
         monkeypatch.setattr(os, "fork", counted)
         monkeypatch.setattr(threading.Thread, "start", refused)
         assert all(r.passed for r in verification.run_checks())
-        assert len(forked) == forks
+        assert len(parent_forks) == forks
 
     @pytest.mark.skipif(not _LINUX, reason="checks run on forked workers on Linux only")
     @pytest.mark.parametrize(
@@ -212,7 +216,7 @@ class TestRunner:
         # the suite.
         code = (
             "import os, re, signal\n"
-            "from limitper import verification\n"
+            "from limitper import forked, verification\n"
             "class TwoArguments(Exception):\n"
             "    def __init__(self, message, code):\n"
             "        super().__init__(message)\n"
@@ -221,7 +225,7 @@ class TestRunner:
             "def odd():\n"
             f"    {body}\n"
             "verification._CHECKS = (('first', fine), ('odd', odd), ('last', fine))\n"
-            "verification._usable_cpus = lambda: 2\n"
+            "forked._usable_cpus = lambda: 2\n"
             "try:\n"
             "    verification.run_checks()\n"
             "except Exception as error:\n"
