@@ -17,17 +17,16 @@ system (cutoff, region, window, weights) live in the one helper that uses
 them.  ``diffract`` and ``module`` share ``_module``, which checks the
 cutoff flags and the region and enumerates the module once as arrays
 (``dyadic.module_points``).  ``diffract`` then takes the windowed sums
-over the whole array with ``--empirical`` (after growing the window).
-For the closed forms it first drops the points of every level whose
-amplitude bound (the system's ``amplitude_bounds``, weighted, with a
-stated rounding slack) cannot reach ``--floor``, since the amplitudes fall
-geometrically with the level, and evaluates the rest.  It weighs the
-per-letter rows by ``render.weigh``, keeps the peaks at or above the floor
-and renders columns.  It renders and writes each file as one task of
-``forked.run``, so the CSV and the SVG are written at once when there are
-CPUs to spare, then prints the paths in format order up to the first
-failure and raises that failure, so stdout, stderr and the exit code are
-those of a run that writes one file after the other.
+over the whole array with ``--empirical`` (after growing the window), or
+evaluates the closed forms at the levels that can reach ``--floor``
+(``_levels_over``).  It weighs the per-letter rows by ``render.weigh`` and
+keeps the peaks at or above the floor.
+
+Every file the CLI writes is one task of ``forked.run``, through
+``_write``: ``generate``'s PGM and text, ``diffract``'s CSV and SVG,
+``module``'s CSV and ``verify``'s report.  So two files are written at once
+when there are CPUs to spare, and the paths, the first failure and the exit
+code are those of a run that writes one file after the other.
 
 Imports: at module level only the standard library, so building the parser
 and ``--help`` load no numpy.  Each handler imports the limitper modules it
@@ -162,7 +161,7 @@ def resolve_system(name_or_path: str, seed_spec: str | None):
     itself under substitution.  The image corners alone pick the least of the
     rule, its square and its cube with a legal seed; only that power is built.
     """
-    from . import dyadic, subst
+    from . import subst
 
     base, seed, closed_forms = _load_system(name_or_path)
     if seed_spec is not None:
@@ -180,12 +179,16 @@ def resolve_system(name_or_path: str, seed_spec: str | None):
             raise UsageError(f"seed {seed_spec!r} is not legal for this rule or its powers up to 3")
         raise UsageError("no legal seed found for this rule or its powers up to 3")
     cells = base.factor ** (exponent * base.dim)
-    if cells > dyadic.MAX_CELLS:
-        raise UsageError(
-            f"the rule to the power {exponent} has images of {cells} cells each; "
-            f"the CLI grows at most {dyadic.MAX_CELLS}"
-        )
+    _within_cells(cells, f"the rule to the power {exponent} has images of {cells} cells each")
     return base.power(exponent), candidate, None
+
+
+def _within_cells(cells: int, stated: str) -> None:
+    """Refuse ``cells`` over ``dyadic.MAX_CELLS``; ``stated`` says what has how many cells."""
+    from . import dyadic
+
+    if cells > dyadic.MAX_CELLS:
+        raise UsageError(f"{stated}; the CLI grows at most {dyadic.MAX_CELLS}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +216,25 @@ def _store(path: Path, content: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _write(path: Path, content: str, announce=None) -> None:
-    """Write ``content`` to ``path`` and print the path to ``announce`` (stdout by default)."""
-    _store(path, content)
-    print(path, file=announce)
+def _write(base: Path, renders: dict, announce=None) -> None:
+    """Write ``base`` with each suffix of ``renders``, then print the paths in that order.
+
+    ``renders`` maps a suffix such as ``"csv"`` to a zero-argument render of
+    the file's text.  Each file is one ``forked.run`` task, so every file is
+    tried; the paths go to ``announce`` (stdout by default) up to the first
+    failure, which is then raised.  It forks because rendering is most of the
+    work: on a 2-core host, ``diffract`` rendering its CSV and SVG in process
+    lost on closed-form-sweep in 8 of 8, then 6 of 8 alternating pairs
+    (``wall_ref`` medians 2.95 -> 3.29, then 3.00 -> 3.38 ref).
+    """
+    from . import forked
+
+    paths = {base.with_suffix(f".{suffix}"): render for suffix, render in renders.items()}
+    tasks = [(str(path), lambda path=path: _store(path, paths[path]())) for path in paths]
+    for path, outcome in zip(paths, forked.run(tasks)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        print(path, file=announce)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +243,7 @@ def _write(path: Path, content: str, announce=None) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from . import dyadic, render, subst
+    from . import render, subst
 
     system, seed, _ = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
@@ -235,22 +253,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise UsageError("format 'pgm' not supported here (choose from txt)")
     # Seeds are 2 cells wide; past 64 passes the window is over the bound anyway.
     side = 2 * system.factor ** min(args.iterations, 64)
-    if side**system.dim > dyadic.MAX_CELLS:
-        size = f"2*{system.factor}^{args.iterations}"
-        if system.dim > 1:
-            size = f"({size})^{system.dim}"
-        raise UsageError(
-            f"the window after {args.iterations} iterations has {size} cells; "
-            f"the CLI grows at most {dyadic.MAX_CELLS}"
-        )
+    size = f"2*{system.factor}^{args.iterations}"
+    if system.dim > 1:
+        size = f"({size})^{system.dim}"
+    _within_cells(side**system.dim, f"the window after {args.iterations} iterations has {size} cells")
     formats = (args.format,) if args.format else ("txt",) if system.dim == 1 else ("pgm", "txt")
     window = subst.fixed_point_window(system, seed, args.iterations)
     letters = system.alphabet
-    for fmt in formats:
-        if fmt == "txt":
-            _write(base.with_suffix(".txt"), render.window_text(window, letters))
-        else:
-            _write(base.with_suffix(".pgm"), render.window_pgm(window, len(letters)))
+    renders = {
+        "pgm": lambda: render.window_pgm(window, len(letters)),
+        "txt": lambda: render.window_text(window, letters),
+    }
+    _write(base, {fmt: renders[fmt] for fmt in formats})
     return 0
 
 
@@ -298,11 +312,8 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
     from . import dyadic
 
     cells = (2 * half + 1) ** dim
-    if cells > dyadic.MAX_CELLS:
-        box = f"[-{half}, {half}]" + (f"^{dim}" if dim > 1 else "")
-        raise UsageError(
-            f"the window {box} has {cells} cells; the CLI grows at most {dyadic.MAX_CELLS}"
-        )
+    box = f"[-{half}, {half}]" + (f"^{dim}" if dim > 1 else "")
+    _within_cells(cells, f"the window {box} has {cells} cells")
     level = int(module.exponents.max(initial=0))
     entries = letters << (level * dim)
     if entries > dyadic.MAX_COUNTS:
@@ -313,16 +324,14 @@ def _check_empirical_size(half: int, module, letters: int, dim: int) -> None:
 
 
 def cmd_diffract(args: argparse.Namespace) -> int:
-    from . import forked, render
+    from . import render
 
     system, seed, closed_forms = resolve_system(args.system, args.seed)
     base = _out_base(args.out)
     letters = system.alphabet
     weights = parse_weights(args.weights) if args.weights is not None else (1,) * len(letters)
     if len(weights) != len(letters):
-        raise UsageError(
-            f"{len(weights)} weights for {len(letters)} letters; they must match"
-        )
+        raise UsageError(f"{len(weights)} weights for {len(letters)} letters; they must match")
     if not args.floor >= 0:
         raise UsageError(f"intensity floor must be nonnegative: {args.floor}")
     if args.window is not None and args.window < 1:
@@ -330,9 +339,7 @@ def cmd_diffract(args: argparse.Namespace) -> int:
     if args.window is not None and not args.empirical:
         raise UsageError("--window is for --empirical; the closed forms take no window")
     if closed_forms is None and not args.empirical:
-        raise UsageError(
-            "no closed forms for user rules; pass --empirical for windowed sums"
-        )
+        raise UsageError("no closed forms for user rules; pass --empirical for windowed sums")
     module, region = _module(args, system)
     formats = (args.format,) if args.format else ("csv", "svg")
     # The figures' placement test: an axis whose width rounds to 0.0 cannot be drawn.
@@ -354,15 +361,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
     kept = table.intensity >= args.floor
     peaks = render.PeakTable(module.select(kept), amplitudes[kept], table.intensity[kept])
     figure, bounds = (render.stem_svg, region[0]) if system.dim == 1 else (render.disc_svg, region)
-    paths = {fmt: base.with_suffix(f".{fmt}") for fmt in formats}
-    writes = {
-        "csv": lambda: _store(paths["csv"], render.peaks_csv(peaks)),
-        "svg": lambda: _store(paths["svg"], figure(peaks, *bounds)),
-    }
-    for fmt, outcome in zip(formats, forked.run((str(paths[fmt]), writes[fmt]) for fmt in formats)):
-        if isinstance(outcome, Exception):
-            raise outcome
-        print(paths[fmt])
+    renders = {"csv": lambda: render.peaks_csv(peaks), "svg": lambda: figure(peaks, *bounds)}
+    _write(base, {fmt: renders[fmt] for fmt in formats})
     return 0
 
 
@@ -396,7 +396,7 @@ def cmd_module(args: argparse.Namespace) -> int:
     system, _, _ = _load_system(args.system)
     base = _out_base(args.out)
     module, _ = _module(args, system)
-    _write(base.with_suffix(".csv"), render.module_csv(module))
+    _write(base, {"csv": lambda: render.module_csv(module)})
     return 0
 
 
@@ -405,15 +405,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     base = _out_base(args.out)
     results = verification.run_checks()
-    if args.json:
-        # stdout carries the JSON document alone; the file path goes to stderr.
-        text = verification.report_json(results)
-        print(text, end="")
-        _write(base.with_suffix(".json"), text, announce=sys.stderr)
-    else:
-        text = verification.report_text(results)
-        print(text, end="")
-        _write(base.with_suffix(".txt"), text)
+    text = (verification.report_json if args.json else verification.report_text)(results)
+    print(text, end="")
+    # With --json stdout carries the JSON document alone; the file path goes to stderr.
+    _write(base, {"json" if args.json else "txt": lambda: text}, sys.stderr if args.json else None)
     return 0 if all(result.passed for result in results) else 1
 
 

@@ -17,7 +17,9 @@ statuses; nothing waits for results that cannot come.
 
 With one usable CPU, one task, on another platform, or when no fork
 succeeds, the tasks run one after another in the calling process; when
-some forks fail, the workers that did fork take every task.
+some forks fail, the workers that did fork take every task.  Two callers:
+``verification.run_checks`` runs ``verify``'s checks, and ``cli._write``
+renders and writes every file the CLI writes, one task each.
 """
 
 from __future__ import annotations

@@ -752,16 +752,19 @@ class TestLevelPrefilter:
         assert [len(module) for module in evaluated] == [66049]
 
 
-# The two files of each built-in's diffract, written to ./peaks.
+# The two files of each built-in's diffract, and of the chair's generate, written to ./peaks.
 _BOTH_FORMATS = {
     "pd": ["diffract", "--weights", "1,-1", "--rmax", "6", "--region", "0,1", "--out", "peaks"],
     "chair": ["diffract", "--system", "chair", "--weights", "1,i,-1,-i", "--smax", "4",
               "--region=-1,1", "--out", "peaks"],
+    "chair-generate": ["generate", "--system", "chair", "--iterations", "4", "--out", "peaks"],
 }
+# The suffixes each command writes, in the order it prints their paths.
+_SUFFIXES = {"diffract": (".csv", ".svg"), "generate": (".pgm", ".txt")}
 
 
 class TestForkedRender:
-    """Writing the CSV and the SVG on two processes changes no output, exit code or error."""
+    """Writing two files on two processes changes no output, exit code or error."""
 
     @staticmethod
     def _run(argv, cwd, cpus, monkeypatch, capsys):
@@ -796,8 +799,9 @@ class TestForkedRender:
         # One worker per file: the parent renders nothing once it forks.
         assert forks == [os.getpid()] * 2
         assert alone == pooled
-        assert pooled[:3] == (0, "peaks.csv\npeaks.svg\n", "")
-        assert set(pooled[3]) == {".csv", ".svg"}
+        suffixes = _SUFFIXES[argv[0]]
+        assert pooled[:3] == (0, "".join(f"peaks{suffix}\n" for suffix in suffixes), "")
+        assert set(pooled[3]) == set(suffixes)
 
     def test_diffract_under_a_file_has_one_line_of_stderr(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").touch()
@@ -807,22 +811,25 @@ class TestForkedRender:
         error = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}.csv'"
         assert capsys.readouterr() == ("", f"limitper: cannot write {out}.csv: {error}\n")
 
-    @pytest.mark.parametrize("blocked", ["peaks.csv", "peaks.svg", "both"])
+    @pytest.mark.parametrize("blocked", ["peaks.csv", "peaks.svg", "both", "peaks.pgm"])
     def test_write_errors_match_the_sequential_run(self, blocked, tmp_path, monkeypatch, capsys):
+        argv = _BOTH_FORMATS["chair-generate" if blocked == "peaks.pgm" else "chair"]
         runs = []
         for cpus in (1, 2):
             cwd = tmp_path / str(cpus)
             # A directory where a file should go makes its write fail.
             for name in (["peaks.csv", "peaks.svg"] if blocked == "both" else [blocked]):
                 (cwd / name).mkdir(parents=True)
-            runs.append(self._run(_BOTH_FORMATS["chair"], cwd, cpus, monkeypatch, capsys))
+            runs.append(self._run(argv, cwd, cpus, monkeypatch, capsys))
         # Both runs try every file, so the one that can be written is written by both.
         assert runs[0] == runs[1]
-        code, out, err, _ = runs[1]
-        failed = "peaks.svg" if blocked == "peaks.svg" else "peaks.csv"
+        code, out, err, files = runs[1]
+        failed = "peaks.csv" if blocked == "both" else blocked
         assert code == 2
         assert out == ("peaks.csv\n" if blocked == "peaks.svg" else "")
         assert re.fullmatch(f"limitper: cannot write {failed}: [^\n]*\n", err)
+        if blocked == "peaks.pgm":
+            assert set(files) == {".txt"}
 
     @pytest.mark.parametrize("how", ["raises", "is killed"])
     def test_a_failing_child_names_its_file(self, how, tmp_path, monkeypatch, capsys):
@@ -875,12 +882,18 @@ class TestForkedRender:
         assert self._run(argv, tmp_path / "two", 2, monkeypatch, capsys) == alone
 
     @pytest.mark.parametrize(
-        "extra, platform",
-        [(["--format", "csv"], "linux"), (["--format", "svg"], "linux"), ([], "darwin")],
-        ids=["csv", "svg", "not-linux"],
+        "argv, platform",
+        [
+            (_BOTH_FORMATS["pd"] + ["--format", "csv"], "linux"),
+            (_BOTH_FORMATS["pd"] + ["--format", "svg"], "linux"),
+            (_BOTH_FORMATS["pd"], "darwin"),
+            (_BOTH_FORMATS["chair-generate"] + ["--format", "txt"], "linux"),
+            (["module", "--rmax", "3", "--out", "peaks"], "linux"),
+        ],
+        ids=["csv", "svg", "not-linux", "generate-txt", "module"],
     )
     def test_one_format_or_another_platform_never_forks(
-        self, extra, platform, tmp_path, monkeypatch, capsys
+        self, argv, platform, tmp_path, monkeypatch, capsys
     ):
         def refuse(*args):
             raise AssertionError("forked")
@@ -889,9 +902,7 @@ class TestForkedRender:
         monkeypatch.setattr(sys, "platform", platform)
         # Off Linux the CPU count is not asked for: None would not compare with 2.
         cpus = 2 if platform == "linux" else None
-        code, out, _, files = self._run(
-            _BOTH_FORMATS["pd"] + extra, tmp_path, cpus, monkeypatch, capsys
-        )
+        code, out, _, files = self._run(argv, tmp_path, cpus, monkeypatch, capsys)
         assert code == 0
         assert out == "".join(f"peaks{suffix}\n" for suffix in sorted(files))
 
