@@ -24,7 +24,6 @@ with the coordinate, and a rule file lists block rows top line first.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -41,10 +40,8 @@ __all__ = [
     "render_rules",
     "load_rules",
     "bundled_system",
-    "bundled_names",
     "word_seed",
     "block_seed",
-    "substitute",
     "check_seed_legal",
     "first_legal_seed",
     "fixed_point_window",
@@ -180,22 +177,6 @@ class PatternWindow:
     def extent(self) -> tuple[int, ...]:
         return self.labels.shape[::-1]
 
-    def label_at(self, pos) -> int:
-        """The label of one cell, any integer or tuple; ``ValueError`` outside the patch."""
-        cell = tuple(map(operator.index, pos)) if np.ndim(pos) else (operator.index(pos),)
-        index = tuple(c - o for c, o in zip(cell, self.origin))[::-1]
-        if len(cell) != self.dim or any(not 0 <= i < n for i, n in zip(index, self.labels.shape)):
-            raise ValueError(f"cell {pos} is outside the patch")
-        return int(self.labels[index])
-
-    def subwindow(self, origin: tuple[int, ...], extent: tuple[int, ...]) -> "PatternWindow":
-        """The sub-patch with the given origin and per-axis extent."""
-        starts = [o - s for o, s in zip(origin, self.origin)][::-1]
-        stops = [i + n for i, n in zip(starts, extent[::-1])]
-        if any(i < 0 or j > n for i, j, n in zip(starts, stops, self.labels.shape)):
-            raise ValueError("subwindow reaches outside the patch")
-        return PatternWindow(origin, self.labels[tuple(map(slice, starts, stops))])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternWindow):
             return NotImplemented
@@ -226,16 +207,6 @@ def _expand_labels(images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         for target, image_rows in zip(targets, rows.T):
             target[start : start + step] = image_rows.take(band)
     return out
-
-
-def substitute(system: SubstitutionSystem, patch: PatternWindow) -> PatternWindow:
-    """Apply the rule once: the cell at p maps to its image at factor * p + offsets."""
-    if patch.dim != system.dim:
-        raise ValueError(f"{system.kind} system cannot act on a {patch.dim}-dimensional patch")
-    if (patch.labels >= len(system.alphabet)).any():
-        raise ValueError("patch uses a letter index outside the system alphabet")
-    origin = tuple(system.factor * o for o in patch.origin)
-    return PatternWindow(origin, _expand_labels(system.images, patch.labels))
 
 
 def word_seed(system: SubstitutionSystem, left: str, right: str) -> PatternWindow:
@@ -524,10 +495,6 @@ def load_rules(path) -> SubstitutionSystem:
 
 
 _BUNDLED = ("period_doubling", "chair")
-
-
-def bundled_names() -> tuple[str, ...]:
-    return _BUNDLED
 
 
 def bundled_system(name: str) -> SubstitutionSystem:

@@ -148,8 +148,8 @@ def _check_pd_empirical_amplitudes():
         for weights in ((1, 0), (0, 1), (1, -1))
     )
     if worst > tol:
-        return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
-    return True, f"max error {worst:.4f} over r <= {r_max}, window half {half}"
+        return False, f"max closed-vs-windowed error {worst:.2e} > {tol}"
+    return True, f"max error {worst:.2e} over r <= {r_max}, window half {half}"
 
 
 def _check_pd_empirical_autocorr():
@@ -164,8 +164,8 @@ def _check_pd_empirical_autocorr():
         got = numerics.empirical_autocorrelation(comb, z, weights)
         worst = max(worst, abs(expected - got))
     if worst > tol:
-        return False, f"max autocorrelation error {worst:.4f} > {tol}"
-    return True, f"max error {worst:.4f} for |z| <= {z_max}, window half {half}"
+        return False, f"max autocorrelation error {worst:.2e} > {tol}"
+    return True, f"max error {worst:.2e} for |z| <= {z_max}, window half {half}"
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +286,8 @@ def _check_chair_empirical_amplitudes():
     windowed = numerics.empirical_amplitudes(numerics.chair_comb(half), module)
     worst = float(np.abs(closed - windowed).max())
     if worst > tol:
-        return False, f"max closed-vs-windowed error {worst:.4f} > {tol}"
-    return True, f"max error {worst:.4f} per colour, s <= {s_max}, window half {half}"
+        return False, f"max closed-vs-windowed error {worst:.2e} > {tol}"
+    return True, f"max error {worst:.2e} per colour, s <= {s_max}, window half {half}"
 
 
 def _check_chair_d4_window():

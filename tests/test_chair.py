@@ -631,6 +631,13 @@ class TestAmplitudeBounds:
 # ---------------------------------------------------------------------------
 
 
+def _gathered(element, labels):
+    """The reference recolouring: ``np.take`` of the colour permutation at the moved view."""
+    (a, b), (c, d) = element.matrix
+    moved = (labels if b == 0 else labels.T)[:: c + d, :: a + b]
+    return np.take(np.array(element.color_perm, dtype=labels.dtype), moved)
+
+
 class TestD4:
     def test_element_roster(self):
         elements = chair.d4_elements()
@@ -688,17 +695,29 @@ class TestD4:
         st.sampled_from([np.uint8, np.int64]),
     )
     def test_recolouring_matches_indexing_the_permutation(self, half, seed, dtype):
-        # The reference recolours by indexing the permutation with the moved view.
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 4, size=(2 * half, 2 * half)).astype(dtype)
         window = PatternWindow((-half, -half), labels)
         for element in chair.d4_elements():
-            (a, b), (c, d) = element.matrix
-            moved = (labels if b == 0 else labels.T)[:: c + d, :: a + b]
-            expected = np.array(element.color_perm, dtype=dtype)[moved]
+            expected = _gathered(element, labels)
             image = chair.apply_d4(element, window)
             assert image.labels.dtype == expected.dtype
             assert np.array_equal(image.labels, expected)
+
+    def test_recolouring_matches_a_gather_on_the_pattern_window(self):
+        # The 1024^2 window of the chair-d4-window-invariance check.
+        window = chair.pattern_window(9)
+        for element in chair.d4_elements():
+            assert np.array_equal(chair.apply_d4(element, window).labels, _gathered(element, window.labels))
+
+    @pytest.mark.parametrize("label", [4, 255, -1])
+    def test_apply_refuses_labels_past_the_four_colours(self, label):
+        dtype = np.int64 if label < 0 else np.uint8
+        labels = np.zeros((4, 4), dtype=dtype)
+        labels[3, 0] = label
+        for element in chair.d4_elements():
+            with pytest.raises(ValueError, match="colours 0 to 3"):
+                chair.apply_d4(element, PatternWindow((-2, -2), labels))
 
     def test_composition_acts_like_sequential_application(self):
         half = 32

@@ -22,6 +22,7 @@ import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1285,29 +1286,36 @@ _ERROR_TABLE = [
 ]
 
 
+_RULE_FILES = {
+    "doubling": _CUSTOM_RULE,
+    "tripling": _TRIPLING_RULE,
+    "broken": _BROKEN_RULE,
+    "no_seed": _NO_SEED_RULE,
+    "big": _BIG_RULE,
+    "cyclic256": _CYCLIC_256_RULE,
+    "last256": _LAST_LETTER_256_RULE,
+    "cycle16": _cycle_rule("block", 16),
+    "cycle64": _cycle_rule("block", 64),
+    "cycle257": _cycle_rule("word", 257),
+}
+
+
+def _write_rule_files(rules: Path) -> str:
+    """Write every rule file of ``_RULE_FILES``, and ``latin1.sub``, into ``rules``; its path."""
+    rules.mkdir()
+    for name, text in _RULE_FILES.items():
+        (rules / f"{name}.sub").write_text(text)
+    # A rule file that is not UTF-8: its first byte is 0xff.
+    (rules / "latin1.sub").write_bytes(b"\xff" + _CUSTOM_RULE.encode())
+    return str(rules)
+
+
 class TestErrorTable:
     """Each single-error argv exits 2 with its own stderr line and writes nothing."""
 
     @pytest.fixture
     def rules(self, tmp_path):
-        rules = tmp_path / "rules"
-        rules.mkdir()
-        for name, text in (
-            ("doubling", _CUSTOM_RULE),
-            ("tripling", _TRIPLING_RULE),
-            ("broken", _BROKEN_RULE),
-            ("no_seed", _NO_SEED_RULE),
-            ("big", _BIG_RULE),
-            ("cyclic256", _CYCLIC_256_RULE),
-            ("last256", _LAST_LETTER_256_RULE),
-            ("cycle16", _cycle_rule("block", 16)),
-            ("cycle64", _cycle_rule("block", 64)),
-            ("cycle257", _cycle_rule("word", 257)),
-        ):
-            (rules / f"{name}.sub").write_text(text)
-        # A rule file that is not UTF-8: its first byte is 0xff.
-        (rules / "latin1.sub").write_bytes(b"\xff" + _CUSTOM_RULE.encode())
-        return str(rules)
+        return _write_rule_files(tmp_path / "rules")
 
     @pytest.mark.parametrize("argv, message", _ERROR_TABLE)
     def test_exit_code_and_message(self, argv, message, rules, tmp_path, capsys):
@@ -1608,6 +1616,105 @@ class TestRuleFileSweep:
                 if code == 2:
                     assert len(err.getvalue().splitlines()) == 1
                     assert err.getvalue().startswith("limitper: ")
+
+
+# Edge values for the argv fuzz; RULES is the directory of the rule files.
+_FUZZ_SYSTEMS = ("pd", "chair", *(f"RULES/{name}.sub" for name in (*_RULE_FILES, "latin1", "missing")))
+_FUZZ_CUTOFFS = ("-1", "0", "1", "3", "62", "63", str(10**20))
+_FUZZ_MODULE = {
+    "--system": _FUZZ_SYSTEMS,
+    "--rmax": _FUZZ_CUTOFFS,
+    "--smax": _FUZZ_CUTOFFS,
+    "--region": (
+        "0,1",
+        "-1,1,-1,1",
+        "0,0",
+        "0,0,-1,1",
+        "1,0",
+        "",
+        "0,1,2",
+        "1/3,1/3",
+        "1000000000000000000,1000000000000000001",
+        f"{10**30},{10**30 + 1},-{10**30 + 1},-{10**30}",
+    ),
+    "--half-open": None,
+}
+_FUZZ_SEEDS = ("a|a", "b|a", "b|b", "x|y", "a", "|", "3 0 / 2 1", "0 0 / 0 0", "0 0", "x0 x0 / x0 x0")
+# Each command's flags with their values; None marks a switch.
+_FUZZ_FLAGS = {
+    "generate": {
+        "--system": _FUZZ_SYSTEMS,
+        "--seed": _FUZZ_SEEDS,
+        "--iterations": _FUZZ_CUTOFFS,
+        "--format": ("txt", "pgm"),
+    },
+    "diffract": {
+        **_FUZZ_MODULE,
+        "--seed": _FUZZ_SEEDS,
+        "--weights": (
+            "1",
+            "1,-1",
+            "1,i,-1,-i",
+            "inf,1",
+            "nan,1",
+            "1e151,1",
+            "1e150,-1e150",
+            "1e150,1e150,1e150,1e150",
+            "1+",
+            "",
+        ),
+        "--floor": ("-1", "nan", "1e-300", "0", "inf"),
+        "--window": ("0", "1", "3", str(10**20)),
+        "--empirical": None,
+        "--format": ("csv", "svg"),
+    },
+    "module": _FUZZ_MODULE,
+}
+
+
+@st.composite
+def _fuzz_argvs(draw):
+    """A ``generate``, ``diffract`` or ``module`` argv, each flag absent (2 in 3) or an edge value.
+
+    Values go in as --flag=value, so a leading minus stays a value.
+    """
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values in _FUZZ_FLAGS[command].items():
+        if draw(st.integers(0, 2)):
+            continue
+        argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+class TestArgvFuzz:
+    """Aim 3 over the argv grammar: every accepted input finishes or exits 2, and nothing raises."""
+
+    @pytest.fixture(scope="class")
+    def rules(self, tmp_path_factory):
+        return _write_rule_files(tmp_path_factory.mktemp("fuzz") / "rules")
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_fuzz_argvs())
+    def test_exits_0_or_2(self, rules, argv):
+        def expire(signum, frame):
+            raise TimeoutError(f"{argv} ran past its alarm")
+
+        argv = [arg.replace("RULES", rules) for arg in argv]
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with (
+                tempfile.TemporaryDirectory() as tmp,
+                mock.patch.object(forked, "_usable_cpus", lambda: 1),
+                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stderr(io.StringIO()),
+            ):
+                code = cli.main(argv + [f"--out={tmp}/x"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2), argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Every exported name resolves, and the scalar dyadic types stay small.
+"""Every exported name resolves, and the scalar types stay small.
 
 ``limitper.__all__`` and the ``__all__`` of each submodule promise names to
 ``from limitper import *`` and to readers.  A deletion that leaves a name
-listed would otherwise surface only when someone imports it.  ``Dyadic`` and
-``DyadicPoint2`` carry only the members some caller uses; arithmetic on many
-points belongs to ``dyadic.Module`` and ``dyadic.normal_form``.
+listed would otherwise surface only when someone imports it.  The package
+lists its submodules only: every other name is imported from the submodule
+that defines it.  ``Dyadic``, ``DyadicPoint2`` and ``PatternWindow`` carry
+only the members some caller uses; arithmetic on many points belongs to
+``dyadic.Module`` and ``dyadic.normal_form``, and cells of a window are read
+by indexing its ``labels``.
 """
 
 import dataclasses
@@ -15,12 +18,19 @@ import pytest
 
 import limitper
 from limitper.dyadic import Dyadic, DyadicPoint2
+from limitper.subst import PatternWindow
 
 _SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(limitper.__path__))
 
 
 def test_package_exports_resolve():
+    # The star import loads every listed submodule, so this holds in any test order.
+    exec("from limitper import *", {})
     assert [name for name in limitper.__all__ if not hasattr(limitper, name)] == []
+
+
+def test_package_lists_its_submodules_only():
+    assert limitper.__all__ == ["__version__", *(name for name in _SUBMODULES if name != "__main__")]
 
 
 def test_every_submodule_is_checked():
@@ -40,10 +50,17 @@ class _Empty:
 
 
 def _written_members(cls) -> set[str]:
-    """What a class adds to a frozen slotted dataclass of the same fields: its written methods."""
+    """What a class adds to a dataclass of the same fields and options: its written methods.
+
+    A written ``__eq__`` leaves ``__hash__ = None`` behind, which nobody wrote.
+    """
     fields = [field.name for field in dataclasses.fields(cls)]
-    bare = dataclasses.make_dataclass("Bare", fields, frozen=True, slots=True)
-    return set(vars(cls)) - set(vars(bare)) - set(vars(_Empty))
+    params = cls.__dataclass_params__
+    bare = dataclasses.make_dataclass(
+        "Bare", fields, eq=params.eq, frozen=params.frozen, slots="__slots__" in vars(cls)
+    )
+    written = {name for name, value in vars(cls).items() if value is not None}
+    return written - set(vars(bare)) - set(vars(_Empty))
 
 
 @pytest.mark.parametrize(
@@ -55,11 +72,13 @@ def _written_members(cls) -> set[str]:
             ("m", "n", "s"),
             {"__post_init__", "of", "value", "__neg__", "dot", "map_ints", "__str__"},
         ),
+        (PatternWindow, ("origin", "labels"), {"__post_init__", "dim", "extent", "__eq__"}),
     ],
-    ids=["Dyadic", "DyadicPoint2"],
+    ids=["Dyadic", "DyadicPoint2", "PatternWindow"],
 )
 def test_dyadic_types_keep_only_the_members_in_use(cls, fields, members):
     # Unary minus is used by the chair's layer amplitudes, __str__ by the
-    # verify report and the demos; no operator comes back without a caller.
+    # verify report and the demos, PatternWindow.__eq__ by the chair's
+    # symmetry check; no operator or cell accessor comes back without a caller.
     assert tuple(field.name for field in dataclasses.fields(cls)) == fields
     assert _written_members(cls) == members

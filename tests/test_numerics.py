@@ -348,7 +348,8 @@ class TestWeightedComb:
         assert comb.dim == 1 and comb.half == 8 and comb.letters == 2
         grid = numerics.chair_comb(4)
         assert grid.dim == 2 and grid.half == 4 and grid.letters == 4
-        assert grid.window.label_at((0, 0)) == 0
+        # The window starts at (-4, -4), so the cell (0, 0) is entry [4, 4].
+        assert grid.window.labels[4, 4] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,36 @@ def _doubling():
     return subst.parse_rules(_DOUBLING_TEXT)
 
 
+def _substitute(system, patch):
+    """Apply the rule once: the cell at p maps to its image at factor * p + offsets.
+
+    The literal growth every window route is held to: each cell's image,
+    ``images[labels]``, has its axes interleaved with the cell axes, so
+    cell iy and image row y land on row factor * iy + y.
+    """
+    if patch.dim != system.dim:
+        raise ValueError(f"{system.kind} system cannot act on a {patch.dim}-dimensional patch")
+    if (patch.labels >= len(system.alphabet)).any():
+        raise ValueError("patch uses a letter index outside the system alphabet")
+    d = patch.dim
+    cells = system.images[patch.labels].transpose([i for axis in range(d) for i in (axis, d + axis)])
+    labels = cells.reshape([system.factor * n for n in patch.labels.shape])
+    return subst.PatternWindow(tuple(system.factor * o for o in patch.origin), labels)
+
+
 def _substituted(system, seed, iterations):
-    """The seed after ``iterations`` passes of ``subst.substitute``: growth taken literally."""
+    """The seed after ``iterations`` passes of ``_substitute``: growth taken literally."""
     window = seed
     for _ in range(iterations):
-        window = subst.substitute(system, window)
+        window = _substitute(system, window)
     return window
+
+
+def _cut(window, origin, extent):
+    """The sub-patch of ``window`` with the given origin and per-axis extent, coordinates x first."""
+    starts = [o - s for o, s in zip(origin, window.origin)][::-1]
+    cells = tuple(slice(i, i + n) for i, n in zip(starts, extent[::-1]))
+    return subst.PatternWindow(tuple(origin), window.labels[cells])
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +188,6 @@ class TestParsing:
         assert system.alphabet == ("a",)
 
     def test_bundled_systems(self):
-        assert subst.bundled_names() == ("period_doubling", "chair")
         pd = subst.bundled_system("period_doubling")
         assert (pd.kind, pd.factor, pd.alphabet) == ("word", 2, ("a", "b"))
         chair = subst.bundled_system("chair")
@@ -200,7 +223,7 @@ class TestParsing:
             subst.parse_rules("kind = word\nfactor = 2\nalphabet = a b\na -> a b\n")
 
     def test_round_trip_bundled(self):
-        for name in subst.bundled_names():
+        for name in ("period_doubling", "chair"):
             system = subst.bundled_system(name)
             assert subst.parse_rules(subst.render_rules(system)) == system
 
@@ -278,7 +301,7 @@ class TestParsing:
         window = subst.fixed_point_window(system, subst.word_seed(system, "x254", "x255"), 2)
         assert window.labels.dtype == np.uint8
         assert window.labels.tolist() == [255, 255, 255, 254, 255, 255, 255, 255]
-        assert system.alphabet[window.label_at(-1)] == "x254"
+        assert system.alphabet[window.labels[3]] == "x254"
 
 
 # ---------------------------------------------------------------------------
@@ -429,44 +452,10 @@ class TestPatterns:
     def test_window_indexing(self):
         window = subst.PatternWindow((-1, -1), np.array([[0, 1], [2, 3]], dtype=np.uint8))
         assert window.extent == (2, 2)
-        assert window.label_at((-1, -1)) == 0
-        assert window.label_at((0, -1)) == 1
-        assert window.label_at((-1, 0)) == 2
-        assert window.label_at((0, 0)) == 3
-
-    def test_label_at_outside_the_patch(self):
-        chain = subst.PatternWindow((-4,), np.arange(8, dtype=np.uint8))
-        assert chain.label_at(-4) == 0 and chain.label_at((3,)) == 7
-        for cell in (-5, 4, (-6,), (100,)):
-            with pytest.raises(ValueError, match="outside the patch"):
-                chain.label_at(cell)
-        block = subst.PatternWindow((-2, -2), np.arange(16, dtype=np.uint8).reshape(4, 4))
-        assert block.label_at((1, -2)) == 3 and block.label_at((-2, 1)) == 12
-        for cell in ((-3, -3), (2, 0), (0, 2), (-3, 0), (0, -3)):
-            with pytest.raises(ValueError, match="outside the patch"):
-                block.label_at(cell)
-
-    def test_label_at_takes_numpy_integers(self):
-        chain = subst.PatternWindow((-4,), np.arange(8, dtype=np.uint8))
-        assert [chain.label_at(c) for c in (np.int64(3), np.int32(-4), np.uint8(0))] == [7, 0, 4]
-        assert chain.label_at(np.array([3])) == 7
-        with pytest.raises(ValueError, match="outside the patch"):
-            chain.label_at(np.int64(4))
-        for cell in (3.0, np.float64(3)):
-            with pytest.raises(TypeError):
-                chain.label_at(cell)
-        block = subst.PatternWindow((-2, -2), np.arange(16, dtype=np.uint8).reshape(4, 4))
-        assert block.label_at((np.int64(1), np.int64(-2))) == 3
-        assert block.label_at(np.array([-2, 1])) == 12
-        with pytest.raises(TypeError):
-            block.label_at((1.0, -2.0))
-
-    def test_subwindow_bounds(self):
-        window = subst.PatternWindow((0,), np.arange(8, dtype=np.uint8))
-        sub = window.subwindow((2,), (3,))
-        assert sub.labels.tolist() == [2, 3, 4]
-        with pytest.raises(ValueError):
-            window.subwindow((6,), (3,))
+        # Entry [iy, ix] is the cell (origin[0] + ix, origin[1] + iy).
+        x0, y0 = window.origin
+        cells = ((-1, -1), (0, -1), (-1, 0), (0, 0))
+        assert [window.labels[y - y0, x - x0] for x, y in cells] == [0, 1, 2, 3]
 
     def test_extent_runs_along_the_coordinates(self):
         chain = subst.PatternWindow((-3,), np.zeros(7, dtype=np.uint8))
@@ -475,67 +464,28 @@ class TestPatterns:
         plane = subst.PatternWindow((-2, -1), np.zeros((3, 5), dtype=np.uint8))
         assert plane.extent == (5, 3)
 
-    @pytest.mark.parametrize(
-        "origin, extent",
-        [((-4,), (1,)), ((3,), (2,)), ((-3,), (8,))],
-        ids=["low", "high", "high-long"],
-    )
-    def test_subwindow_refuses_to_leave_a_chain(self, origin, extent):
-        chain = subst.PatternWindow((-3,), np.arange(7, dtype=np.uint8))
-        assert chain.subwindow((-3,), (7,)) == chain
-        assert chain.subwindow((3,), (1,)).labels.tolist() == [6]
-        with pytest.raises(ValueError, match="outside the patch"):
-            chain.subwindow(origin, extent)
-
-    # The plane below covers x in [-2, 2] and y in [-1, 1]; each patch leaves
-    # it along one axis only.  The y-high patch would fit if the axes were
-    # swapped.
-    @pytest.mark.parametrize(
-        "origin, extent",
-        [
-            ((-3, -1), (1, 3)),
-            ((2, -1), (2, 3)),
-            ((-2, -2), (5, 1)),
-            ((-2, -1), (1, 4)),
-        ],
-        ids=["x-low", "x-high", "y-low", "y-high"],
-    )
-    def test_subwindow_refuses_to_leave_a_plane_on_each_axis(self, origin, extent):
-        plane = subst.PatternWindow((-2, -1), np.arange(15, dtype=np.uint8).reshape(3, 5))
-        with pytest.raises(ValueError, match="outside the patch"):
-            plane.subwindow(origin, extent)
-
-    def test_subwindow_of_a_plane_reads_x_then_y(self):
-        plane = subst.PatternWindow((-2, -1), np.arange(15, dtype=np.uint8).reshape(3, 5))
-        assert plane.subwindow((-2, -1), (5, 3)) == plane
-        assert plane.subwindow((-2, 1), (5, 1)).labels.tolist() == [[10, 11, 12, 13, 14]]
-        assert plane.subwindow((2, -1), (1, 3)).labels.tolist() == [[4], [9], [14]]
-        sub = plane.subwindow((1, 0), (2, 2))
-        assert sub.origin == (1, 0)
-        assert sub.labels.tolist() == [[8, 9], [13, 14]]
-
     def test_substitute_positions_images(self):
         system = _doubling()
         patch = subst.word_seed(system, "a", "b")
-        image = subst.substitute(system, patch)
+        image = _substitute(system, patch)
         assert image.origin == (-2,)
         assert image.labels.tolist() == [0, 1, 0, 0]
 
     def test_substitute_rejects_foreign_labels(self):
         patch = subst.PatternWindow((0,), np.array([5], dtype=np.uint8))
         with pytest.raises(ValueError, match="outside the system alphabet"):
-            subst.substitute(_doubling(), patch)
+            _substitute(_doubling(), patch)
 
     def test_substitute_empty_patch(self):
         patch = subst.PatternWindow((3,), np.array([], dtype=np.uint8))
-        image = subst.substitute(_doubling(), patch)
+        image = _substitute(_doubling(), patch)
         assert image.origin == (6,)
         assert image.labels.size == 0
 
     def test_dimension_mismatch(self):
         patch = subst.PatternWindow((0, 0), np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
-            subst.substitute(_doubling(), patch)
+            _substitute(_doubling(), patch)
         with pytest.raises(ValueError):
             subst.word_seed(subst.bundled_system("chair"), "0", "0")
         with pytest.raises(ValueError):
@@ -583,8 +533,8 @@ class TestPatterns:
         windows = [subst.fixed_point_window(squared, seed, n) for n in range(5)]
         for small, large in zip(windows, windows[1:]):
             half = small.labels.shape[0] // 2
-            assert large.subwindow((-half,), (2 * half,)) == small
-            assert subst.substitute(squared, small) == large
+            assert _cut(large, (-half,), (2 * half,)) == small
+            assert _substitute(squared, small) == large
 
     def test_fixed_point_windows_nest_in_2d(self):
         system = subst.bundled_system("chair")
@@ -592,8 +542,8 @@ class TestPatterns:
         windows = [subst.fixed_point_window(system, seed, n) for n in range(6)]
         for small, large in zip(windows, windows[1:]):
             half = small.labels.shape[0] // 2
-            assert large.subwindow((-half, -half), (2 * half, 2 * half)) == small
-            assert subst.substitute(system, small) == large
+            assert _cut(large, (-half, -half), (2 * half, 2 * half)) == small
+            assert _substitute(system, small) == large
 
     def test_window_frequencies_approach_natural_ones(self):
         squared = _doubling().power(2)
@@ -630,13 +580,13 @@ def _all_seeds(system):
 
 
 def _reproduces(base, exponent, seed):
-    """``exponent`` passes of ``subst.substitute`` under the base rule give back the seed.
+    """``exponent`` passes of ``_substitute`` under the base rule give back the seed.
 
     That is legality under ``base.power(exponent)`` taken literally, as one
     pass of the power replaces each cell by its ``exponent``-fold image; the
     base rule's passes keep the arrays small.
     """
-    central = _substituted(base, seed, exponent).subwindow((-1,) * seed.dim, (2,) * seed.dim)
+    central = _cut(_substituted(base, seed, exponent), (-1,) * seed.dim, (2,) * seed.dim)
     return central == seed
 
 
@@ -787,7 +737,7 @@ class TestCentredWindow:
         while system.factor**iterations < half + 1:
             iterations += 1
         cube = ((-half,) * system.dim, (2 * half + 1,) * system.dim)
-        expected = _substituted(system, seed, iterations).subwindow(*cube)
+        expected = _cut(_substituted(system, seed, iterations), *cube)
         window = subst.centred_window(system, seed, half)
         assert window == expected
         base = window.labels if window.labels.base is None else window.labels.base
@@ -798,7 +748,7 @@ class TestCentredWindow:
         seed = subst.block_seed(chair, (("3", "0"), ("2", "1")))
         window = subst.centred_window(chair, seed, 0)
         assert window.origin == (0, 0)
-        assert window.labels.tolist() == [[seed.label_at((0, 0))]]
+        assert window.labels.tolist() == [[seed.labels[1, 1]]]
 
     def test_errors(self):
         squared = _doubling().power(2)
