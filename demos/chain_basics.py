@@ -15,7 +15,7 @@ from limitper.render import window_text
 # legal bi-infinite seed a|a doubles the visible patch twice per step.
 for iterations in range(4):
     window = pd.pattern_window(iterations)
-    print(f"after {iterations} iterations: {window_text(window, pd.ALPHABET)}", end="")
+    print(f"after {iterations} iterations: {window_text(window, pd.doubled_system().alphabet)}", end="")
 
 # Any single position is available without growing a patch: the letter at n
 # is decided by which residue class 2 * 4^(i-1) - 1 (mod 4^i) captures n.

@@ -187,7 +187,9 @@ def coset_amplitude(level: int, step: tuple[int, int], k: DyadicPoint2) -> compl
     coefficient is a finite geometric sum in e^{-2 pi i k . step} times the
     scaled-coset phase and density 2^(-2r-3).  The geometric sum is resolved
     exactly: full weight 2^r when k . step is an integer, zero when only
-    2^level k . step is.
+    2^level k . step is.  Weight and density are applied as one exact power
+    of two (``math.ldexp``), so no float of 2^r is formed, and a layer past
+    the float range is 0.
     """
     if level < 0:
         raise ValueError(f"negative layer index: {level}")
@@ -197,21 +199,22 @@ def coset_amplitude(level: int, step: tuple[int, int], k: DyadicPoint2) -> compl
         return 0j
     theta = k.dot(step)
     if theta.r == 0:
-        geometric: complex = float(1 << level)
-    elif theta.r <= level:
+        geometric, exponent = 1.0, -(level + 3)
+    elif theta.r <= level or level > 1022:
+        # Cancelled; or past level 1022, where 1 - e^{-2 pi i theta} can round
+        # to 0 and the layer's modulus, at most 2^-(level+2), is subnormal.
         return 0j
     else:
         turns = Dyadic.of(-theta.m << level, theta.r)
-        geometric = (1 - phase(turns)) / (1 - phase(-theta))
-    shift_phase = phase(Dyadic.of(-k.m << (level + 1), k.s))
-    return geometric * shift_phase / float(1 << (2 * level + 3))
+        geometric, exponent = (1 - phase(turns)) / (1 - phase(-theta)), -(2 * level + 3)
+    amplitude = geometric * phase(Dyadic.of(-k.m << (level + 1), k.s))
+    return complex(math.ldexp(amplitude.real, exponent), math.ldexp(amplitude.imag, exponent))
 
 
 @dataclass(frozen=True)
 class Amplitudes:
     """Per-colour peak amplitudes at one dyadic wave number."""
 
-    k: DyadicPoint2
     values: tuple[complex, complex, complex, complex]
 
 
@@ -259,7 +262,7 @@ def amplitudes(k: DyadicPoint2) -> Amplitudes:
         a0 = _axis_sum_amplitude(m + n, s)
         a1 = _eps_pow(-n, s) * _axis_sum_amplitude(m - n, s)
         vals = (a0, a1, -a0, -a1)
-    return Amplitudes(k=k, values=vals)
+    return Amplitudes(values=vals)
 
 
 def _level_tables(fn, level: int, *residues: np.ndarray) -> list[np.ndarray]:

@@ -217,13 +217,14 @@ class WeightedComb:
 
 def pd_comb(half: int) -> WeightedComb:
     """Comb over the chain fixed point on [-N, N], letters a and b."""
-    window = subst.centred_window(period_doubling.doubled_system(), period_doubling.seed(), half)
-    return WeightedComb(window, 2)
+    system = period_doubling.doubled_system()
+    return WeightedComb(subst.centred_window(system, period_doubling.seed(), half), len(system.alphabet))
 
 
 def chair_comb(half: int) -> WeightedComb:
     """Comb over the block fixed point on [-N, N]^2, four colours."""
-    return WeightedComb(subst.centred_window(chair.system(), chair.seed(), half), 4)
+    system = chair.system()
+    return WeightedComb(subst.centred_window(system, chair.seed(), half), len(system.alphabet))
 
 
 def _overlap(size: int, shift: int) -> tuple[slice, slice]:
@@ -405,15 +406,17 @@ def approximant_amplitudes_chair(levels: int, module: Module) -> np.ndarray:
             # 2^(level+2) k must land on the even sublattice.
             supported = (s < level + 2) | ((s == level + 2) & ~odd_sum)
             layer = np.zeros(len(module), dtype=complex)
-            layer[supported & (r == 0)] = float(1 << level)
+            # Weight 2^level over density 2^(2 level + 3), one exact power of two.
+            layer[supported & (r == 0)] = math.ldexp(1.0, -(level + 3))
             deep = np.flatnonzero(supported & (r > level))
             # 2^level theta has denominator 2^(r - level), r - level in {1, 2}:
-            # its phase is a quarter turn.
-            layer[deep] = (1 - phase_arrays(-t[deep], r[deep] - level)) / denominator[deep]
+            # its phase is a quarter turn.  As r <= MAX_LEVEL, level <= 61 here.
+            geometric = (1 - phase_arrays(-t[deep], r[deep] - level)) / denominator[deep]
+            layer[deep] = geometric * math.ldexp(1.0, -(2 * level + 3))
             # The shift phase e^{-2 pi i 2^(level+1) m / 2^s} is -1 exactly
             # when s = level + 2 and m is odd, and 1 elsewhere on the support.
             layer[(s == level + 2) & odd_m] *= -1
-            total += layer / float(1 << (2 * level + 3))
+            total += layer
         u = normal_form((shift[0] * m + shift[1] * n,), s)
         out[colour] = phase_arrays(-u.numerators[:, 0], u.exponents) * total
     return out

@@ -59,8 +59,6 @@ __all__ = [
 LETTER_A = 0
 LETTER_B = 1
 
-ALPHABET = ("a", "b")
-
 # The bits at odd positions 1, 3, ..., 63 of a 64-bit word.
 _ODD_BITS = 0xAAAAAAAAAAAAAAAA
 
@@ -221,7 +219,6 @@ def autocorr(shift: int, weights) -> complex:
 class Amplitudes:
     """Per-letter peak amplitudes at one dyadic wave number."""
 
-    k: Dyadic
     a: complex
     b: complex
 
@@ -238,7 +235,7 @@ def amplitudes(k: Dyadic) -> Amplitudes:
     scale = math.ldexp(2.0 / 3.0, -k.r)
     amp_a = (-scale if k.r % 2 else scale) * phase(k)
     amp_b = (1.0 if k.r == 0 else 0.0) - amp_a
-    return Amplitudes(k=k, a=amp_a, b=amp_b)
+    return Amplitudes(a=amp_a, b=amp_b)
 
 
 def amplitude_arrays(module: Module) -> np.ndarray:

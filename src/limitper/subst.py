@@ -1,16 +1,19 @@
 """Constant-length substitution systems on words and on square blocks.
 
 A system replaces every cell of a labelled pattern by a fixed image: a word
-of length b in one dimension, a b x b block in two.  Iterating a system on a
-legal seed of two cells per axis straddling the origin grows nested centred
-windows of its bi-infinite fixed point.  Every window comes from one loop,
-``_grow``, and the window code is written once for Z^d, with no branch on
-the dimension.  To reach a cube [lo, hi]^d the loop takes the n passes with
-[lo, hi] inside [-b^n, b^n), and before each pass it keeps only the cells
-whose images meet the cube.  ``fixed_point_window`` asks for
-[-b^n, b^n - 1]^d, which n passes fill, so nothing is trimmed there;
-``centred_window`` asks for [-N, N]^d.  The engine is generic over the
-alphabet; the built-in rule files ship as package data under ``rules/``.
+of length b in one dimension, a b x b block in two.  It holds its alphabet
+and one uint8 stack of images, and reads the factor b, the dimension and
+the kind (word or block) off the stack's shape; an unusable rule, in text
+or in Python, raises ``RuleError``.  Iterating a system on a legal seed of
+two cells per axis straddling the origin grows nested centred windows of its
+bi-infinite fixed point.  Every window comes from one loop, ``_grow``, and
+the window code is written once for Z^d, with no branch on the dimension.
+To reach a cube [lo, hi]^d the loop takes the n passes with [lo, hi] inside
+[-b^n, b^n), and before each pass it keeps only the cells whose images meet
+the cube.  ``fixed_point_window`` asks for [-b^n, b^n - 1]^d, which n
+passes fill, so nothing is trimmed there; ``centred_window`` asks for
+[-N, N]^d.  The engine is generic over the alphabet; the built-in rule files
+ship as package data under ``rules/``.
 
 A seed is legal when one pass reproduces it, a test per cell: the seed cell
 at array index i in {0, 1}^d lands on index (b - 1)(1 - i) of its own image,
@@ -32,8 +35,6 @@ import numpy as np
 
 __all__ = [
     "RuleError",
-    "RuleSyntaxError",
-    "RuleSemanticError",
     "SubstitutionSystem",
     "PatternWindow",
     "parse_rules",
@@ -54,7 +55,7 @@ _BAND_CELLS = 1 << 14
 
 
 class RuleError(ValueError):
-    """A substitution rule file or rule set is unusable."""
+    """A substitution rule file or rule set is unusable; ``line`` is the offending line, if any."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -63,49 +64,47 @@ class RuleError(ValueError):
         self.line = line
 
 
-class RuleSyntaxError(RuleError):
-    """Malformed rule text (unreadable line, bad header)."""
-
-
-class RuleSemanticError(RuleError):
-    """Readable text describing an inconsistent system."""
-
-
 @dataclass(frozen=True, eq=False)
 class SubstitutionSystem:
     """A constant-length substitution rule set.
 
     ``images[i]`` is the image of letter i in one read-only uint8 array of
-    shape (letters, factor), or (letters, factor, factor) with row index
-    increasing with y; a tuple of per-letter arrays is stacked on construction.
+    shape (letters, b) for a word rule, or (letters, b, b) for a block rule
+    with row index increasing with y; a tuple of per-letter arrays is
+    stacked on construction.  The factor b >= 2, the dimension and the kind
+    are read off that shape.
     """
 
     alphabet: tuple[str, ...]
-    kind: str
-    factor: int
     images: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("word", "block"):
-            raise RuleSemanticError(f"unknown kind: {self.kind!r}")
-        if self.factor < 2:
-            raise RuleSemanticError(f"expansion factor must be >= 2, got {self.factor}")
-        _check_letters(self.alphabet)
-        shape = (len(self.alphabet),) + (self.factor,) * self.dim
+        letters = len(_check_letters(self.alphabet))
         try:
             images = np.asarray(self.images)
         except ValueError:  # per-letter arrays of different shapes
             images = np.empty(0)
-        if images.shape != shape:
-            raise RuleSemanticError(f"images stack to shape {images.shape}, not {shape} (one per letter)")
-        if not np.issubdtype(images.dtype, np.integer) or images.min() < 0 or images.max() >= shape[0]:
-            raise RuleSemanticError("an image uses an unknown letter index")
+        b = images.shape[-1] if images.ndim else 0
+        if images.ndim not in (2, 3) or b < 2 or images.shape != (letters,) + (b,) * (images.ndim - 1):
+            raise RuleError(
+                f"images stack to shape {images.shape}, not ({letters}, b) or ({letters}, b, b) with b >= 2"
+            )
+        if not np.issubdtype(images.dtype, np.integer) or images.min() < 0 or images.max() >= letters:
+            raise RuleError("an image uses an unknown letter index")
         object.__setattr__(self, "images", images.astype(np.uint8, copy=False))
         self.images.setflags(write=False)
 
     @property
+    def factor(self) -> int:
+        return self.images.shape[-1]
+
+    @property
     def dim(self) -> int:
-        return 1 if self.kind == "word" else 2
+        return self.images.ndim - 1
+
+    @property
+    def kind(self) -> str:
+        return "word" if self.dim == 1 else "block"
 
     def index(self, letter: str) -> int:
         try:
@@ -116,12 +115,7 @@ class SubstitutionSystem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubstitutionSystem):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.kind == other.kind
-            and self.factor == other.factor
-            and np.array_equal(self.images, other.images)
-        )
+        return self.alphabet == other.alphabet and np.array_equal(self.images, other.images)
 
     def power(self, exponent: int) -> "SubstitutionSystem":
         """The substitution applied `exponent` times as a single rule set."""
@@ -130,7 +124,7 @@ class SubstitutionSystem:
         images = self.images
         for _ in range(exponent - 1):
             images = _expand_labels(self.images, images)
-        return SubstitutionSystem(self.alphabet, self.kind, self.factor**exponent, images)
+        return SubstitutionSystem(self.alphabet, images)
 
     def count_matrix(self) -> list[list[int]]:
         """M[i][j] = number of cells carrying letter i in the image of letter j."""
@@ -353,17 +347,17 @@ def natural_frequencies(system: SubstitutionSystem) -> dict[str, Fraction]:
 def _check_letters(letters: tuple[str, ...], line: int | None = None) -> tuple[str, ...]:
     """The letters, if uint8 labels hold them and rule text spells them; errors name ``line``."""
     if not letters:
-        raise RuleSyntaxError("empty alphabet", line)
+        raise RuleError("empty alphabet", line)
     if len(set(letters)) != len(letters):
-        raise RuleSemanticError("alphabet letters must be distinct", line)
+        raise RuleError("alphabet letters must be distinct", line)
     if (count := len(letters)) > 256:
-        raise RuleSemanticError(f"alphabet has {count} letters; labels are uint8, so at most 256", line)
+        raise RuleError(f"alphabet has {count} letters; labels are uint8, so at most 256", line)
     # Rule text splits on whitespace and on `->`, and a leading `#` starts a comment.
     for letter in letters:
         if letter.split() != [letter] or "->" in letter:
-            raise RuleSemanticError(f"letter {letter!r} is empty or holds whitespace or '->'", line)
+            raise RuleError(f"letter {letter!r} is empty or holds whitespace or '->'", line)
         if letter.startswith("#"):
-            raise RuleSemanticError(f"letter {letter!r} begins with '#', which starts a comment", line)
+            raise RuleError(f"letter {letter!r} begins with '#', which starts a comment", line)
     return letters
 
 
@@ -371,15 +365,15 @@ def _header_value(key: str, value: str, lineno: int):
     """The checked value of one header line: the kind, the factor or the alphabet."""
     if key == "kind":
         if value not in ("word", "block"):
-            raise RuleSyntaxError(f"kind must be 'word' or 'block', got {value!r}", lineno)
+            raise RuleError(f"kind must be 'word' or 'block', got {value!r}", lineno)
         return value
     if key == "factor":
         try:
             factor = int(value)
         except ValueError:
-            raise RuleSyntaxError(f"factor must be an integer, got {value!r}", lineno) from None
+            raise RuleError(f"factor must be an integer, got {value!r}", lineno) from None
         if factor < 2:
-            raise RuleSemanticError(f"factor must be >= 2, got {factor}", lineno)
+            raise RuleError(f"factor must be >= 2, got {factor}", lineno)
         return factor
     return _check_letters(tuple(value.split()), lineno)
 
@@ -402,41 +396,39 @@ def parse_rules(text: str) -> SubstitutionSystem:
         line = raw.strip()
         if "->" in line:
             if None in header.values():
-                raise RuleSyntaxError("rule before a complete header (kind, factor, alphabet)", lineno)
+                raise RuleError("rule before a complete header (kind, factor, alphabet)", lineno)
             kind, factor, alphabet = header.values()
             lhs, _, rhs = (part.strip() for part in line.partition("->"))
             if len(lhs.split()) != 1:
-                raise RuleSyntaxError(f"rule left side must be a single letter, got {lhs!r}", lineno)
+                raise RuleError(f"rule left side must be a single letter, got {lhs!r}", lineno)
             if lhs not in alphabet:
-                raise RuleSemanticError(f"rule for unknown letter {lhs!r}", lineno)
+                raise RuleError(f"rule for unknown letter {lhs!r}", lineno)
             if lhs in rules:
-                raise RuleSemanticError(f"duplicate rule for letter {lhs!r}", lineno)
+                raise RuleError(f"duplicate rule for letter {lhs!r}", lineno)
             if kind == "word":
                 rows = [rhs.split()]
                 if len(rows[0]) != factor:
-                    raise RuleSemanticError(
+                    raise RuleError(
                         f"rule {lhs!r}: non-constant length (expected {factor} letters, got {len(rows[0])})",
                         lineno,
                     )
             elif rhs:
-                raise RuleSyntaxError(
-                    f"rule {lhs!r}: block rows belong on the following indented lines", lineno
-                )
+                raise RuleError(f"rule {lhs!r}: block rows belong on the following indented lines", lineno)
             else:
                 rows = []
                 for got in range(factor):
                     row_lineno, row = next(lines, (lineno, None))
                     if row is None:
-                        raise RuleSemanticError(
+                        raise RuleError(
                             f"rule {lhs!r}: expected {factor} block rows, file ended after {got}", lineno
                         )
                     if not row[0].isspace():
-                        raise RuleSemanticError(
+                        raise RuleError(
                             f"rule {lhs!r}: expected {factor} indented block rows, got {got}", row_lineno
                         )
                     rows.append(row.split())
                     if len(rows[-1]) != factor:
-                        raise RuleSemanticError(
+                        raise RuleError(
                             f"rule {lhs!r}: block row has {len(rows[-1])} labels, expected {factor}",
                             row_lineno,
                         )
@@ -444,19 +436,19 @@ def parse_rules(text: str) -> SubstitutionSystem:
         elif "=" in line:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in header:
-                raise RuleSyntaxError(f"unknown header key {key!r}", lineno)
+                raise RuleError(f"unknown header key {key!r}", lineno)
             if rules:
-                raise RuleSyntaxError("header line after the first rule", lineno)
+                raise RuleError("header line after the first rule", lineno)
             header[key] = _header_value(key, value, lineno)
         else:
-            raise RuleSyntaxError(f"unrecognised line: {line!r}", lineno)
+            raise RuleError(f"unrecognised line: {line!r}", lineno)
 
     if None in header.values():
-        raise RuleSyntaxError("missing header line(s): kind, factor and alphabet are required")
-    kind, factor, alphabet = header.values()
+        raise RuleError("missing header line(s): kind, factor and alphabet are required")
+    kind, _, alphabet = header.values()
     missing = [letter for letter in alphabet if letter not in rules]
     if missing:
-        raise RuleSemanticError(f"no rule for letter(s): {', '.join(repr(m) for m in missing)}")
+        raise RuleError(f"no rule for letter(s): {', '.join(repr(m) for m in missing)}")
 
     index = {letter: i for i, letter in enumerate(alphabet)}
     images = []
@@ -464,11 +456,11 @@ def parse_rules(text: str) -> SubstitutionSystem:
         lineno, rows = rules[letter]
         for token in (t for row in rows for t in row):
             if token not in index:
-                raise RuleSemanticError(f"rule {letter!r} uses unknown letter {token!r}", lineno)
+                raise RuleError(f"rule {letter!r} uses unknown letter {token!r}", lineno)
         # Text lists the top row first; the array stores low y first.
         labels = [[index[t] for t in row] for row in reversed(rows)]
         images.append(np.array(labels[0] if kind == "word" else labels, dtype=np.uint8))
-    return SubstitutionSystem(alphabet=alphabet, kind=kind, factor=factor, images=tuple(images))
+    return SubstitutionSystem(alphabet, tuple(images))
 
 
 def render_rules(system: SubstitutionSystem) -> str:

@@ -4,8 +4,9 @@
 ``from limitper import *`` and to readers.  A deletion that leaves a name
 listed would otherwise surface only when someone imports it.  The package
 lists its submodules only: every other name is imported from the submodule
-that defines it.  ``Dyadic``, ``DyadicPoint2`` and ``PatternWindow`` carry
-only the members some caller uses; arithmetic on many points belongs to
+that defines it.  ``Dyadic``, ``DyadicPoint2``, ``PatternWindow``,
+``SubstitutionSystem`` and the two ``Amplitudes`` records carry only the
+fields and members some caller uses; arithmetic on many points belongs to
 ``dyadic.Module`` and ``dyadic.normal_form``, and cells of a window are read
 by indexing its ``labels``.
 """
@@ -17,8 +18,9 @@ import pkgutil
 import pytest
 
 import limitper
+from limitper import chair, period_doubling
 from limitper.dyadic import Dyadic, DyadicPoint2
-from limitper.subst import PatternWindow
+from limitper.subst import PatternWindow, SubstitutionSystem
 
 _SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(limitper.__path__))
 
@@ -73,12 +75,29 @@ def _written_members(cls) -> set[str]:
             {"__post_init__", "of", "value", "__neg__", "dot", "map_ints", "__str__"},
         ),
         (PatternWindow, ("origin", "labels"), {"__post_init__", "dim", "extent", "__eq__"}),
+        (
+            SubstitutionSystem,
+            ("alphabet", "images"),
+            {"__post_init__", "factor", "dim", "kind", "index", "__eq__", "power"}
+            | {"count_matrix", "is_primitive"},
+        ),
+        (period_doubling.Amplitudes, ("a", "b"), set()),
+        (chair.Amplitudes, ("values",), set()),
     ],
-    ids=["Dyadic", "DyadicPoint2", "PatternWindow"],
+    ids=[
+        "Dyadic",
+        "DyadicPoint2",
+        "PatternWindow",
+        "SubstitutionSystem",
+        "period_doubling.Amplitudes",
+        "chair.Amplitudes",
+    ],
 )
 def test_dyadic_types_keep_only_the_members_in_use(cls, fields, members):
     # Unary minus is used by the chair's layer amplitudes, __str__ by the
     # verify report and the demos, PatternWindow.__eq__ by the chair's
     # symmetry check; no operator or cell accessor comes back without a caller.
+    # A substitution system stores its images only: factor, dim and kind are
+    # read off their shape, and an amplitude record does not restate its k.
     assert tuple(field.name for field in dataclasses.fields(cls)) == fields
     assert _written_members(cls) == members

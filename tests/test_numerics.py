@@ -635,6 +635,33 @@ class TestApproximant:
                 got = numerics.approximant_amplitude_chair(28, colour, k)
                 assert got == pytest.approx(closed[colour], abs=1e-9)
 
+    @pytest.mark.parametrize("levels", [511, 1100])
+    def test_layer_sums_past_the_float_range(self, levels):
+        # Past level 510 the density 2^-(2 level + 3), and past 1023 the weight
+        # 2^level, leave the float range; both routes scale each layer by an
+        # exact power of two instead.  Every value at these points is a binary
+        # fraction, so the sums meet the tail bound with no rounding term,
+        # down to the float spacing at 0 where the bound underflows.
+        bound = max(math.ldexp(1.0, -(levels + 2)), math.ulp(0.0))
+        points = module_points(2, ((0, 1), (0, 1))).points() + [DyadicPoint2(3, 1, 3)]
+        rows = numerics.approximant_amplitudes_chair(levels, Module.of(points, 2))
+        for k, column in zip(points, rows.T.tolist()):
+            closed = chair.amplitudes(k).values
+            for colour in range(4):
+                assert abs(column[colour] - closed[colour]) <= bound, (k, colour)
+                scalar = numerics.approximant_amplitude_chair(levels, colour, k)
+                assert abs(scalar - closed[colour]) <= bound, (k, colour)
+
+    @pytest.mark.parametrize("s", [1030, 1080])
+    def test_scalar_layer_sum_past_level_1022_stays_finite(self, s):
+        # Past level 1022, 1 - e^{-2 pi i theta} at r = level + 1 or level + 2
+        # can round to 0 (a nan at s = 1030, a ZeroDivisionError at s = 1080);
+        # the layer there is below 2^-(level+2) and adds 0.
+        for m, n in ((1, 0), (1, 2), (3, 1), (-1, 4)):
+            for colour in range(4):
+                value = numerics.approximant_amplitude_chair(1100, colour, DyadicPoint2.of(m, n, s))
+                assert abs(value) <= math.ldexp(1.0, 2 - s)
+
     def test_full_sweep_within_1e6(self):
         worst = 0.0
         for k in module_box(3, (-1, 1)):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,23 @@ p ->
 q ->
   p q
   q q
+"""
+
+
+_FACTOR_4_BLOCK_TEXT = """\
+kind = block
+factor = 4
+alphabet = p q
+p ->
+  p q p q
+  q p q p
+  p p q q
+  q q p p
+q ->
+  q q q q
+  p p p p
+  q p q p
+  p q p p
 """
 
 
@@ -77,92 +95,44 @@ def _cut(window, origin, extent):
 # Parsing
 # ---------------------------------------------------------------------------
 
-# (text, line, message fragment, exception class); the ids leave out the class.
+# (text, line, message fragment); every one raises ``subst.RuleError``.
 _PARSE_ERRORS = [
-    ("bogus = word\n", 1, "unknown header key", subst.RuleSyntaxError),
-    (
-        "kind = word\nfactor = 2\nalphabet = a\na -> a\n",
-        4,
-        "non-constant length",
-        subst.RuleSemanticError,
-    ),
-    ("kind = tile\n", 1, "kind", subst.RuleSyntaxError),
-    ("kind = word\nfactor = one\n", 2, "integer", subst.RuleSyntaxError),
-    ("kind = word\nfactor = 1\n", 2, ">= 2", subst.RuleSemanticError),
-    ("kind = word\nfactor = 2\nalphabet = a a\n", 3, "distinct", subst.RuleSemanticError),
-    ("kind = word\nfactor = 2\nalphabet =\n", 3, "empty alphabet", subst.RuleSyntaxError),
-    (
-        "kind = word\nfactor = 2\nalphabet = a\na -> a a\na -> a a\n",
-        5,
-        "duplicate",
-        subst.RuleSemanticError,
-    ),
-    (
-        "kind = word\nfactor = 2\nalphabet = a\na -> a b\n",
-        4,
-        "unknown letter",
-        subst.RuleSemanticError,
-    ),
-    (
-        "kind = word\nfactor = 2\nalphabet = a\nb -> a a\n",
-        4,
-        "unknown letter",
-        subst.RuleSemanticError,
-    ),
-    ("a -> a a\n", 1, "before a complete header", subst.RuleSyntaxError),
-    (
-        "kind = word\nfactor = 2\nalphabet = a\na -> a a\nkind = word\n",
-        5,
-        "after the first rule",
-        subst.RuleSyntaxError,
-    ),
-    ("kind = word\nfactor = 2\nalphabet = a\n???\n", 4, "unrecognised", subst.RuleSyntaxError),
+    ("bogus = word\n", 1, "unknown header key"),
+    ("kind = word\nfactor = 2\nalphabet = a\na -> a\n", 4, "non-constant length"),
+    ("kind = tile\n", 1, "kind"),
+    ("kind = word\nfactor = one\n", 2, "integer"),
+    ("kind = word\nfactor = 1\n", 2, ">= 2"),
+    ("kind = word\nfactor = 2\nalphabet = a a\n", 3, "distinct"),
+    ("kind = word\nfactor = 2\nalphabet =\n", 3, "empty alphabet"),
+    ("kind = word\nfactor = 2\nalphabet = a\na -> a a\na -> a a\n", 5, "duplicate"),
+    ("kind = word\nfactor = 2\nalphabet = a\na -> a b\n", 4, "unknown letter"),
+    ("kind = word\nfactor = 2\nalphabet = a\nb -> a a\n", 4, "unknown letter"),
+    ("a -> a a\n", 1, "before a complete header"),
+    ("kind = word\nfactor = 2\nalphabet = a\na -> a a\nkind = word\n", 5, "after the first rule"),
+    ("kind = word\nfactor = 2\nalphabet = a\n???\n", 4, "unrecognised"),
     # Block rows: too many labels, too few rows, rows on the rule line,
     # and a row that is not indented.
     (
         "kind = block\nfactor = 2\nalphabet = p\np ->\n  p p p\n  p p\n",
         5,
         "block row has 3 labels, expected 2",
-        subst.RuleSemanticError,
     ),
-    (
-        "kind = block\nfactor = 2\nalphabet = p\np ->\n  p p\n",
-        4,
-        "file ended after 1",
-        subst.RuleSemanticError,
-    ),
-    (
-        "kind = block\nfactor = 2\nalphabet = p\np -> p p\n",
-        4,
-        "indented",
-        subst.RuleSyntaxError,
-    ),
+    ("kind = block\nfactor = 2\nalphabet = p\np ->\n  p p\n", 4, "file ended after 1"),
+    ("kind = block\nfactor = 2\nalphabet = p\np -> p p\n", 4, "indented"),
     (
         "kind = block\nfactor = 2\nalphabet = p\np ->\n  p p\n\n# c\np p\n",
         8,
         "expected 2 indented block rows, got 1",
-        subst.RuleSemanticError,
     ),
     # Image letters are checked after every line is read: a later
     # unreadable line wins, and so does a missing rule.
-    (
-        "kind = word\nfactor = 2\nalphabet = a b\na -> a c\nb -> a a\n???\n",
-        6,
-        "unrecognised",
-        subst.RuleSyntaxError,
-    ),
-    (
-        "kind = word\nfactor = 2\nalphabet = a b\na -> a c\n",
-        None,
-        "no rule for letter(s): 'b'",
-        subst.RuleSemanticError,
-    ),
+    ("kind = word\nfactor = 2\nalphabet = a b\na -> a c\nb -> a a\n???\n", 6, "unrecognised"),
+    ("kind = word\nfactor = 2\nalphabet = a b\na -> a c\n", None, "no rule for letter(s): 'b'"),
     # A letter may not begin with '#': its rule line would read as a comment.
     (
         "kind = word\nfactor = 2\nalphabet = #x y\n#x -> y y\ny -> #x y\n",
         3,
         "letter '#x' begins with '#'",
-        subst.RuleSemanticError,
     ),
 ]
 
@@ -197,11 +167,10 @@ class TestParsing:
             subst.bundled_system("nonsense")
 
     @pytest.mark.parametrize(
-        "text,line,needle,error",
-        [pytest.param(*row, id=f"{row[0]}-{row[1]}-{row[2]}") for row in _PARSE_ERRORS],
+        "text,line,needle", [pytest.param(*row, id="-".join(map(str, row))) for row in _PARSE_ERRORS]
     )
-    def test_errors_carry_line_numbers(self, text, line, needle, error):
-        with pytest.raises(error) as excinfo:
+    def test_errors_carry_line_numbers(self, text, line, needle):
+        with pytest.raises(subst.RuleError) as excinfo:
             subst.parse_rules(text)
         assert excinfo.value.line == line
         assert needle in str(excinfo.value)
@@ -214,12 +183,12 @@ class TestParsing:
             return f"kind = word\nfactor = 2\nalphabet = {' '.join(letters)}\n" + images
 
         assert len(subst.parse_rules(rules(256)).alphabet) == 256
-        with pytest.raises(subst.RuleSemanticError, match="at most 256") as excinfo:
+        with pytest.raises(subst.RuleError, match="at most 256") as excinfo:
             subst.parse_rules(rules(257))
         assert excinfo.value.line == 3
 
     def test_missing_rule_is_reported(self):
-        with pytest.raises(subst.RuleSemanticError, match="no rule"):
+        with pytest.raises(subst.RuleError, match="no rule"):
             subst.parse_rules("kind = word\nfactor = 2\nalphabet = a b\na -> a b\n")
 
     def test_round_trip_bundled(self):
@@ -262,11 +231,12 @@ class TestParsing:
             if not letter or any(c.isspace() for c in letter) or "->" in letter or letter[0] == "#"
         ]
         try:
-            system = subst.SubstitutionSystem(alphabet, kind, factor, images)
-        except subst.RuleSemanticError:
+            system = subst.SubstitutionSystem(alphabet, images)
+        except subst.RuleError:
             assert unspellable
             return
         assert not unspellable
+        assert (system.kind, system.factor) == (kind, factor)
         assert subst.parse_rules(subst.render_rules(system)) == system
 
     @pytest.mark.parametrize(
@@ -282,21 +252,21 @@ class TestParsing:
     )
     def test_type_refuses_letters_rule_text_cannot_spell(self, letter, needle):
         images = (np.array([0, 1], dtype=np.uint8), np.array([1, 1], dtype=np.uint8))
-        with pytest.raises(subst.RuleSemanticError, match="^letter ") as refused:
-            subst.SubstitutionSystem(("z", letter), "word", 2, images)
+        with pytest.raises(subst.RuleError, match="^letter ") as refused:
+            subst.SubstitutionSystem(("z", letter), images)
         assert needle in str(refused.value) and refused.value.line is None
 
     def test_type_refuses_an_alphabet_past_uint8_labels(self):
         for count in (257, 300):
             letters = tuple(f"x{i}" for i in range(count))
-            with pytest.raises(subst.RuleSemanticError, match=f"alphabet has {count} letters; .* at most 256"):
-                subst.SubstitutionSystem(letters, "word", 2, np.zeros((count, 2), dtype=np.int64))
+            with pytest.raises(subst.RuleError, match=f"alphabet has {count} letters; .* at most 256"):
+                subst.SubstitutionSystem(letters, np.zeros((count, 2), dtype=np.int64))
 
     def test_a_256_letter_rule_grows_label_255(self):
         # Letter i becomes x255 xi, so the seed x254|x255 keeps both cells.
         letters = tuple(f"x{i}" for i in range(256))
         images = np.stack([np.full(256, 255), np.arange(256)], axis=1)
-        system = subst.SubstitutionSystem(letters, "word", 2, images)
+        system = subst.SubstitutionSystem(letters, images)
         assert subst.parse_rules(subst.render_rules(system)) == system
         window = subst.fixed_point_window(system, subst.word_seed(system, "x254", "x255"), 2)
         assert window.labels.dtype == np.uint8
@@ -329,7 +299,7 @@ def _primitive_rules(draw):
         if letter == 0:
             cells[-1] = 0
         images.append(np.array(cells, dtype=np.uint8).reshape(shape))
-    system = subst.SubstitutionSystem(tuple("abcdef"[:letters]), kind, factor, tuple(images))
+    system = subst.SubstitutionSystem(tuple("abcdef"[:letters]), tuple(images))
     assert system.is_primitive()
     return system
 
@@ -362,7 +332,7 @@ class TestSystemAlgebra:
 
     def test_images_are_one_read_only_uint8_array(self):
         parts = (np.array([0, 1], dtype=np.int64), np.array([0, 0], dtype=np.int64))
-        system = subst.SubstitutionSystem(("a", "b"), "word", 2, parts)
+        system = subst.SubstitutionSystem(("a", "b"), parts)
         assert isinstance(system.images, np.ndarray) and system.images.dtype == np.uint8
         assert system.images.tolist() == [[0, 1], [0, 0]]
         assert not system.images.flags.writeable
@@ -395,7 +365,7 @@ class TestSystemAlgebra:
         for support in itertools.product(columns, repeat=k):
             # Image j repeats the letters of column j, so it holds exactly those.
             images = tuple(np.resize(np.flatnonzero(col), max(k, 2)).astype(np.uint8) for col in support)
-            system = subst.SubstitutionSystem(tuple("abc"[:k]), "word", max(k, 2), images)
+            system = subst.SubstitutionSystem(tuple("abc"[:k]), images)
             adj = np.array(support, dtype=bool).T
             assert np.array_equal(np.array(system.count_matrix()) > 0, adj)
             seen, power, positive = set(), adj, False
@@ -430,17 +400,36 @@ class TestSystemAlgebra:
             assert sum(count * w for count, w in zip(row, nu)) == cells * v
 
     def test_validation_rejects_bad_shapes(self):
-        with pytest.raises(subst.RuleSemanticError):
-            subst.SubstitutionSystem(
-                ("a",), "word", 2, (np.array([[0, 0], [0, 0]], dtype=np.uint8),)
-            )
-        with pytest.raises(subst.RuleSemanticError):
-            subst.SubstitutionSystem(("a",), "word", 2, (np.array([0, 1], dtype=np.uint8),))
-        # Images of different lengths, one image too few, and float labels.
+        # The shape is the kind: one letter's 2 x 2 image is a block rule.
+        assert subst.SubstitutionSystem(("a",), (np.zeros((2, 2), dtype=np.uint8),)).kind == "block"
+        with pytest.raises(subst.RuleError, match="unknown letter index"):
+            subst.SubstitutionSystem(("a",), (np.array([0, 1], dtype=np.uint8),))
+        # Images of different lengths, one image too few, float labels, factor
+        # 1, blocks that are not square, three-dimensional images, one bare image.
         ragged = (np.array([0, 1], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
-        for images in (ragged, ragged[:1], (np.zeros(2), np.zeros(2))):
-            with pytest.raises(subst.RuleSemanticError):
-                subst.SubstitutionSystem(("a", "b"), "word", 2, images)
+        bad = (ragged, ragged[:1], (np.zeros(2), np.zeros(2)))
+        shapes = ((2, 1), (2, 2, 3), (2, 2, 2, 2), (2,), ())
+        bad += tuple(np.zeros(shape, dtype=np.uint8) for shape in shapes)
+        for images in bad:
+            with pytest.raises(subst.RuleError):
+                subst.SubstitutionSystem(("a", "b"), images)
+
+    @pytest.mark.parametrize("name", ["period_doubling", "chair", "factor 4 block"])
+    def test_factor_dim_and_kind_are_read_off_the_images(self, name):
+        # A system built from its image stack alone reports what its rule text declares.
+        if name in ("period_doubling", "chair"):
+            text = resources.files("limitper").joinpath(f"rules/{name}.sub").read_text(encoding="utf-8")
+        else:
+            text = _FACTOR_4_BLOCK_TEXT
+        headers = (line for line in text.splitlines() if line.startswith(("kind", "factor")))
+        declared = dict(line.split(" = ") for line in headers)
+        parsed = subst.parse_rules(text)
+        system = subst.SubstitutionSystem(parsed.alphabet, np.array(parsed.images))
+        dim = {"word": 1, "block": 2}[declared["kind"]]
+        assert (system.kind, system.factor) == (declared["kind"], int(declared["factor"]))
+        assert system.dim == dim
+        assert system.images.shape == (len(system.alphabet),) + (system.factor,) * dim
+        assert system == parsed and subst.parse_rules(subst.render_rules(system)) == system
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +589,7 @@ def _rules(draw):
     size = factor ** len(shape)
     cells = st.lists(st.integers(0, letters - 1), min_size=size, max_size=size)
     images = tuple(np.array(draw(cells), dtype=np.uint8).reshape(shape) for _ in range(letters))
-    return subst.SubstitutionSystem(tuple("abcd"[:letters]), kind, factor, images)
+    return subst.SubstitutionSystem(tuple("abcd"[:letters]), images)
 
 
 class TestSeedLegality:
