@@ -339,9 +339,10 @@ def amplitude_bounds(top: int) -> np.ndarray:
     short of one, so c = 1 and c = -1 part by up to a factor 180 at s = 62.
     The bounds are these moduli; the float amplitudes of colours 1 and 3
     may exceed them by a few units in the last place (|e| may be above 1),
-    so a caller that prunes by them adds a relative slack.
+    so a caller that prunes by them adds a relative slack.  A negative
+    ``top`` gives no levels, shape (4, 0).
     """
-    bounds = [0.25, 0.25][: top + 1]
+    bounds = [0.25, 0.25][: max(top + 1, 0)]
     for level in range(2, top + 1):
         bounds.append(max(abs(_axis_sum_amplitude(c, level)) for c in (1, -1, 2, -2)))
     return np.tile(np.array(bounds), (4, 1))

@@ -268,13 +268,16 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
     ``bounds`` holds one (lo, hi) pair per axis, as ints, floats or
     Fractions, compared exactly; ``include_hi=False`` drops every upper
     endpoint.  Points are ordered lexicographically by value (x, then y).
-    Raises ``ValueError``, before allocating, when the points leave the
-    stated int64 range or number more than ``MAX_POINTS`` (see the module
-    docstring).
+    Raises ``ValueError``, before allocating, for an infinite or NaN bound,
+    or when the points leave the stated int64 range or number more than
+    ``MAX_POINTS`` (see the module docstring).
     """
     if cutoff < 0:
         raise ValueError(f"negative denominator cutoff: {cutoff}")
-    pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
+    try:
+        pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
+    except OverflowError as error:  # Fraction(inf); a NaN raises ValueError itself
+        raise ValueError(f"module bounds must be finite: {error}") from None
     for flo, fhi in pairs:
         if flo > fhi:
             raise ValueError(f"empty range: [{flo}, {fhi}]")

@@ -25,6 +25,7 @@ matching the seed the window construction uses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -113,9 +114,11 @@ def label_window(lo: int, hi: int) -> np.ndarray:
     set bit x & -x sits at an odd position, that is, meets the mask
     0xAAAAAAAAAAAAAAAA.  The cell n = -1 gives x = 0, with no set bit, and
     carries a.  Valid for every int64 position: -2^63 <= lo <= hi <= 2^63,
-    else ``ValueError``.  x is taken mod 2^64 on the uint64 view of the
-    positions, whose low bits are the same.
+    else ``ValueError``; bounds that are not integers raise ``TypeError``.
+    x is taken mod 2^64 on the uint64 view of the positions, whose low bits
+    are the same.
     """
+    lo, hi = operator.index(lo), operator.index(hi)
     if hi < lo:
         raise ValueError(f"empty range: [{lo}, {hi})")
     if lo < -(1 << 63) or hi > 1 << 63:
@@ -273,11 +276,12 @@ def amplitude_bounds(top: int) -> np.ndarray:
     A_b = 1 - 2/3 = 1/3; at r >= 1, A_b = -A_a.  The bounds are these exact
     moduli.  The float amplitudes may exceed them by a few units in the last
     place (1 - fl(2/3) is above 1/3, and a float phase may have modulus
-    above 1), so a caller that prunes by them adds a relative slack.
+    above 1), so a caller that prunes by them adds a relative slack.  A
+    negative ``top`` gives no levels, shape (2, 0).
     """
     bounds = np.ldexp(2.0 / 3.0, -np.arange(top + 1))
     rows = np.stack([bounds, bounds])
-    rows[1, 0] = 1.0 / 3.0
+    rows[1, :1] = 1.0 / 3.0
     return rows
 
 

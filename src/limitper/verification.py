@@ -3,42 +3,40 @@
 Each check pits two independent routes to the same quantity against each
 other (recursion vs closed form, congruences vs substitution, layer sums vs
 case formulas, windowed sums vs limits) or asserts an identity the closed
-forms must satisfy.  ``run_checks`` runs them all and reports one result per
-name.  Each check has one size: its window, cut-off and tolerance are
-literals in its body.
+forms must satisfy.  Each has one size: its window, cut-off and tolerance
+are literals in its body.  ``run_checks`` runs them all through
+``forked.run`` (on forked workers when there are CPUs to spare) and returns
+one result per name in roster order, so the reports are byte-identical;
+``elapsed_s`` is each check's own wall time.
 
-The checks are independent, so ``run_checks`` hands them to
-``forked.run``, which runs them on forked workers when there are CPUs to
-spare and one after another otherwise.  The results come back in roster
-order either way, so the reports are byte-identical; ``elapsed_s`` is each
-check's own wall time, not a share of the run.
+A check states its conditions and its detail; two rules decide it.
+``_verdict`` fails at the first failing point of an ordered point set (a
+module in module order, the eta shifts, the chain's cells, the D4
+elements), with the first condition failing there.  ``_within`` fails a
+measured worst error above its tolerance and names both.  Each tolerance
+test reads "not error <= tol", so a NaN fails it.  Pinned values, the
+chair's seed and central cells and the chain's peak mass are tested singly.
 
-``pd-eta-recursion-closed-form`` compares exact integer arrays, the
-numerators and denominators of ``period_doubling.autocorr_balanced_arrays``
-and ``autocorr_balanced_closed_form_arrays``, over all its shifts at once.
-Each array gathers a shift's ratio by its 2-adic valuation from a table of
-``_eta_recursion`` or ``_eta_closed_form`` made at the call, so replacing
-either function changes what the check compares.
-
-The closed-form checks of both systems work on arrays, with no loop over
-points: each calls its own system's ``period_doubling.amplitude_arrays`` or
-``chair.amplitude_arrays`` over one ``dyadic.module_points`` box and over
-its images (negation, the dihedral maps, lattice and half-diagonal shifts),
+The eta check compares the exact int64 numerators and denominators of
+``period_doubling.autocorr_balanced_arrays`` and
+``autocorr_balanced_closed_form_arrays``; each gathers a shift's ratio by
+its 2-adic valuation from a table of ``_eta_recursion`` or
+``_eta_closed_form`` made at the call, so replacing either function changes
+what the check compares.  The closed-form checks call their system's
+``amplitude_arrays`` over one ``dyadic.module_points`` box and over its
+images (negation, the dihedral maps, lattice and half-diagonal shifts),
 each an integer map of the numerator columns reduced by
-``dyadic.normal_form``; the windowed sums read the same box, and the layer
-sums come from ``numerics.approximant_amplitudes_chair``.  Every route
-gives one complex row per letter; weighted amplitudes and intensities come
-from ``render.weigh`` and ``render.PeakTable.of``, the rules ``diffract``
-writes with.  A failing check names the first failing point in module
-order.  The pinned values stay scalar.
+``dyadic.normal_form``; the windowed sums and the layer sums
+(``numerics.approximant_amplitudes_chair``) read the same box.  Weighted
+amplitudes and intensities come from ``render.weigh`` and
+``render.PeakTable.of``, the rules ``diffract`` writes with.
 
 Every check can fail, and its negative controls live with the tests: each
-control replaces one route a check reads (a closed form, a label window, a
-windowed sum, a symmetry image) on its module, say
-``chair.amplitude_arrays``, before ``run_checks``, and pins the exact set of
-checks that then fail.  Forked workers inherit the replacement.  The checks
-call those routes through their modules, so the replaced function is the
-one they run.
+replaces one route a check reads (a closed form, a label window, a windowed
+sum, a symmetry image) on its module, say ``chair.amplitude_arrays``, before
+``run_checks``, and pins the exact set of checks that then fail.  The
+checks call those routes through their modules, so forked workers inherit
+the replacement and run it.
 """
 
 from __future__ import annotations
@@ -79,45 +77,37 @@ def _check_pd_eta():
     # are equal exactly when their numerators and denominators are.
     split = (recursion[0] != closed[0]) | (recursion[1] != closed[1])
     odd = (shifts % 2 == 1) & ((recursion[0] != -1) | (recursion[1] != 3))
-    failing = split | odd
-    if failing.any():
-        first = int(np.argmax(failing))
-        if split[first]:
-            return False, f"recursion and closed form split at shift {shifts[first]}"
-        return False, f"odd shift {shifts[first]} not -1/3"
-    return True, f"exact agreement for all shifts up to {limit}"
+    return _verdict(
+        shifts,
+        [(split, "recursion and closed form split at shift {k}"), (odd, "odd shift {k} not -1/3")],
+        f"exact agreement for all shifts up to {limit}",
+    )
 
 
 def _check_pd_labels():
     iterations = 9
     window = period_doubling.pattern_window(iterations)
     half = 4**iterations
-    direct = period_doubling.label_window(-half, half)
-    if not np.array_equal(window.labels, direct):
-        where = int(np.flatnonzero(window.labels != direct)[0]) - half
-        return False, f"congruence labels disagree with the fixed point at {where}"
-    return True, f"congruences match the fixed point on [-{half}, {half})"
+    mismatch = window.labels != period_doubling.label_window(-half, half)
+    return _verdict(
+        range(-half, half),
+        [(mismatch, "congruence labels disagree with the fixed point at {k}")],
+        f"congruences match the fixed point on [-{half}, {half})",
+    )
 
 
 def _check_pd_amplitude_relations():
-    weights = (1, -1)
-    frozen = [
-        (Dyadic(0), 2 / 3 + 0j, 1 / 3 + 0j),
-        (Dyadic(1, 1), 1 / 3 + 0j, -1 / 3 + 0j),
-        (Dyadic(1, 2), 1j / 6, -1j / 6),
+    pinned = [
+        (Dyadic(0), 2 / 3 + 0j, 1 / 3 + 0j, 1 / 9),
+        (Dyadic(1, 1), 1 / 3 + 0j, -1 / 3 + 0j, 4 / 9),
+        (Dyadic(1, 2), 1j / 6, -1j / 6, 1 / 9),
     ]
-    for k, amp_a, amp_b in frozen:
+    for k, amp_a, amp_b, balanced in pinned:
         got = period_doubling.amplitudes(k)
-        if abs(got.a - amp_a) > 1e-15 or abs(got.b - amp_b) > 1e-15:
+        if not (abs(got.a - amp_a) <= 1e-15 and abs(got.b - amp_b) <= 1e-15):
             return False, f"amplitude pair at {k} off the pinned value"
-    balanced = [
-        (Dyadic(0), 1 / 9),
-        (Dyadic(1, 1), 4 / 9),
-        (Dyadic(1, 2), 1 / 9),
-    ]
-    for k, expected in balanced:
-        if abs(period_doubling.intensity(k, weights) - expected) > 1e-12:
-            return False, f"balanced intensity at {k} not {expected}"
+        if not abs(period_doubling.intensity(k, (1, -1)) - balanced) <= 1e-12:
+            return False, f"balanced intensity at {k} not {balanced}"
     module = module_points(8, ((0, 1),), include_hi=False)
     moved = np.abs(period_doubling.amplitude_arrays(_image(module, offset=(1,)))[0])
     broken = np.abs(period_doubling.amplitude_arrays(module)[0]) != moved
@@ -143,13 +133,13 @@ def _check_pd_empirical_amplitudes():
     module = module_points(r_max, ((0, 1),), include_hi=False)
     closed = period_doubling.amplitude_arrays(module)
     windowed = numerics.empirical_amplitudes(numerics.pd_comb(half), module)
-    worst = max(
-        float(np.abs(render.weigh(closed, weights) - render.weigh(windowed, weights)).max())
+    errors = [
+        np.abs(render.weigh(closed, weights) - render.weigh(windowed, weights))
         for weights in ((1, 0), (0, 1), (1, -1))
-    )
-    if worst > tol:
-        return False, f"max closed-vs-windowed error {worst:.2e} > {tol}"
-    return True, f"max error {worst:.2e} over r <= {r_max}, window half {half}"
+    ]
+    worst = float(np.max(errors))
+    detail = f"max error {worst:.2e} over r <= {r_max}, window half {half}"
+    return _within(worst, tol, "closed-vs-windowed error", detail)
 
 
 def _check_pd_empirical_autocorr():
@@ -158,14 +148,13 @@ def _check_pd_empirical_autocorr():
     tol = 0.01
     weights = (1, -1)
     comb = numerics.pd_comb(half)
-    worst = 0.0
-    for z in range(-z_max, z_max + 1):
-        expected = period_doubling.autocorr(z, weights)
-        got = numerics.empirical_autocorrelation(comb, z, weights)
-        worst = max(worst, abs(expected - got))
-    if worst > tol:
-        return False, f"max autocorrelation error {worst:.2e} > {tol}"
-    return True, f"max error {worst:.2e} for |z| <= {z_max}, window half {half}"
+    errors = [
+        period_doubling.autocorr(z, weights) - numerics.empirical_autocorrelation(comb, z, weights)
+        for z in range(-z_max, z_max + 1)
+    ]
+    worst = float(np.abs(errors).max())
+    detail = f"max error {worst:.2e} for |z| <= {z_max}, window half {half}"
+    return _within(worst, tol, "autocorrelation error", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +201,12 @@ def _check_chair_amplitude_relations():
     ]
     for k, expected in frozen:
         got = chair.amplitudes(k).values
-        if any(abs(g - e) > 1e-15 for g, e in zip(got, expected)):
+        if not all(abs(g - e) <= 1e-15 for g, e in zip(got, expected)):
             return False, f"amplitudes at {k} off the pinned values"
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     values = chair.amplitude_arrays(module)
     minus = chair.amplitude_arrays(_image(module, matrix=((-1, 0), (0, -1))))
-    hermitian = (np.abs(minus - values.conj()) > 1e-12).any(axis=0)
+    hermitian = ~(np.abs(minus - values.conj()) <= 1e-12).all(axis=0)
     anti = (module.exponents >= 2) & ((values[2] != -values[0]) | (values[3] != -values[1]))
     return _verdict(
         module,
@@ -235,10 +224,10 @@ def _check_chair_sum_rules():
     half = _half_even_lattice(module)
     # On the half lattice the odd pair sums to e^{-2 pi i x} / 2.
     expected_odd = 0.5 * phase_arrays(-module.numerators[:, 0], module.exponents)
-    on_half = half & (
-        (np.abs(even_pair - 0.5) > 1e-12) | (np.abs(odd_pair - expected_odd) > 1e-12)
+    on_half = half & ~(
+        (np.abs(even_pair - 0.5) <= 1e-12) & (np.abs(odd_pair - expected_odd) <= 1e-12)
     )
-    off_half = ~half & ((np.abs(even_pair) > 1e-12) | (np.abs(odd_pair) > 1e-12))
+    off_half = ~half & ~((np.abs(even_pair) <= 1e-12) & (np.abs(odd_pair) <= 1e-12))
     return _verdict(
         module,
         [
@@ -252,9 +241,10 @@ def _check_chair_sum_rules():
 def _check_chair_extinctions():
     s_max = 5
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    lattice = np.abs(_chair_intensities(module, (1, 1, 1, 1)) - (module.exponents == 0)) > 1e-12
+    comb = _chair_intensities(module, (1, 1, 1, 1))
+    lattice = ~(np.abs(comb - (module.exponents == 0)) <= 1e-12)
     fourth_amplitude = render.weigh(chair.amplitude_arrays(module), (1, 1j, -1, -1j))
-    extinct = _half_even_lattice(module) & (np.abs(fourth_amplitude) > 1e-12)
+    extinct = _half_even_lattice(module) & ~(np.abs(fourth_amplitude) <= 1e-12)
     return _verdict(
         module,
         [
@@ -272,9 +262,8 @@ def _check_chair_approximant():
     module = module_points(s_max, ((-1, 1), (-1, 1)))
     approx = numerics.approximant_amplitudes_chair(levels, module)
     worst = float(np.abs(approx - chair.amplitude_arrays(module)).max())
-    if worst > tol:
-        return False, f"layer sums drift {worst:.2e} > {tol:.0e} from closed forms"
-    return True, f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
+    detail = f"max layer-sum error {worst:.2e} at {levels} levels, s <= {s_max}"
+    return _within(worst, tol, "layer-sum error", detail)
 
 
 def _check_chair_empirical_amplitudes():
@@ -282,22 +271,20 @@ def _check_chair_empirical_amplitudes():
     s_max = 4
     tol = 0.01
     module = module_points(s_max, ((-1, 1), (-1, 1)))
-    closed = chair.amplitude_arrays(module)
     windowed = numerics.empirical_amplitudes(numerics.chair_comb(half), module)
-    worst = float(np.abs(closed - windowed).max())
-    if worst > tol:
-        return False, f"max closed-vs-windowed error {worst:.2e} > {tol}"
-    return True, f"max error {worst:.2e} per colour, s <= {s_max}, window half {half}"
+    worst = float(np.abs(chair.amplitude_arrays(module) - windowed).max())
+    detail = f"max error {worst:.2e} per colour, s <= {s_max}, window half {half}"
+    return _within(worst, tol, "closed-vs-windowed error", detail)
 
 
 def _check_chair_d4_window():
     iterations = 9
     half = 1 << iterations
     window = chair.pattern_window(iterations)
-    for element in chair.d4_elements():
-        if chair.apply_d4(element, window) != window:
-            return False, f"window not invariant under {element.name}"
-    return True, f"all 8 symmetries fix the recoloured window, half {half}"
+    elements = chair.d4_elements()
+    moved = [chair.apply_d4(element, window) != window for element in elements]
+    detail = f"all 8 symmetries fix the recoloured window, half {half}"
+    return _verdict(elements, [(moved, "window not invariant under {k.name}")], detail)
 
 
 def _check_chair_d4_intensity():
@@ -311,11 +298,10 @@ def _check_chair_d4_intensity():
         e1 = chair.transform_wavevector(element, DyadicPoint2(1, 0))
         e2 = chair.transform_wavevector(element, DyadicPoint2(0, 1))
         moved = _image(module, matrix=((e1.m, e2.m), (e1.n, e2.n)))
-        broken = np.abs(_chair_intensities(moved, fourth) - reference) > 1e-10
+        broken = ~(np.abs(_chair_intensities(moved, fourth) - reference) <= 1e-10)
         failures.append((broken, f"intensity not {element.name}-symmetric at {{k}}"))
-    return _verdict(
-        module, failures, f"fourth-root intensities are dihedral-symmetric for s <= {s_max}"
-    )
+    detail = f"fourth-root intensities are dihedral-symmetric for s <= {s_max}"
+    return _verdict(module, failures, detail)
 
 
 def _check_chair_periodicity():
@@ -327,14 +313,13 @@ def _check_chair_periodicity():
     failures = []
     for shift in ((1, 0), (0, 1)):
         drift = np.abs(_chair_intensities(_image(module, offset=shift), generic) - reference)
-        failures.append((drift > 1e-10, f"intensity not lattice-periodic at {{k}} + {shift}"))
+        failures.append((~(drift <= 1e-10), f"intensity not lattice-periodic at {{k}} + {shift}"))
     # k + (1/2, 1/2) = (2m + 2^s, 2n + 2^s) / 2^(s+1).
     moved = _chair_intensities(_image(module, offset=(1, 1), refine=1), pair)
-    broken = np.abs(moved - _chair_intensities(module, pair)) > 1e-10
+    broken = ~(np.abs(moved - _chair_intensities(module, pair)) <= 1e-10)
     failures.append((broken, "pair-comb intensity not half-lattice-periodic at {k}"))
-    return _verdict(
-        module, failures, f"lattice and half-lattice periodicities hold for s <= {s_max}"
-    )
+    detail = f"lattice and half-lattice periodicities hold for s <= {s_max}"
+    return _verdict(module, failures, detail)
 
 
 def _chair_intensities(module: Module, weights) -> np.ndarray:
@@ -367,19 +352,24 @@ def _image(module: Module, matrix=None, offset=None, refine=0) -> Module:
     return normal_form([(c << refine) + o * unit for c, o in zip(columns, offset)], s + refine)
 
 
-def _verdict(module: Module, failures, detail: str) -> tuple[bool, str]:
-    """``(False, message)`` at the first failing point in module order, else ``(True, detail)``.
+def _verdict(points, failures, detail: str) -> tuple[bool, str]:
+    """``(False, message)`` at the first failing point of ``points``, else ``(True, detail)``.
 
-    ``failures`` pairs a boolean mask over the points with a message naming
-    the point as ``{k}``, in the order the conditions are tested at one
-    point: at the first failing point the first failing condition reports.
+    ``failures`` pairs a boolean mask over ``points`` (a ``Module`` or a
+    sequence) with a message naming the point as ``{k}``, in the order the
+    conditions are tested at one point.
     """
     failing = np.logical_or.reduce([mask for mask, _ in failures])
     if not failing.any():
         return True, detail
     index = int(np.argmax(failing))
-    k = module.select([index]).points()[0]
+    k = points.select([index]).points()[0] if isinstance(points, Module) else points[index]
     return False, next(message for mask, message in failures if mask[index]).format(k=k)
+
+
+def _within(worst: float, tol: float, error: str, detail: str) -> tuple[bool, str]:
+    """``(True, detail)`` when the worst measured ``error`` is at most ``tol``, else both."""
+    return (True, detail) if worst <= tol else (False, f"max {error} {worst:.2e} > {tol}")
 
 
 # ---------------------------------------------------------------------------

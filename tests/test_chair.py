@@ -588,6 +588,14 @@ class TestAmplitudeBounds:
         assert (bounds == bounds[0]).all()
         assert bounds[0, :3].tolist() == [0.25, 0.25, 0.125]
 
+    def test_rows_never_rise_with_the_level(self):
+        # So the levels whose bound reaches a floor are always 0..S'.
+        assert (np.diff(chair.amplitude_bounds(MAX_LEVEL), axis=1) <= 0).all()
+
+    @pytest.mark.parametrize("top", [-1, -2])
+    def test_negative_top_gives_no_levels(self, top):
+        assert chair.amplitude_bounds(top).shape == (4, 0)
+
     def test_every_residue_pair_up_to_level_7(self):
         # Every (m, n) mod 2^s in normal form, at every level s <= 7.
         points = [DyadicPoint2.of(m, n, 0) for m in range(2) for n in range(2)]

@@ -721,6 +721,26 @@ class TestLevelPrefilter:
         rows = out.with_suffix(".csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [["0", "0"], ["1", "0"]]
 
+    @pytest.mark.parametrize(
+        "closed_forms, weights",
+        [
+            (period_doubling, (1, -1)),
+            (period_doubling, (0.028 - 0.553j, 1e150)),
+            (chair, (1, 1j, -1, -1j)),
+            (chair, (0, 1e-300, 0, 0.897 - 1.144j)),
+        ],
+        ids=["pd-balanced", "pd-lopsided", "chair-fourth-roots", "chair-lopsided"],
+    )
+    def test_the_kept_levels_are_a_prefix(self, closed_forms, weights):
+        # The weighted triangle sum of the level bounds never rises with the
+        # level, so every floor keeps the levels 0..R' and drops the rest.
+        # 1e150 is the largest weight modulus the CLI accepts.
+        levels = np.arange(dyadic.MAX_LEVEL + 1)
+        module = dyadic.normal_form([np.ones_like(levels)] * (len(weights) // 2), levels)
+        for floor in [0.0, *np.logspace(-330, 1, 100)]:
+            kept = cli._levels_over(closed_forms, module, weights, floor).exponents.tolist()
+            assert kept == list(range(len(kept)))
+
     @staticmethod
     def _evaluated(closed_forms, monkeypatch) -> list:
         """The modules ``closed_forms.amplitude_arrays`` is called on, from now on."""

@@ -429,6 +429,13 @@ class TestInt64Range:
             Dyadic(1, 62)
         ]
 
+    @pytest.mark.parametrize("bound", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_bounds_are_refused(self, bound):
+        with pytest.raises(ValueError):
+            module_points(3, ((0, bound),))
+        with pytest.raises(ValueError):
+            module_points(3, ((0, 1), (bound, 1)))
+
 
 class TestPointBound:
     def test_refuses_past_the_bound_before_allocating(self, monkeypatch):

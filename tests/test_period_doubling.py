@@ -92,6 +92,14 @@ class TestLabels:
         assert pd.label_window(-1, 0).tolist() == [pd.LETTER_A]
         assert pd.label_window(-3, 2).tolist() == [pd.label(n) for n in range(-3, 2)]
 
+    def test_label_window_refuses_bounds_that_are_not_integers(self):
+        # np.arange would truncate 0.5 and return the cells 0..2.
+        with pytest.raises(TypeError):
+            pd.label_window(0.5, 3)
+        with pytest.raises(TypeError):
+            pd.label_window(0, 2.0)
+        assert pd.label_window(np.int64(-3), 2).tolist() == [pd.label(n) for n in range(-3, 2)]
+
     def test_label_window_rejects_positions_past_int64(self):
         with pytest.raises(ValueError, match="int64"):
             pd.label_window(_TOP - 2, _TOP + 2)
@@ -356,6 +364,14 @@ class TestAmplitudeBounds:
         bounds = pd.amplitude_bounds(3)
         assert bounds.shape == (2, 4)
         assert bounds.tolist() == [[2 / 3, 1 / 3, 1 / 6, 1 / 12], [1 / 3, 1 / 3, 1 / 6, 1 / 12]]
+
+    def test_rows_never_rise_with_the_level(self):
+        # So the levels whose bound reaches a floor are always 0..R'.
+        assert (np.diff(pd.amplitude_bounds(MAX_LEVEL), axis=1) <= 0).all()
+
+    @pytest.mark.parametrize("top", [-1, -2])
+    def test_negative_top_gives_no_levels(self, top):
+        assert pd.amplitude_bounds(top).shape == (2, 0)
 
     def test_every_residue_up_to_level_12(self):
         module = module_points(12, ((0, 1),), include_hi=False)

@@ -505,8 +505,12 @@ class TestNegativeControls:
         assert covered <= set(verification.CHECK_NAMES)
 
 
+def _detail(name):
+    return next(r.detail for r in verification.run_checks() if r.name == name)
+
+
 class TestFirstFailure:
-    """A failing array check names the first failing point in module order."""
+    """A failing check names its first failing point, shift, cell or symmetry."""
 
     @staticmethod
     def _sum_rules_detail():
@@ -530,3 +534,99 @@ class TestFirstFailure:
         results = verification.run_checks()
         detail = next(r.detail for r in results if r.name == "pd-amplitude-relations")
         assert detail == "|A| not lattice-periodic at 3/8"
+
+    def test_eta_reports_an_odd_shift_both_routes_miss(self, monkeypatch):
+        # Both routes moved alike at shift 5: they agree, but not on -1/3.
+        def wrapper(original):
+            def off(shifts):
+                numerators, denominators = original(shifts)
+                return np.where(np.asarray(shifts) == 5, 1, numerators), denominators
+
+            return off
+
+        _wrap(monkeypatch, period_doubling, "autocorr_balanced_arrays", wrapper)
+        _wrap(monkeypatch, period_doubling, "autocorr_balanced_closed_form_arrays", wrapper)
+        assert _detail("pd-eta-recursion-closed-form") == "odd shift 5 not -1/3"
+
+    def test_chain_labels_report_their_first_cell(self, monkeypatch):
+        _flip_first_label(period_doubling, "label_window")(monkeypatch)
+        detail = _detail("pd-label-window-agreement")
+        assert detail == "congruence labels disagree with the fixed point at -262144"
+
+    def test_d4_window_reports_its_first_symmetry(self, monkeypatch):
+        _recolour_one_r90_cell(monkeypatch)
+        assert _detail("chair-d4-window-invariance") == "window not invariant under r90"
+
+
+def _nan_at(name, at):
+    """Make the chain's windowed ``name`` NaN at one entry, picked by ``at``."""
+
+    def wrapper(original):
+        def nan(comb, *args):
+            estimate = original(comb, *args)
+            return at(estimate, *args) if comb.dim == 1 else estimate
+
+        return nan
+
+    return lambda monkeypatch: _wrap(monkeypatch, numerics, name, wrapper)
+
+
+class TestWithin:
+    """A measured-error check fails past its tolerance, naming the error and the tolerance."""
+
+    def test_layer_sums_report_their_error_and_tolerance(self, monkeypatch):
+        _scale_layer_sums(monkeypatch)
+        assert _detail("chair-approximant-agreement") == "max layer-sum error 2.50e-03 > 1e-06"
+
+    def test_windowed_sums_report_their_error_and_tolerance(self, monkeypatch):
+        _offset_estimates("empirical_amplitudes", 1, 0.1)(monkeypatch)
+        assert _detail("pd-empirical-amplitudes") == "max closed-vs-windowed error 1.00e-01 > 0.01"
+
+
+class TestNaNFails:
+    """A NaN where a check compares against a tolerance fails that check."""
+
+    def test_a_nan_amplitude_of_one_letter_fails(self, monkeypatch):
+        # Only letter b's row is NaN, so the weighting (1, 0) stays finite.
+        def at(rows, module):
+            rows[1, 3] = np.nan
+            return rows
+
+        _nan_at("empirical_amplitudes", at)(monkeypatch)
+        assert _detail("pd-empirical-amplitudes") == "max closed-vs-windowed error nan > 0.01"
+
+    def test_a_nan_autocorrelation_at_one_shift_fails(self, monkeypatch):
+        def at(value, z, weights):
+            return complex("nan") if z == 5 else value
+
+        _nan_at("empirical_autocorrelation", at)(monkeypatch)
+        assert _detail("pd-empirical-autocorrelation") == "max autocorrelation error nan > 0.01"
+
+    def test_a_nan_pinned_amplitude_fails(self, monkeypatch):
+        def wrapper(original):
+            def nan(k):
+                if k == Dyadic(1, 2):
+                    return period_doubling.Amplitudes(np.nan, np.nan)
+                return original(k)
+
+            return nan
+
+        _wrap(monkeypatch, period_doubling, "amplitudes", wrapper)
+        failing = [(r.name, r.detail) for r in verification.run_checks() if not r.passed]
+        detail = "amplitude pair at 1/4 off the pinned value"
+        assert failing == [("pd-amplitude-relations", detail)]
+
+    def test_a_nan_closed_form_fails_every_check_that_reads_it(self, monkeypatch):
+        # The checks a bump at (1/2, 1/2) fails, and the windowed sums too,
+        # whose error there stays within their tolerance for the bump.
+        def wrapper(original):
+            def nan(module):
+                rows = original(module)
+                rows[:, [k == DyadicPoint2(1, 1, 1) for k in module.points()]] = np.nan
+                return rows
+
+            return nan
+
+        _wrap(monkeypatch, chair, "amplitude_arrays", wrapper)
+        bumped = _SHARED["chair-closed-form-point-bumped"][1]
+        assert _failing_checks() == bumped | {"chair-empirical-amplitudes"}
