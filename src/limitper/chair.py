@@ -34,10 +34,9 @@ of the same object live here:
 The colour symmetry of the square is the table ``d4_elements``: eight
 signed permutation matrices, each paired with the colour permutation that
 leaves the fixed point invariant as a coloured pattern.  Every action reads
-the matrix: ``transform_wavevector`` applies it to wave numbers,
+the matrix: ``transform_wavevector`` applies it to wave numbers, and
 ``apply_d4`` moves the cells of a centred window by it with one transpose
-and axis reversals, and ``d4_compose`` looks the matrix product up in the
-table.
+and axis reversals.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "intensity",
     "D4Element",
     "d4_elements",
-    "d4_compose",
     "apply_d4",
     "transform_wavevector",
 ]
@@ -388,14 +386,6 @@ _D4 = (
 def d4_elements() -> tuple[D4Element, ...]:
     """The eight symmetries, rotations first, in a stable order."""
     return _D4
-
-
-def d4_compose(g: D4Element, h: D4Element) -> D4Element:
-    """The element acting like h followed by g: its matrix is g's times h's."""
-    (a, b), (c, d) = g.matrix
-    (e, f), (p, q) = h.matrix
-    product = ((a * e + b * p, a * f + b * q), (c * e + d * p, c * f + d * q))
-    return next(element for element in _D4 if element.matrix == product)
 
 
 def apply_d4(g: D4Element, window: subst.PatternWindow) -> subst.PatternWindow:

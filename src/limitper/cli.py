@@ -494,7 +494,3 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"limitper: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

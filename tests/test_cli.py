@@ -1805,7 +1805,8 @@ def _python(args, cwd):
 
 
 class TestEntryPoint:
-    """``python -m limitper`` and the console script freeze the collector; ``main`` never does."""
+    """``python -m limitper`` and the console script keep OpenBLAS on one thread and freeze
+    the collector; ``main`` does neither."""
 
     def test_main_in_process_leaves_the_collector_unfrozen(self, tmp_path, capsys):
         frozen = gc.get_freeze_count()
@@ -1837,6 +1838,43 @@ class TestEntryPoint:
         )
         result = _python(["-c", code], tmp_path)
         assert (result.returncode, result.stdout) == (0, "module.csv\nfrozen True\n")
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_run_keeps_blas_on_one_thread_unless_the_caller_chose(self, tmp_path, preset, expected):
+        # ``module`` loads numpy and writes its one file in this process, with no fork.
+        code = (
+            "import os, sys\n"
+            f"preset = {preset!r}\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "if preset is not None:\n"
+            "    os.environ['OPENBLAS_NUM_THREADS'] = preset\n"
+            "sys.argv = ['limitper', 'module', '--system', 'pd', '--rmax', '1']\n"
+            "from limitper.__main__ import run\n"
+            "try:\n"
+            "    run()\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "assert 'numpy' in sys.modules\n"
+            "threads = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+        )
+        result = _python(["-c", code], tmp_path)
+        assert result.returncode == 0, result.stderr
+        listed, value, threads = result.stdout.split()
+        assert (listed, value) == ("module.csv", expected)
+        if preset is None and sys.platform == "linux":
+            assert threads == "1"
+
+    def test_main_in_process_leaves_the_environment_unchanged(self, tmp_path, capsys):
+        before = dict(os.environ)
+        assert cli.main(["module", "--system", "pd", "--rmax", "1", "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        assert dict(os.environ) == before
+
+    def test_cli_module_has_no_entry_of_its_own(self):
+        tree = ast.parse((SRC / "limitper" / "cli.py").read_text())
+        guards = [ast.unparse(node.test) for node in tree.body if isinstance(node, ast.If)]
+        assert "__name__ == '__main__'" not in guards
 
     def test_console_script_is_the_module_entry(self):
         tomllib = pytest.importorskip("tomllib")
