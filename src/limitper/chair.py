@@ -63,6 +63,7 @@ __all__ = [
     "amplitudes",
     "amplitude_arrays",
     "amplitude_bounds",
+    "weighted_bounds",
     "intensity",
     "D4Element",
     "d4_elements",
@@ -142,12 +143,11 @@ def label_grid(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> np.ndarray:
     walk exits at round j.  It lies on a diagonal ray exactly when
     d >> j is 0 (x == y) or -1 (x + y == -1), that is, when e has no bit at
     j or above.  So the walk exits at the lowest set bit lb = e & -e, before
-    any ray, with the colour [d & lb != 0] + 2 [x & lb != 0]: the
-    sublattice parity, plus 2 for an odd x at the exit.  A cell with e = 0
-    is on a ray from the start and has the colour (d & 1) + 2 [x < 0].  The
-    sign bit of e is always clear (the shift copies it), so setting it there
-    makes lb the sign bit on the rays, where the same rule then reads
-    [d < 0] + 2 [x < 0], that colour, since d is 0 or -1.
+    any ray, with the colour (x + y) mod 2 + 2 [x & lb != 0]: the sublattice
+    parity (colours 0 and 2 fill the even sublattice), plus 2 for an odd x at
+    the exit.  On a ray from the start (e = 0) bit 1 is [x < 0]: the sign bit
+    of e is always clear (the shift copies it), so setting it there makes lb
+    the sign bit, where [x & lb != 0] reads [x < 0].
 
     The cells work in the smallest signed dtype holding the grid's
     coordinates (int16, int32 or int64).  Valid for every int64 cell:
@@ -161,6 +161,7 @@ def label_grid(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> np.ndarray:
     sign_bit = np.iinfo(dtype).min
     out = np.empty((y_hi - y_lo, x_hi - x_lo), dtype=np.uint8)
     xs = np.arange(x_lo, x_hi, dtype=np.int64).astype(dtype)
+    x_odd = (xs & 1).astype(np.uint8)
     for row in range(0, out.shape[0], _BAND_ROWS):
         ys = np.arange(y_lo + row, min(y_lo + row + _BAND_ROWS, y_hi), dtype=np.int64)
         d = xs ^ ys.astype(dtype)[:, None]
@@ -171,8 +172,7 @@ def label_grid(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> np.ndarray:
         lb &= e
         band = out[row : row + ys.size]
         np.left_shift((xs & lb) != 0, 1, out=band, dtype=np.uint8)
-        d &= lb
-        band |= d != 0
+        band |= x_odd ^ (ys & 1).astype(np.uint8)[:, None]
     return out
 
 
@@ -344,6 +344,18 @@ def amplitude_bounds(top: int) -> np.ndarray:
     for level in range(2, top + 1):
         bounds.append(max(abs(_axis_sum_amplitude(c, level)) for c in (1, -1, 2, -2)))
     return np.tile(np.array(bounds), (4, 1))
+
+
+def weighted_bounds(weights, top: int) -> np.ndarray:
+    """Upper bounds on |sum_c w_c A_c| at the levels s = 0, ..., top, shape (top + 1,).
+
+    (|w_0 - w_2| + |w_1 - w_3|) B from s = 2 on, where the colours are (a, a', -a, -a'), else the
+    triangle sum T = sum_c |w_c| B of the ``amplitude_bounds`` B; each plus 2^-50 T for the weighing's rounding.
+    """
+    bounds = amplitude_bounds(top)
+    triangle = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
+    paired = (abs(weights[0] - weights[2]) + abs(weights[1] - weights[3])) * bounds[0]
+    return np.where(np.arange(top + 1) < 2, triangle, paired) + 2.0**-50 * triangle
 
 
 def intensity(k: DyadicPoint2, weights) -> float:

@@ -376,16 +376,14 @@ _BOUND_SLACK = (2.0**-20, 2.0**-500)
 def _levels_over(closed_forms, module, weights, floor: float):
     """The points of ``module`` at levels whose intensities may reach ``floor``.
 
-    At level s every weighted amplitude has modulus at most
-    sum_l |w_l| b_l(s), with b the system's ``amplitude_bounds``.  A level
-    is kept when that bound, with ``_BOUND_SLACK``, squares to ``floor`` or
-    more; the points of the other levels are dropped before any amplitude
-    is evaluated.  The ``intensity >= floor`` mask still decides every peak
-    that is kept, so the output is the same as without this step.
+    A level is kept when the system's ``weighted_bounds`` there, with
+    ``_BOUND_SLACK``, squares to ``floor`` or more; the points of the other
+    levels are dropped before any amplitude is evaluated.  The
+    ``intensity >= floor`` mask still decides every kept peak, so the
+    output is the same as without this step.
     """
     relative, absolute = _BOUND_SLACK
-    bounds = closed_forms.amplitude_bounds(int(module.exponents.max(initial=0)))
-    reach = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
+    reach = closed_forms.weighted_bounds(weights, int(module.exponents.max(initial=0)))
     keep = ((reach * (1 + relative) + absolute) ** 2 >= floor)[module.exponents]
     return module if keep.all() else module.select(keep)
 

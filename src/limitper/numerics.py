@@ -9,12 +9,12 @@ and weights enter only at the end.  The counts come from block kernels
 that make a few array passes over the window, band by band, so their
 scratch stays a few bands of ``_BAND_CELLS`` cells whatever the window:
 
-* ``empirical_autocorrelation`` averages w(x) conj(w(x - z)) over a finite
-  centred window for the weights it is given, normalised by the full window
-  cardinality.  It counts the label pairs (a, b) at distance z once and
-  weighs the L^2 counts.  The pairs are popcounts of ANDed rows of bits,
-  each label but the last packed along x at all eight bit phases once per
-  comb, so a shift is a row offset, a byte offset and a phase.
+* ``empirical_autocorrelation`` counts the label pairs (a, b) at distance z
+  over a finite centred window, normalised by the full window cardinality,
+  one (L, L) table per shift; ``render.weigh_pairs`` weighs them.  The pairs
+  are popcounts of ANDed rows of bits, each label but the last packed along
+  x at all eight bit phases once per comb, so a shift is a row offset, a
+  byte offset and a phase.
 
 * ``empirical_amplitudes`` evaluates the normalised per-letter sums
   (2N+1)^{-d} sum_{label(x) = l} e^{-2 pi i k.x} at every point of a
@@ -289,44 +289,22 @@ def _pair_counts(comb: WeightedComb, shifts: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
-def empirical_autocorrelation(comb: WeightedComb, z, weights) -> complex:
-    """Windowed autocorrelation coefficient at the integer shift z.
+def empirical_autocorrelation(comb: WeightedComb, shifts) -> np.ndarray:
+    """Windowed frequencies of label a at x with label b at x - z, float (L, L, S).
 
-    Averages w(x) conj(w(x - z)), one weight in ``weights`` per letter
-    (else ``ValueError``), over all window cells x whose shifted
-    partner also lies in the window, still normalising by the full
-    cardinality (2N+1)^d, so missing boundary terms count as zero.  The
-    shift must satisfy |z| <= N/2 componentwise to keep the boundary
-    deficit small against the estimate itself, and each component must be
-    an integer (else ``TypeError``).  The sum is the exact table of label
-    pair counts from ``_pair_counts``, bit rows ANDed and popcounted,
-    weighed once.
+    ``shifts`` holds S integer shifts (else ``TypeError``), shape (S,) on a chain and (S, 2), rows
+    (x, y), on a plane, each |z_i| <= N/2 to keep the boundary deficit small (else ``ValueError``).
+    Each table is ``_pair_counts`` over the cells x with x - z in the window, divided by (2N+1)^d.
     """
-    weights = tuple(complex(w) for w in weights)
-    if len(weights) != comb.letters:
-        raise ValueError(f"{len(weights)} weights for {comb.letters} letters")
-    half = comb.half
-    if comb.dim == 1:
-        try:
-            shifts = (operator.index(z),)
-        except TypeError:
-            raise TypeError("one-dimensional shift must be an integer") from None
-    else:
-        shifts = tuple(z)
-        if len(shifts) != 2:
-            raise ValueError("two-dimensional shift must be a pair")
-        try:
-            shifts = tuple(map(operator.index, shifts))
-        except TypeError:
-            raise TypeError("each two-dimensional shift component must be an integer") from None
-    if any(abs(c) > half // 2 for c in shifts):
-        raise ValueError(f"shift {z} outside allowed range |z| <= {half // 2}")
-    counts = _pair_counts(comb, shifts)
-    total = 0j
-    for a, w_a in enumerate(weights):
-        for b, w_b in enumerate(weights):
-            total += w_a * w_b.conjugate() * int(counts[a, b])
-    return total / float(comb.cells)
+    shifts = np.asarray(shifts)
+    if shifts.ndim != comb.dim or shifts.shape[1:] not in ((), (2,)):
+        raise ValueError(f"shifts of shape {shifts.shape} on a {comb.dim}-dimensional comb")
+    if shifts.dtype.kind not in "iu":
+        raise TypeError(f"shifts must be integers, got {shifts.dtype}")
+    if ((shifts < -(comb.half // 2)) | (shifts > comb.half // 2)).any():
+        raise ValueError(f"shifts outside the allowed range |z| <= {comb.half // 2}")
+    counts = [_pair_counts(comb, tuple(z)) for z in shifts.reshape(len(shifts), comb.dim).tolist()]
+    return np.reshape(counts, (-1, comb.letters, comb.letters)).transpose(1, 2, 0) / float(comb.cells)
 
 
 def empirical_amplitudes(comb: WeightedComb, module: Module) -> np.ndarray:

@@ -8,7 +8,7 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
   the n with v_2(n + 1) odd, which ``label_window`` tests bit-wise),
 * the two-valued autocorrelation depends on the shift's 2-adic valuation
   alone: its recursion and closed form run in rational arithmetic once per
-  valuation, and the arrays over many shifts gather exact int64 ratios,
+  valuation, and its int64 arrays and ``pair_correlations`` take many shifts,
 * each dyadic wave number m / 2^r carries a closed-form amplitude pair,
   one amplitude per letter, and weighted peak intensities follow from
   those by sesquilinear combination; ``amplitude_arrays`` evaluates the
@@ -49,10 +49,11 @@ __all__ = [
     "autocorr_balanced_closed_form",
     "autocorr_balanced_arrays",
     "autocorr_balanced_closed_form_arrays",
-    "autocorr",
+    "pair_correlations",
     "amplitudes",
     "amplitude_arrays",
     "amplitude_bounds",
+    "weighted_bounds",
     "intensity",
     "peak_mass",
 ]
@@ -204,18 +205,17 @@ def _ratio_arrays(eta, shifts) -> tuple[np.ndarray, np.ndarray]:
     return tuple(table[:, np.where(nonzero, valuations, deepest + 1)])
 
 
-def autocorr(shift: int, weights) -> complex:
-    """Autocorrelation of the comb weighted by ``weights`` = (alpha, beta) at an integer shift.
+def pair_correlations(shifts) -> np.ndarray:
+    """Frequencies of letter a at x with letter b at x - z, float (2, 2, S) over S shifts z.
 
-    Writing the weight function as p + q * sign (sign = +1 on a, -1 on b),
-    the mean of sign is 1/3 and the sign autocorrelation is the balanced
-    coefficient, hence |p|^2 + (2/3) Re(p conj(q)) + |q|^2 eta(shift).
+    With densities 2/3 and 1/3 and eta of the sign comb (+1 on a, -1 on b) from
+    ``autocorr_balanced_arrays``, valid where it is: (5/3 + eta) / 4 for a-a,
+    (1 - eta) / 4 for both mixed pairs and (1/3 + eta) / 4 for b-b.
     """
-    alpha, beta = weights
-    p = (alpha + beta) / 2
-    q = (alpha - beta) / 2
-    base = abs(p) ** 2 + (2.0 / 3.0) * (p * q.conjugate()).real
-    return complex(base + abs(q) ** 2 * float(autocorr_balanced(shift)))
+    numerators, denominators = autocorr_balanced_arrays(shifts)
+    eta = numerators / denominators
+    mixed = (1 - eta) / 4
+    return np.array([[(5 / 3 + eta) / 4, mixed], [mixed, (1 / 3 + eta) / 4]])
 
 
 @dataclass(frozen=True)
@@ -283,6 +283,18 @@ def amplitude_bounds(top: int) -> np.ndarray:
     rows = np.stack([bounds, bounds])
     rows[1, :1] = 1.0 / 3.0
     return rows
+
+
+def weighted_bounds(weights, top: int) -> np.ndarray:
+    """Upper bounds on |w_a A_a + w_b A_b| at the levels r = 0, ..., top, shape (top + 1,).
+
+    |w_a - w_b| b_a from r = 1 on, where A_b = -A_a exactly, else the triangle sum T = sum_l |w_l| b_l
+    of the ``amplitude_bounds`` b; each plus 2^-50 T for the weighing's rounding.
+    """
+    bounds = amplitude_bounds(top)
+    triangle = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
+    paired = np.where(np.arange(top + 1) < 1, triangle, abs(weights[0] - weights[1]) * bounds[0])
+    return paired + 2.0**-50 * triangle
 
 
 def intensity(k: Dyadic, weights) -> float:

@@ -39,6 +39,7 @@ from .subst import PatternWindow
 
 __all__ = [
     "weigh",
+    "weigh_pairs",
     "PeakTable",
     "peaks_csv",
     "module_csv",
@@ -65,6 +66,11 @@ def weigh(rows, weights) -> np.ndarray:
         total.real += w.real * a_re - w.imag * a_im
         total.imag += w.real * a_im + w.imag * a_re
     return total
+
+
+def weigh_pairs(tables, weights) -> np.ndarray:
+    """sum(w_a conj(w_b) T[a, b]) per shift of letter-pair tables T (L, L, S): ``weigh`` on each axis."""
+    return weigh(weigh(tables, weights), [complex(w).conjugate() for w in weights])
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,8 @@ each an integer map of the numerator columns reduced by
 ``dyadic.normal_form``; the windowed sums and the layer sums
 (``numerics.approximant_amplitudes_chair``) read the same box.  Weighted
 amplitudes and intensities come from ``render.weigh`` and
-``render.PeakTable.of``, the rules ``diffract`` writes with.
+``render.PeakTable.of``, the rules ``diffract`` writes with, and
+autocorrelations from ``render.weigh_pairs``.
 
 Every check can fail, and its negative controls live with the tests: each
 replaces one route a check reads (a closed form, a label window, a windowed
@@ -146,13 +147,10 @@ def _check_pd_empirical_autocorr():
     half = 1 << 20
     z_max = 64
     tol = 0.01
-    weights = (1, -1)
-    comb = numerics.pd_comb(half)
-    errors = [
-        period_doubling.autocorr(z, weights) - numerics.empirical_autocorrelation(comb, z, weights)
-        for z in range(-z_max, z_max + 1)
-    ]
-    worst = float(np.abs(errors).max())
+    shifts = np.arange(-z_max, z_max + 1)
+    closed = period_doubling.pair_correlations(shifts)
+    windowed = numerics.empirical_autocorrelation(numerics.pd_comb(half), shifts)
+    worst = float(np.abs(render.weigh_pairs(closed - windowed, (1, -1))).max())
     detail = f"max error {worst:.2e} for |z| <= {z_max}, window half {half}"
     return _within(worst, tol, "autocorrelation error", detail)
 

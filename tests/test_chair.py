@@ -9,12 +9,13 @@ layers, against pinned values, and against every identity they must satisfy.
 
 import itertools
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from limitper import chair
+from limitper import chair, cli, render
 from limitper.dyadic import (
     MAX_LEVEL,
     Dyadic,
@@ -632,6 +633,71 @@ class TestAmplitudeBounds:
         }
         assert max(moduli.values()) == bound
         assert max(moduli[1], moduli[2]) < bound / 50
+
+
+# Weights for the weighted bounds: moduli up to 1e3, zero included.
+_WEIGHTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _weight_pairs(draw):
+    """Two free weights, or a weight w and w (1 + u 2^-e), nearly or (past e = 53) exactly equal."""
+    first = draw(_WEIGHTS)
+    if draw(st.booleans()):
+        return first, draw(_WEIGHTS)
+    nudge = draw(st.sampled_from([1, -1, 1j, -1j])) * 2.0 ** -draw(st.integers(1, 60))
+    return first, first * (1 + nudge)
+
+
+@st.composite
+def _colour_weights(draw):
+    """Weights (w_0, w_1, w_2, w_3) whose pairs (0, 2) and (1, 3) are each free or near-equal."""
+    (w0, w2), (w1, w3) = draw(_weight_pairs()), draw(_weight_pairs())
+    return w0, w1, w2, w3
+
+
+@lru_cache(maxsize=None)
+def _every_residue_pair_up_to_level_8():
+    module = module_points(8, ((0, 1), (0, 1)), include_hi=False)
+    return module, chair.amplitude_arrays(module)
+
+
+class TestWeightedBounds:
+    """``weighted_bounds`` is at least |sum_c w_c A_c| at every point of its level."""
+
+    def test_values(self):
+        b = chair.amplitude_bounds(3)[0]
+        # The default weights: 4 / 4 at s <= 1, then only the rounding term.
+        ones = chair.weighted_bounds((1, 1, 1, 1), 3)
+        assert ones[:2].tolist() == [1 + 2.0**-50, 1 + 2.0**-50]
+        assert ones[2:].tolist() == [2.0**-50 * 4 * b[2], 2.0**-50 * 4 * b[3]]
+        # The fourth roots do not cancel: (2 + 2) B is the triangle sum.
+        fourth = chair.weighted_bounds((1, 1j, -1, -1j), 3)
+        assert fourth == pytest.approx(4 * b, rel=1e-15)
+        assert chair.weighted_bounds((1, 1, 1, 1), -1).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_colour_weights())
+    def test_never_above_the_triangle_sum_and_never_rising(self, weights):
+        bounds = chair.weighted_bounds(weights, MAX_LEVEL)
+        triangle = sum(abs(w) * row for w, row in zip(weights, chair.amplitude_bounds(MAX_LEVEL)))
+        # Up to rounding, relative for normal floats and absolute for subnormal ones.
+        assert (bounds <= triangle * (1 + 2.0**-40) + 2.0**-1070).all()
+        # So every floor keeps the levels 0..S' and drops the rest.
+        assert (np.diff(bounds) <= 0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_colour_weights())
+    @example((1, 1, 1, 1))
+    @example((0.7, 3.1, 0.7 * (1 + 2.0**-40), 3.1 * (1 - 2.0**-45)))
+    def test_every_weighted_amplitude_up_to_level_8_is_bounded(self, weights):
+        # The float amplitude may pass the bound only within the CLI's slack,
+        # whose absolute part covers subnormal weights, rounded absolutely.
+        module, rows = _every_residue_pair_up_to_level_8()
+        amplitude = render.weigh(rows, weights)
+        bounds = chair.weighted_bounds(weights, 8)[module.exponents]
+        relative, absolute = cli._BOUND_SLACK
+        assert (np.hypot(amplitude.real, amplitude.imag) <= bounds * (1 + relative) + absolute).all()
 
 
 # ---------------------------------------------------------------------------

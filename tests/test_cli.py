@@ -681,7 +681,7 @@ class TestLevelPrefilter:
     @example("pd", None, None)
     def test_output_matches_the_unfiltered_run(self, system, data, floor):
         if data is None:
-            # The benchmark's chain run, where levels 14 to 16 are dropped.
+            # The benchmark's chain run, where levels 13 to 16 are dropped.
             argv = ["diffract", "--rmax", "16", "--region", "0,1",
                     "--weights=0.028-0.553i,0.086-1.593i"]
         elif system == "pd":
@@ -732,8 +732,8 @@ class TestLevelPrefilter:
         ids=["pd-balanced", "pd-lopsided", "chair-fourth-roots", "chair-lopsided"],
     )
     def test_the_kept_levels_are_a_prefix(self, closed_forms, weights):
-        # The weighted triangle sum of the level bounds never rises with the
-        # level, so every floor keeps the levels 0..R' and drops the rest.
+        # The weighted bounds never rise with the level, so every floor
+        # keeps the levels 0..R' and drops the rest.
         # 1e150 is the largest weight modulus the CLI accepts.
         levels = np.arange(dyadic.MAX_LEVEL + 1)
         module = dyadic.normal_form([np.ones_like(levels)] * (len(weights) // 2), levels)
@@ -760,9 +760,21 @@ class TestLevelPrefilter:
         argv = ["diffract", "--rmax", "16", "--region", "0,1",
                 "--weights=0.028-0.553i,0.086-1.593i", "--out", str(out)]
         assert cli.main(argv) == 0
+        # |w_a - w_b| (2/3) 2^-r squares below the floor 1e-8 from r = 13 on.
         [module] = evaluated
-        assert len(module) == 8193 and int(module.exponents.max()) == 13
+        assert len(module) == 4097 and int(module.exponents.max()) == 12
         assert len(out.with_suffix(".csv").read_text().splitlines()) == 1 + 4097
+
+    def test_the_default_chair_weights_evaluate_levels_0_and_1_only(self, tmp_path, monkeypatch):
+        # Equal weights cancel the pairs (a, a', -a, -a') at every s >= 2.
+        evaluated = self._evaluated(chair, monkeypatch)
+        out = tmp_path / "c"
+        argv = ["diffract", "--system", "chair", "--smax", "9", "--region=0,1,-1,1",
+                "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        [module] = evaluated
+        assert len(module) == 15 and int(module.exponents.max()) == 1
+        assert len(out.with_suffix(".csv").read_text().splitlines()) == 1 + 6
 
     def test_the_chair_sweep_keeps_every_level(self, tmp_path, monkeypatch):
         evaluated = self._evaluated(chair, monkeypatch)

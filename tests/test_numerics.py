@@ -357,98 +357,146 @@ class TestWeightedComb:
 # ---------------------------------------------------------------------------
 
 
+def _autocorrelation(comb: numerics.WeightedComb, z, weights) -> complex:
+    """The windowed pair tables at one shift z, weighed by ``render.weigh_pairs``."""
+    tables = numerics.empirical_autocorrelation(comb, [z])
+    return complex(render.weigh_pairs(tables, weights)[0])
+
+
+def _brute_force_tables(comb: numerics.WeightedComb, shifts) -> np.ndarray:
+    """#{x : label(x) = a, label(x - z) = b, both in the window} / (2N+1)^d, cell by cell."""
+    labels, half = comb.window.labels, comb.half
+    tables = np.zeros((comb.letters, comb.letters, len(shifts)))
+    for index, z in enumerate(shifts):
+        z = np.atleast_1d(z)
+        for x in np.ndindex(labels.shape):
+            # Array axes run (y, x), shifts are given (x, y).
+            partner = np.array(x) - z[::-1]
+            if ((partner >= 0) & (partner <= 2 * half)).all():
+                tables[labels[x], labels[tuple(partner)], index] += 1
+    return tables / comb.cells
+
+
 class TestEmpiricalAutocorrelation:
     def test_constant_comb_counts_overlap(self):
         comb = numerics.pd_comb(8)
-        assert numerics.empirical_autocorrelation(comb, 0, (1, 1)) == pytest.approx(1.0)
+        assert _autocorrelation(comb, 0, (1, 1)) == pytest.approx(1.0)
         # 17-cell window, shift 3: 14 overlapping terms over 17.
-        assert numerics.empirical_autocorrelation(comb, 3, (1, 1)) == pytest.approx(14 / 17)
-        assert numerics.empirical_autocorrelation(comb, -3, (1, 1)) == pytest.approx(14 / 17)
+        assert _autocorrelation(comb, 3, (1, 1)) == pytest.approx(14 / 17)
+        assert _autocorrelation(comb, -3, (1, 1)) == pytest.approx(14 / 17)
 
     def test_constant_comb_in_the_plane(self):
         comb = numerics.chair_comb(8)
-        got = numerics.empirical_autocorrelation(comb, (1, 0), (1, 1, 1, 1))
+        got = _autocorrelation(comb, (1, 0), (1, 1, 1, 1))
         assert got == pytest.approx(16 * 17 / 17**2)
 
     def test_balanced_chain_values(self):
         comb = numerics.pd_comb(1 << 18)
-        assert numerics.empirical_autocorrelation(comb, 3, (1, -1)) == pytest.approx(
-            -1 / 3, abs=0.01
-        )
-        assert numerics.empirical_autocorrelation(comb, 4, (1, -1)) == pytest.approx(
-            2 / 3, abs=0.01
-        )
-        assert numerics.empirical_autocorrelation(comb, 0, (1, -1)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        got = render.weigh_pairs(numerics.empirical_autocorrelation(comb, [3, 4, 0]), (1, -1))
+        assert got[0] == pytest.approx(-1 / 3, abs=0.01)
+        assert got[1] == pytest.approx(2 / 3, abs=0.01)
+        assert got[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_validation(self):
         comb = numerics.pd_comb(16)
         with pytest.raises(ValueError, match="outside"):
-            numerics.empirical_autocorrelation(comb, 9, (1, -1))
-        with pytest.raises(TypeError):
-            numerics.empirical_autocorrelation(comb, (1, 0), (1, -1))
-        grid = numerics.chair_comb(8)
-        with pytest.raises(ValueError):
-            numerics.empirical_autocorrelation(grid, (1, 0, 0), (1, 1, 1, 1))
+            numerics.empirical_autocorrelation(comb, [0, 9])
         with pytest.raises(ValueError, match="outside"):
-            numerics.empirical_autocorrelation(grid, (0, 5), (1, 1, 1, 1))
-
-    def test_weight_count_must_match_the_letters(self):
-        with pytest.raises(ValueError, match="3 weights for 2 letters"):
-            numerics.empirical_autocorrelation(numerics.pd_comb(16), 1, (1, -1, 0))
-        with pytest.raises(ValueError, match="2 weights for 4 letters"):
-            numerics.empirical_autocorrelation(numerics.chair_comb(8), (1, 0), (1, 1))
+            numerics.empirical_autocorrelation(comb, [-9])
+        with pytest.raises(ValueError, match="shape"):
+            numerics.empirical_autocorrelation(comb, [(1, 0)])
+        with pytest.raises(ValueError, match="shape"):
+            numerics.empirical_autocorrelation(comb, 1)
+        grid = numerics.chair_comb(8)
+        with pytest.raises(ValueError, match="shape"):
+            numerics.empirical_autocorrelation(grid, [(1, 0, 0)])
+        with pytest.raises(ValueError, match="shape"):
+            numerics.empirical_autocorrelation(grid, [1, 0])
+        with pytest.raises(ValueError, match="outside"):
+            numerics.empirical_autocorrelation(grid, [(0, 5)])
 
     def test_numpy_integer_shifts(self):
         comb = numerics.pd_comb(64)
-        for z in (np.int64(3), np.int32(-5), np.uint8(0)):
-            assert numerics.empirical_autocorrelation(comb, z, (1, -1)) == (
-                numerics.empirical_autocorrelation(comb, int(z), (1, -1))
-            )
-        for z in (3.0, np.float64(3), "3"):
-            with pytest.raises(TypeError, match="one-dimensional shift must be an integer"):
-                numerics.empirical_autocorrelation(comb, z, (1, -1))
+        expected = numerics.empirical_autocorrelation(comb, [3, -5, 0])
+        for dtype in (np.int64, np.int32, np.int8):
+            got = numerics.empirical_autocorrelation(comb, np.array([3, -5, 0], dtype=dtype))
+            assert np.array_equal(got, expected)
+        unsigned = numerics.empirical_autocorrelation(comb, np.array([3, 0], dtype=np.uint64))
+        assert np.array_equal(unsigned, expected[..., [0, 2]])
+        for shifts in ([3.0], np.array([3], dtype=np.float64), ["3"], [True]):
+            with pytest.raises(TypeError, match="shifts must be integers"):
+                numerics.empirical_autocorrelation(comb, shifts)
         grid = numerics.chair_comb(16)
-        fourth = (1, 1j, -1, -1j)
-        assert numerics.empirical_autocorrelation(grid, (np.int64(2), np.int32(-3)), fourth) == (
-            numerics.empirical_autocorrelation(grid, (2, -3), fourth)
-        )
-        for z in ((1.5, 0), (0, 2.0), (np.float64(1), 1), ("1", 0)):
-            with pytest.raises(TypeError, match="two-dimensional shift component must be an integer"):
-                numerics.empirical_autocorrelation(grid, z, fourth)
+        got = numerics.empirical_autocorrelation(grid, np.array([(2, -3)], dtype=np.int32))
+        assert np.array_equal(got, numerics.empirical_autocorrelation(grid, [(2, -3)]))
+        for shifts in ([(1.5, 0)], [(0, 2.0)], [(np.float64(1), 1)], [("1", 0)]):
+            with pytest.raises(TypeError, match="shifts must be integers"):
+                numerics.empirical_autocorrelation(grid, shifts)
+
+    def test_tables_have_one_entry_per_letter_pair_and_shift(self):
+        comb, grid = numerics.pd_comb(64), numerics.chair_comb(16)
+        assert numerics.empirical_autocorrelation(comb, [0, 1, 2, 3]).shape == (2, 2, 4)
+        assert numerics.empirical_autocorrelation(grid, [(0, 1), (2, 3)]).shape == (4, 4, 2)
+        assert numerics.empirical_autocorrelation(comb, np.zeros(0, dtype=int)).shape == (2, 2, 0)
 
     def test_hermitian_symmetry(self):
         comb, weights = numerics.pd_comb(256), (1 + 0.5j, -0.25 - 1j)
         for z in range(0, 65, 7):
-            plus = numerics.empirical_autocorrelation(comb, z, weights)
-            minus = numerics.empirical_autocorrelation(comb, -z, weights)
+            plus = _autocorrelation(comb, z, weights)
+            minus = _autocorrelation(comb, -z, weights)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
         grid, fourth = numerics.chair_comb(32), (1, 1j, -1, -1j)
         for z in ((3, 1), (-2, 5), (0, 7)):
-            plus = numerics.empirical_autocorrelation(grid, z, fourth)
-            minus = numerics.empirical_autocorrelation(grid, (-z[0], -z[1]), fourth)
+            plus = _autocorrelation(grid, z, fourth)
+            minus = _autocorrelation(grid, (-z[0], -z[1]), fourth)
             assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
+
+    def test_reversed_shifts_swap_the_letter_axes(self):
+        # Letter a at x with b at x + z is letter b at x' = x + z with a at x' - z.
+        comb = numerics.pd_comb(256)
+        shifts = np.arange(-64, 65)
+        tables = numerics.empirical_autocorrelation(comb, shifts)
+        assert np.array_equal(tables[..., ::-1], tables.transpose(1, 0, 2))
+        grid = numerics.chair_comb(32)
+        shifts = np.array([(3, 1), (-2, 5), (0, 7), (16, -16)])
+        plus = numerics.empirical_autocorrelation(grid, shifts)
+        assert np.array_equal(numerics.empirical_autocorrelation(grid, -shifts), plus.transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("half", [0, 1, 4, 9])
+    def test_tables_equal_a_brute_force_count_on_the_chain(self, half):
+        comb = numerics.pd_comb(half)
+        shifts = list(range(-(half // 2), half // 2 + 1))
+        got = numerics.empirical_autocorrelation(comb, shifts)
+        assert np.array_equal(got, _brute_force_tables(comb, shifts))
+
+    @pytest.mark.parametrize("half", [0, 2, 5])
+    def test_tables_equal_a_brute_force_count_in_the_plane(self, half):
+        comb = numerics.chair_comb(half)
+        reach = range(-(half // 2), half // 2 + 1)
+        shifts = [(zx, zy) for zx in reach for zy in reach]
+        got = numerics.empirical_autocorrelation(comb, shifts)
+        assert np.array_equal(got, _brute_force_tables(comb, shifts))
 
     @settings(max_examples=40, deadline=None)
     @given(_random_combs(1))
     def test_pair_counts_match_the_complex_products_on_the_chain(self, comb_and_weights):
         comb, weights = comb_and_weights
-        for z in range(-(comb.half // 2), comb.half // 2 + 1):
-            got = numerics.empirical_autocorrelation(comb, z, weights)
+        shifts = np.arange(-(comb.half // 2), comb.half // 2 + 1)
+        got = render.weigh_pairs(numerics.empirical_autocorrelation(comb, shifts), weights)
+        for z, value in zip(shifts.tolist(), got):
             expected = _product_autocorrelation(comb, weights, z)
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(_random_combs(2), st.data())
     def test_pair_counts_match_the_complex_products_in_the_plane(self, comb_and_weights, data):
         comb, weights = comb_and_weights
         reach = comb.half // 2
-        for zx in _drawn_shifts(data, reach):
-            for zy in _drawn_shifts(data, reach):
-                got = numerics.empirical_autocorrelation(comb, (zx, zy), weights)
-                expected = _product_autocorrelation(comb, weights, (zx, zy))
-                assert got == pytest.approx(expected, abs=1e-12)
+        shifts = [(zx, zy) for zx in _drawn_shifts(data, reach) for zy in _drawn_shifts(data, reach)]
+        got = render.weigh_pairs(numerics.empirical_autocorrelation(comb, shifts), weights)
+        for z, value in zip(shifts, got):
+            expected = _product_autocorrelation(comb, weights, z)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(_random_combs(1), st.data())
@@ -485,8 +533,7 @@ class TestEmpiricalAutocorrelation:
         comb = numerics.WeightedComb(big_combs[0].window, 2)
         tracemalloc.start()
         try:
-            for z in range(-64, 65):
-                numerics.empirical_autocorrelation(comb, z, (1, -1))
+            numerics.empirical_autocorrelation(comb, np.arange(-64, 65))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -494,9 +541,8 @@ class TestEmpiricalAutocorrelation:
 
     def test_zero_shift_dominates(self):
         comb, weights = numerics.pd_comb(1 << 12), (1.5, -0.5 + 2j)
-        peak = abs(numerics.empirical_autocorrelation(comb, 0, weights))
-        for z in range(1, 33):
-            assert abs(numerics.empirical_autocorrelation(comb, z, weights)) <= peak + 1e-12
+        values = np.abs(render.weigh_pairs(numerics.empirical_autocorrelation(comb, np.arange(33)), weights))
+        assert (values[1:] <= values[0] + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ The windowed-sum cross-checks live in test_numerics and the acceptance run.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from limitper import period_doubling as pd
+from limitper import cli, period_doubling as pd, render
 from limitper.dyadic import MAX_LEVEL, Dyadic, Module, module_interval, module_points
 
 BALANCED = (1, -1)
@@ -215,15 +216,56 @@ class TestBalancedAutocorrelationArrays:
         assert asked == list(range(17))
 
 
+class TestPairCorrelations:
+    """The closed-form letter-pair frequencies, read off eta."""
+
+    SHIFTS = np.concatenate([np.arange(-300, 301), [1 << 40, -(1 << 61), 3 << 59]])
+
+    def test_one_table_per_shift(self):
+        assert pd.pair_correlations(self.SHIFTS).shape == (2, 2, len(self.SHIFTS))
+        assert pd.pair_correlations(7).shape == (2, 2, 1)
+
+    def test_rows_and_columns_sum_to_the_letter_densities(self):
+        tables = pd.pair_correlations(self.SHIFTS)
+        for sums in (tables.sum(axis=1), tables.sum(axis=0)):
+            assert np.abs(sums - np.array([[2 / 3], [1 / 3]])).max() <= 1e-15
+
+    def test_shift_zero_is_diagonal(self):
+        (table,) = pd.pair_correlations([0]).transpose(2, 0, 1)
+        assert table == pytest.approx(np.diag([2 / 3, 1 / 3]), abs=1e-15)
+        assert table[0, 1] == table[1, 0] == 0.0
+
+    def test_reversed_shifts_swap_the_letter_axes(self):
+        tables = pd.pair_correlations(self.SHIFTS)
+        assert np.array_equal(pd.pair_correlations(-self.SHIFTS), tables.transpose(1, 0, 2))
+
+    def test_entries_follow_eta(self):
+        eta = np.array([float(pd.autocorr_balanced(int(z))) for z in self.SHIFTS])
+        tables = pd.pair_correlations(self.SHIFTS)
+        # The balanced weights (1, -1) read eta itself back.
+        assert np.abs(render.weigh_pairs(tables, BALANCED) - eta).max() <= 1e-15
+        assert ((tables >= 0) & (tables <= 2 / 3 + 1e-15)).all()
+
+    def test_valuations_past_61_are_refused(self):
+        with pytest.raises(ValueError, match="above 61"):
+            pd.pair_correlations([1, 1 << 62])
+
+
+def _weighted_autocorrelation(z: int, weights) -> complex:
+    """The weighted chain's autocorrelation at z: ``render.weigh_pairs`` of ``pair_correlations``."""
+    return complex(render.weigh_pairs(pd.pair_correlations([z]), weights)[0])
+
+
 _reals = st.floats(min_value=-4, max_value=4, allow_nan=False)
+_complexes = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
 
 
 class TestWeightedAutocorrelation:
     def test_reference_values(self):
-        assert pd.autocorr(0, (1, 0)) == pytest.approx(2 / 3, abs=1e-15)
-        assert pd.autocorr(5, (1, 1)) == pytest.approx(1.0, abs=1e-15)
-        assert pd.autocorr(3, BALANCED) == pytest.approx(-1 / 3, abs=1e-15)
-        assert pd.autocorr(0, BALANCED) == pytest.approx(1.0, abs=1e-15)
+        assert _weighted_autocorrelation(0, (1, 0)) == pytest.approx(2 / 3, abs=1e-15)
+        assert _weighted_autocorrelation(5, (1, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert _weighted_autocorrelation(3, BALANCED) == pytest.approx(-1 / 3, abs=1e-15)
+        assert _weighted_autocorrelation(0, BALANCED) == pytest.approx(1.0, abs=1e-15)
 
     @given(_reals, _reals, st.integers(min_value=-(1 << 20), max_value=1 << 20))
     def test_real_weight_decomposition(self, alpha, beta, z):
@@ -234,14 +276,24 @@ class TestWeightedAutocorrelation:
             0.25 * (alpha - beta) ** 2 * eta
             + (3 * (alpha + beta) ** 2 + 2 * (alpha**2 - beta**2)) / 12
         )
-        assert pd.autocorr(z, (alpha, beta)) == pytest.approx(
+        assert _weighted_autocorrelation(z, (alpha, beta)) == pytest.approx(
             expected, abs=1e-9
         )
+
+    @given(_complexes, _complexes, st.integers(min_value=-(1 << 20), max_value=1 << 20))
+    def test_complex_weights_follow_the_p_q_identity(self, alpha, beta, z):
+        # With w = p + q * sign (sign = +1 on a, -1 on b), the mean of sign
+        # is 1/3 and its autocorrelation is eta, hence
+        # |p|^2 + (2/3) Re(p conj(q)) + |q|^2 eta.
+        p, q = (alpha + beta) / 2, (alpha - beta) / 2
+        eta = float(pd.autocorr_balanced(z))
+        expected = abs(p) ** 2 + (2 / 3) * (p * q.conjugate()).real + abs(q) ** 2 * eta
+        assert _weighted_autocorrelation(z, (alpha, beta)) == pytest.approx(expected, abs=1e-9)
 
     @given(_reals, _reals)
     def test_zero_shift_is_the_mean_square(self, alpha, beta):
         expected = (2 * abs(alpha) ** 2 + abs(beta) ** 2) / 3
-        assert pd.autocorr(0, (alpha, beta)) == pytest.approx(
+        assert _weighted_autocorrelation(0, (alpha, beta)) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -393,6 +445,62 @@ class TestAmplitudeBounds:
         assert (np.hypot(rows.real, rows.imag) <= bounds * _ROUNDING).all()
         # The bounds are the exact moduli, so they are met to the rounding.
         assert (np.hypot(rows.real, rows.imag) >= bounds / _ROUNDING).all()
+
+
+# Weights for the weighted bounds: moduli up to 1e3, zero included.
+_WEIGHTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _weight_pairs(draw):
+    """Two free weights, or a weight w and w (1 + u 2^-e), nearly or (past e = 53) exactly equal."""
+    first = draw(_WEIGHTS)
+    if draw(st.booleans()):
+        return first, draw(_WEIGHTS)
+    nudge = draw(st.sampled_from([1, -1, 1j, -1j])) * 2.0 ** -draw(st.integers(1, 60))
+    return first, first * (1 + nudge)
+
+
+@lru_cache(maxsize=None)
+def _every_residue_up_to_level_12():
+    module = module_points(12, ((0, 1),), include_hi=False)
+    return module, pd.amplitude_arrays(module)
+
+
+class TestWeightedBounds:
+    """``weighted_bounds`` is at least |w_a A_a + w_b A_b| at every point of its level."""
+
+    def test_values(self):
+        # (1, -1): the triangle sum 2/3 + 1/3 at r = 0, then |w_a - w_b| 2/3 2^-r.
+        assert pd.weighted_bounds(BALANCED, 3) == pytest.approx([1, 2 / 3, 1 / 3, 1 / 6], rel=1e-15)
+        # Equal weights cancel from r = 1 on; only the rounding term is left.
+        equal = pd.weighted_bounds((1, 1), 3)
+        assert equal[0] == pytest.approx(1, rel=1e-15)
+        assert equal[1:].tolist() == [2.0**-50 * 2 / 3, 2.0**-50 / 3, 2.0**-50 / 6]
+        assert pd.weighted_bounds(BALANCED, -1).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_weight_pairs())
+    def test_never_above_the_triangle_sum_and_never_rising(self, weights):
+        bounds = pd.weighted_bounds(weights, MAX_LEVEL)
+        triangle = sum(abs(w) * row for w, row in zip(weights, pd.amplitude_bounds(MAX_LEVEL)))
+        # Up to rounding, relative for normal floats and absolute for subnormal ones.
+        assert (bounds <= triangle * (1 + 2.0**-40) + 2.0**-1070).all()
+        # So every floor keeps the levels 0..R' and drops the rest.
+        assert (np.diff(bounds) <= 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_weight_pairs())
+    @example((1, 1))
+    @example((0.7, 0.7 * (1 + 2.0**-40)))
+    def test_every_weighted_amplitude_up_to_level_12_is_bounded(self, weights):
+        # The float amplitude may pass the bound only within the CLI's slack,
+        # whose absolute part covers subnormal weights, rounded absolutely.
+        module, rows = _every_residue_up_to_level_12()
+        amplitude = render.weigh(rows, weights)
+        bounds = pd.weighted_bounds(weights, 12)[module.exponents]
+        relative, absolute = cli._BOUND_SLACK
+        assert (np.hypot(amplitude.real, amplitude.imag) <= bounds * (1 + relative) + absolute).all()
 
 
 class TestPeakMass:

@@ -248,6 +248,37 @@ class TestWeigh:
             render.weigh(np.zeros((2, 3), dtype=complex), (1,))
 
 
+class TestWeighPairs:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda letters: st.tuples(
+        st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+                 min_size=letters, max_size=letters),
+        st.integers(0, 5).map(lambda shifts: (letters, letters, shifts)),
+        st.integers(0, 2**32 - 1),
+    )))
+    def test_matches_the_double_sum(self, case):
+        weights, shape, seed = case
+        tables = np.random.default_rng(seed).random(shape)
+        got = render.weigh_pairs(tables, weights)
+        assert got.shape == (shape[2],)
+        for z, value in enumerate(got):
+            terms = [
+                w_a * w_b.conjugate() * tables[a, b, z]
+                for a, w_a in enumerate(weights) for b, w_b in enumerate(weights)
+            ]
+            assert abs(value - sum(terms)) <= 1e-13 * (1 + sum(map(abs, terms)))
+
+    def test_the_second_axis_takes_the_conjugate_weight(self):
+        # Letter 0 at x with letter 1 at x - z weighs w_0 conj(w_1).
+        tables = np.zeros((2, 2, 1))
+        tables[0, 1] = 1.0
+        assert render.weigh_pairs(tables, (2j, 3j)).tolist() == [6 + 0j]
+
+    def test_one_weight_per_letter(self):
+        with pytest.raises(ValueError):
+            render.weigh_pairs(np.zeros((2, 2, 3)), (1, 1, 1))
+
+
 _ratios = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=2.2250738585072014e-308),

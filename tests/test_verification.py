@@ -339,6 +339,24 @@ def _offset_estimates(name, dim, offset):
     return lambda monkeypatch: _wrap(monkeypatch, numerics, name, wrapper)
 
 
+def _offset_chain_aa_pairs(monkeypatch):
+    """Add 0.1 to the chain's windowed a-a pair frequencies at every shift.
+
+    A uniform offset on every table entry cancels under the weights (1, -1).
+    """
+
+    def wrapper(original):
+        def offset(comb, shifts):
+            tables = original(comb, shifts)
+            if comb.dim == 1:
+                tables[0, 0] += 0.1
+            return tables
+
+        return offset
+
+    _wrap(monkeypatch, numerics, "empirical_autocorrelation", wrapper)
+
+
 def _scale_layer_sums(monkeypatch):
     _wrap(
         monkeypatch,
@@ -429,7 +447,7 @@ _ALONE = {
     # reads r <= 6 only.
     "pd-peak-mass": _double_chain_tail,
     "pd-empirical-amplitudes": _offset_estimates("empirical_amplitudes", 1, 0.1),
-    "pd-empirical-autocorrelation": _offset_estimates("empirical_autocorrelation", 1, 0.1),
+    "pd-empirical-autocorrelation": _offset_chain_aa_pairs,
     "chair-label-window-agreement": _flip_first_label(chair, "label_grid"),
     "chair-extinctions": _bump_all_ones_weighting,
     "chair-approximant-agreement": _scale_layer_sums,
@@ -582,6 +600,11 @@ class TestWithin:
         _offset_estimates("empirical_amplitudes", 1, 0.1)(monkeypatch)
         assert _detail("pd-empirical-amplitudes") == "max closed-vs-windowed error 1.00e-01 > 0.01"
 
+    def test_windowed_pair_tables_report_their_error_and_tolerance(self, monkeypatch):
+        _offset_chain_aa_pairs(monkeypatch)
+        detail = _detail("pd-empirical-autocorrelation")
+        assert detail == "max autocorrelation error 1.00e-01 > 0.01"
+
 
 class TestNaNFails:
     """A NaN where a check compares against a tolerance fails that check."""
@@ -596,8 +619,10 @@ class TestNaNFails:
         assert _detail("pd-empirical-amplitudes") == "max closed-vs-windowed error nan > 0.01"
 
     def test_a_nan_autocorrelation_at_one_shift_fails(self, monkeypatch):
-        def at(value, z, weights):
-            return complex("nan") if z == 5 else value
+        # Only the a-a entry at shift 5 is NaN.
+        def at(tables, shifts):
+            tables[0, 0, np.asarray(shifts) == 5] = np.nan
+            return tables
 
         _nan_at("empirical_autocorrelation", at)(monkeypatch)
         assert _detail("pd-empirical-autocorrelation") == "max autocorrelation error nan > 0.01"
