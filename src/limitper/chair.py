@@ -29,7 +29,8 @@ of the same object live here:
   and s = 1 cases as masks, and each deeper level from tables of the
   scalar case formulas indexed by residues mod 2^s.  ``amplitude_bounds``
   bounds every colour's amplitude by the level s alone, which falls about
-  as 2^-s / pi.
+  as 2^-s / pi, and from ``PAIRED_FROM`` (s = 2) on the colours are
+  (a, a', -a, -a').  ``cli``'s intensity-floor pre-filter reads both.
 
 The colour symmetry of the square is the table ``d4_elements``: eight
 signed permutation matrices, each paired with the colour permutation that
@@ -53,6 +54,7 @@ from .dyadic import Dyadic, DyadicPoint2, Module, phase
 __all__ = [
     "COLOR_STEPS",
     "COLOR_SHIFTS",
+    "PAIRED_FROM",
     "Amplitudes",
     "system",
     "seed",
@@ -63,7 +65,6 @@ __all__ = [
     "amplitudes",
     "amplitude_arrays",
     "amplitude_bounds",
-    "weighted_bounds",
     "intensity",
     "D4Element",
     "d4_elements",
@@ -75,6 +76,7 @@ __all__ = [
 # lattice translation taking the layered set onto the colour class.
 COLOR_STEPS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
 COLOR_SHIFTS = ((0, 0), (0, -1), (-1, -1), (-1, 0))
+PAIRED_FROM = 2  # from s = 2 on, the colours are exactly (a, a', -a, -a')
 
 
 @lru_cache(maxsize=None)
@@ -344,18 +346,6 @@ def amplitude_bounds(top: int) -> np.ndarray:
     for level in range(2, top + 1):
         bounds.append(max(abs(_axis_sum_amplitude(c, level)) for c in (1, -1, 2, -2)))
     return np.tile(np.array(bounds), (4, 1))
-
-
-def weighted_bounds(weights, top: int) -> np.ndarray:
-    """Upper bounds on |sum_c w_c A_c| at the levels s = 0, ..., top, shape (top + 1,).
-
-    (|w_0 - w_2| + |w_1 - w_3|) B from s = 2 on, where the colours are (a, a', -a, -a'), else the
-    triangle sum T = sum_c |w_c| B of the ``amplitude_bounds`` B; each plus 2^-50 T for the weighing's rounding.
-    """
-    bounds = amplitude_bounds(top)
-    triangle = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
-    paired = (abs(weights[0] - weights[2]) + abs(weights[1] - weights[3])) * bounds[0]
-    return np.where(np.arange(top + 1) < 2, triangle, paired) + 2.0**-50 * triangle
 
 
 def intensity(k: DyadicPoint2, weights) -> float:

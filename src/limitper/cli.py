@@ -16,11 +16,11 @@ argparse holds the plain defaults, and the defaults that depend on the
 system (cutoff, region, window, weights) live in the one helper that uses
 them.  ``diffract`` and ``module`` share ``_module``, which checks the
 cutoff flags and the region and enumerates the module once as arrays
-(``dyadic.module_points``).  ``diffract`` then takes the windowed sums
-over the whole array with ``--empirical`` (after growing the window), or
-evaluates the closed forms at the levels that can reach ``--floor``
-(``_levels_over``).  It weighs the per-letter rows by ``render.weigh`` and
-keeps the peaks at or above the floor.
+(``dyadic.module_points``), for the closed forms only to the depth whose
+peaks can reach ``--floor`` (``_depth``).  ``diffract`` then takes the
+windowed sums over the whole array with ``--empirical`` (after growing the
+window), or evaluates the closed forms.  It weighs the per-letter rows by
+``render.weigh`` and keeps the peaks at or above the floor.
 
 Every file the CLI writes is one task of ``forked.run``, through
 ``_write``: ``generate``'s PGM and text, ``diffract``'s CSV and SVG,
@@ -268,12 +268,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _module(args: argparse.Namespace, system: subst.SubstitutionSystem):
+def _module(args: argparse.Namespace, system: subst.SubstitutionSystem, depth=None):
     """The module points of ``diffract`` and ``module`` with their region.
 
     Checks the inflation factor, the cutoff flags and the region, applies
     their defaults, and enumerates the module before any window is grown.
-    Only the system's dimension and factor are read.
+    Only the system's dimension and factor are read.  ``depth(cutoff)``, if
+    given, caps the levels enumerated once the requested box passed every check.
     """
     from . import dyadic
 
@@ -296,8 +297,9 @@ def _module(args: argparse.Namespace, system: subst.SubstitutionSystem):
         region = ((Fraction(-1), Fraction(1)),) * 2
     if args.region is not None:
         region = parse_region(args.region, system.dim)
+    cap = None if depth is None else depth(cutoff)
     try:
-        module = dyadic.module_points(cutoff, region, include_hi=not args.half_open)
+        module = dyadic.module_points(cutoff, region, include_hi=not args.half_open, depth=cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return module, region
@@ -340,7 +342,8 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         raise UsageError("--window is for --empirical; the closed forms take no window")
     if closed_forms is None and not args.empirical:
         raise UsageError("no closed forms for user rules; pass --empirical for windowed sums")
-    module, region = _module(args, system)
+    depth = None if args.empirical else lambda cutoff: _depth(closed_forms, weights, args.floor, cutoff)
+    module, region = _module(args, system, depth)
     formats = (args.format,) if args.format else ("csv", "svg")
     # The figures' placement test: an axis whose width rounds to 0.0 cannot be drawn.
     if "svg" in formats and any(not float(hi - lo) > 0 for lo, hi in region):
@@ -354,7 +357,6 @@ def cmd_diffract(args: argparse.Namespace) -> int:
         window = subst.centred_window(system, seed, half)
         rows = numerics.empirical_amplitudes(numerics.WeightedComb(window, len(letters)), module)
     else:
-        module = _levels_over(closed_forms, module, weights, args.floor)
         rows = closed_forms.amplitude_arrays(module)
     amplitudes = render.weigh(rows, weights)
     table = render.PeakTable.of(module, amplitudes)
@@ -373,19 +375,26 @@ def cmd_diffract(args: argparse.Namespace) -> int:
 _BOUND_SLACK = (2.0**-20, 2.0**-500)
 
 
-def _levels_over(closed_forms, module, weights, floor: float):
-    """The points of ``module`` at levels whose intensities may reach ``floor``.
+def _depth(closed_forms, weights, floor: float, cutoff: int) -> int:
+    """The deepest level <= min(cutoff, ``MAX_LEVEL``) whose peaks may reach ``floor``, or -1.
 
-    A level is kept when the system's ``weighted_bounds`` there, with
-    ``_BOUND_SLACK``, squares to ``floor`` or more; the points of the other
-    levels are dropped before any amplitude is evaluated.  The
-    ``intensity >= floor`` mask still decides every kept peak, so the
-    output is the same as without this step.
+    A level's bound on |sum_l w_l A_l|, with the ``amplitude_bounds`` b, is
+    sum_{l < L/2} |w_l - w_{l+L/2}| b_l from ``PAIRED_FROM`` on, where letter
+    l + L/2 carries exactly -A_l, and the triangle sum T = sum_l |w_l| b_l
+    below; plus 2^-50 T for ``render.weigh``'s rounding, then ``_BOUND_SLACK``.
+    The ``intensity >= floor`` mask still decides every peak, so the output
+    is the same as with every level enumerated.
     """
+    from . import dyadic
+
     relative, absolute = _BOUND_SLACK
-    reach = closed_forms.weighted_bounds(weights, int(module.exponents.max(initial=0)))
-    keep = ((reach * (1 + relative) + absolute) ** 2 >= floor)[module.exponents]
-    return module if keep.all() else module.select(keep)
+    bounds = closed_forms.amplitude_bounds(min(cutoff, dyadic.MAX_LEVEL))
+    half = len(weights) // 2
+    triangle = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
+    reach = sum(abs(weights[c] - weights[c + half]) * bounds[c] for c in range(half))
+    reach[: closed_forms.PAIRED_FROM] = triangle[: closed_forms.PAIRED_FROM]
+    reach = (reach + 2.0**-50 * triangle) * (1 + relative) + absolute
+    return max((level for level, bound in enumerate(reach) if bound**2 >= floor), default=-1)
 
 
 def cmd_module(args: argparse.Namespace) -> int:

@@ -14,7 +14,8 @@ vector j, so the points come from the integer grid of the box scaled by 2^L
 range: at the finest level L present, every scaled numerator j must fit in
 int64 and L must be at most 62, so that 2^L and every residue mod 2^L fit
 too, and the box holds at most ``MAX_POINTS`` points; outside it
-``module_points`` raises ``ValueError`` before allocating anything.
+``module_points`` raises ``ValueError`` before allocating anything; with a
+``depth``, it then builds only the levels up to it, the box's grid at 2^depth.
 ``Module.of`` and ``phase_arrays`` refuse points past that level or int64
 with ``ValueError`` too.
 ``normal_form`` is the reduction on its own, for the images of a module
@@ -262,7 +263,7 @@ def _axis_indices(lo: Fraction, hi: Fraction, den: int, include_hi: bool) -> ran
     return range(first, last + 1)
 
 
-def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
+def module_points(cutoff: int, bounds, *, include_hi: bool = True, depth: int | None = None) -> Module:
     """Normal-form points with denominator exponent <= cutoff in a box, ascending.
 
     ``bounds`` holds one (lo, hi) pair per axis, as ints, floats or
@@ -270,7 +271,9 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
     endpoint.  Points are ordered lexicographically by value (x, then y).
     Raises ``ValueError``, before allocating, for an infinite or NaN bound,
     or when the points leave the stated int64 range or number more than
-    ``MAX_POINTS`` (see the module docstring).
+    ``MAX_POINTS`` (see the module docstring).  Those checks are made on
+    ``cutoff``; a ``depth`` then builds only the points of levels <= depth
+    (none when it is negative), the rows of the full result at those levels.
     """
     if cutoff < 0:
         raise ValueError(f"negative denominator cutoff: {cutoff}")
@@ -317,6 +320,11 @@ def module_points(cutoff: int, bounds, *, include_hi: bool = True) -> Module:
         raise ValueError(
             f"the box holds {total} module points; the array routes stop at {MAX_POINTS}"
         )
+    if depth is not None and depth < level:
+        # The points of levels <= depth are the box's own at cutoff depth.
+        if depth < 0:
+            return Module(np.zeros((0, dim), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        return module_points(depth, pairs, include_hi=include_hi)
     # Axis i of the grid runs along array axis i, so the row-major order
     # (x outer, y inner) is the value order.
     ticks = [

@@ -15,7 +15,8 @@ a -> ab, b -> aa grown from the seed a|a.  Every quantity here is exact:
   same closed form over a whole ``dyadic.Module`` with the scalar bits, as
   one complex row per letter, and ``peak_mass`` sums the intensities over
   such a module; ``amplitude_bounds`` bounds each letter's amplitude by
-  the level r alone, which falls as 2^-r.
+  the level r alone, which falls as 2^-r, and from ``PAIRED_FROM`` (r = 1)
+  on A_b = -A_a exactly.  ``cli``'s intensity-floor pre-filter reads both.
 
 The one aperiodic subtlety: position -1 never matches any residue class.
 It is the 2-adic limit point of the hierarchy and is fixed to letter a,
@@ -38,6 +39,7 @@ from .dyadic import Dyadic, Module, _trailing_zeros, module_points, phase, phase
 __all__ = [
     "LETTER_A",
     "LETTER_B",
+    "PAIRED_FROM",
     "Amplitudes",
     "system",
     "doubled_system",
@@ -53,13 +55,13 @@ __all__ = [
     "amplitudes",
     "amplitude_arrays",
     "amplitude_bounds",
-    "weighted_bounds",
     "intensity",
     "peak_mass",
 ]
 
 LETTER_A = 0
 LETTER_B = 1
+PAIRED_FROM = 1  # from r = 1 on, A_b = 0.0 - A_a = -A_a exactly (``amplitude_arrays``)
 
 # The bits at odd positions 1, 3, ..., 63 of a 64-bit word.
 _ODD_BITS = 0xAAAAAAAAAAAAAAAA
@@ -283,18 +285,6 @@ def amplitude_bounds(top: int) -> np.ndarray:
     rows = np.stack([bounds, bounds])
     rows[1, :1] = 1.0 / 3.0
     return rows
-
-
-def weighted_bounds(weights, top: int) -> np.ndarray:
-    """Upper bounds on |w_a A_a + w_b A_b| at the levels r = 0, ..., top, shape (top + 1,).
-
-    |w_a - w_b| b_a from r = 1 on, where A_b = -A_a exactly, else the triangle sum T = sum_l |w_l| b_l
-    of the ``amplitude_bounds`` b; each plus 2^-50 T for the weighing's rounding.
-    """
-    bounds = amplitude_bounds(top)
-    triangle = sum(abs(weight) * row for weight, row in zip(weights, bounds, strict=True))
-    paired = np.where(np.arange(top + 1) < 1, triangle, abs(weights[0] - weights[1]) * bounds[0])
-    return paired + 2.0**-50 * triangle
 
 
 def intensity(k: Dyadic, weights) -> float:

@@ -8,6 +8,7 @@ layers, against pinned values, and against every identity they must satisfy.
 """
 
 import itertools
+import math
 import tracemalloc
 from functools import lru_cache
 
@@ -662,42 +663,85 @@ def _every_residue_pair_up_to_level_8():
     return module, chair.amplitude_arrays(module)
 
 
+@lru_cache(maxsize=None)
+def _bounds_to_max_level():
+    return chair.amplitude_bounds(MAX_LEVEL)
+
+
+def _tabled_bounds(top: int) -> np.ndarray:
+    """``chair.amplitude_bounds``' values read off one table, not recomputed per cutoff."""
+    return _bounds_to_max_level()[:, : top + 1]
+
+
+def _floor_of(bound: float) -> float:
+    """The highest floor a level whose weighted bound is ``bound`` reaches, with the CLI's slack."""
+    relative, absolute = cli._BOUND_SLACK
+    return (bound * (1 + relative) + absolute) ** 2
+
+
+def _reached(weights, floor: float, level: int) -> bool:
+    """Whether ``level`` is enumerated at ``floor``: the depth at that cutoff is the level."""
+    return cli._depth(chair, weights, floor, level) == level
+
+
+def _bound_is(weights, level: int, bound: float) -> bool:
+    """Whether the bound at ``level``, squared with the slack, is ``bound``'s to the bit."""
+    floor = _floor_of(bound)
+    return _reached(weights, floor, level) and not _reached(weights, np.nextafter(floor, np.inf), level)
+
+
 class TestWeightedBounds:
-    """``weighted_bounds`` is at least |sum_c w_c A_c| at every point of its level."""
+    """``cli._depth``'s bound is at least |sum_c w_c A_c| at every point of its level."""
 
     def test_values(self):
         b = chair.amplitude_bounds(3)[0]
+        assert (_tabled_bounds(3) == chair.amplitude_bounds(3)).all()
         # The default weights: 4 / 4 at s <= 1, then only the rounding term.
-        ones = chair.weighted_bounds((1, 1, 1, 1), 3)
-        assert ones[:2].tolist() == [1 + 2.0**-50, 1 + 2.0**-50]
-        assert ones[2:].tolist() == [2.0**-50 * 4 * b[2], 2.0**-50 * 4 * b[3]]
+        ones = (1, 1, 1, 1)
+        for level, bound in enumerate([1 + 2.0**-50] * 2 + [2.0**-50 * 4 * b[2], 2.0**-50 * 4 * b[3]]):
+            assert _bound_is(ones, level, bound)
         # The fourth roots do not cancel: (2 + 2) B is the triangle sum.
-        fourth = chair.weighted_bounds((1, 1j, -1, -1j), 3)
-        assert fourth == pytest.approx(4 * b, rel=1e-15)
-        assert chair.weighted_bounds((1, 1, 1, 1), -1).shape == (0,)
+        fourth = (1, 1j, -1, -1j)
+        for level, bound in enumerate(4 * b):
+            assert _reached(fourth, _floor_of(bound * (1 - 1e-15)), level)
+            assert not _reached(fourth, _floor_of(bound * (1 + 1e-15)), level)
+        assert cli._depth(chair, ones, 0.0, -1) == -1
 
     @settings(max_examples=200, deadline=None)
-    @given(_colour_weights())
-    def test_never_above_the_triangle_sum_and_never_rising(self, weights):
-        bounds = chair.weighted_bounds(weights, MAX_LEVEL)
-        triangle = sum(abs(w) * row for w, row in zip(weights, chair.amplitude_bounds(MAX_LEVEL)))
-        # Up to rounding, relative for normal floats and absolute for subnormal ones.
-        assert (bounds <= triangle * (1 + 2.0**-40) + 2.0**-1070).all()
-        # So every floor keeps the levels 0..S' and drops the rest.
-        assert (np.diff(bounds) <= 0).all()
+    @given(_colour_weights(), st.integers(0, MAX_LEVEL), st.integers(-8, 8))
+    def test_never_above_the_triangle_sum_and_never_rising(self, weights, level, scale):
+        triangle = sum(abs(w) * row for w, row in zip(weights, _tabled_bounds(MAX_LEVEL)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chair, "amplitude_bounds", _tabled_bounds)
+            # Up to rounding, relative for normal floats and absolute for subnormal ones.
+            for s, bound in enumerate(triangle * (1 + 2.0**-40) + 2.0**-1070):
+                assert not _reached(weights, np.nextafter(_floor_of(bound), np.inf), s)
+            # So every floor, here one near a level's triangle sum, keeps the
+            # levels 0..S' and drops the rest, and the depth is S'.
+            floor = math.ldexp(_floor_of(triangle[level]), scale)
+            reached = [s for s in range(MAX_LEVEL + 1) if _reached(weights, floor, s)]
+            assert reached == list(range(len(reached)))
+            assert cli._depth(chair, weights, floor, MAX_LEVEL) == len(reached) - 1
 
     @settings(max_examples=100, deadline=None)
     @given(_colour_weights())
     @example((1, 1, 1, 1))
     @example((0.7, 3.1, 0.7 * (1 + 2.0**-40), 3.1 * (1 - 2.0**-45)))
     def test_every_weighted_amplitude_up_to_level_8_is_bounded(self, weights):
-        # The float amplitude may pass the bound only within the CLI's slack,
-        # whose absolute part covers subnormal weights, rounded absolutely.
+        # The float intensity may pass the bound only within the CLI's slack,
+        # whose absolute part covers subnormal weights, rounded absolutely:
+        # the depth at each level's largest intensity reaches that level.
         module, rows = _every_residue_pair_up_to_level_8()
-        amplitude = render.weigh(rows, weights)
-        bounds = chair.weighted_bounds(weights, 8)[module.exponents]
-        relative, absolute = cli._BOUND_SLACK
-        assert (np.hypot(amplitude.real, amplitude.imag) <= bounds * (1 + relative) + absolute).all()
+        intensity = render.PeakTable.of(module, render.weigh(rows, weights)).intensity
+        for level in range(9):
+            assert _reached(weights, float(intensity[module.exponents == level].max()), level)
+
+    def test_colours_pair_from_paired_from_on(self):
+        # Colour c + 2 carries exactly -A_c: (a, a', -a, -a').
+        module, rows = _every_residue_pair_up_to_level_8()
+        paired = (rows[2:] == -rows[:2]).all(axis=0)
+        assert paired[module.exponents >= chair.PAIRED_FROM].all()
+        assert not paired[module.exponents == chair.PAIRED_FROM - 1].all()
 
 
 # ---------------------------------------------------------------------------

@@ -665,8 +665,8 @@ def _prefilter_weights(draw, letters: int) -> str:
     return ",".join(draw(st.lists(_PREFILTER_WEIGHT, min_size=letters, max_size=letters)))
 
 
-def _no_prefilter(closed_forms, module, weights, floor):
-    return module
+def _every_level(closed_forms, weights, floor, cutoff):
+    return cutoff
 
 
 class TestLevelPrefilter:
@@ -699,7 +699,7 @@ class TestLevelPrefilter:
             patch.setattr(forked, "_usable_cpus", lambda: 1)
             for name in ("filtered", "unfiltered"):
                 if name == "unfiltered":
-                    patch.setattr(cli, "_levels_over", _no_prefilter)
+                    patch.setattr(cli, "_depth", _every_level)
                 out = Path(scratch) / name / "peaks"
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
@@ -731,15 +731,22 @@ class TestLevelPrefilter:
         ],
         ids=["pd-balanced", "pd-lopsided", "chair-fourth-roots", "chair-lopsided"],
     )
-    def test_the_kept_levels_are_a_prefix(self, closed_forms, weights):
-        # The weighted bounds never rise with the level, so every floor
-        # keeps the levels 0..R' and drops the rest.
+    def test_the_kept_levels_are_a_prefix(self, closed_forms, weights, monkeypatch):
+        # A level's bound reaches the floor when the depth at that cutoff is
+        # the level itself.  The bounds never rise with the level, so every
+        # floor reaches the levels 0..R', and the depth is R'.
         # 1e150 is the largest weight modulus the CLI accepts.
-        levels = np.arange(dyadic.MAX_LEVEL + 1)
-        module = dyadic.normal_form([np.ones_like(levels)] * (len(weights) // 2), levels)
+        table = closed_forms.amplitude_bounds(dyadic.MAX_LEVEL)
+        # The same per-letter bounds, read off one table rather than recomputed per cutoff.
+        monkeypatch.setattr(closed_forms, "amplitude_bounds", lambda top: table[:, : top + 1])
         for floor in [0.0, *np.logspace(-330, 1, 100)]:
-            kept = cli._levels_over(closed_forms, module, weights, floor).exponents.tolist()
-            assert kept == list(range(len(kept)))
+            reached = [
+                level
+                for level in range(dyadic.MAX_LEVEL + 1)
+                if cli._depth(closed_forms, weights, floor, level) == level
+            ]
+            assert reached == list(range(len(reached)))
+            assert cli._depth(closed_forms, weights, floor, dyadic.MAX_LEVEL) == len(reached) - 1
 
     @staticmethod
     def _evaluated(closed_forms, monkeypatch) -> list:
@@ -775,6 +782,27 @@ class TestLevelPrefilter:
         [module] = evaluated
         assert len(module) == 15 and int(module.exponents.max()) == 1
         assert len(out.with_suffix(".csv").read_text().splitlines()) == 1 + 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--system", "chair", "--smax", "11", "--region=0,1,-1,1"],
+            ["--system", "pd", "--rmax", "23", "--region", "0,1"],
+        ],
+        ids=["chair", "pd"],
+    )
+    def test_a_default_weight_deep_box_allocates_under_32_mib(self, argv, tmp_path, monkeypatch):
+        # Each box holds 8.4 million points; the floor keeps levels 0..1 of
+        # the chair's and level 0 of the chain's, and only those are built.
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            code = cli.main(["diffract", *argv, "--out", str(tmp_path / "d")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 32 << 20
 
     def test_the_chair_sweep_keeps_every_level(self, tmp_path, monkeypatch):
         evaluated = self._evaluated(chair, monkeypatch)
@@ -1315,6 +1343,15 @@ _ERROR_TABLE = [
     (["diffract", "--weights=infi,1"], "non-finite weight 'infi'"),
     # A window without the windowed route it sizes.
     (["diffract", "--window", "64"], "--window is for --empirical; the closed forms take no window"),
+    # Boxes the floor would cut to levels 0..1 and 0: the requested box is still refused.
+    (
+        ["diffract", "--system", "chair", "--smax", "12", "--region=-2,2"],
+        "the box holds 268468225 module points; the array routes stop at 16777216",
+    ),
+    (
+        ["diffract", "--rmax", "63", "--region=0,1"],
+        "module points reach denominator 2^63; the array routes stop at 2^62",
+    ),
 ]
 
 

@@ -567,6 +567,49 @@ class TestHugeCutoff:
         else:
             assert got == expected
 
+
+@st.composite
+def _capped_boxes(draw):
+    """A cutoff and a box: small, micro past MAX_LEVEL (one point or none, or refused), or refused."""
+    kind = draw(st.sampled_from(["interval", "rectangle", "micro", "refused"]))
+    if kind == "interval":
+        return draw(st.integers(0, 7)), [draw(_ranges(6))]
+    if kind == "rectangle":
+        return draw(st.integers(0, 5)), [draw(_ranges(6)), draw(_ranges(6))]
+    if kind == "micro":
+        corners = draw(st.lists(st.tuples(_corners, _widths), min_size=1, max_size=2))
+        return draw(st.integers(MAX_LEVEL + 1, 400)), [(lo, lo + width) for lo, width in corners]
+    return draw(
+        st.sampled_from([(62, [(0, 2)]), (62, [(-3, 0)]), (30, [(0, 1)])])
+        | st.tuples(st.integers(11, 70), st.just([(-2, 2), (-2, 2)]))
+    )
+
+
+class TestDepth:
+    """``depth`` keeps the checks on the cutoff and builds only the levels up to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_capped_boxes(), st.booleans(), st.data())
+    @example((12, [(-2, 2), (-2, 2)]), True, None)
+    @example((63, [(0, 1)]), True, None)
+    def test_the_capped_box_is_the_full_box_up_to_depth(self, box, include_hi, data):
+        cutoff, bounds = box
+        depth = 0 if data is None else data.draw(st.integers(-1, cutoff))
+        try:
+            full = module_points(cutoff, bounds, include_hi=include_hi)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as capped:
+                module_points(cutoff, bounds, include_hi=include_hi, depth=depth)
+            assert str(capped.value) == str(refused)
+            return
+        capped = module_points(cutoff, bounds, include_hi=include_hi, depth=depth)
+        kept = full.exponents <= depth
+        assert capped.numerators.dtype == capped.exponents.dtype == np.int64
+        assert capped.numerators.shape == (int(kept.sum()), len(bounds))
+        assert capped.numerators.tolist() == full.numerators[kept].tolist()
+        assert capped.exponents.tolist() == full.exponents[kept].tolist()
+
+
 _int64 = st.integers(min_value=_BOTTOM, max_value=_TOP)
 
 

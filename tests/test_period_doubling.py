@@ -6,6 +6,7 @@ closed form, amplitudes against exact identities and Parseval-style mass.
 The windowed-sum cross-checks live in test_numerics and the acceptance run.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -467,40 +468,73 @@ def _every_residue_up_to_level_12():
     return module, pd.amplitude_arrays(module)
 
 
+def _floor_of(bound: float) -> float:
+    """The highest floor a level whose weighted bound is ``bound`` reaches, with the CLI's slack."""
+    relative, absolute = cli._BOUND_SLACK
+    return (bound * (1 + relative) + absolute) ** 2
+
+
+def _reached(weights, floor: float, level: int) -> bool:
+    """Whether ``level`` is enumerated at ``floor``: the depth at that cutoff is the level."""
+    return cli._depth(pd, weights, floor, level) == level
+
+
+def _bound_between(weights, level: int, low: float, high: float) -> bool:
+    """Whether the pre-filter's bound at ``level`` is at least ``low`` and below ``high``."""
+    return _reached(weights, _floor_of(low), level) and not _reached(weights, _floor_of(high), level)
+
+
+def _bound_is(weights, level: int, bound: float) -> bool:
+    """Whether the bound at ``level``, squared with the slack, is ``bound``'s to the bit."""
+    floor = _floor_of(bound)
+    return _reached(weights, floor, level) and not _reached(weights, np.nextafter(floor, np.inf), level)
+
+
 class TestWeightedBounds:
-    """``weighted_bounds`` is at least |w_a A_a + w_b A_b| at every point of its level."""
+    """``cli._depth``'s bound is at least |w_a A_a + w_b A_b| at every point of its level."""
 
     def test_values(self):
         # (1, -1): the triangle sum 2/3 + 1/3 at r = 0, then |w_a - w_b| 2/3 2^-r.
-        assert pd.weighted_bounds(BALANCED, 3) == pytest.approx([1, 2 / 3, 1 / 3, 1 / 6], rel=1e-15)
+        for level, bound in enumerate([1, 2 / 3, 1 / 3, 1 / 6]):
+            assert _bound_between(BALANCED, level, bound * (1 - 1e-15), bound * (1 + 1e-15))
         # Equal weights cancel from r = 1 on; only the rounding term is left.
-        equal = pd.weighted_bounds((1, 1), 3)
-        assert equal[0] == pytest.approx(1, rel=1e-15)
-        assert equal[1:].tolist() == [2.0**-50 * 2 / 3, 2.0**-50 / 3, 2.0**-50 / 6]
-        assert pd.weighted_bounds(BALANCED, -1).shape == (0,)
+        assert _bound_between((1, 1), 0, 1 - 1e-15, 1 + 1e-15)
+        for level, bound in enumerate([2.0**-50 * 2 / 3, 2.0**-50 / 3, 2.0**-50 / 6], start=1):
+            assert _bound_is((1, 1), level, bound)
+        assert cli._depth(pd, BALANCED, 0.0, -1) == -1
 
     @settings(max_examples=200, deadline=None)
-    @given(_weight_pairs())
-    def test_never_above_the_triangle_sum_and_never_rising(self, weights):
-        bounds = pd.weighted_bounds(weights, MAX_LEVEL)
+    @given(_weight_pairs(), st.integers(0, MAX_LEVEL), st.integers(-8, 8))
+    def test_never_above_the_triangle_sum_and_never_rising(self, weights, level, scale):
         triangle = sum(abs(w) * row for w, row in zip(weights, pd.amplitude_bounds(MAX_LEVEL)))
         # Up to rounding, relative for normal floats and absolute for subnormal ones.
-        assert (bounds <= triangle * (1 + 2.0**-40) + 2.0**-1070).all()
-        # So every floor keeps the levels 0..R' and drops the rest.
-        assert (np.diff(bounds) <= 0).all()
+        for r, bound in enumerate(triangle * (1 + 2.0**-40) + 2.0**-1070):
+            assert not _reached(weights, np.nextafter(_floor_of(bound), np.inf), r)
+        # So every floor, here one near a level's triangle sum, keeps the
+        # levels 0..R' and drops the rest, and the depth is R'.
+        floor = math.ldexp(_floor_of(triangle[level]), scale)
+        reached = [r for r in range(MAX_LEVEL + 1) if _reached(weights, floor, r)]
+        assert reached == list(range(len(reached)))
+        assert cli._depth(pd, weights, floor, MAX_LEVEL) == len(reached) - 1
 
     @settings(max_examples=200, deadline=None)
     @given(_weight_pairs())
     @example((1, 1))
     @example((0.7, 0.7 * (1 + 2.0**-40)))
     def test_every_weighted_amplitude_up_to_level_12_is_bounded(self, weights):
-        # The float amplitude may pass the bound only within the CLI's slack,
-        # whose absolute part covers subnormal weights, rounded absolutely.
+        # The float intensity may pass the bound only within the CLI's slack,
+        # whose absolute part covers subnormal weights, rounded absolutely:
+        # the depth at each level's largest intensity reaches that level.
         module, rows = _every_residue_up_to_level_12()
-        amplitude = render.weigh(rows, weights)
-        bounds = pd.weighted_bounds(weights, 12)[module.exponents]
-        relative, absolute = cli._BOUND_SLACK
-        assert (np.hypot(amplitude.real, amplitude.imag) <= bounds * (1 + relative) + absolute).all()
+        intensity = render.PeakTable.of(module, render.weigh(rows, weights)).intensity
+        for level in range(13):
+            assert _reached(weights, float(intensity[module.exponents == level].max()), level)
+
+    def test_letter_b_pairs_with_letter_a_from_paired_from_on(self):
+        module, rows = _every_residue_up_to_level_12()
+        paired = rows[1] == -rows[0]
+        assert paired[module.exponents >= pd.PAIRED_FROM].all()
+        assert not paired[module.exponents == pd.PAIRED_FROM - 1].all()
 
 
 class TestPeakMass:
